@@ -49,9 +49,7 @@ impl CircleObject {
                 value: radius,
             }));
         }
-        if !(center[0].is_finite() && center[1].is_finite()) {
-            return Err(CoreError::InvalidQueryPoint(center[0]));
-        }
+        check_finite_point(center)?;
         Ok(Self { id, center, radius })
     }
 
@@ -69,6 +67,49 @@ impl CircleObject {
         let dx = self.center[0] - q[0];
         let dy = self.center[1] - q[1];
         (dx * dx + dy * dy).sqrt()
+    }
+
+    /// Distance cdf from `q`, `D(r) = lens(d, r, R)/(πR²)`, with the center
+    /// distance and the disk area computed once.
+    pub fn radial(&self, q: [f64; 2]) -> RadialCdf<impl Fn(f64) -> f64> {
+        let (d, radius) = (self.center_dist(q), self.radius);
+        let total = std::f64::consts::PI * radius * radius;
+        RadialCdf {
+            near: (d - radius).max(0.0),
+            far: d + radius,
+            cdf: move |r| (lens_area(d, r, radius) / total).clamp(0.0, 1.0),
+        }
+    }
+}
+
+/// Reject a non-finite 2-D point, reporting the first coordinate that failed.
+pub(crate) fn check_finite_point(p: [f64; 2]) -> Result<()> {
+    match p.iter().find(|v| !v.is_finite()) {
+        Some(&bad) => Err(CoreError::InvalidQueryPoint(bad)),
+        None => Ok(()),
+    }
+}
+
+/// The distance from a fixed query point to a uniform 2-D region: its
+/// support `[near, far]` and its cdf. Both region shapes reduce to this, and
+/// [`RadialCdf::distribution`] is the one place a cdf becomes a histogram.
+pub struct RadialCdf<F> {
+    /// Minimum possible distance.
+    pub near: f64,
+    /// Maximum possible distance.
+    pub far: f64,
+    /// `Pr[distance ≤ r]`.
+    pub cdf: F,
+}
+
+impl<F: Fn(f64) -> f64> RadialCdf<F> {
+    /// Mass-preserving discretization onto `bins` equal-width bins, the cdf
+    /// evaluated once per edge: already a histogram on the distance domain,
+    /// so no fold is needed.
+    pub fn distribution(&self, bins: usize) -> Result<DistanceDistribution> {
+        let (near, far) = (self.near, self.far);
+        let hist = HistogramPdf::equi_width_from_cdf(near, far, bins.max(2), &self.cdf)?;
+        Ok(DistanceDistribution::from_histogram(hist))
     }
 }
 
@@ -91,39 +132,6 @@ pub fn lens_area(d: f64, r1: f64, r2: f64) -> f64 {
     let t2 = r2 * r2 * beta.acos();
     let s = ((-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)).max(0.0);
     t1 + t2 - 0.5 * s.sqrt()
-}
-
-/// Distance cdf of a uniform disk from `q`: `D(r) = lens(d, r, R)/(πR²)`.
-pub fn circle_distance_cdf(obj: &CircleObject, q: [f64; 2], r: f64) -> f64 {
-    let d = obj.center_dist(q);
-    let total = std::f64::consts::PI * obj.radius * obj.radius;
-    (lens_area(d, r.max(0.0), obj.radius) / total).clamp(0.0, 1.0)
-}
-
-/// Build the distance distribution of a circular object by discretizing its
-/// lens-area cdf onto `bins` equal-width bins over `[near, far]`.
-pub fn circle_distance_distribution(
-    obj: &CircleObject,
-    q: [f64; 2],
-    bins: usize,
-) -> Result<DistanceDistribution> {
-    let bins = bins.max(2);
-    let near = obj.near(q);
-    let far = obj.far(q);
-    let w = (far - near) / bins as f64;
-    let edges: Vec<f64> = (0..=bins)
-        .map(|i| if i == bins { far } else { near + i as f64 * w })
-        .collect();
-    let masses: Vec<f64> = (0..bins)
-        .map(|i| {
-            (circle_distance_cdf(obj, q, edges[i + 1]) - circle_distance_cdf(obj, q, edges[i]))
-                .max(0.0)
-        })
-        .collect();
-    let hist = HistogramPdf::from_masses(edges, masses)?;
-    // Route through the 1-D fold with query 0: the histogram already lives
-    // on the distance domain, so folding around 0 is the identity.
-    DistanceDistribution::from_pdf(&hist, 0.0)
 }
 
 /// Result of a 2-D C-PNN query.
@@ -164,10 +172,7 @@ impl DistanceModel for CircleSliceModel<'_> {
     }
 
     fn check_query(&self, q: &[f64; 2]) -> Result<()> {
-        if !(q[0].is_finite() && q[1].is_finite()) {
-            return Err(CoreError::InvalidQueryPoint(q[0]));
-        }
-        Ok(())
+        check_finite_point(*q)
     }
 
     fn filter(&self, q: &[f64; 2], k: usize) -> Result<Filtered> {
@@ -182,7 +187,7 @@ impl DistanceModel for CircleSliceModel<'_> {
         let filter_time = start.elapsed();
         let mut items = Vec::with_capacity(survivors.len());
         for o in survivors {
-            items.push((o.id, circle_distance_distribution(o, *q, self.bins)?));
+            items.push((o.id, o.radial(*q).distribution(self.bins)?));
         }
         Ok(Filtered { items, filter_time })
     }
@@ -222,6 +227,7 @@ pub fn pnn_2d(objects: &[CircleObject], q: [f64; 2], bins: usize) -> Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry2d::Rect2;
 
     #[test]
     fn lens_area_limits() {
@@ -244,7 +250,7 @@ mod tests {
         let o = CircleObject::new(ObjectId(0), [0.0, 0.0], 2.0).unwrap();
         for r in [0.0, 0.5, 1.0, 1.5, 2.0] {
             let want = (r / 2.0) * (r / 2.0);
-            let got = circle_distance_cdf(&o, [0.0, 0.0], r);
+            let got = (o.radial([0.0, 0.0]).cdf)(r);
             assert!((got - want).abs() < 1e-12, "r = {r}: {got} vs {want}");
         }
     }
@@ -253,7 +259,7 @@ mod tests {
     fn distance_distribution_is_normalized_and_bounded() {
         let o = CircleObject::new(ObjectId(0), [3.0, 4.0], 1.5).unwrap();
         let q = [0.0, 0.0];
-        let d = circle_distance_distribution(&o, q, 64).unwrap();
+        let d = o.radial(q).distribution(64).unwrap();
         assert!((d.near() - 3.5).abs() < 1e-12); // |q−c| = 5, R = 1.5
         assert!((d.far() - 6.5).abs() < 1e-12);
         assert!((d.cdf(6.5) - 1.0).abs() < 1e-12);
@@ -346,5 +352,91 @@ mod tests {
         assert!(CircleObject::new(ObjectId(0), [0.0, 0.0], 0.0).is_err());
         assert!(CircleObject::new(ObjectId(0), [0.0, 0.0], -1.0).is_err());
         assert!(CircleObject::new(ObjectId(0), [f64::NAN, 0.0], 1.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_points_report_the_coordinate_that_failed() {
+        let inf = f64::INFINITY;
+        assert_eq!(
+            CircleObject::new(ObjectId(0), [0.0, inf], 1.0),
+            Err(CoreError::InvalidQueryPoint(inf))
+        );
+        assert_eq!(
+            CircleObject::new(ObjectId(0), [-inf, 2.0], 1.0),
+            Err(CoreError::InvalidQueryPoint(-inf))
+        );
+        let model = CircleSliceModel::new(&[], 8);
+        assert_eq!(
+            model.check_query(&[3.0, inf]),
+            Err(CoreError::InvalidQueryPoint(inf))
+        );
+        assert!(matches!(
+            model.check_query(&[3.0, f64::NAN]),
+            Err(CoreError::InvalidQueryPoint(v)) if v.is_nan()
+        ));
+        assert_eq!(model.check_query(&[3.0, -4.0]), Ok(()));
+    }
+
+    /// Both shapes through the shared builder: the cdf is 0 at the near
+    /// point, 1 at the far point, monotone in between, and the raw bin
+    /// masses already sum to one before the histogram normalizes them.
+    #[test]
+    fn radial_cdfs_are_proper_for_both_shapes() {
+        fn check<F: Fn(f64) -> f64>(radial: RadialCdf<F>, what: &str) {
+            let RadialCdf { near, far, ref cdf } = radial;
+            assert!(
+                cdf(near).abs() <= 1e-12,
+                "{what}: cdf(near) = {}",
+                cdf(near)
+            );
+            assert!(
+                (cdf(far) - 1.0).abs() <= 1e-12,
+                "{what}: cdf(far) = {}",
+                cdf(far)
+            );
+            let mut prev = 0.0;
+            for i in 0..=400 {
+                let c = cdf(near + (far - near) * i as f64 / 400.0);
+                assert!(c >= prev - 1e-12, "{what}: cdf falls at step {i}");
+                prev = c;
+            }
+            for bins in [2, 48, 97] {
+                let dist = radial.distribution(bins).unwrap();
+                let edges = dist.breakpoints();
+                assert_eq!(edges.len(), bins + 1);
+                assert_eq!((edges[0], edges[bins]), (near, far));
+                // The masses the builder saw, before the histogram
+                // normalized them.
+                let raw: f64 = edges
+                    .windows(2)
+                    .map(|e| (cdf(e[1]) - cdf(e[0])).max(0.0))
+                    .sum();
+                assert!((raw - 1.0).abs() <= 1e-9, "{what}: raw mass {raw}");
+            }
+        }
+        let queries = [
+            [0.0, 0.0],
+            [2.5, 3.5],
+            [2.0, 3.0],
+            [-40.0, 17.0],
+            [2.0, 90.0],
+        ];
+        let circles = [([2.5, 3.5], 1.5), ([0.3, -0.2], 0.01), ([-7.0, 2.0], 30.0)];
+        let rects = [
+            ([2.0, 3.0], [5.0, 4.0]),
+            ([-1.0, -1.0], [1.0, 1.0]),
+            ([0.0, 0.0], [300.0, 1.5]),
+            ([1.75, -40.0], [2.25, 40.0]),
+        ];
+        for q in queries {
+            for (center, radius) in circles {
+                let c = CircleObject::new(ObjectId(0), center, radius).unwrap();
+                check(c.radial(q), &format!("{c:?} from {q:?}"));
+            }
+            for (min, max) in rects {
+                let r = Rect2::new(min, max).unwrap();
+                check(r.radial(q), &format!("{r:?} from {q:?}"));
+            }
+        }
     }
 }

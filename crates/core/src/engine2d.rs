@@ -2,11 +2,12 @@
 //! (Sec. IV-A) made concrete, with R-tree filtering over bounding boxes and
 //! the unchanged 1-D verifier machinery running on 2-D distance cdfs.
 //!
-//! Supported region shapes: uniform disks (lens-area cdf, closed form —
-//! [`crate::distance2d`]) and uniform axis-aligned rectangles (chord
-//! integration — [`crate::geometry2d`]). The R-tree indexes conservative
-//! bounding boxes; candidate pruning is finished with exact region
-//! near/far distances, mirroring \[8\]'s 2-D treatment.
+//! Supported region shapes: uniform disks (circular-lens area —
+//! [`crate::distance2d`]) and uniform axis-aligned rectangles (disk ∩
+//! rectangle area — [`crate::geometry2d`]); both distance cdfs are closed
+//! forms. The R-tree indexes conservative bounding boxes; candidate pruning
+//! is finished with exact region near/far distances, mirroring \[8\]'s 2-D
+//! treatment.
 //!
 //! Like the 1-D database, this module only owns storage and filtering: it
 //! instantiates [`crate::pipeline`]'s [`DistanceModel`] and the shared
@@ -14,14 +15,13 @@
 
 use std::time::Instant;
 
-use cpnn_pdf::HistogramPdf;
 use cpnn_rtree::{Params, Rect};
 
 use crate::distance::DistanceDistribution;
-use crate::distance2d::{circle_distance_distribution, CircleObject};
+use crate::distance2d::{check_finite_point, CircleObject};
 use crate::engine::{CpnnResult, PnnResult, Strategy};
-use crate::error::{CoreError, Result};
-use crate::geometry2d::{rect_distance_cdf, Rect2};
+use crate::error::Result;
+use crate::geometry2d::Rect2;
 use crate::object::ObjectId;
 use crate::pipeline::{self, DistanceModel, Filtered, PipelineConfig, QuerySpec};
 use crate::shard::{Extent, ShardBalance, ShardableModel, ShardedDb};
@@ -47,17 +47,11 @@ impl Object2d {
         Ok(Object2d::Circle(CircleObject::new(id, center, radius)?))
     }
 
-    /// Uniform rectangle constructor.
+    /// Uniform rectangle constructor (validation is [`Rect2::new`]'s).
     pub fn rectangle(id: ObjectId, min: [f64; 2], max: [f64; 2]) -> Result<Self> {
-        if !(min[0] < max[0] && min[1] < max[1] && min.iter().chain(&max).all(|v| v.is_finite())) {
-            return Err(CoreError::Pdf(cpnn_pdf::PdfError::EmptyRegion {
-                lo: min[0],
-                hi: max[0],
-            }));
-        }
         Ok(Object2d::Rectangle {
             id,
-            rect: Rect2::new(min, max),
+            rect: Rect2::new(min, max)?,
         })
     }
 
@@ -99,25 +93,8 @@ impl Object2d {
     /// Distance distribution from `q`, discretized onto `bins` bars.
     pub fn distance_distribution(&self, q: [f64; 2], bins: usize) -> Result<DistanceDistribution> {
         match self {
-            Object2d::Circle(c) => circle_distance_distribution(c, q, bins),
-            Object2d::Rectangle { rect, .. } => {
-                let bins = bins.max(2);
-                let near = rect.near(q);
-                let far = rect.far(q);
-                let w = (far - near) / bins as f64;
-                let edges: Vec<f64> = (0..=bins)
-                    .map(|i| if i == bins { far } else { near + i as f64 * w })
-                    .collect();
-                let masses: Vec<f64> = (0..bins)
-                    .map(|i| {
-                        (rect_distance_cdf(q, rect, edges[i + 1])
-                            - rect_distance_cdf(q, rect, edges[i]))
-                        .max(0.0)
-                    })
-                    .collect();
-                let hist = HistogramPdf::from_masses(edges, masses)?;
-                DistanceDistribution::from_pdf(&hist, 0.0)
-            }
+            Object2d::Circle(c) => c.radial(q).distribution(bins),
+            Object2d::Rectangle { rect, .. } => rect.radial(q).distribution(bins),
         }
     }
 }
@@ -333,10 +310,7 @@ impl DistanceModel for UncertainDb2d {
     }
 
     fn check_query(&self, q: &[f64; 2]) -> Result<()> {
-        if !(q[0].is_finite() && q[1].is_finite()) {
-            return Err(CoreError::InvalidQueryPoint(q[0]));
-        }
-        Ok(())
+        check_finite_point(*q)
     }
 
     fn filter(&self, q: &[f64; 2], k: usize) -> Result<Filtered> {
@@ -381,6 +355,7 @@ impl DistanceModel for UncertainDb2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
 
     fn mixed_db() -> UncertainDb2d {
         let objects = vec![
@@ -405,6 +380,29 @@ mod tests {
     fn invalid_rectangle_rejected() {
         assert!(Object2d::rectangle(ObjectId(0), [1.0, 0.0], [0.0, 1.0]).is_err());
         assert!(Object2d::rectangle(ObjectId(0), [0.0, 0.0], [f64::NAN, 1.0]).is_err());
+        // Only axis 1 is inverted: the error says so, with that axis' ends.
+        assert_eq!(
+            Object2d::rectangle(ObjectId(0), [0.0, 5.0], [1.0, 4.0]),
+            Err(CoreError::InvalidRectangle {
+                axis: 1,
+                lo: 5.0,
+                hi: 4.0
+            })
+        );
+    }
+
+    #[test]
+    fn non_finite_query_reports_the_coordinate_that_failed() {
+        let db = mixed_db();
+        let inf = f64::INFINITY;
+        assert_eq!(
+            db.cpnn([0.0, inf], 0.3, 0.0).unwrap_err(),
+            CoreError::InvalidQueryPoint(inf)
+        );
+        assert_eq!(
+            db.cknn([-inf, 1.0], 2, 0.3, 0.0).unwrap_err(),
+            CoreError::InvalidQueryPoint(-inf)
+        );
     }
 
     #[test]

@@ -11,8 +11,18 @@ pub enum CoreError {
     InvalidThreshold(f64),
     /// Tolerance outside `[0, 1]`.
     InvalidTolerance(f64),
-    /// The query point is not finite.
+    /// A query point or region centre has a non-finite coordinate (the
+    /// payload is the coordinate that failed).
     InvalidQueryPoint(f64),
+    /// A 2-D rectangle is empty, inverted or non-finite on `axis`.
+    InvalidRectangle {
+        /// The first axis that failed (0 = x, 1 = y).
+        axis: usize,
+        /// Lower end on that axis.
+        lo: f64,
+        /// Upper end on that axis.
+        hi: f64,
+    },
     /// A duplicate object id was inserted into the database.
     DuplicateObjectId(u64),
     /// Monte-Carlo world count must be positive.
@@ -36,6 +46,9 @@ impl fmt::Display for CoreError {
                 write!(f, "tolerance Δ must be in [0, 1], got {d}")
             }
             CoreError::InvalidQueryPoint(q) => write!(f, "query point must be finite, got {q}"),
+            CoreError::InvalidRectangle { axis, lo, hi } => {
+                write!(f, "invalid rectangle on axis {axis}: [{lo}, {hi}]")
+            }
             CoreError::DuplicateObjectId(id) => write!(f, "duplicate object id {id}"),
             CoreError::ZeroWorlds => write!(f, "Monte-Carlo world count must be positive"),
             CoreError::Storage(msg) => write!(f, "storage error: {msg}"),

@@ -6,7 +6,6 @@
 //! still integrates to one and its cdf agrees with the original at every bin
 //! edge.
 
-use crate::error::PdfError;
 use crate::histogram::HistogramPdf;
 use crate::traits::Pdf;
 use crate::Result;
@@ -14,21 +13,8 @@ use crate::Result;
 /// Convert any [`Pdf`] into an equi-width `bars`-bar [`HistogramPdf`] whose
 /// bin masses equal the source's cdf differences.
 pub fn discretize<P: Pdf + ?Sized>(pdf: &P, bars: usize) -> Result<HistogramPdf> {
-    if bars == 0 {
-        return Err(PdfError::NonPositiveParameter {
-            name: "bars",
-            value: 0.0,
-        });
-    }
     let (lo, hi) = pdf.support();
-    let w = (hi - lo) / bars as f64;
-    let edges: Vec<f64> = (0..=bars)
-        .map(|i| if i == bars { hi } else { lo + i as f64 * w })
-        .collect();
-    let masses: Vec<f64> = (0..bars)
-        .map(|i| (pdf.cdf(edges[i + 1]) - pdf.cdf(edges[i])).max(0.0))
-        .collect();
-    HistogramPdf::from_masses(edges, masses)
+    HistogramPdf::equi_width_from_cdf(lo, hi, bars, |x| pdf.cdf(x))
 }
 
 #[cfg(test)]
@@ -63,6 +49,19 @@ mod tests {
             assert!((h.cdf(x) - u.cdf(x)).abs() < 1e-12);
             assert!((h.density(x.min(8.999)) - 0.25).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn cdf_is_evaluated_once_per_edge() {
+        let mut calls = 0;
+        let h = HistogramPdf::equi_width_from_cdf(1.0, 3.0, 8, |x| {
+            calls += 1;
+            (x - 1.0) / 2.0
+        })
+        .unwrap();
+        assert_eq!(calls, 9);
+        assert_eq!(h.bar_count(), 8);
+        assert!((h.cdf(2.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -170,14 +170,39 @@ impl HistogramPdf {
         if !(lo.is_finite() && hi.is_finite()) || lo >= hi {
             return Err(PdfError::EmptyRegion { lo, hi });
         }
-        let w = (hi - lo) / bars as f64;
-        let edges: Vec<f64> = (0..=bars)
-            .map(|i| if i == bars { hi } else { lo + i as f64 * w })
-            .collect();
+        let edges = Self::equi_width_edges(lo, hi, bars);
         let masses: Vec<f64> = (0..bars)
             .map(|i| gauss_legendre(&mut f, edges[i], edges[i + 1], GlOrder::Eight).max(0.0))
             .collect();
         Self::from_masses(edges, masses)
+    }
+
+    /// Equi-width histogram over `[lo, hi]` whose bar masses are the
+    /// differences of `cdf` at the bin edges, normalized to total mass one.
+    /// `cdf` is evaluated once per edge, in ascending order.
+    pub fn equi_width_from_cdf<F: FnMut(f64) -> f64>(
+        lo: f64,
+        hi: f64,
+        bars: usize,
+        cdf: F,
+    ) -> Result<Self> {
+        if bars == 0 {
+            return Err(PdfError::NonPositiveParameter {
+                name: "bars",
+                value: 0.0,
+            });
+        }
+        let edges = Self::equi_width_edges(lo, hi, bars);
+        let knots: Vec<f64> = edges.iter().copied().map(cdf).collect();
+        let masses = knots.windows(2).map(|c| (c[1] - c[0]).max(0.0)).collect();
+        Self::from_masses(edges, masses)
+    }
+
+    fn equi_width_edges(lo: f64, hi: f64, bars: usize) -> Vec<f64> {
+        let w = (hi - lo) / bars as f64;
+        (0..=bars)
+            .map(|i| if i == bars { hi } else { lo + i as f64 * w })
+            .collect()
     }
 
     fn validate_edges(edges: &[f64]) -> Result<()> {
