@@ -26,7 +26,7 @@ use cpnn_bench::report::Table;
 /// The PR this tree's timings belong to. The default timing file is
 /// derived from it, so each PR's trajectory lands in its own
 /// `BENCH_pr<N>.json` (override any single run with `--bench-json PATH`).
-const CURRENT_PR: u32 = 13;
+const CURRENT_PR: u32 = 14;
 
 /// The current series file: `BENCH_pr<CURRENT_PR>.json`.
 fn current_series() -> String {
@@ -99,11 +99,6 @@ fn main() {
     let all = wanted.iter().any(|w| w == "all");
     let want = |name: &str| all || wanted.iter().any(|w| w == name);
 
-    eprintln!(
-        ">> simd: {} tier dispatched (detected cpu features: {})",
-        cpnn_core::verifiers::simd::active_tier().name(),
-        cpnn_core::verifiers::simd::cpu_features(),
-    );
     fs::create_dir_all(&out_dir).expect("can create results directory");
     // (table, wall-clock seconds the experiment took to regenerate)
     let mut produced: Vec<(Table, f64)> = Vec::new();
@@ -225,24 +220,12 @@ fn file_stem(id: &str) -> String {
 
 /// Hand-rolled JSON (no serde in the build environment): every experiment's
 /// wall time plus its full table, so future PRs can diff both the timings
-/// and the numbers themselves. The header records the dispatched SIMD tier
-/// and the detected CPU features, so a series file from a scalar-only host
-/// is never mistaken for a vectorized datapoint.
+/// and the numbers themselves.
 fn bench_json_text(quick: bool, produced: &[(Table, f64)]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"pr\": {CURRENT_PR},");
     let _ = writeln!(out, "  \"tool\": \"repro\",");
     let _ = writeln!(out, "  \"quick\": {quick},");
-    let _ = writeln!(
-        out,
-        "  \"simd_tier\": {},",
-        json_str(cpnn_core::verifiers::simd::active_tier().name())
-    );
-    let _ = writeln!(
-        out,
-        "  \"cpu_features\": {},",
-        json_str(cpnn_core::verifiers::simd::cpu_features())
-    );
     let _ = writeln!(out, "  \"experiments\": [");
     for (i, (t, wall)) in produced.iter().enumerate() {
         let comma = if i + 1 < produced.len() { "," } else { "" };
@@ -310,8 +293,6 @@ mod tests {
         assert!(s.starts_with("{\n"));
         assert!(s.contains("\"id\": \"Fig. 9\""));
         assert!(s.contains("\"wall_s\": 0.500"));
-        assert!(s.contains("\"simd_tier\": "));
-        assert!(s.contains("\"cpu_features\": "));
         assert!(s.ends_with("}\n"));
     }
 

@@ -21,7 +21,6 @@ use cpnn_core::exact::subregion_qualification;
 use cpnn_core::framework::{default_verifiers, run_verification_into};
 use cpnn_core::refine::incremental_refine_with;
 use cpnn_core::verifiers::reference::reference_verifiers;
-use cpnn_core::verifiers::simd::{active_tier, force_tier, SimdTier};
 use cpnn_core::verifiers::{kernels, VerificationState, Verifier};
 use cpnn_core::{CandidateSet, ObjectId, RefinementOrder, SubregionTable, UncertainObject};
 
@@ -76,8 +75,7 @@ fn time_pass(
 
 /// Run the kernel-vs-legacy grid. Columns: |C|, M, the table build-only
 /// time (the cache-blocked `SubregionTable::build`), the legacy pass, the
-/// kernel pass at forced-scalar dispatch, the kernel pass at the host's
-/// best SIMD tier, the simd-over-scalar speedup, and the dispatched tier.
+/// kernel pass, and the legacy-over-kernel speedup.
 pub fn run(quick: bool) -> Table {
     let sizes: Vec<usize> = if quick {
         vec![16, 64, 128]
@@ -94,17 +92,15 @@ pub fn run(quick: bool) -> Table {
             "M",
             "build (ms)",
             "legacy (ms)",
-            "kernel scalar (ms)",
-            "kernel simd (ms)",
-            "simd speedup",
-            "tier",
+            "kernel (ms)",
+            "speedup",
         ],
     );
     table.note(format!(
         "best of {reps} passes; chain RS, L-SR, U-SR + incremental refinement at P = 1/|C|, Δ = 0.01; \
          legacy = verifiers::reference + naive integrand, kernel = verifiers::kernels; \
-         build = cache-blocked SubregionTable::build only; scalar = CPNN_SIMD=off dispatch, \
-         simd = auto dispatch; bit-identical outputs at every tier (tests/proptest_kernels.rs)"
+         build = cache-blocked SubregionTable::build only; bit-identical outputs \
+         (tests/proptest_kernels.rs)"
     ));
     for &c in &sizes {
         for &g in &groups {
@@ -131,17 +127,7 @@ pub fn run(quick: bool) -> Table {
                 |i, j, _| subregion_qualification(&sub, i, j),
             );
             let kernel_chain = default_verifiers();
-            force_tier(Some(SimdTier::Scalar));
-            let scalar = time_pass(
-                &sub,
-                &classifier,
-                &kernel_chain,
-                &mut state,
-                reps,
-                |i, j, s| kernels::nn_qualification(&sub, i, j, s),
-            );
-            force_tier(None);
-            let simd = time_pass(
+            let kernel = time_pass(
                 &sub,
                 &classifier,
                 &kernel_chain,
@@ -154,13 +140,11 @@ pub fn run(quick: bool) -> Table {
                 sub.subregion_count().to_string(),
                 ms(build),
                 ms(legacy),
-                ms(scalar),
-                ms(simd),
+                ms(kernel),
                 format!(
                     "{:.2}x",
-                    scalar.as_secs_f64() / simd.as_secs_f64().max(1e-12)
+                    legacy.as_secs_f64() / kernel.as_secs_f64().max(1e-12)
                 ),
-                active_tier().name().to_string(),
             ]);
         }
     }

@@ -14,6 +14,7 @@
 //! machine-readable timing series in `BENCH_pr<N>.json` (see the README's
 //! figure → experiment table for the paper-vs-measured mapping).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

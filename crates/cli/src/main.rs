@@ -14,6 +14,8 @@
 //!                                                          # (streams queries from stdin)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::io::{BufRead, IsTerminal as _, Write as _};
 use std::path::PathBuf;

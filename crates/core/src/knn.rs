@@ -176,24 +176,19 @@ impl Verifier for KnnSubregion {
         // recompute fallback (into spare scratch) near p = 1.
         kernels::pb_into(&mut state.kernel.dp, table.cdf_col(0), limit);
         for j in 0..l {
-            kernels::pb_into(&mut state.kernel.dp_next, table.cdf_col(j + 1), limit);
-            // Stage both exclude-one tail columns through the vector
-            // deconvolution kernel (lanes = objects), then apply with the
-            // scalar label gate. Each staged value is bit-identical to the
-            // per-object `pb_tail_excluding` call it replaces.
-            state
-                .kernel
-                .stage_knn_tails(table.cdf_col(j + 1), table.cdf_col(j));
+            let (probs_cur, probs_next) = (table.cdf_col(j), table.cdf_col(j + 1));
+            let ks = &mut state.kernel;
+            kernels::pb_into(&mut ks.dp_next, probs_next, limit);
             for i in 0..n {
                 if state.labels[i] != Label::Unknown {
                     continue;
                 }
-                let lo = state.kernel.q_col[i];
+                let lo = kernels::pb_tail_excluding(&ks.dp_next, probs_next, i, &mut ks.dp_spare);
                 let cell = &mut state.qij_lo[i * l + j];
                 if lo > *cell {
                     *cell = lo;
                 }
-                let hi = state.kernel.q_hi_col[i];
+                let hi = kernels::pb_tail_excluding(&ks.dp, probs_cur, i, &mut ks.dp_spare);
                 let cell = &mut state.qij_hi[i * l + j];
                 if hi < *cell {
                     *cell = hi;

@@ -117,6 +117,7 @@
 //! assert_eq!(result.answers, vec![ObjectId(1)]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -226,13 +226,6 @@ impl SubregionTable {
         &self.mass[j * self.n..(j + 1) * self.n]
     }
 
-    /// Full column-major cdf array — all `L + 1` end-point columns
-    /// contiguous (`cdf_all()[j·n + i] = D_i(e_j)`). Input for the
-    /// multi-column SIMD survival-product builder.
-    pub(crate) fn cdf_all(&self) -> &[f64] {
-        &self.cdf
-    }
-
     /// Rightmost-subregion probability `s_{iM} = 1 − D_i(fmin)`.
     pub fn rightmost(&self, i: usize) -> f64 {
         self.rightmost[i]

@@ -41,46 +41,20 @@ impl Verifier for FarLowerSubregion {
             return;
         }
         let shared = state.kernel.try_shared_products(table);
-        // Same adaptive gate as L-SR: stage whole columns only while at
-        // least half the rows are still unlabeled (`fill_excl_scalar`'s
-        // expression either way).
-        let active = state
-            .labels
-            .iter()
-            .filter(|&&lb| lb == Label::Unknown)
-            .count();
-        let stage = 2 * active >= n;
         for j in 0..l {
             if !shared {
                 state.kernel.excl.recompute_survival(table.cdf_col(j + 1));
             }
             let mass = table.mass_col(j);
-            if stage {
-                // Stage the far-end-point product column through the vector
-                // kernel, then apply with the scalar label/mass gates.
-                state.kernel.stage_excl(n, shared, j + 1);
-                for (i, &m) in mass.iter().enumerate() {
-                    if state.labels[i] != Label::Unknown || m <= MASS_EPS {
-                        continue;
-                    }
-                    let q = state.kernel.q_col[i];
-                    let cell = &mut state.qij_lo[i * l + j];
-                    if q > *cell {
-                        *cell = q;
-                    }
+            let (pref, suff) = state.kernel.col_products(shared, j + 1);
+            for i in 0..n {
+                if state.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
+                    continue;
                 }
-            } else {
-                let st = &mut *state;
-                let (pref, suff) = st.kernel.col_products(shared, j + 1);
-                for i in 0..n {
-                    if st.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
-                        continue;
-                    }
-                    let q = (pref[i] * suff[i + 1]).clamp(0.0, 1.0);
-                    let cell = &mut st.qij_lo[i * l + j];
-                    if q > *cell {
-                        *cell = q;
-                    }
+                let q = (pref[i] * suff[i + 1]).clamp(0.0, 1.0);
+                let cell = &mut state.qij_lo[i * l + j];
+                if q > *cell {
+                    *cell = q;
                 }
             }
         }

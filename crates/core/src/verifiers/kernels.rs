@@ -3,13 +3,13 @@
 //! Every verifier inner loop sweeps all objects at a fixed end-point `j`,
 //! which the SoA [`SubregionTable`] exposes as contiguous slices
 //! ([`SubregionTable::cdf_col`] / [`SubregionTable::mass_col`]). The
-//! primitives here consume those slices with branch-free, unit-stride loops
-//! the compiler can autovectorize, and they write into **reusable** buffers
-//! ([`KernelScratch`]) so the hot path performs zero heap allocations per
-//! subregion.
+//! primitives here consume those slices with plain unit-stride loops (one
+//! safe scalar form of each, no dispatch) and write into **reusable**
+//! buffers ([`KernelScratch`]) so the hot path performs zero heap
+//! allocations per subregion.
 //!
 //! Determinism contract: each kernel evaluates *exactly* the same floating-
-//! point expression sequence as its scalar predecessor (retained in
+//! point expression sequence as its naive counterpart (retained in
 //! [`crate::verifiers::reference`] and as naive loops in this module's
 //! tests), so verdicts and bounds are bit-identical across the kernel,
 //! cached, sharded, and batched paths.
@@ -17,7 +17,8 @@
 use cpnn_pdf::integrate::{gauss_legendre, GlOrder};
 
 use crate::subregion::{SubregionTable, MASS_EPS};
-use crate::verifiers::{simd, ExcludeOneProduct};
+use crate::verifiers::products::survival_products;
+use crate::verifiers::ExcludeOneProduct;
 
 /// Reusable kernel buffers, threaded through the pipeline inside
 /// [`crate::verifiers::VerificationState`] (and hence per-query scratch).
@@ -57,16 +58,6 @@ pub struct KernelScratch {
     pub(crate) coef_mass: Vec<f64>,
     /// Refinement visit order (indices of massive subregions).
     pub(crate) regions: Vec<usize>,
-    /// SIMD staging buffer: per-object `q_ij` values for the current
-    /// end-point column, filled by the vector kernels of
-    /// [`crate::verifiers::simd`] and consumed by the scalar
-    /// label/mass-gated application loops. Pool-reused like every other
-    /// scratch buffer (`Vec<f64>` is 8-byte aligned; the kernels use
-    /// explicitly unaligned loads, penalty-free on every SSE2+ micro-arch).
-    pub(crate) q_col: Vec<f64>,
-    /// Second SIMD staging buffer (SR-k stages lower and upper tails for
-    /// the same column pair in one pass).
-    pub(crate) q_hi_col: Vec<f64>,
 }
 
 /// Upper size (in `f64`s per half-table) of the shared survival product
@@ -92,9 +83,9 @@ impl KernelScratch {
     /// end-point column of `table`, unless they are already up to date for
     /// this query ([`crate::verifiers::VerificationState::reset`] clears the
     /// flag) or the table exceeds [`SHARED_PRODUCTS_MAX`] (returns `false`;
-    /// callers then recompute per column). Each column runs the exact
-    /// multiplication chain of [`ExcludeOneProduct::recompute_survival`], so
-    /// the staging kernels consume bit-identical products either way.
+    /// callers then recompute per column with
+    /// [`ExcludeOneProduct::recompute_survival`] — the same chain, so the
+    /// verifiers read bit-identical products either way).
     pub(crate) fn try_shared_products(&mut self, table: &SubregionTable) -> bool {
         let n = table.n_objects();
         let cols = table.left_regions() + 1;
@@ -110,25 +101,21 @@ impl KernelScratch {
         self.col_prefix.resize(cols * stride, 0.0);
         self.col_suffix.clear();
         self.col_suffix.resize(cols * stride, 0.0);
-        // Vector tiers run several independent column chains in lockstep;
-        // per column the chain order is the scalar one, so the products are
-        // bit-identical at every dispatch tier.
-        simd::shared_products(
-            table.cdf_all(),
-            n,
-            cols,
-            &mut self.col_prefix,
-            &mut self.col_suffix,
-        );
+        for j in 0..cols {
+            let span = j * stride..(j + 1) * stride;
+            survival_products(
+                table.cdf_col(j),
+                &mut self.col_prefix[span.clone()],
+                &mut self.col_suffix[span],
+            );
+        }
         self.products_ready = true;
         true
     }
 
     /// The exclude-one `(prefix, suffix)` product slices for end-point
     /// column `col`: the shared column table when `shared`, else the
-    /// ping-pong fallback product (already recomputed by the caller). The
-    /// fused scalar verifier paths consume these directly when few rows
-    /// are still unlabeled and whole-column staging would not pay.
+    /// ping-pong fallback product (already recomputed by the caller).
     pub(crate) fn col_products(&self, shared: bool, col: usize) -> (&[f64], &[f64]) {
         if shared {
             let base = col * self.col_stride;
@@ -145,8 +132,7 @@ impl KernelScratch {
     /// the column pair `(j, j+1)`: `(pc, sc)` at the near end-point and
     /// `(pn, sn)` at the far one. Shared mode slices the column table;
     /// non-shared mode returns the ping-pong pair (`excl` = `Y_j`,
-    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller). Used by the
-    /// fused scalar U-SR path when staging would not pay.
+    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller).
     pub(crate) fn usr_products(&self, shared: bool, j: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
         if shared {
             let base = j * self.col_stride;
@@ -163,102 +149,22 @@ impl KernelScratch {
             (pc, sc, pn, sn)
         }
     }
-
-    /// Stage L-SR lower bounds for end-point column `j` into `q_col`:
-    /// `q_col[i] = (prefix[i] · suffix[i+1] · inv_cj).clamp(0, 1)` via the
-    /// active vector tier. `shared` selects the shared column table at `j`
-    /// versus the ping-pong fallback product (`excl`, already recomputed by
-    /// the caller). Lives on `KernelScratch` so the borrows split per field.
-    pub(crate) fn stage_lsr(&mut self, n: usize, shared: bool, j: usize, inv_cj: f64) {
-        ensure_len(&mut self.q_col, n);
-        let (pref, suff) = if shared {
-            let base = j * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-            )
-        } else {
-            self.excl.parts()
-        };
-        simd::fill_excl_scaled(pref, suff, inv_cj, &mut self.q_col);
-    }
-
-    /// Stage FL-SR lower bounds for end-point column `col` into `q_col`:
-    /// `q_col[i] = (prefix[i] · suffix[i+1]).clamp(0, 1)`. Non-shared mode
-    /// reads `excl` (recomputed at `col` by the caller).
-    pub(crate) fn stage_excl(&mut self, n: usize, shared: bool, col: usize) {
-        ensure_len(&mut self.q_col, n);
-        let (pref, suff) = if shared {
-            let base = col * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-            )
-        } else {
-            self.excl.parts()
-        };
-        simd::fill_excl(pref, suff, &mut self.q_col);
-    }
-
-    /// Stage U-SR trapezoid upper bounds for the column pair `(j, j+1)` into
-    /// `q_col`: `q_col[i] = 0.5·(Y_{j+1}(i) + Y_j(i))`, unclamped — the
-    /// application loop clamps per cell against its own lower bound.
-    /// Non-shared mode reads the ping-pong pair (`excl` = `Y_j`,
-    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller).
-    pub(crate) fn stage_usr(&mut self, n: usize, shared: bool, j: usize) {
-        ensure_len(&mut self.q_col, n);
-        let (pc, sc, pn, sn) = if shared {
-            let base = j * self.col_stride;
-            let base_next = (j + 1) * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-                &self.col_prefix[base_next..base_next + self.col_stride],
-                &self.col_suffix[base_next..base_next + self.col_stride],
-            )
-        } else {
-            let (pc, sc) = self.excl.parts();
-            let (pn, sn) = self.excl_next.parts();
-            (pc, sc, pn, sn)
-        };
-        simd::fill_usr(pc, sc, pn, sn, &mut self.q_col);
-    }
-
-    /// Stage SR-k exclude-one tails for the current column pair:
-    /// `q_col[i] = Pr[≤ limit | excl. i]` from the `dp_next` state with
-    /// probabilities `lo_probs` (lower bounds at `e_{j+1}`), and `q_hi_col`
-    /// likewise from `dp` with `hi_probs` (upper bounds at `e_j`). Every
-    /// object is staged — the application loop skips labeled ones.
-    pub(crate) fn stage_knn_tails(&mut self, lo_probs: &[f64], hi_probs: &[f64]) {
-        ensure_len(&mut self.q_col, lo_probs.len());
-        simd::pb_tails_excluding_many(&self.dp_next, lo_probs, &mut self.q_col, &mut self.dp_spare);
-        ensure_len(&mut self.q_hi_col, hi_probs.len());
-        simd::pb_tails_excluding_many(&self.dp, hi_probs, &mut self.q_hi_col, &mut self.dp_spare);
-    }
 }
 
-/// Size a staging buffer to exactly `n` without touching its contents when
-/// it already fits: the staging kernels overwrite every element, so the
-/// per-column `clear` + zero-fill the naive `resize` pattern pays would be
-/// pure memset overhead in the verify inner loop.
+/// Above this success probability the exclude-one deconvolution's division
+/// by `1 − p` is ill-conditioned and [`pb_tail_excluding`] recomputes the
+/// state without the factor instead.
+const PB_FALLBACK_P: f64 = 0.999;
+
+/// One Poisson-binomial DP row update with an already-clamped success
+/// probability `p`: `dp[c] ← dp[c]·(1−p) + dp[c−1]·p` for every `c` (with
+/// `dp[−1] = 0`), descending so each step reads only pre-update state.
 #[inline]
-fn ensure_len(buf: &mut Vec<f64>, n: usize) {
-    if buf.len() != n {
-        buf.clear();
-        buf.resize(n, 0.0);
+fn pb_row_update(dp: &mut [f64], p: f64) {
+    for c in (0..dp.len()).rev() {
+        let come = if c > 0 { dp[c - 1] * p } else { 0.0 };
+        dp[c] = dp[c] * (1.0 - p) + come;
     }
-}
-
-/// Survival kernel: `out[k] = 1 − cdf_col[k]`, a single branch-free
-/// unit-stride map over a cdf column.
-///
-/// The subregion verifiers now fuse this map directly into the product pass
-/// ([`ExcludeOneProduct::recompute_survival`]); this standalone form remains
-/// as the primitive for callers that need the factor vector itself.
-pub fn survival_into(cdf_col: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    out.resize(cdf_col.len(), 0.0);
-    simd::fill_survival(cdf_col, out);
 }
 
 /// Poisson-binomial DP column step: rebuild `dp` in place so that
@@ -271,7 +177,7 @@ pub fn pb_into(dp: &mut Vec<f64>, probs: &[f64], limit: usize) {
     dp[0] = 1.0;
     for &p in probs {
         let p = p.clamp(0.0, 1.0);
-        simd::pb_row_update(dp, p);
+        pb_row_update(dp, p);
     }
 }
 
@@ -282,7 +188,7 @@ pub fn pb_into(dp: &mut Vec<f64>, probs: &[f64], limit: usize) {
 /// bit, including the fallback's unclamped sum.
 pub fn pb_tail_excluding(dp: &[f64], probs: &[f64], i: usize, spare: &mut Vec<f64>) -> f64 {
     let p = probs[i].clamp(0.0, 1.0);
-    if p > 0.999 {
+    if p > PB_FALLBACK_P {
         let limit = dp.len() - 1;
         spare.clear();
         spare.resize(limit + 1, 0.0);
@@ -292,7 +198,7 @@ pub fn pb_tail_excluding(dp: &[f64], probs: &[f64], i: usize, spare: &mut Vec<f6
                 continue;
             }
             let q = raw.clamp(0.0, 1.0);
-            simd::pb_row_update(spare, q);
+            pb_row_update(spare, q);
         }
         return spare.iter().sum::<f64>();
     }
@@ -402,7 +308,7 @@ pub fn knn_qualification(
                 dp[0] = 1.0;
                 for (a_k, m_k) in coef_cdf.iter().zip(coef_mass) {
                     let pr = (a_k + t * m_k).clamp(0.0, 1.0);
-                    simd::pb_row_update(dp, pr);
+                    pb_row_update(dp, pr);
                 }
                 dp.iter().sum::<f64>().clamp(0.0, 1.0)
             },
@@ -417,32 +323,17 @@ pub fn knn_qualification(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::CandidateSet;
+    use crate::classify::Classifier;
     use crate::exact::subregion_qualification;
+    use crate::framework::{default_verifiers, extended_verifiers, run_verification_into};
     use crate::knn::{knn_subregion_qualification, poisson_binomial_at_most};
+    use crate::object::{ObjectId, UncertainObject};
     use crate::subregion::SubregionTable;
     use crate::testutil::fig7_scenario;
-
-    /// Naive scalar reference for the survival kernel.
-    fn survival_naive(cdf_col: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        for &c in cdf_col {
-            out.push(1.0 - c);
-        }
-        out
-    }
-
-    #[test]
-    fn survival_matches_naive_bitwise() {
-        let col = [0.0, 0.15, 0.3, 0.999, 1.0];
-        let mut out = Vec::new();
-        survival_into(&col, &mut out);
-        for (a, b) in out.iter().zip(survival_naive(&col)) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Reuse clears first.
-        survival_into(&col[..2], &mut out);
-        assert_eq!(out.len(), 2);
-    }
+    use crate::verifiers::reference::{reference_extended_verifiers, reference_verifiers};
+    use crate::verifiers::VerificationState;
+    use cpnn_pdf::HistogramPdf;
 
     #[test]
     fn pb_into_matches_naive_tail_bitwise() {
@@ -503,6 +394,70 @@ mod tests {
                     let got = knn_qualification(&table, i, j, k, &mut scr);
                     let want = knn_subregion_qualification(&table, i, j, k);
                     assert_eq!(got.to_bits(), want.to_bits(), "({i},{j}) k={k}");
+                }
+            }
+        }
+    }
+
+    /// `n` overlapping two-bin histograms with distinct near points and
+    /// shared interior/far edges: `n + 1` left regions, so the product
+    /// tables would need `(n + 1)·(n + 2)` entries per half.
+    fn overlapping_histograms(n: usize) -> SubregionTable {
+        let objects: Vec<UncertainObject> = (0..n)
+            .map(|i| {
+                let near = 1.0 + 0.05 * i as f64;
+                let first = 0.2 + 0.6 * ((i * 37) % 101) as f64 / 101.0;
+                let far = 60.0 + (i % 7) as f64;
+                let pdf =
+                    HistogramPdf::from_masses(vec![near, 30.0, far], vec![first, 1.0 - first])
+                        .unwrap();
+                UncertainObject::from_histogram(ObjectId(i as u64), pdf)
+            })
+            .collect();
+        SubregionTable::build(&CandidateSet::build(&objects, 0.0, 0).unwrap())
+    }
+
+    /// Both sides of the [`SHARED_PRODUCTS_MAX`] fork — the shared column
+    /// tables just under the cap and the ping-pong fallback over it — are
+    /// bit-identical to the reference chains on bounds, labels and `q_ij`.
+    #[test]
+    fn verifier_chains_match_reference_on_both_sides_of_the_products_cap() {
+        for (n, want_shared) in [(89, true), (130, false)] {
+            let table = overlapping_histograms(n);
+            assert_eq!(table.n_objects(), n);
+            assert_eq!(
+                KernelScratch::default().try_shared_products(&table),
+                want_shared,
+                "n = {n}: {} product entries vs cap {SHARED_PRODUCTS_MAX}",
+                (n + 1) * (table.left_regions() + 1)
+            );
+            let classifier = Classifier::new(1.0 / n as f64, 0.0).unwrap();
+            // The default chain reaches U-SR with every row still Unknown;
+            // in the extended one FL-SR decides some first, so U-SR's label
+            // gate is compared too.
+            for (chain, reference, gated) in [
+                (default_verifiers(), reference_verifiers(), false),
+                (extended_verifiers(), reference_extended_verifiers(), true),
+            ] {
+                let mut got = VerificationState::new(&table);
+                let mut want = VerificationState::new(&table);
+                let mut stages = Vec::new();
+                run_verification_into(&table, &classifier, &chain, &mut got, &mut stages);
+                run_verification_into(&table, &classifier, &reference, &mut want, &mut stages);
+                assert_eq!(got.labels, want.labels, "n = {n}");
+                if gated {
+                    let before_usr = stages[2].unknown_after;
+                    assert!(
+                        0 < before_usr && before_usr < n,
+                        "n = {n}: U-SR ran ungated"
+                    );
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.qij_lo), bits(&want.qij_lo), "n = {n}");
+                assert_eq!(bits(&got.qij_hi), bits(&want.qij_hi), "n = {n}");
+                for (g, w) in got.bounds.iter().zip(&want.bounds) {
+                    assert_eq!(g.lo().to_bits(), w.lo().to_bits(), "n = {n}");
+                    assert_eq!(g.hi().to_bits(), w.hi().to_bits(), "n = {n}");
                 }
             }
         }

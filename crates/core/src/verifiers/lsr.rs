@@ -38,17 +38,6 @@ impl Verifier for LowerSubregion {
             return;
         }
         let shared = state.kernel.try_shared_products(table);
-        // Labels are fixed for the whole pass, so decide once whether
-        // whole-column vector staging pays: it computes q for *every* row,
-        // where the fused scalar path only touches the unlabeled ones. Both
-        // evaluate the identical expression (`fill_excl_scaled_scalar`'s),
-        // so the choice is invisible in the output.
-        let active = state
-            .labels
-            .iter()
-            .filter(|&&lb| lb == Label::Unknown)
-            .count();
-        let stage = 2 * active >= n;
         for j in 0..l {
             let cj = table.count(j);
             if cj == 0 {
@@ -59,32 +48,15 @@ impl Verifier for LowerSubregion {
             }
             let inv_cj = 1.0 / cj as f64;
             let mass = table.mass_col(j);
-            if stage {
-                // Stage the whole column through the vector kernel, then
-                // apply with the scalar label/mass gates.
-                state.kernel.stage_lsr(n, shared, j, inv_cj);
-                for (i, &m) in mass.iter().enumerate() {
-                    if state.labels[i] != Label::Unknown || m <= MASS_EPS {
-                        continue;
-                    }
-                    let q = state.kernel.q_col[i];
-                    let cell = &mut state.qij_lo[i * l + j];
-                    if q > *cell {
-                        *cell = q;
-                    }
+            let (pref, suff) = state.kernel.col_products(shared, j);
+            for i in 0..n {
+                if state.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
+                    continue;
                 }
-            } else {
-                let st = &mut *state;
-                let (pref, suff) = st.kernel.col_products(shared, j);
-                for i in 0..n {
-                    if st.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
-                        continue;
-                    }
-                    let q = (pref[i] * suff[i + 1] * inv_cj).clamp(0.0, 1.0);
-                    let cell = &mut st.qij_lo[i * l + j];
-                    if q > *cell {
-                        *cell = q;
-                    }
+                let q = (pref[i] * suff[i + 1] * inv_cj).clamp(0.0, 1.0);
+                let cell = &mut state.qij_lo[i * l + j];
+                if q > *cell {
+                    *cell = q;
                 }
             }
         }

@@ -21,7 +21,6 @@ mod lsr;
 mod products;
 pub mod reference;
 mod rs;
-pub mod simd;
 mod usr;
 
 pub use flsr::FarLowerSubregion;
@@ -51,11 +50,11 @@ pub struct VerificationState {
     pub qij_lo: Vec<f64>,
     /// `q_ij.u` flattened as `i·L + j`.
     pub qij_hi: Vec<f64>,
-    /// Reusable kernel buffers (survival factors, exclude-one products,
-    /// Poisson-binomial DP states, integrand coefficients, refinement
-    /// order). Living here means every path that reuses the state — the
-    /// per-query scratch, the batch executor's per-thread states — gets
-    /// allocation-free verify/refine loops for free.
+    /// Reusable kernel buffers (exclude-one products, Poisson-binomial DP
+    /// states, integrand coefficients, refinement order). Living here means
+    /// every path that reuses the state — the per-query scratch, the batch
+    /// executor's per-thread states — gets allocation-free verify/refine
+    /// loops for free.
     pub kernel: KernelScratch,
 }
 

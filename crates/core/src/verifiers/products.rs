@@ -52,26 +52,15 @@ impl ExcludeOneProduct {
     }
 
     /// Rebuild directly from a cdf column, taking factor `i` as
-    /// `1.0 − cdf[i]` on the fly. This fuses [`super::kernels::survival_into`]
-    /// into the product pass: the same `1.0 − c` subtraction feeds the same
-    /// multiplication chain in the same order, so the resulting products are
-    /// bit-identical to `recompute(&survival_into(cdf))` — with one fewer
-    /// write-then-read sweep over the factors buffer.
+    /// `1.0 − cdf[i]` on the fly: the same `1.0 − c` subtraction feeds the
+    /// same multiplication chain in the same order, so the resulting products
+    /// are bit-identical to [`Self::recompute`] on the survival factors —
+    /// with one fewer write-then-read sweep over a factors buffer.
     pub fn recompute_survival(&mut self, cdf: &[f64]) {
         let n = cdf.len();
-        self.prefix.clear();
-        self.prefix.reserve(n + 1);
-        self.prefix.push(1.0);
-        let mut acc = 1.0;
-        for &c in cdf {
-            acc *= 1.0 - c;
-            self.prefix.push(acc);
-        }
-        self.suffix.clear();
-        self.suffix.resize(n + 1, 1.0);
-        for i in (0..n).rev() {
-            self.suffix[i] = (1.0 - cdf[i]) * self.suffix[i + 1];
-        }
+        self.prefix.resize(n + 1, 0.0);
+        self.suffix.resize(n + 1, 0.0);
+        survival_products(cdf, &mut self.prefix, &mut self.suffix);
     }
 
     /// Prefix/suffix halves (`prefix[i] · suffix[i + 1]` is the exclude-one
@@ -99,6 +88,24 @@ impl ExcludeOneProduct {
     /// Is the factor sequence empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Fill `prefix[i] = Π_{k<i} (1 − cdf[k])` and `suffix[i] = Π_{k≥i} (1 − cdf[k])`
+/// (both `cdf.len() + 1` long) — the one survival-product chain, shared by
+/// [`ExcludeOneProduct::recompute_survival`] and the per-query column tables
+/// of [`super::kernels::KernelScratch`], so both read identical bits.
+pub(crate) fn survival_products(cdf: &[f64], prefix: &mut [f64], suffix: &mut [f64]) {
+    let n = cdf.len();
+    prefix[0] = 1.0;
+    let mut acc = 1.0;
+    for (i, &c) in cdf.iter().enumerate() {
+        acc *= 1.0 - c;
+        prefix[i + 1] = acc;
+    }
+    suffix[n] = 1.0;
+    for i in (0..n).rev() {
+        suffix[i] = (1.0 - cdf[i]) * suffix[i + 1];
     }
 }
 

@@ -40,15 +40,6 @@ impl Verifier for UpperSubregion {
         if !shared {
             state.kernel.excl.recompute_survival(table.cdf_col(0));
         }
-        // Whole-column staging computes the trapezoid for every row; the
-        // fused scalar path only touches unlabeled ones. Same expression
-        // (`fill_usr_scalar`'s) either way — decide once per pass.
-        let active = state
-            .labels
-            .iter()
-            .filter(|&&lb| lb == Label::Unknown)
-            .count();
-        let stage = 2 * active >= n;
         for j in 0..l {
             if !shared {
                 state
@@ -57,35 +48,16 @@ impl Verifier for UpperSubregion {
                     .recompute_survival(table.cdf_col(j + 1));
             }
             let mass = table.mass_col(j);
-            if stage {
-                // Stage the trapezoid column through the vector kernel; the
-                // per-cell clamp against the lower bound stays in the scalar
-                // application loop (it depends on `qij_lo`).
-                state.kernel.stage_usr(n, shared, j);
-                for (i, &m) in mass.iter().enumerate() {
-                    if state.labels[i] != Label::Unknown || m <= MASS_EPS {
-                        continue;
-                    }
-                    let q = state.kernel.q_col[i];
-                    let lo = state.qij_lo[i * l + j];
-                    let cell = &mut state.qij_hi[i * l + j];
-                    if q < *cell {
-                        *cell = q.clamp(lo, 1.0);
-                    }
+            let (pc, sc, pn, sn) = state.kernel.usr_products(shared, j);
+            for i in 0..n {
+                if state.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
+                    continue;
                 }
-            } else {
-                let st = &mut *state;
-                let (pc, sc, pn, sn) = st.kernel.usr_products(shared, j);
-                for i in 0..n {
-                    if st.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
-                        continue;
-                    }
-                    let q = 0.5 * (pn[i] * sn[i + 1] + pc[i] * sc[i + 1]);
-                    let lo = st.qij_lo[i * l + j];
-                    let cell = &mut st.qij_hi[i * l + j];
-                    if q < *cell {
-                        *cell = q.clamp(lo, 1.0);
-                    }
+                let q = 0.5 * (pn[i] * sn[i + 1] + pc[i] * sc[i + 1]);
+                let lo = state.qij_lo[i * l + j];
+                let cell = &mut state.qij_hi[i * l + j];
+                if q < *cell {
+                    *cell = q.clamp(lo, 1.0);
                 }
             }
             if !shared {

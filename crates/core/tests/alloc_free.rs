@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use cpnn_core::classify::Classifier;
 use cpnn_core::framework::{extended_verifiers, knn_verifiers, run_verification_into};
 use cpnn_core::refine::{incremental_refine_with, RefinementOrder};
-use cpnn_core::verifiers::simd::{force_tier, SimdTier};
 use cpnn_core::verifiers::{kernels, VerificationState};
 use cpnn_core::{CandidateSet, ObjectId, SubregionTable, UncertainObject};
 
@@ -164,44 +163,4 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
         "warm k-NN refinement performed {knn_refine_allocs} allocations over {} integrations",
         report.integrations
     );
-
-    // ---- Measured: the SIMD staging buffers (`q_col` / `q_hi_col`) obey
-    // the same contract at EVERY dispatch tier — warm once, then zero
-    // allocations whether the columns are staged by scalar, SSE2, or AVX2
-    // lanes. (`SimdTier::available()` allocates its Vec, so it runs before
-    // the measured region; tier flips are a single atomic store.) ----
-    let tiers = SimdTier::available();
-    for &tier in &tiers {
-        // Warm at this tier (buffer sizes are tier-independent, but keep
-        // the warm/measure discipline anyway).
-        assert_eq!(force_tier(Some(tier)), tier, "tier not forceable");
-        state.reset(&table);
-        stages.clear();
-        run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
-
-        state.reset(&table);
-        stages.clear();
-        let before = allocations();
-        run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
-        let tier_allocs = allocations() - before;
-        assert_eq!(
-            tier_allocs,
-            0,
-            "warm 1-NN verification at tier {} performed {tier_allocs} allocations",
-            tier.name()
-        );
-
-        state.reset(&table);
-        stages.clear();
-        let before = allocations();
-        run_verification_into(&table, &classifier, &knn_chain, &mut state, &mut stages);
-        let tier_allocs = allocations() - before;
-        assert_eq!(
-            tier_allocs,
-            0,
-            "warm k-NN verification at tier {} performed {tier_allocs} allocations",
-            tier.name()
-        );
-    }
-    force_tier(None);
 }

@@ -22,7 +22,6 @@ use cpnn_core::refine::incremental_refine_with;
 use cpnn_core::verifiers::reference::{
     reference_extended_verifiers, reference_knn_verifiers, reference_verifiers,
 };
-use cpnn_core::verifiers::simd::{force_tier, SimdTier};
 use cpnn_core::verifiers::VerificationState;
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
@@ -156,16 +155,6 @@ fn spec_grid() -> Vec<(QuerySpec, bool)> {
     ]
 }
 
-/// Restores automatic SIMD dispatch even when a `prop_assert!` bails out
-/// of the tier-sweep property early.
-struct TierGuard;
-
-impl Drop for TierGuard {
-    fn drop(&mut self) {
-        force_tier(None);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -267,74 +256,6 @@ proptest! {
             }
         }
         prop_assert!(scratch.cache_stats().hits > 0, "stream produced no hits");
-    }
-
-    /// SIMD tier sweep (PR 10): the full pipeline — 1-D, 2-D, k-NN, cached
-    /// repeats, and the sharded batch executor — answers bit-identically to
-    /// the scalar reference at EVERY dispatch tier this host can run:
-    /// forced scalar (the `CPNN_SIMD=off` code path), SSE2, and AVX2 where
-    /// detected. Proves the explicit vector lanes change speed only.
-    #[test]
-    fn kernel_pipeline_matches_reference_at_every_simd_tier(
-        objs in objects_1d(12),
-        objs2 in objects_2d(8),
-        queries in prop::collection::vec(-60.0f64..60.0, 2..4),
-    ) {
-        let db = UncertainDb::build(objs.clone()).unwrap();
-        let db2 = UncertainDb2d::build(objs2).unwrap();
-        let sharded = UncertainDb::build_sharded(objs, 4).unwrap();
-        let _restore = TierGuard;
-        for tier in SimdTier::available() {
-            prop_assert_eq!(force_tier(Some(tier)), tier, "tier not forceable");
-            for (spec, extended) in spec_grid() {
-                let cfg = PipelineConfig {
-                    extended_verifiers: extended,
-                    ..Default::default()
-                };
-                for &q in &queries {
-                    let got = cpnn(&db, &q, &spec, &cfg).unwrap();
-                    let want = reference_eval(&db, &q, &spec, extended);
-                    assert_bit_identical(
-                        &got,
-                        &want,
-                        &format!("tier {}, 1-D q = {q}, k = {}, ext = {extended}",
-                                 tier.name(), spec.k),
-                    )?;
-                }
-            }
-            let spec = QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified);
-            let got = cpnn(&db2, &[0.0, 0.0], &spec, &PipelineConfig::default()).unwrap();
-            let want = reference_eval(&db2, &[0.0, 0.0], &spec, false);
-            assert_bit_identical(&got, &want, &format!("tier {}, 2-D", tier.name()))?;
-            // Cached hit/miss paths and the sharded executor at this tier.
-            let ccfg = PipelineConfig {
-                cache: CacheConfig::new(2, 0.0),
-                ..Default::default()
-            };
-            let mut scratch = QueryScratch::new();
-            for &q in &queries {
-                for pass in 0..2 {
-                    let got = cpnn_with(&db, &q, &spec, &ccfg, &mut scratch).unwrap();
-                    let want = reference_eval(&db, &q, &spec, false);
-                    assert_bit_identical(
-                        &got,
-                        &want,
-                        &format!("tier {}, cached q = {q}, pass {pass}", tier.name()),
-                    )?;
-                }
-            }
-            let jobs: Vec<(f64, QuerySpec)> = queries.iter().map(|&q| (q, spec)).collect();
-            let scfg = sharded.pipeline_config();
-            let out = BatchExecutor::new(2).run_sharded(&sharded, &jobs, &scfg);
-            for ((q, spec), got) in jobs.iter().zip(&out.results) {
-                let want = reference_eval(&db, q, spec, scfg.extended_verifiers);
-                assert_bit_identical(
-                    got.as_ref().unwrap(),
-                    &want,
-                    &format!("tier {}, sharded q = {q}", tier.name()),
-                )?;
-            }
-        }
     }
 
     /// Sharded parity: the shard-aware batch executor at 1 and 8 shards

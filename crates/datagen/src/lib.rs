@@ -17,6 +17,7 @@
 //! [`synthetic`] provides the size sweeps of Fig. 9 and the Gaussian-pdf
 //! variants of Fig. 14; [`queries`] generates query workloads.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod longbeach;

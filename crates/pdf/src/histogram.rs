@@ -283,9 +283,8 @@ impl HistogramPdf {
     /// subregion-table build does exactly this, one cursor per member)
     /// without restarting the edge merge from bin 0 each time.
     ///
-    /// Points sharing a bin form a *run*, and each run's interpolation is
-    /// evaluated with [`crate::simd::fill_interp`] — vector lanes at the
-    /// active dispatch tier, bit-identical to [`Pdf::cdf`] per point.
+    /// Points sharing a bin form a *run*; each run is interpolated with the
+    /// bin's constants hoisted, bit-identical to [`Pdf::cdf`] per point.
     ///
     /// Contract: `xs` ascends, `out.len() == xs.len()`, `*bin` was produced
     /// by a previous call on the same histogram with points `≤ xs[0]` (or is
@@ -321,26 +320,16 @@ impl HistogramPdf {
                 b += 1;
             }
             debug_assert!(self.edges[b] <= x0, "cursor resumed past its points");
-            // The run of points that stay inside bin b.
-            let mut j = i + 1;
-            while j < end && xs[j] < self.edges[b + 1] {
-                j += 1;
+            // The run of points that stay inside bin b (x0 always does).
+            let (c, d, e) = (self.cdf[b], self.density[b], self.edges[b]);
+            let next = self.edges[b + 1];
+            loop {
+                out[i] = (c + d * (xs[i] - e)).clamp(0.0, 1.0);
+                i += 1;
+                if i == end || xs[i] >= next {
+                    break;
+                }
             }
-            if j == i + 1 {
-                // Singleton run — the common case when sorted end-points
-                // spread across the bins. Same expression as
-                // `fill_interp_scalar`, evaluated in place.
-                out[i] = (self.cdf[b] + self.density[b] * (x0 - self.edges[b])).clamp(0.0, 1.0);
-            } else {
-                crate::simd::fill_interp(
-                    self.cdf[b],
-                    self.density[b],
-                    self.edges[b],
-                    &xs[i..j],
-                    &mut out[i..j],
-                );
-            }
-            i = j;
         }
         *bin = b;
     }

@@ -24,6 +24,7 @@
 //! Everything in this crate is deterministic given a seeded RNG, which is
 //! what makes the experiment harness reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Validation code writes `!(x > 0.0)` deliberately: unlike `x <= 0.0`, the
 // negated form also rejects NaN.
@@ -35,7 +36,6 @@ pub mod histogram;
 pub mod integrate;
 pub mod piecewise;
 pub mod samples;
-pub mod simd;
 pub mod special;
 pub mod traits;
 
@@ -48,7 +48,6 @@ pub use gaussian::TruncatedGaussian;
 pub use histogram::HistogramPdf;
 pub use piecewise::PiecewiseLinear;
 pub use samples::{equi_depth_from_samples, histogram_from_samples};
-pub use simd::SimdTier;
 pub use traits::Pdf;
 pub use uniform::UniformPdf;
 

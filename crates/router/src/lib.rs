@@ -32,6 +32,7 @@
 //! interleaved coalesced updates, at any shard-process count, and
 //! regardless of the order shard replies arrive in.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cpnn_core::persist::PersistentModel;

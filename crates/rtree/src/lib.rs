@@ -25,6 +25,7 @@
 //! The tree is generic over dimension; the paper's experiments are 1-D
 //! (intervals) and the 2-D extension indexes circles' bounding boxes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bulk;

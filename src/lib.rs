@@ -23,6 +23,8 @@
 //! # Ok::<(), cpnn::core::CoreError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cpnn_core as core;
 pub use cpnn_datagen as datagen;
 pub use cpnn_pdf as pdf;
