@@ -5,10 +5,12 @@
 //!
 //! Both paths run the *same* verify → refine pipeline (RS, L-SR, U-SR, then
 //! incremental refinement at an ambiguous threshold P = 1/|C| so refinement
-//! actually integrates); their verdicts and bounds are bit-identical
+//! actually integrates). The verifier stages are bit-identical; refined
+//! bounds agree within 1e-12 and both are sound against the exact oracle
 //! (`tests/proptest_kernels.rs`), so whatever separates the timings is pure
-//! implementation: SoA column scans and allocation-free scratch reuse vs.
-//! row-major strided access with per-subregion allocations.
+//! implementation: SoA column scans, allocation-free scratch reuse and one
+//! shared quadrature pass per subregion column vs. row-major strided access
+//! with per-subregion allocations and one integral per `q_ij`.
 //!
 //! M is swept independently of |C| by duplicating near endpoints: with
 //! group size g, only ⌈|C|/g⌉ distinct near points (hence proportionally
@@ -19,7 +21,7 @@ use std::time::{Duration, Instant};
 use cpnn_core::classify::Classifier;
 use cpnn_core::exact::subregion_qualification;
 use cpnn_core::framework::{default_verifiers, run_verification_into};
-use cpnn_core::refine::incremental_refine_with;
+use cpnn_core::refine::{incremental_refine_with, RefineReport};
 use cpnn_core::verifiers::reference::reference_verifiers;
 use cpnn_core::verifiers::{kernels, VerificationState, Verifier};
 use cpnn_core::{CandidateSet, ObjectId, RefinementOrder, SubregionTable, UncertainObject};
@@ -38,7 +40,8 @@ fn candidate_set(c: usize, g: usize) -> CandidateSet {
     CandidateSet::build(&objects, 0.0, 0).expect("valid candidate set")
 }
 
-/// One full verify → refine pass; `reps` repetitions, best (minimum) time.
+/// One full verify → refine pass; `reps` repetitions, best (minimum) time
+/// and the (deterministic) refinement report.
 /// The state is reused across reps — exactly how the pipeline's
 /// `QueryScratch` runs it — so the kernel path is measured at its
 /// allocation-free steady state and the legacy path at its best case too.
@@ -49,16 +52,17 @@ fn time_pass(
     state: &mut VerificationState,
     reps: usize,
     mut qual: impl FnMut(usize, usize, &mut kernels::KernelScratch) -> f64,
-) -> Duration {
+) -> (Duration, RefineReport) {
     let mut stages = Vec::new();
     let mut best = Duration::MAX;
+    let mut report = RefineReport::default();
     // One untimed warm-up grows every buffer to its high-water mark.
     for rep in 0..=reps {
         state.reset(table);
         stages.clear();
         let start = Instant::now();
         run_verification_into(table, classifier, chain, state, &mut stages);
-        incremental_refine_with(
+        report = incremental_refine_with(
             table,
             classifier,
             state,
@@ -70,12 +74,13 @@ fn time_pass(
             best = best.min(elapsed);
         }
     }
-    best
+    (best, report)
 }
 
 /// Run the kernel-vs-legacy grid. Columns: |C|, M, the table build-only
 /// time (the cache-blocked `SubregionTable::build`), the legacy pass, the
-/// kernel pass, and the legacy-over-kernel speedup.
+/// kernel pass, the legacy-over-kernel speedup, and the kernel pass's
+/// refinement work: `q_ij` collapsed and quadrature passes run for them.
 pub fn run(quick: bool) -> Table {
     let sizes: Vec<usize> = if quick {
         vec![16, 64, 128]
@@ -94,13 +99,17 @@ pub fn run(quick: bool) -> Table {
             "legacy (ms)",
             "kernel (ms)",
             "speedup",
+            "integrations",
+            "column passes",
         ],
     );
     table.note(format!(
         "best of {reps} passes; chain RS, L-SR, U-SR + incremental refinement at P = 1/|C|, Δ = 0.01; \
          legacy = verifiers::reference + naive integrand, kernel = verifiers::kernels; \
-         build = cache-blocked SubregionTable::build only; bit-identical outputs \
-         (tests/proptest_kernels.rs)"
+         build = cache-blocked SubregionTable::build only; verifier stages bit-identical, \
+         refined bounds within 1e-12 and sound against the exact oracle \
+         (tests/proptest_kernels.rs); integrations = q_ij collapsed by the kernel pass, \
+         column passes = quadrature passes it ran for them"
     ));
     for &c in &sizes {
         for &g in &groups {
@@ -118,7 +127,7 @@ pub fn run(quick: bool) -> Table {
             let classifier = Classifier::new(1.0 / c as f64, 0.01).expect("valid classifier");
             let mut state = VerificationState::new(&sub);
             let legacy_chain = reference_verifiers();
-            let legacy = time_pass(
+            let (legacy, _) = time_pass(
                 &sub,
                 &classifier,
                 &legacy_chain,
@@ -127,7 +136,7 @@ pub fn run(quick: bool) -> Table {
                 |i, j, _| subregion_qualification(&sub, i, j),
             );
             let kernel_chain = default_verifiers();
-            let kernel = time_pass(
+            let (kernel, refined) = time_pass(
                 &sub,
                 &classifier,
                 &kernel_chain,
@@ -145,6 +154,8 @@ pub fn run(quick: bool) -> Table {
                     "{:.2}x",
                     legacy.as_secs_f64() / kernel.as_secs_f64().max(1e-12)
                 ),
+                refined.integrations.to_string(),
+                refined.column_passes.to_string(),
             ]);
         }
     }

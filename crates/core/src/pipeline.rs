@@ -133,6 +133,9 @@ pub struct QueryStats {
     /// Work counter: subregion integrations (VR/Refine) or integrand
     /// evaluations (Basic) or sampled worlds (Monte-Carlo).
     pub integrations: usize,
+    /// Composite quadrature passes refinement ran for its `integrations`
+    /// (VR/Refine; see [`crate::refine::RefineReport::column_passes`]).
+    pub column_passes: usize,
     /// Did verification alone resolve the query (Fig. 13's metric)?
     pub resolved_by_verification: bool,
 }
@@ -780,6 +783,7 @@ fn evaluate_candidates_impl(
             stats.refine_time = refine_start.elapsed();
             stats.refined_objects = report.refined_objects;
             stats.integrations = report.integrations;
+            stats.column_passes = report.column_passes;
             Ok(finish_state(cands, &scratch.state, stats))
         }
     }

@@ -30,8 +30,13 @@ pub enum RefinementOrder {
 pub struct RefineReport {
     /// Objects that entered refinement.
     pub refined_objects: usize,
-    /// Per-subregion integrations performed.
+    /// Per-subregion integrations performed: `q_ij` collapsed to a point.
     pub integrations: usize,
+    /// Composite quadrature passes the kernels ran to serve them: for 1-NN
+    /// one per distinct subregion column (shared by every `Unknown` object,
+    /// see [`kernels::nn_qualification`]), for k-NN one per integration;
+    /// 0 when `qual` bypasses the kernels.
+    pub column_passes: usize,
     /// Integrations per candidate (index-aligned with the table).
     pub per_object: Vec<usize>,
 }
@@ -63,6 +68,11 @@ pub fn incremental_refine(
 /// ascending index, which is exactly the order the previous stable sort
 /// produced, so refinement trajectories — and therefore verdicts and final
 /// bounds — are unchanged.
+///
+/// The object-level bounds `Σ_j s_ij·q_ij.l` / `Σ_j s_ij·q_ij.u` (Eq. 4) are
+/// summed once when an object is entered and then updated by
+/// `s_ij·(q − old)` per collapsed subregion, so a collapse costs O(1)
+/// rather than two O(L) re-sums.
 pub fn incremental_refine_with(
     table: &SubregionTable,
     classifier: &Classifier,
@@ -76,6 +86,7 @@ pub fn incremental_refine_with(
         per_object: vec![0; n],
         ..Default::default()
     };
+    let passes_before = state.kernel.quadrature_passes;
     // Take the visit-order buffer out of the scratch so the scratch itself
     // can still be handed to `qual` inside the loop; returned at the end.
     let mut regions = std::mem::take(&mut state.kernel.regions);
@@ -83,9 +94,22 @@ pub fn incremental_refine_with(
         if state.labels[i] != Label::Unknown {
             continue;
         }
+        if report.refined_objects == 0 {
+            // The rows still `Unknown` now share their column integrals; a
+            // query the verifiers resolved never gets here.
+            state.kernel.columns.open(&state.labels, l);
+        }
         report.refined_objects += 1;
         regions.clear();
-        regions.extend((0..l).filter(|&j| table.mass(i, j) > MASS_EPS));
+        let (mut lo, mut hi) = (0.0, 0.0);
+        for j in 0..l {
+            let s = table.mass(i, j);
+            lo += s * state.qij_lo[i * l + j];
+            hi += s * state.qij_hi[i * l + j];
+            if s > MASS_EPS {
+                regions.push(j);
+            }
+        }
         if order == RefinementOrder::DescendingMass {
             regions.sort_unstable_by(|&a, &b| {
                 table
@@ -98,10 +122,14 @@ pub fn incremental_refine_with(
             let q = qual(i, j, &mut state.kernel);
             report.integrations += 1;
             report.per_object[i] += 1;
-            state.qij_lo[i * l + j] = q;
-            state.qij_hi[i * l + j] = q;
-            state.recompute_lower(table, i);
-            state.recompute_upper(table, i);
+            let s = table.mass(i, j);
+            let cell = i * l + j;
+            lo += s * (q - state.qij_lo[cell]);
+            hi += s * (q - state.qij_hi[cell]);
+            state.qij_lo[cell] = q;
+            state.qij_hi[cell] = q;
+            state.bounds[i].raise_lo(lo);
+            state.bounds[i].lower_hi(hi);
             let label = classifier.classify(&state.bounds[i]);
             if label != Label::Unknown {
                 state.labels[i] = label;
@@ -109,13 +137,19 @@ pub fn incremental_refine_with(
             }
         }
         if state.labels[i] == Label::Unknown {
-            // All subregions refined: the bound has collapsed to the exact
-            // probability (width ≈ 0), so the verdict is now definite.
+            // All subregions refined. Re-sum Eq. 4 in full: over collapsed
+            // `q_ij` the two sums are one expression, so the bound closes to
+            // the exact probability bit for bit (the running sums can differ
+            // in the last ulp) and the verdict is definite.
+            state.recompute_lower(table, i);
+            state.recompute_upper(table, i);
             state.labels[i] = classifier.classify(&state.bounds[i]);
             debug_assert_ne!(state.labels[i], Label::Unknown);
         }
     }
     state.kernel.regions = regions;
+    state.kernel.columns.close();
+    report.column_passes = state.kernel.quadrature_passes - passes_before;
     report
 }
 

@@ -82,6 +82,8 @@ impl VerificationState {
         // The shared survival products describe a specific table; a reset
         // means a new query, so force a rebuild on first verifier use.
         self.kernel.products_ready = false;
+        // So do the memoised refine column integrals.
+        self.kernel.columns.close();
     }
 
     /// Recompute `p_i.l = Σ_j s_ij · q_ij.l` (paper Eq. 4) and raise the

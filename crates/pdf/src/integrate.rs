@@ -165,6 +165,48 @@ pub fn gauss_legendre<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, order: GlO
     sum * c
 }
 
+/// The 16-point Gauss–Legendre rule on `[a, b]` with its nodes laid out for
+/// side-by-side evaluation: a caller that integrates many related
+/// integrands at once evaluates them at [`Gl16::nodes`] (any loop order) and
+/// hands each one's 16 values to [`Gl16::integrate`].
+///
+/// `nodes[h]` and `nodes[8 + h]` are the mirrored pair `d ± c·x_h` that
+/// [`gauss_legendre`] visits, and [`Gl16::integrate`] adds them in the same
+/// order, so `Gl16::new(a, b).integrate(&vals)` is bit-identical to
+/// `gauss_legendre(f, a, b, GlOrder::Sixteen)` when `vals[n] = f(nodes[n])`.
+#[derive(Debug, Clone, Copy)]
+pub struct Gl16 {
+    /// The 16 abscissae inside `[a, b]`.
+    pub nodes: [f64; 16],
+    half_width: f64,
+}
+
+impl Gl16 {
+    /// The rule on `[a, b]`.
+    pub fn new(a: f64, b: f64) -> Self {
+        let c = 0.5 * (b - a);
+        let d = 0.5 * (a + b);
+        let mut nodes = [0.0; 16];
+        for (h, &x) in gl::N16.0.iter().enumerate() {
+            nodes[h] = d + c * x;
+            nodes[8 + h] = d - c * x;
+        }
+        Self {
+            nodes,
+            half_width: c,
+        }
+    }
+
+    /// `∫ f` over the panel from `values[n] = f(nodes[n])`.
+    pub fn integrate(&self, values: &[f64; 16]) -> f64 {
+        let mut sum = 0.0;
+        for (h, &w) in gl::N16.1.iter().enumerate() {
+            sum += w * (values[h] + values[8 + h]);
+        }
+        sum * self.half_width
+    }
+}
+
 /// Trapezoid rule with `n` subintervals — used only as a cheap cross-check in
 /// tests and for monotone cdf accumulation.
 pub fn trapezoid<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 {
@@ -215,6 +257,17 @@ mod tests {
                 (got - exact).abs() < 1e-9 * exact.abs(),
                 "{order:?}: got {got}, want {exact}"
             );
+        }
+    }
+
+    #[test]
+    fn blocked_sixteen_point_rule_is_bit_identical_to_gauss_legendre() {
+        let f = |x: f64| (1.0 - 0.3 * x).powi(9) * (0.7 - 0.2 * x);
+        for (a, b) in [(0.0, 1.0), (0.25, 0.5), (-1.0, 3.0)] {
+            let rule = Gl16::new(a, b);
+            let got = rule.integrate(&rule.nodes.map(f));
+            let want = gauss_legendre(f, a, b, GlOrder::Sixteen);
+            assert_eq!(got.to_bits(), want.to_bits(), "[{a}, {b}]");
         }
     }
 
