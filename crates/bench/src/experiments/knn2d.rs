@@ -5,17 +5,22 @@
 //! Sweeps the neighbor count `k` over a fixed synthetic 2-D dataset and a
 //! fixed query workload, measuring throughput and the work profile
 //! (candidates, subregions, verification-resolution rate). The k-ary
-//! verifier chain (RS-k / L-SR-k / U-SR-k) does the heavy lifting; the
-//! resolution-rate column is the 2-D analogue of Fig. 13.
+//! verifier chain (RS → SR-k on the `⌈√L⌉`-column partition → SR-k on the
+//! table) does the heavy lifting; the resolution-rate column is the 2-D
+//! analogue of Fig. 13, and the per-stage columns — the share of queries
+//! whose last object each stage decided, with the Poisson-binomial tails a
+//! query costs — are the k-NN analogue of Fig. 12.
 
 use cpnn_core::{BatchExecutor, PipelineConfig, QuerySpec, Strategy, UncertainDb2d};
 use cpnn_datagen::{objects_2d, query_points_2d, Synthetic2dConfig};
 
 use crate::experiments::{DEFAULT_DELTA, DEFAULT_P};
+use crate::harness::deciding_stage;
 use crate::report::Table;
 
 /// Run the experiment. Columns: k, wall ms, throughput, average
-/// candidates/subregions, and queries resolved by verification alone.
+/// candidates/subregions, queries resolved by verification alone, the
+/// share each chain position decided, and SR-k tails per query.
 pub fn run(quick: bool) -> Table {
     let cfg2d = Synthetic2dConfig {
         count: if quick { 2_000 } else { 10_000 },
@@ -41,12 +46,20 @@ pub fn run(quick: bool) -> Table {
             "avg cands",
             "avg subregions",
             "resolved by verify %",
+            "by RS %",
+            "by coarse SR-k %",
+            "by fine SR-k %",
+            "tails/query",
         ],
     );
     table.note(format!(
         "P = {DEFAULT_P}, Δ = {DEFAULT_DELTA}, strategy VR, domain {}², {} thread(s)",
         cfg2d.domain, threads
     ));
+    table.note(
+        "by <stage> %: queries whose last object that chain position decided; \
+         k = 1 runs RS → L-SR → U-SR, so its two SR-k columns read L-SR and U-SR",
+    );
     for k in [1usize, 2, 4, 8] {
         let spec = QuerySpec::knn(k, DEFAULT_P, DEFAULT_DELTA, Strategy::Verified);
         let out = BatchExecutor::new(threads).run_uniform(
@@ -57,22 +70,32 @@ pub fn run(quick: bool) -> Table {
         );
         let s = &out.summary;
         assert_eq!(s.errors, 0, "benchmark queries are valid");
-        let subregions: usize = out
-            .results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.stats.subregions)
-            .sum();
+        let stats = || {
+            out.results
+                .iter()
+                .filter_map(|r| r.as_ref().ok())
+                .map(|r| &r.stats)
+        };
+        let subregions: usize = stats().map(|st| st.subregions).sum();
+        let tails: usize = stats().map(|st| st.pb_tails).sum();
+        let per_query = |count: usize| count as f64 / s.queries.max(1) as f64;
+        let decided_by = |pos: usize| {
+            let count = stats()
+                .filter(|st| deciding_stage(&st.stages) == Some(pos))
+                .count();
+            format!("{:.1}", 100.0 * per_query(count))
+        };
         table.push_row(vec![
             k.to_string(),
             format!("{:.1}", s.wall_time.as_secs_f64() * 1e3),
             format!("{:.0}", s.throughput()),
-            format!("{:.1}", s.candidates as f64 / s.queries.max(1) as f64),
-            format!("{:.1}", subregions as f64 / s.queries.max(1) as f64),
-            format!(
-                "{:.1}",
-                100.0 * s.resolved_by_verification as f64 / s.queries.max(1) as f64
-            ),
+            format!("{:.1}", per_query(s.candidates)),
+            format!("{:.1}", per_query(subregions)),
+            format!("{:.1}", 100.0 * per_query(s.resolved_by_verification)),
+            decided_by(0),
+            decided_by(1),
+            decided_by(2),
+            format!("{:.1}", per_query(tails)),
         ]);
     }
     table

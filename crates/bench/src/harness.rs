@@ -8,6 +8,7 @@
 
 use std::time::Duration;
 
+use cpnn_core::framework::StageReport;
 use cpnn_core::{BatchExecutor, CpnnQuery, Strategy, UncertainDb};
 
 /// Aggregated statistics over a query set (each paper graph point "is an
@@ -33,7 +34,9 @@ pub struct RunSummary {
     /// Fraction of queries fully resolved by verification alone.
     pub resolved_fraction: f64,
     /// Mean fraction of candidates still unknown after each verifier stage,
-    /// keyed by stage name (empty unless the strategy verifies).
+    /// one entry per position in the chain with the stage's name (empty
+    /// unless the strategy verifies). Names can repeat: the k-NN chain runs
+    /// `"SR-k"` twice.
     pub unknown_fraction_after: Vec<(&'static str, f64)>,
 }
 
@@ -58,6 +61,31 @@ impl BatchRunSummary {
         }
         self.run.queries as f64 / secs
     }
+}
+
+/// Add one query's unknown fraction after each stage to `acc`, slot by
+/// position in the chain — not by name, which would blend the two `"SR-k"`
+/// stages of a k-NN query into one number. A stage the query never reached
+/// adds nothing (it left no unknowns).
+fn add_stage_fractions(
+    acc: &mut Vec<(&'static str, f64)>,
+    stages: &[StageReport],
+    candidates: usize,
+) {
+    for (pos, st) in stages.iter().enumerate() {
+        if acc.len() <= pos {
+            acc.push((st.name, 0.0));
+        }
+        if candidates > 0 {
+            acc[pos].1 += st.unknown_after as f64 / candidates as f64;
+        }
+    }
+}
+
+/// Position in the verifier chain of the stage that decided the query's
+/// last object; `None` when refinement had to (or nothing verified).
+pub fn deciding_stage(stages: &[StageReport]) -> Option<usize> {
+    stages.iter().position(|st| st.unknown_after == 0)
 }
 
 /// Run every query in `queries` with the given parameters and aggregate
@@ -101,8 +129,7 @@ pub fn run_queries_batched(
     let mut candidates = 0usize;
     let mut integrations = 0usize;
     let mut resolved = 0usize;
-    // stage name -> (sum of fractions, count)
-    let mut stage_acc: Vec<(&'static str, f64, usize)> = Vec::new();
+    let mut stage_acc: Vec<(&'static str, f64)> = Vec::new();
 
     for res in &out.results {
         let res = res.as_ref().expect("query evaluation succeeds");
@@ -117,20 +144,7 @@ pub fn run_queries_batched(
         if s.resolved_by_verification {
             resolved += 1;
         }
-        for st in &s.stages {
-            let f = if s.candidates > 0 {
-                st.unknown_after as f64 / s.candidates as f64
-            } else {
-                0.0
-            };
-            match stage_acc.iter_mut().find(|(n, _, _)| *n == st.name) {
-                Some(entry) => {
-                    entry.1 += f;
-                    entry.2 += 1;
-                }
-                None => stage_acc.push((st.name, f, 1)),
-            }
-        }
+        add_stage_fractions(&mut stage_acc, &s.stages, s.candidates);
     }
 
     let n = queries.len().max(1) as u32;
@@ -146,7 +160,7 @@ pub fn run_queries_batched(
         .into_iter()
         // Average over all queries: stages that never ran left no unknowns
         // to report, so normalize by the query count, not the stage count.
-        .map(|(name, acc, _)| (name, acc / n as f64))
+        .map(|(name, acc)| (name, acc / n as f64))
         .collect();
     BatchRunSummary {
         run: sum,
@@ -193,6 +207,33 @@ mod tests {
         assert!(s.avg_total >= s.avg_refine);
         assert!(!s.unknown_fraction_after.is_empty());
         assert!(s.unknown_fraction_after.iter().all(|(_, f)| *f <= 1.0));
+    }
+
+    #[test]
+    fn stages_sharing_a_name_are_kept_apart_by_position() {
+        let stage = |name, unknown_after| StageReport {
+            name,
+            unknown_after,
+            duration: Duration::ZERO,
+        };
+        let mut acc = Vec::new();
+        // One k-NN query the coarse SR-k stage decides, one that needs the
+        // fine stage too, 10 candidates each.
+        let decided_coarse = [stage("RS", 8), stage("SR-k", 0)];
+        let decided_fine = [stage("RS", 10), stage("SR-k", 4), stage("SR-k", 0)];
+        add_stage_fractions(&mut acc, &decided_coarse, 10);
+        add_stage_fractions(&mut acc, &decided_fine, 10);
+        assert_eq!(acc.len(), 3);
+        assert_eq!(
+            acc.iter().map(|a| a.0).collect::<Vec<_>>(),
+            ["RS", "SR-k", "SR-k"]
+        );
+        assert!((acc[0].1 - 1.8).abs() < 1e-12);
+        assert!((acc[1].1 - 0.4).abs() < 1e-12, "coarse only: {}", acc[1].1);
+        assert_eq!(acc[2].1, 0.0);
+        assert_eq!(deciding_stage(&decided_coarse), Some(1));
+        assert_eq!(deciding_stage(&decided_fine), Some(2));
+        assert_eq!(deciding_stage(&decided_fine[..2]), None);
     }
 
     #[test]

@@ -59,12 +59,17 @@ pub fn extended_verifiers() -> Vec<Box<dyn Verifier>> {
     ]
 }
 
-/// The k-NN verifier chain: RS (unchanged — mass beyond the `k`-horizon
-/// never qualifies) followed by the Poisson-binomial subregion verifier
-/// ([`crate::knn::KnnSubregion`], the L-SR/U-SR analogue for `k > 1`).
+/// The k-NN verifier chain, cheapest first: RS (unchanged — mass beyond the
+/// `k`-horizon never qualifies), then the Poisson-binomial subregion
+/// verifier ([`crate::knn::KnnSubregion`], the L-SR/U-SR analogue for
+/// `k > 1`) twice — on the `⌈√L⌉`-column partition, then on the table
+/// itself. Both report as `"SR-k"`; [`run_verification_into`] classifies
+/// after each, so the fine stage serves only the objects the coarse one
+/// left `Unknown` and is not run at all when it left none.
 pub fn knn_verifiers(k: usize) -> Vec<Box<dyn Verifier>> {
     vec![
         Box::new(RightmostSubregion),
+        Box::new(crate::knn::KnnSubregion::coarse(k)),
         Box::new(crate::knn::KnnSubregion::new(k)),
     ]
 }

@@ -22,10 +22,12 @@
 //! * the **RS verifier**: mass beyond `fmin_k` can never qualify, so
 //!   `p_i(k).u ≤ 1 − s_iM` with the rightmost subregion now `[fmin_k, fmax]`.
 //!
-//! L-SR/U-SR-style subregion bounds for `k > 1` need a k-ary
-//! exchangeability argument the paper does not develop; here the RS-k bound
-//! plus incremental exact refinement evaluates the constrained query
-//! (C-PkNN), and the structure mirrors Fig. 3's pipeline.
+//! L-SR/U-SR-style subregion bounds for `k > 1` need no exchangeability
+//! argument: the Poisson-binomial tail at a subregion's two end-points
+//! brackets `q_ij` ([`KnnSubregion`], coarse partition first, then the
+//! table itself). RS-k, the two SR-k stages and incremental exact
+//! refinement evaluate the constrained query (C-PkNN) through the same
+//! verify → refine pipeline as Fig. 3.
 
 use rand::Rng;
 
@@ -123,20 +125,43 @@ pub fn knn_upper_bounds(table: &SubregionTable) -> Vec<f64> {
 /// * **upper** (`U-SR-k`): every object below `e_j` is certainly closer, so
 ///   `q_ij.u = PB_{≤k−1}({D_m(e_j)}_{m≠i})`.
 ///
-/// Both are pure tail evaluations at end-points — no integration. Using a
-/// shared truncated Poisson-binomial state per end-point plus exclude-one
-/// deconvolution the cost is `O(|C|·M·k)`, the natural k-ary analogue of
-/// Table III's `O(|C|·M)`. The per-subregion `q_ij` bounds land in the
-/// [`VerificationState`], where incremental refinement reuses them.
+/// Both are pure tail evaluations at end-points — no integration — and the
+/// tail is non-increasing in the end-point, so the same two bounds hold for
+/// a whole *group* of adjacent subregions from the tails at the group's two
+/// ends. The chain ([`crate::framework::knn_verifiers`]) therefore runs this
+/// verifier twice over one sweep (`kernels::sr_k_pass`): [`Self::coarse`]
+/// visits every `⌈√L⌉`-th end-point of the `L` left subregions — `O(√L)`
+/// tails per object, enough for the classifier to decide most objects —
+/// and [`Self::new`] visits every end-point for the objects still
+/// `Unknown` after that, at `O(|C|·M·k)`, the natural k-ary analogue of
+/// Table III's `O(|C|·M)`. The fine stage's per-subregion `q_ij` bounds land
+/// in the [`VerificationState`], where incremental refinement reuses them;
+/// the coarse stage moves the object bounds only.
 #[derive(Debug, Clone, Copy)]
 pub struct KnnSubregion {
     k: usize,
+    coarse: bool,
 }
 
 impl KnnSubregion {
-    /// Verifier for the `k`-nearest-neighbor qualification (`k ≥ 1`).
+    /// Verifier for the `k`-nearest-neighbor qualification (`k ≥ 1`) on the
+    /// subregion table itself: one tail per object and end-point.
     pub fn new(k: usize) -> Self {
-        Self { k: k.max(1) }
+        Self {
+            k: k.max(1),
+            coarse: false,
+        }
+    }
+
+    /// The same verifier on the partition that merges every `⌈√L⌉` adjacent
+    /// subregions — the cheap stage ahead of [`Self::new`]. Its bounds
+    /// contain the fine ones; on a table so small that the two partitions
+    /// coincide (`L ≤ 1`) it does nothing.
+    pub fn coarse(k: usize) -> Self {
+        Self {
+            k: k.max(1),
+            coarse: true,
+        }
     }
 }
 
@@ -146,62 +171,19 @@ impl Verifier for KnnSubregion {
     }
 
     fn apply(&self, table: &SubregionTable, state: &mut VerificationState) {
-        let n = table.n_objects();
-        let l = table.left_regions();
-        if n == 0 || l == 0 {
+        let stride = if self.coarse {
+            // `⌈√L⌉` groups of `⌈√L⌉` columns. Fewer groups leave more
+            // objects to the fine stage, more groups cost more tails; the
+            // sum is flat from about half to twice this stride (sweep in
+            // CHANGES.md, PR 16), so it needs no tuning.
+            (table.left_regions() as f64).sqrt().ceil() as usize
+        } else {
+            1
+        };
+        if self.coarse && stride <= 1 {
             return;
         }
-        let k = self.k;
-        if k >= n {
-            // Fewer competitors than slots: membership is certain wherever
-            // the object has mass below the horizon.
-            for i in 0..n {
-                if state.labels[i] != Label::Unknown {
-                    continue;
-                }
-                for j in 0..l {
-                    state.qij_lo[i * l + j] = 1.0;
-                    state.qij_hi[i * l + j] = 1.0;
-                }
-                state.recompute_lower(table, i);
-                state.recompute_upper(table, i);
-            }
-            return;
-        }
-        let limit = k - 1;
-        // The success probabilities at end-point j are exactly the SoA cdf
-        // column — no gather needed. The truncated DP states for the two
-        // active end-points live in ping-pong kernel scratch buffers; the
-        // exclude-one tails come from O(limit) deconvolution with a
-        // recompute fallback (into spare scratch) near p = 1.
-        kernels::pb_into(&mut state.kernel.dp, table.cdf_col(0), limit);
-        for j in 0..l {
-            let (probs_cur, probs_next) = (table.cdf_col(j), table.cdf_col(j + 1));
-            let ks = &mut state.kernel;
-            kernels::pb_into(&mut ks.dp_next, probs_next, limit);
-            for i in 0..n {
-                if state.labels[i] != Label::Unknown {
-                    continue;
-                }
-                let lo = kernels::pb_tail_excluding(&ks.dp_next, probs_next, i, &mut ks.dp_spare);
-                let cell = &mut state.qij_lo[i * l + j];
-                if lo > *cell {
-                    *cell = lo;
-                }
-                let hi = kernels::pb_tail_excluding(&ks.dp, probs_cur, i, &mut ks.dp_spare);
-                let cell = &mut state.qij_hi[i * l + j];
-                if hi < *cell {
-                    *cell = hi;
-                }
-            }
-            state.kernel.swap_pb();
-        }
-        for i in 0..n {
-            if state.labels[i] == Label::Unknown {
-                state.recompute_lower(table, i);
-                state.recompute_upper(table, i);
-            }
-        }
+        kernels::sr_k_pass(table, state, self.k, stride);
     }
 }
 
@@ -472,6 +454,187 @@ mod tests {
             }
             assert!((lo[i] - want_lo).abs() < 1e-9, "object {i} lower");
             assert!((hi[i] - want_hi).abs() < 1e-9, "object {i} upper");
+        }
+    }
+
+    /// Apply SR-k stages back to back (no classification in between) to a
+    /// fresh state.
+    fn apply_stages(table: &SubregionTable, stages: &[KnnSubregion]) -> VerificationState {
+        let mut state = VerificationState::new(table);
+        for stage in stages {
+            stage.apply(table, &mut state);
+        }
+        state
+    }
+
+    /// `n` mutually overlapping uniforms with staggered near points.
+    fn crowded_table(n: usize, k: usize) -> SubregionTable {
+        let objects: Vec<UncertainObject> = (0..n)
+            .map(|i| {
+                let lo = 1.0 + 0.37 * i as f64;
+                UncertainObject::uniform(ObjectId(i as u64), lo, lo + 6.0 + (i % 5) as f64).unwrap()
+            })
+            .collect();
+        SubregionTable::build(&CandidateSet::build_k(&objects, 0.0, 0, k).unwrap())
+    }
+
+    /// The three contracts of the two-stage chain on one table: sound
+    /// against the exact probabilities, the fine stage within rounding of
+    /// the naive reference (bounds and cells), and coarse ⊇ coarse-then-fine
+    /// = fine.
+    fn assert_stage_contracts(table: &SubregionTable, k: usize) {
+        use crate::verifiers::reference::ReferenceKnnSubregion;
+        let coarse = apply_stages(table, &[KnnSubregion::coarse(k)]);
+        let fine = apply_stages(table, &[KnnSubregion::new(k)]);
+        let both = apply_stages(table, &[KnnSubregion::coarse(k), KnnSubregion::new(k)]);
+        let mut reference = VerificationState::new(table);
+        ReferenceKnnSubregion::new(k).apply(table, &mut reference);
+        let exact = knn_probabilities(table, k);
+        for (i, &p) in exact.iter().enumerate() {
+            let (c, f, b, r) = (
+                coarse.bounds[i],
+                fine.bounds[i],
+                both.bounds[i],
+                reference.bounds[i],
+            );
+            assert!(c.contains(p, 1e-9), "coarse {c} vs {p}");
+            assert!(f.contains(p, 1e-9), "fine {f} vs {p}");
+            assert!(c.lo() <= f.lo() + 1e-12 && f.hi() <= c.hi() + 1e-12);
+            assert!(c.lo() <= b.lo() && b.hi() <= c.hi(), "fine loosened {c}");
+            assert!((b.lo() - f.lo()).abs() <= 1e-12 && (b.hi() - f.hi()).abs() <= 1e-12);
+            assert!((f.lo() - r.lo()).abs() <= 1e-12 && (f.hi() - r.hi()).abs() <= 1e-12);
+        }
+        for (got, want) in [
+            (&fine.qij_lo, &reference.qij_lo),
+            (&fine.qij_hi, &reference.qij_hi),
+            (&both.qij_lo, &reference.qij_lo),
+            (&both.qij_hi, &reference.qij_hi),
+        ] {
+            for (cell, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!((g - w).abs() <= 1e-12, "cell {cell}: {g} vs {w}");
+            }
+        }
+        // The coarse stage bounds whole groups; it leaves the cells alone
+        // (unless there are fewer competitors than slots: all cells are 1).
+        if k < table.n_objects() {
+            assert!(coarse.qij_lo.iter().all(|&q| q == 0.0));
+            assert!(coarse.qij_hi.iter().all(|&q| q == 1.0));
+        }
+    }
+
+    #[test]
+    fn coarse_bounds_contain_fine_bounds_and_fine_matches_the_reference() {
+        for k in [2usize, 3] {
+            assert_stage_contracts(&knn_setup(k).1, k);
+        }
+        for (n, k) in [(12, 2), (12, 4), (30, 4), (9, 8)] {
+            let table = crowded_table(n, k);
+            assert!(table.left_regions() > 4, "want several groups");
+            assert_stage_contracts(&table, k);
+        }
+    }
+
+    #[test]
+    fn tiny_tables_skip_the_coarse_stage_or_make_one_group() {
+        let uniform = |id, lo, hi| UncertainObject::uniform(ObjectId(id), lo, hi).unwrap();
+        let k = 2;
+        for (objects, want_l) in [
+            (
+                vec![
+                    uniform(0, 1.0, 4.0),
+                    uniform(1, 1.0, 4.0),
+                    uniform(2, 1.0, 5.0),
+                ],
+                1,
+            ),
+            (
+                vec![
+                    uniform(0, 1.0, 3.0),
+                    uniform(1, 1.0, 4.0),
+                    uniform(2, 1.0, 5.0),
+                ],
+                2,
+            ),
+            (
+                vec![
+                    uniform(0, 1.0, 3.0),
+                    uniform(1, 2.0, 4.0),
+                    uniform(2, 1.0, 5.0),
+                ],
+                3,
+            ),
+        ] {
+            let table = SubregionTable::build(&CandidateSet::build_k(&objects, 0.0, 0, k).unwrap());
+            assert_eq!(table.left_regions(), want_l);
+            assert_stage_contracts(&table, k);
+            let coarse = apply_stages(&table, &[KnnSubregion::coarse(k)]);
+            if want_l == 1 {
+                // The partitions coincide: the stage does nothing at all.
+                assert!(coarse.bounds.iter().all(|b| *b == ProbBound::vacuous()));
+                assert_eq!(coarse.kernel.pb_tails, 0);
+            } else {
+                // L = 2: one group, two visited end-points; L = 3: two
+                // groups, three — at most one tail per row at each.
+                let visited = if want_l == 2 { 2 } else { 3 };
+                assert!(coarse.kernel.pb_tails <= visited * table.n_objects());
+                assert!(coarse.kernel.pb_tails > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_with_an_interior_zero_mass_column_keeps_that_cell_vacuous() {
+        use cpnn_pdf::HistogramPdf;
+        // Object 0 has no mass on [2, 3]; the others put end-points there.
+        let gap = HistogramPdf::from_masses(vec![1.0, 2.0, 3.0, 4.0], vec![0.5, 0.0, 0.5]).unwrap();
+        let objects = vec![
+            UncertainObject::from_histogram(ObjectId(0), gap),
+            UncertainObject::uniform(ObjectId(1), 1.5, 4.5).unwrap(),
+            UncertainObject::uniform(ObjectId(2), 2.5, 5.0).unwrap(),
+            UncertainObject::uniform(ObjectId(3), 1.2, 6.0).unwrap(),
+        ];
+        let k = 2;
+        let table = SubregionTable::build(&CandidateSet::build_k(&objects, 0.0, 0, k).unwrap());
+        let l = table.left_regions();
+        let empty: Vec<usize> = (0..l).filter(|&j| table.mass(0, j) <= MASS_EPS).collect();
+        let first = (0..l).find(|&j| table.mass(0, j) > MASS_EPS).unwrap();
+        let last = (0..l).rev().find(|&j| table.mass(0, j) > MASS_EPS).unwrap();
+        assert!(
+            empty.iter().any(|&j| first < j && j < last),
+            "no interior gap"
+        );
+        assert_stage_contracts(&table, k);
+        let fine = apply_stages(&table, &[KnnSubregion::new(k)]);
+        for j in 0..l {
+            let vacuous = (fine.qij_lo[j], fine.qij_hi[j]) == (0.0, 1.0);
+            assert_eq!(vacuous, empty.contains(&j), "row 0, column {j}");
+        }
+    }
+
+    #[test]
+    fn fewer_candidates_than_slots_is_decided_by_the_first_stage() {
+        let objects = vec![
+            UncertainObject::uniform(ObjectId(0), 1.0, 2.0).unwrap(),
+            UncertainObject::uniform(ObjectId(1), 1.5, 3.0).unwrap(),
+        ];
+        let cands = CandidateSet::build_k(&objects, 0.0, 0, 5).unwrap();
+        let table = SubregionTable::build(&cands);
+        let classifier = Classifier::new(0.7, 0.0).unwrap();
+        let mut state = VerificationState::new(&table);
+        let mut stages = Vec::new();
+        run_verification_into(
+            &table,
+            &classifier,
+            &knn_verifiers(5),
+            &mut state,
+            &mut stages,
+        );
+        // RS, then the coarse stage's early-out; the fine stage never runs.
+        assert_eq!(stages.len(), 2);
+        assert_eq!(state.kernel.pb_tails, 0);
+        for (i, b) in state.bounds.iter().enumerate() {
+            assert_eq!(state.labels[i], Label::Satisfy);
+            assert!((b.lo() - 1.0).abs() < 1e-12 && (b.hi() - 1.0).abs() < 1e-12);
         }
     }
 

@@ -136,6 +136,10 @@ pub struct QueryStats {
     /// Composite quadrature passes refinement ran for its `integrations`
     /// (VR/Refine; see [`crate::refine::RefineReport::column_passes`]).
     pub column_passes: usize,
+    /// Poisson-binomial tails the SR-k stages evaluated (k-NN VR; one per
+    /// object and visited end-point — see
+    /// [`crate::knn::KnnSubregion`]).
+    pub pb_tails: usize,
     /// Did verification alone resolve the query (Fig. 13's metric)?
     pub resolved_by_verification: bool,
 }
@@ -746,6 +750,7 @@ fn evaluate_candidates_impl(
             scratch.stages.clear();
             if strategy == Strategy::Verified {
                 let verify_start = Instant::now();
+                let tails_before = scratch.state.kernel.pb_tails;
                 let chain = match (k, cfg.extended_verifiers) {
                     (1, false) => default_verifiers(),
                     (1, true) => extended_verifiers(),
@@ -759,6 +764,7 @@ fn evaluate_candidates_impl(
                     &mut scratch.stages,
                 );
                 stats.verify_time = verify_start.elapsed();
+                stats.pb_tails = scratch.state.kernel.pb_tails - tails_before;
                 stats.resolved_by_verification = scratch.state.unknown_count() == 0;
                 stats.stages = scratch.stages.clone();
             }

@@ -8,11 +8,12 @@
 //! buffers ([`KernelScratch`]) so the hot path performs zero heap
 //! allocations per subregion.
 //!
-//! Determinism contract, in two halves.
+//! Determinism contract, in three parts.
 //!
-//! * **Verifier stages and the k-NN integrand** evaluate *exactly* the same
-//!   floating-point expression sequence as their naive counterparts
-//!   (retained in [`crate::verifiers::reference`],
+//! * **1-NN verifier stages and the k-NN refine integrand**
+//!   ([`knn_qualification`]) evaluate *exactly* the same floating-point
+//!   expression sequence as their naive counterparts (retained in
+//!   [`crate::verifiers::reference`],
 //!   [`crate::knn::knn_subregion_qualification`] and as naive loops in this
 //!   module's tests): bit-identical to them, and so across the kernel,
 //!   cached, sharded, and batched paths.
@@ -25,14 +26,29 @@
 //!   *sound* against the exact oracle (`p.l − 1e-9 ≤ p ≤ p.u + 1e-9`);
 //!   labels agree with the naive run whenever the exact probability is
 //!   farther than `1e-9` from the decision thresholds `P` and `P − Δ`.
-//!   `proptest_kernels.rs` pins all of this.
+//! * **The k-NN subregion verifier** (`sr_k_pass`, run by
+//!   [`crate::knn::KnnSubregion`] on a coarse partition and then on the
+//!   table itself) stops an object at the first stage whose bound decides
+//!   it, so the bound an object ends with depends on where it stopped. It is
+//!   bit-identical *across execution modes* (same table and classifier ⇒
+//!   same bits) and *sound* against the naive
+//!   [`crate::knn::knn_probabilities`] (`p.l − 1e-9 ≤ p ≤ p.u + 1e-9`,
+//!   labels as Definition 1 allows). Against the naive fine-partition
+//!   verifier ([`crate::verifiers::reference::ReferenceKnnSubregion`]): an
+//!   object that reaches the fine stage ends within `1e-12` of its bounds
+//!   with the same label; one decided on the coarse partition has bounds
+//!   that contain them. And it is *monotone*: the fine stage never loosens a
+//!   cell or a bound the coarse one left, and coarse bounds contain
+//!   fine-only bounds.
+//!
+//! `proptest_kernels.rs` pins all of this.
 
 use cpnn_pdf::integrate::{gauss_legendre, Gl16, GlOrder};
 
 use crate::classify::Label;
 use crate::subregion::{SubregionTable, MASS_EPS};
 use crate::verifiers::products::survival_products;
-use crate::verifiers::ExcludeOneProduct;
+use crate::verifiers::{ExcludeOneProduct, VerificationState};
 
 /// Reusable kernel buffers, threaded through the pipeline inside
 /// [`crate::verifiers::VerificationState`] (and hence per-query scratch).
@@ -60,12 +76,22 @@ pub struct KernelScratch {
     pub(crate) col_stride: usize,
     /// Whether the product tables describe the current query's table.
     pub(crate) products_ready: bool,
-    /// Truncated Poisson-binomial state at the current end-point.
-    pub(crate) dp: Vec<f64>,
-    /// Poisson-binomial state at the next end-point.
-    pub(crate) dp_next: Vec<f64>,
-    /// Spare DP buffer for exclude-one fallbacks and integrand evaluation.
+    /// DP buffer of the k-NN integrand's Poisson-binomial tail.
     pub(crate) dp_spare: Vec<f64>,
+    /// SR-k: `(row, cdf)` of the factors with `0 < cdf < 1` at the end-point
+    /// being visited, in row order.
+    pub(crate) straddlers: Vec<(usize, f64)>,
+    /// SR-k: Poisson-binomial states over the first `t` straddlers, one row
+    /// per `t` (`straddler_states`).
+    pub(crate) pb_prefix: Vec<f64>,
+    /// SR-k: cumulative states over the straddlers from `t` on.
+    pub(crate) pb_suffix: Vec<f64>,
+    /// SR-k: the rows still `Unknown` when the sweep began, each with its
+    /// running Eq. 4 sums.
+    pub(crate) sr_rows: Vec<SrRow>,
+    /// Poisson-binomial tails the SR-k sweeps evaluated so far (a running
+    /// total, like [`Self::quadrature_passes`]).
+    pub(crate) pb_tails: usize,
     /// Gathered integrand coefficients: competitor cdf values at `e_j`
     /// (for a 1-NN column pass, the *settled* competitors only).
     pub(crate) coef_cdf: Vec<f64>,
@@ -166,11 +192,6 @@ impl ColumnMemo {
 const SHARED_PRODUCTS_MAX: usize = 8192;
 
 impl KernelScratch {
-    /// Rotate the Poisson-binomial state pair.
-    pub(crate) fn swap_pb(&mut self) {
-        std::mem::swap(&mut self.dp, &mut self.dp_next);
-    }
-
     /// Rotate the fallback product pair: `Y_{j+1}` becomes the next `Y_j`.
     pub(crate) fn swap_products(&mut self) {
         std::mem::swap(&mut self.excl, &mut self.excl_next);
@@ -248,11 +269,6 @@ impl KernelScratch {
     }
 }
 
-/// Above this success probability the exclude-one deconvolution's division
-/// by `1 − p` is ill-conditioned and [`pb_tail_excluding`] recomputes the
-/// state without the factor instead.
-const PB_FALLBACK_P: f64 = 0.999;
-
 /// One Poisson-binomial DP row update with an already-clamped success
 /// probability `p`: `dp[c] ← dp[c]·(1−p) + dp[c−1]·p` for every `c` (with
 /// `dp[−1] = 0`), descending so each step reads only pre-update state.
@@ -264,50 +280,255 @@ fn pb_row_update(dp: &mut [f64], p: f64) {
     }
 }
 
-/// Poisson-binomial DP column step: rebuild `dp` in place so that
-/// `dp[c] = Pr[exactly c of the events in `probs` occur]` for `c ≤ limit`,
-/// with overflow mass absorbed. Identical convolution order and arithmetic
-/// as [`crate::knn::poisson_binomial_at_most`].
-pub fn pb_into(dp: &mut Vec<f64>, probs: &[f64], limit: usize) {
-    dp.clear();
-    dp.resize(limit + 1, 0.0);
-    dp[0] = 1.0;
-    for &p in probs {
-        let p = p.clamp(0.0, 1.0);
-        pb_row_update(dp, p);
+/// [`pb_row_update`] out of place: `dst` is the state `src` after one more
+/// factor `p` (same expression per entry).
+#[inline]
+fn pb_row_from(dst: &mut [f64], src: &[f64], p: f64) {
+    let mut below = 0.0;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = s * (1.0 - p) + below * p;
+        below = s;
     }
 }
 
-/// Tail `Pr[≤ limit]` of the state in `dp` with factor `i` removed by
-/// O(limit) deconvolution; falls back to a direct skip-one recompute (into
-/// `spare`, no allocation) when `probs[i] ≈ 1` would make the division
-/// ill-conditioned. Matches the legacy `PbState::tail_excluding` bit for
-/// bit, including the fallback's unclamped sum.
-pub fn pb_tail_excluding(dp: &[f64], probs: &[f64], i: usize, spare: &mut Vec<f64>) -> f64 {
-    let p = probs[i].clamp(0.0, 1.0);
-    if p > PB_FALLBACK_P {
-        let limit = dp.len() - 1;
-        spare.clear();
-        spare.resize(limit + 1, 0.0);
-        spare[0] = 1.0;
-        for (m, &raw) in probs.iter().enumerate() {
-            if m == i {
+/// A row an SR-k sweep serves — `Unknown` when the sweep began — and its
+/// Eq. 4 sums on the sweep's partition so far.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SrRow {
+    row: usize,
+    lo: f64,
+    hi: f64,
+}
+
+/// The Poisson-binomial states of one end-point column, reduced to the
+/// factors that can change them. The *straddlers* — factors with
+/// `0 < p < 1` — are gathered in row order, `(row, p)`; with `m` of them and
+/// `w = limit + 1` counts kept (overflow absorbed),
+///
+/// * `prefix[t·w + c] = Pr[exactly c of the first t straddlers occur]`,
+/// * `suffix[t·w + c] = Pr[at most c of the straddlers from t on occur]`
+///   (row `m` is all ones),
+///
+/// for `t ∈ 0..=m`, and the returned count is that of the certain factors
+/// (`p ≥ 1`). Both tables take one [`pb_row_from`] per straddler (the update
+/// is linear, so it carries cumulative sums as it carries counts).
+///
+/// Eliding the other factors is exact, not approximate. A row update with
+/// `p = 0` computes `dp[c]·1 + dp[c−1]·0 = dp[c]`, and one with `p = 1`
+/// computes `dp[c]·0 + dp[c−1]·1 = dp[c−1]` — an identity and a shift by one
+/// count, both without rounding — and the shift commutes with every other
+/// update (both orders read `dp[c−1]·(1−p) + dp[c−2]·p`). The states over
+/// the whole column are these shifted up by the certain factors, entry for
+/// entry, so only the *number* of certain factors is needed ([`sr_k_tail`]).
+fn straddler_states(
+    prefix: &mut Vec<f64>,
+    suffix: &mut Vec<f64>,
+    straddlers: &mut Vec<(usize, f64)>,
+    probs: &[f64],
+    limit: usize,
+) -> usize {
+    straddlers.clear();
+    let mut ones = 0;
+    for (row, &raw) in probs.iter().enumerate() {
+        let p = raw.clamp(0.0, 1.0);
+        if p >= 1.0 {
+            ones += 1;
+        } else if p > 0.0 {
+            straddlers.push((row, p));
+        }
+    }
+    let w = limit + 1;
+    let m = straddlers.len();
+    // Grown to a high-water mark, never cleared: every row read below is
+    // written first.
+    for table in [&mut *prefix, &mut *suffix] {
+        if table.len() < (m + 1) * w {
+            table.resize((m + 1) * w, 0.0);
+        }
+    }
+    prefix[..w].fill(0.0);
+    prefix[0] = 1.0;
+    suffix[m * w..(m + 1) * w].fill(1.0);
+    for (t, &(_, p)) in straddlers.iter().enumerate() {
+        let (done, rest) = prefix.split_at_mut((t + 1) * w);
+        pb_row_from(&mut rest[..w], &done[t * w..], p);
+    }
+    for (t, &(_, p)) in straddlers.iter().enumerate().rev() {
+        let (rest, done) = suffix.split_at_mut((t + 1) * w);
+        pb_row_from(&mut rest[t * w..], &done[..w], p);
+    }
+    ones
+}
+
+/// `T = Pr[at most limit of the column's events occur, one row's own left
+/// out]` from the column's [`straddler_states`]: `at` is the row's position
+/// among the `m` straddlers if it is one, `ones` the number of certain
+/// factors among the *other* rows, `w = limit + 1`.
+///
+/// The certain factors use up `ones` of the `limit` counts (`T = 0` when
+/// there are more); the other straddlers — the `at` before the row and those
+/// after it — may take the rest between them:
+/// `T = Σ_a prefix[at][a] · suffix[at + 1][limit − ones − a]`. A row that is
+/// not a straddler leaves nothing out: the same sum with all `m` before it.
+/// Every term is a product of probabilities, so unlike dividing the row's
+/// factor back out of the full state — which multiplies rounding error by
+/// `p / (1 − p)` per count — the relative error stays at a few ulps per
+/// straddler for any `p`.
+fn sr_k_tail(
+    prefix: &[f64],
+    suffix: &[f64],
+    w: usize,
+    m: usize,
+    at: Option<usize>,
+    ones: usize,
+) -> f64 {
+    let Some(top) = (w - 1).checked_sub(ones) else {
+        return 0.0;
+    };
+    let (before, after) = at.map_or((m, m), |t| (t, t + 1));
+    let exactly = &prefix[before * w..][..=top];
+    let at_most = &suffix[after * w..][..=top];
+    let mut tail = 0.0;
+    for (a, b) in exactly.iter().zip(at_most.iter().rev()) {
+        tail += a * b;
+    }
+    tail.min(1.0)
+}
+
+/// One SR-k sweep over every `stride`-th end-point (and the last): the
+/// L-SR-k / U-SR-k bounds of [`crate::knn::KnnSubregion`] for the rows still
+/// `Unknown`, on the partition whose groups are the runs of `stride` columns
+/// between visited end-points. `stride = 1` is the subregion table itself.
+///
+/// `T_i(e) = PB_{≤ k−1}({D_m(e)}_{m ≠ i})` is the probability that at most
+/// `k − 1` others lie below `e`. It is non-increasing in `e` (every `D_m`
+/// is a cdf), so for a group of columns `[e_a, e_b]` and any `R_i` inside
+/// it, `T_i(e_b) ≤ Pr[X_i among the k nearest | R_i] ≤ T_i(e_a)`: the
+/// group's end-point tails bound `q_ij` for every column `j` inside the
+/// group, and with the group's mass `D_i(e_b) − D_i(e_a)` (the sum of its
+/// columns' `s_ij`) Eq. 4 reads `p_i.l = Σ_groups T_i(e_b)·mass` and
+/// `p_i.u = Σ_groups T_i(e_a)·mass`. A coarser partition is therefore
+/// sound, only looser, and each visited end-point yields **one** tail per
+/// row that serves two groups — `q.u` of the group on its right, `q.l` of
+/// the group on its left.
+///
+/// Per visited end-point: a row asks for a tail only if one of the two
+/// groups holds more than [`MASS_EPS`] of its mass (the convention of L-SR,
+/// U-SR and FL-SR: a group below it keeps `[0, 1]`), read off the three cdf
+/// columns involved; the column's states are built once, over the
+/// straddlers only ([`straddler_states`]), and only if some row asks. When
+/// the groups are single columns the tails are the `q_ij` bounds refinement
+/// reuses, so they are also recorded in the cells (`max`/`min`, like the
+/// object bounds: a later, finer sweep never loosens what is there). Zero
+/// allocations once warm.
+pub(crate) fn sr_k_pass(
+    table: &SubregionTable,
+    state: &mut VerificationState,
+    k: usize,
+    stride: usize,
+) {
+    let n = table.n_objects();
+    let l = table.left_regions();
+    if n == 0 || l == 0 {
+        return;
+    }
+    if k >= n {
+        // Fewer competitors than slots: membership is certain wherever
+        // the object has mass below the horizon.
+        for i in 0..n {
+            if state.labels[i] != Label::Unknown {
                 continue;
             }
-            let q = raw.clamp(0.0, 1.0);
-            pb_row_update(spare, q);
+            state.qij_lo[i * l..(i + 1) * l].fill(1.0);
+            state.qij_hi[i * l..(i + 1) * l].fill(1.0);
+            state.recompute_lower(table, i);
+            state.recompute_upper(table, i);
         }
-        return spare.iter().sum::<f64>();
+        return;
     }
-    let q = 1.0 - p;
-    let mut prev = 0.0;
-    let mut tail = 0.0;
-    for &d in dp {
-        let excl = ((d - p * prev) / q).clamp(0.0, 1.0);
-        tail += excl;
-        prev = excl;
+    let w = k.max(1);
+    let stride = stride.max(1);
+    let KernelScratch {
+        pb_prefix,
+        pb_suffix,
+        straddlers,
+        sr_rows,
+        pb_tails,
+        ..
+    } = &mut state.kernel;
+    sr_rows.clear();
+    for (row, &label) in state.labels.iter().enumerate() {
+        if label == Label::Unknown {
+            sr_rows.push(SrRow {
+                row,
+                lo: 0.0,
+                hi: 0.0,
+            });
+        }
     }
-    tail.clamp(0.0, 1.0)
+
+    let (mut prev, mut e) = (0, 0);
+    loop {
+        let next = (e + stride).min(l);
+        let (below, probs, above) = (table.cdf_col(prev), table.cdf_col(e), table.cdf_col(next));
+        // The column's states, built by the first row that asks for a tail
+        // here (if any does), and the merge position of the served rows —
+        // both ascending — in its straddler list.
+        let mut ones = None;
+        let mut cursor = 0;
+        for r in sr_rows.iter_mut() {
+            let i = r.row;
+            // Mass of the groups on the left and right of `e` (none before
+            // the first end-point, none after the last).
+            let left = (probs[i] - below[i]).max(0.0);
+            let right = (above[i] - probs[i]).max(0.0);
+            if left <= MASS_EPS && right <= MASS_EPS {
+                r.hi += right; // below the gate `q.u` stays 1
+                continue;
+            }
+            let ones = *ones.get_or_insert_with(|| {
+                straddler_states(pb_prefix, pb_suffix, straddlers, probs, w - 1)
+            });
+            while straddlers.get(cursor).is_some_and(|s| s.0 < i) {
+                cursor += 1;
+            }
+            let at = straddlers.get(cursor).is_some_and(|s| s.0 == i);
+            *pb_tails += 1;
+            let tail = sr_k_tail(
+                pb_prefix,
+                pb_suffix,
+                w,
+                straddlers.len(),
+                at.then_some(cursor),
+                ones - usize::from(probs[i] >= 1.0),
+            );
+            if left > MASS_EPS {
+                r.lo += tail * left;
+                if stride == 1 {
+                    let cell = &mut state.qij_lo[i * l + e - 1];
+                    *cell = cell.max(tail);
+                }
+            }
+            if right > MASS_EPS {
+                r.hi += tail * right;
+                if stride == 1 {
+                    let cell = &mut state.qij_hi[i * l + e];
+                    *cell = cell.min(tail);
+                }
+            } else {
+                r.hi += right; // below the gate `q.u` stays 1
+            }
+        }
+        if e == l {
+            break;
+        }
+        (prev, e) = (e, next);
+    }
+
+    for r in sr_rows.iter() {
+        state.bounds[r.row].raise_lo(r.lo);
+        state.bounds[r.row].lower_hi(r.hi);
+    }
 }
 
 /// The 1-NN qualification integrand `q_ij = ∫₀¹ Π_{k≠i} (1 − a_k − t·s_kj) dt`
@@ -512,37 +733,109 @@ mod tests {
     use crate::verifiers::VerificationState;
     use cpnn_pdf::HistogramPdf;
 
+    /// SR-k tails of every row of a column, from the straddler states.
+    fn column_tails(probs: &[f64], k: usize) -> Vec<f64> {
+        let (mut prefix, mut suffix, mut straddlers) = (Vec::new(), Vec::new(), Vec::new());
+        let ones = straddler_states(&mut prefix, &mut suffix, &mut straddlers, probs, k - 1);
+        (0..probs.len())
+            .map(|i| {
+                let at = straddlers.iter().position(|s| s.0 == i);
+                let ones = ones - usize::from(probs[i] >= 1.0);
+                sr_k_tail(&prefix, &suffix, k, straddlers.len(), at, ones)
+            })
+            .collect()
+    }
+
+    /// The naive tail over the column with row `i` skipped.
+    fn naive_tail(probs: &[f64], i: usize, k: usize) -> f64 {
+        let others = probs.iter().enumerate().filter(|&(m, _)| m != i);
+        poisson_binomial_at_most(others.map(|(_, &p)| p), k - 1)
+    }
+
+    /// Random columns seeded with exact 0s and 1s, near-certain factors and
+    /// duplicates: every row's tail agrees with the naive skip-one tail to
+    /// rounding, for any own factor — nothing is divided back out.
     #[test]
-    fn pb_into_matches_naive_tail_bitwise() {
-        let probs = [0.2, 0.5, 0.9, 0.0, 1.0, 0.33];
-        for limit in 0..4 {
-            let mut dp = Vec::new();
-            pb_into(&mut dp, &probs, limit);
-            let tail = dp.iter().sum::<f64>().clamp(0.0, 1.0);
-            let naive = poisson_binomial_at_most(probs.iter().copied(), limit);
-            assert_eq!(tail.to_bits(), naive.to_bits(), "limit {limit}");
+    fn straddler_tails_match_the_naive_skip_one_tail() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5121);
+        for case in 0..300 {
+            let n = rng.gen_range(1usize..14);
+            let mut probs: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0u32..8) {
+                    0 | 1 => 0.0,
+                    2 | 3 => 1.0,
+                    4 => 1.0 - 1e-3 * rng.gen::<f64>(),
+                    _ => rng.gen::<f64>(),
+                })
+                .collect();
+            if case % 5 == 0 {
+                probs[0] = probs[n - 1]; // duplicate objects
+            }
+            for k in [1usize, 2, 4, 8] {
+                for (i, got) in column_tails(&probs, k).into_iter().enumerate() {
+                    let want = naive_tail(&probs, i, k);
+                    assert!(
+                        (got - want).abs() <= 1e-13,
+                        "row {i}, k = {k}, column {probs:?}: {got} vs {want}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn pb_tail_excluding_matches_skip_one_recompute() {
-        // Includes a p = 1.0 factor to exercise the fallback path.
-        let probs = [0.2, 0.5, 1.0, 0.05, 0.9995];
-        let limit = 2;
-        let mut dp = Vec::new();
-        pb_into(&mut dp, &probs, limit);
-        let mut spare = Vec::new();
-        for i in 0..probs.len() {
-            let got = pb_tail_excluding(&dp, &probs, i, &mut spare);
-            let rest: Vec<f64> = probs
-                .iter()
-                .enumerate()
-                .filter(|&(m, _)| m != i)
-                .map(|(_, &p)| p)
-                .collect();
-            let want = poisson_binomial_at_most(rest.iter().copied(), limit);
-            assert!((got - want).abs() < 1e-9, "i = {i}: {got} vs {want}");
+    fn straddler_tail_edge_cases() {
+        let tail = |probs: &[f64], i: usize, k: usize| column_tails(probs, k)[i];
+        // More certain competitors than slots: no chance, whatever the rest.
+        assert_eq!(tail(&[0.3, 1.0, 1.0, 0.5], 0, 2), 0.0);
+        assert_eq!(tail(&[0.0, 1.0, 1.0], 0, 2), 0.0);
+        // Exactly k − 1 certain competitors: every straddler must miss.
+        assert!((tail(&[0.0, 1.0, 0.25, 0.5], 0, 2) - 0.75 * 0.5).abs() < 1e-15);
+        // The row's own certain factor is not a competitor (its cdf is 1
+        // at its last end-point): one slot taken by row 2, one left.
+        assert!((tail(&[1.0, 0.25, 1.0], 0, 2) - 0.75).abs() < 1e-15);
+        assert_eq!(tail(&[1.0, 0.25, 1.0], 0, 3), 1.0);
+        // An own factor just below 1 is left out like any other.
+        let own = 0.9995;
+        assert!((tail(&[own, 0.5, 0.5], 0, 2) - 0.75).abs() < 1e-15);
+        assert!((tail(&[own, 0.5, 0.5, 1.0], 0, 2) - 0.25).abs() < 1e-15);
+        // Duplicate objects get the same tail to rounding (their factors
+        // sit at different positions of the product).
+        let dup = [0.4, 0.7, 0.4, 0.1];
+        assert!((tail(&dup, 0, 2) - tail(&dup, 2, 2)).abs() < 1e-15);
+        // No straddlers at all, and a single row.
+        assert_eq!(column_tails(&[1.0, 1.0, 1.0], 3), vec![1.0; 3]);
+        assert_eq!(column_tails(&[1.0, 1.0, 1.0], 2), vec![0.0; 3]);
+        assert_eq!(column_tails(&[0.0, 0.0], 1), vec![1.0; 2]);
+        assert_eq!(column_tails(&[0.5], 1), vec![1.0]);
+    }
+
+    /// Dividing a row's factor back out of the full-column state — what
+    /// SR-k did before the prefix/suffix states — multiplies rounding error
+    /// by `p / (1 − p)` per count: with an own factor of 0.95 and `k = 8`
+    /// that is `19⁷ ≈ 10⁹` ulps. The states stay at a few ulps.
+    #[test]
+    fn tails_stay_accurate_where_deconvolution_does_not() {
+        let probs = [0.95, 0.31, 0.62, 0.18, 0.77, 0.45, 0.53, 0.29, 0.84, 0.36];
+        let k = 8;
+        let mut full = vec![0.0; k];
+        full[0] = 1.0;
+        for &p in &probs {
+            pb_row_update(&mut full, p);
         }
+        let (p, q) = (probs[0], 1.0 - probs[0]);
+        let (mut prev, mut deconvolved) = (0.0, 0.0);
+        for &d in &full {
+            prev = ((d - p * prev) / q).clamp(0.0, 1.0);
+            deconvolved += prev;
+        }
+        let want = naive_tail(&probs, 0, k);
+        assert!(
+            (deconvolved - want).abs() > 1e-11,
+            "{deconvolved} vs {want}"
+        );
+        assert!((column_tails(&probs, k)[0] - want).abs() <= 1e-15);
     }
 
     /// A direct call with a default scratch is the one-pending-row case of
@@ -744,24 +1037,41 @@ mod tests {
 
     #[test]
     fn scratch_buffers_are_reused_not_reallocated() {
-        let (cands, _) = fig7_scenario();
+        let (_, objects) = fig7_scenario();
+        let cands = CandidateSet::build_k(&objects, 0.0, 0, 2).unwrap();
         let table = SubregionTable::build(&cands);
-        let mut scr = KernelScratch::default();
+        let mut state = VerificationState::new(&table);
         // Warm every buffer once.
-        let _ = nn_qualification(&table, 0, 3, &mut scr);
-        let _ = knn_qualification(&table, 0, 3, 2, &mut scr);
+        let _ = nn_qualification(&table, 0, 3, &mut state.kernel);
+        let _ = knn_qualification(&table, 0, 3, 2, &mut state.kernel);
+        sr_k_pass(&table, &mut state, 2, 1);
+        let scr = &state.kernel;
         let ptrs = (
             scr.coef_cdf.as_ptr(),
             scr.coef_mass.as_ptr(),
             scr.dp_spare.as_ptr(),
+            scr.pb_prefix.as_ptr(),
+            scr.pb_suffix.as_ptr(),
+            scr.straddlers.as_ptr(),
+            scr.sr_rows.as_ptr(),
         );
         // Re-run the kernels: the backing allocations must not move.
         for j in 0..table.left_regions() {
-            let _ = nn_qualification(&table, 1, j, &mut scr);
-            let _ = knn_qualification(&table, 1, j, 2, &mut scr);
+            let _ = nn_qualification(&table, 1, j, &mut state.kernel);
+            let _ = knn_qualification(&table, 1, j, 2, &mut state.kernel);
         }
+        for stride in [2, 1] {
+            state.reset(&table);
+            sr_k_pass(&table, &mut state, 2, stride);
+        }
+        let scr = &state.kernel;
+        assert!(scr.pb_tails > 0 && !scr.sr_rows.is_empty());
         assert_eq!(ptrs.0, scr.coef_cdf.as_ptr());
         assert_eq!(ptrs.1, scr.coef_mass.as_ptr());
         assert_eq!(ptrs.2, scr.dp_spare.as_ptr());
+        assert_eq!(ptrs.3, scr.pb_prefix.as_ptr());
+        assert_eq!(ptrs.4, scr.pb_suffix.as_ptr());
+        assert_eq!(ptrs.5, scr.straddlers.as_ptr());
+        assert_eq!(ptrs.6, scr.sr_rows.as_ptr());
     }
 }

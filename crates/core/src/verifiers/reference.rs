@@ -1,13 +1,17 @@
 //! Retained naive/legacy verifier implementations.
 //!
-//! These are the pre-kernel scalar code paths, kept verbatim: per-element
+//! These are the pre-kernel scalar code paths: per-element
 //! `cdf_at`/`mass` accessor calls, a fresh factor `Vec` and
-//! [`ExcludeOneProduct::new`] (two more `Vec`s) per subregion, and a fresh
-//! Poisson-binomial DP per end-point. They exist for two reasons:
+//! [`ExcludeOneProduct::new`] (two more `Vec`s) per subregion, and for k-NN
+//! a fresh Poisson-binomial tail per cell and end-point. They exist for two
+//! reasons:
 //!
-//! 1. **Ground truth** — the kernel path must produce bit-identical
-//!    verdicts and bounds; the parity proptests run both chains and compare
-//!    `f64::to_bits`.
+//! 1. **Ground truth** — the 1-NN kernel verifiers must produce
+//!    bit-identical verdicts and bounds (the parity proptests run both
+//!    chains and compare `f64::to_bits`); the k-NN chain, which stops at a
+//!    coarser partition when that decides, must end within `1e-12` of the
+//!    reference for a row that reaches the finest one and contain it
+//!    otherwise.
 //! 2. **The `verify` micro-bench** — kernel vs. legacy throughput across
 //!    |C| × M is measured by timing these against the kernel verifiers.
 //!
@@ -15,6 +19,7 @@
 //! baseline.
 
 use crate::classify::Label;
+use crate::knn::poisson_binomial_at_most;
 use crate::subregion::{SubregionTable, MASS_EPS};
 use crate::verifiers::{ExcludeOneProduct, VerificationState, Verifier};
 
@@ -147,54 +152,10 @@ impl Verifier for ReferenceFarLowerSubregion {
     }
 }
 
-/// Legacy truncated Poisson-binomial state (fresh `Vec` per end-point).
-#[derive(Debug, Clone)]
-struct PbState {
-    dp: Vec<f64>,
-}
-
-impl PbState {
-    fn new(probs: &[f64], limit: usize) -> Self {
-        let mut dp = vec![0.0; limit + 1];
-        dp[0] = 1.0;
-        for &p in probs {
-            let p = p.clamp(0.0, 1.0);
-            for c in (0..=limit).rev() {
-                let come = if c > 0 { dp[c - 1] * p } else { 0.0 };
-                dp[c] = dp[c] * (1.0 - p) + come;
-            }
-        }
-        Self { dp }
-    }
-
-    fn tail_excluding(&self, probs: &[f64], i: usize) -> f64 {
-        let p = probs[i].clamp(0.0, 1.0);
-        if p > 0.999 {
-            let rest: Vec<f64> = probs
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &q)| q)
-                .collect();
-            return PbState::new(&rest, self.dp.len() - 1)
-                .dp
-                .iter()
-                .sum::<f64>();
-        }
-        let q = 1.0 - p;
-        let mut prev = 0.0;
-        let mut tail = 0.0;
-        for c in 0..self.dp.len() {
-            let excl = ((self.dp[c] - p * prev) / q).clamp(0.0, 1.0);
-            tail += excl;
-            prev = excl;
-        }
-        tail.clamp(0.0, 1.0)
-    }
-}
-
-/// Legacy k-NN subregion verifier: collects the cdf column into a fresh
-/// `Vec` per end-point and builds a fresh DP state for each.
+/// Naive k-NN subregion verifier, on the finest partition only: every
+/// massive cell of an `Unknown` row gets its two tails from scratch, each a
+/// fresh [`poisson_binomial_at_most`] over the other rows' cdf values —
+/// `O(|C|²·M·k)`, no shared state, nothing divided back out.
 #[derive(Debug, Clone, Copy)]
 pub struct ReferenceKnnSubregion {
     k: usize,
@@ -233,30 +194,32 @@ impl Verifier for ReferenceKnnSubregion {
             }
             return;
         }
-        let limit = k - 1;
-        let probs_at = |j: usize| -> Vec<f64> { (0..n).map(|m| table.cdf_at(m, j)).collect() };
-        let mut probs_cur = probs_at(0);
-        let mut state_cur = PbState::new(&probs_cur, limit);
+        // q_ij.l / q_ij.u from their definitions: the tail over the other
+        // objects' cdf values at the subregion's far / near end-point.
+        let tail_at = |i: usize, endpoint: usize| {
+            poisson_binomial_at_most(
+                (0..n)
+                    .filter(|&m| m != i)
+                    .map(|m| table.cdf_at(m, endpoint)),
+                k - 1,
+            )
+        };
         for j in 0..l {
-            let probs_next = probs_at(j + 1);
-            let state_next = PbState::new(&probs_next, limit);
             for i in 0..n {
-                if state.labels[i] != Label::Unknown {
+                if state.labels[i] != Label::Unknown || table.mass(i, j) <= MASS_EPS {
                     continue;
                 }
-                let lo = state_next.tail_excluding(&probs_next, i);
+                let lo = tail_at(i, j + 1);
                 let cell = &mut state.qij_lo[i * l + j];
                 if lo > *cell {
                     *cell = lo;
                 }
-                let hi = state_cur.tail_excluding(&probs_cur, i);
+                let hi = tail_at(i, j);
                 let cell = &mut state.qij_hi[i * l + j];
                 if hi < *cell {
                     *cell = hi;
                 }
             }
-            probs_cur = probs_next;
-            state_cur = state_next;
         }
         for i in 0..n {
             if state.labels[i] == Label::Unknown {

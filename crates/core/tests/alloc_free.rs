@@ -67,7 +67,6 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
     // resolve, so refinement integrates many subregions.
     let classifier = Classifier::new(0.02, 0.0).unwrap();
     let chain = extended_verifiers();
-    let knn_chain = knn_verifiers(2);
     let mut state = VerificationState::new(&table);
     let mut stages = Vec::new();
 
@@ -81,16 +80,24 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
         RefinementOrder::DescendingMass,
         |i, j, scr| kernels::nn_qualification(&table, i, j, scr),
     );
-    state.reset(&table);
-    stages.clear();
-    run_verification_into(&table, &classifier, &knn_chain, &mut state, &mut stages);
-    incremental_refine_with(
-        &table,
-        &classifier,
-        &mut state,
-        RefinementOrder::DescendingMass,
-        |i, j, scr| kernels::knn_qualification(&table, i, j, 2, scr),
-    );
+    for k in [2, 4] {
+        state.reset(&table);
+        stages.clear();
+        run_verification_into(
+            &table,
+            &classifier,
+            &knn_verifiers(k),
+            &mut state,
+            &mut stages,
+        );
+        incremental_refine_with(
+            &table,
+            &classifier,
+            &mut state,
+            RefinementOrder::DescendingMass,
+            |i, j, scr| kernels::knn_qualification(&table, i, j, k, scr),
+        );
+    }
     // Also warm the full-refinement path (every object, no verification) so
     // the visit-order buffer reaches its high-water mark.
     state.reset(&table);
@@ -137,30 +144,39 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
         report.integrations
     );
 
-    // ---- Measured: same contract for the k-NN chain. ----
-    state.reset(&table);
-    stages.clear();
-    let before = allocations();
-    run_verification_into(&table, &classifier, &knn_chain, &mut state, &mut stages);
-    let knn_verify_allocs = allocations() - before;
-    assert_eq!(
-        knn_verify_allocs, 0,
-        "warm k-NN verification performed {knn_verify_allocs} allocations"
-    );
+    // ---- Measured: same contract for the k-NN chain, through both SR-k
+    // stages (coarse partition, then the table itself). ----
+    for k in [2, 4] {
+        let knn_chain = knn_verifiers(k);
+        state.reset(&table);
+        stages.clear();
+        let before = allocations();
+        run_verification_into(&table, &classifier, &knn_chain, &mut state, &mut stages);
+        let knn_verify_allocs = allocations() - before;
+        assert_eq!(
+            stages.len(),
+            knn_chain.len(),
+            "k = {k}: the coarse stage decided everything; the fine one never ran"
+        );
+        assert_eq!(
+            knn_verify_allocs, 0,
+            "warm {k}-NN verification performed {knn_verify_allocs} allocations"
+        );
 
-    state.reset(&table);
-    let before = allocations();
-    let report = incremental_refine_with(
-        &table,
-        &classifier,
-        &mut state,
-        RefinementOrder::DescendingMass,
-        |i, j, scr| kernels::knn_qualification(&table, i, j, 2, scr),
-    );
-    let knn_refine_allocs = allocations() - before;
-    assert!(
-        knn_refine_allocs <= 1,
-        "warm k-NN refinement performed {knn_refine_allocs} allocations over {} integrations",
-        report.integrations
-    );
+        state.reset(&table);
+        let before = allocations();
+        let report = incremental_refine_with(
+            &table,
+            &classifier,
+            &mut state,
+            RefinementOrder::DescendingMass,
+            |i, j, scr| kernels::knn_qualification(&table, i, j, k, scr),
+        );
+        let knn_refine_allocs = allocations() - before;
+        assert!(
+            knn_refine_allocs <= 1,
+            "warm {k}-NN refinement performed {knn_refine_allocs} allocations over {} integrations",
+            report.integrations
+        );
+    }
 }

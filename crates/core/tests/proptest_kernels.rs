@@ -1,16 +1,14 @@
-//! Kernel-path vs naive-reference parity, and refinement soundness, on
-//! random workloads.
+//! Kernel-path vs naive-reference parity, and soundness against the exact
+//! oracles, on random workloads.
 //!
-//! The contract has two halves (see the module doc of
+//! The contract has three parts (see the module doc of
 //! `verifiers::kernels`):
 //!
-//! * **Verifier stages and the k-NN integrand** evaluate the *exact same
-//!   floating-point expression sequence* as the retained legacy code, so
-//!   every bound they produce is bit-for-bit (`f64::to_bits`) identical to a
-//!   reference evaluation assembled from `verifiers::reference` plus the
-//!   naive scalar integrand `knn::knn_subregion_qualification`: an object
-//!   the 1-NN verifiers decide, and every object of a k-NN query, compares
-//!   with `to_bits`.
+//! * **1-NN verifier stages and the k-NN refine integrand** evaluate the
+//!   *exact same floating-point expression sequence* as the retained naive
+//!   code (`verifiers::reference`, `knn::knn_subregion_qualification`): an
+//!   object the 1-NN verifiers decide — or RS decides in a k-NN query —
+//!   compares bit for bit (`f64::to_bits`) with the reference evaluation.
 //! * **The 1-NN refine integrand** shares one quadrature pass per subregion
 //!   column among the objects still `Unknown`, which reorders the
 //!   multiplications of a `q_ij`. For an object that went through 1-NN
@@ -21,23 +19,36 @@
 //!   refinement is *sound*: `p.l − 1e-9 ≤ p ≤ p.u + 1e-9` against
 //!   `exact::exact_probabilities`, and the probabilities a Refine-only pass
 //!   collapses to sum to 1.
+//! * **The k-NN subregion verifier (SR-k)** runs twice — on the
+//!   `⌈√L⌉`-column partition, then on the table itself — and an object stops
+//!   at the first stage that decides it, so its final bound depends on where
+//!   it stopped. (i) *Sound*: every candidate's final bound brackets the
+//!   naive `knn::knn_probabilities` value within `1e-9` (k ∈ {2, 3, 4}, 1-D
+//!   and 2-D, verifier-heavy and refine-heavy specs), and labels obey
+//!   Definition 1 (`p ≥ P + 1e-9` ⇒ `Satisfy`, `p < P − Δ − 1e-9` ⇒ `Fail`,
+//!   either in between). (ii) *Against `reference_knn_verifiers`* (fine
+//!   partition only, every tail from scratch): an object that reaches the
+//!   fine stage ends within `1e-12` of the reference bounds with the same
+//!   label; one the coarse stage decided has bounds that contain the
+//!   reference's. (iii) *Monotone*: the fine stage after the coarse one never
+//!   loosens a cell or a bound, and coarse bounds contain fine-only bounds.
 //!
-//! Both halves hold through eviction-forcing cache configurations and
+//! All of it holds through eviction-forcing cache configurations and
 //! sharded execution (mode ≡ mode stays bit-for-bit; `proptest_cache`,
 //! `proptest_shard` and friends pin that).
 
 use cpnn_core::cache::CacheConfig;
 use cpnn_core::classify::{Classifier, Label};
 use cpnn_core::exact::{exact_probabilities, subregion_qualification};
-use cpnn_core::framework::run_verification_into;
-use cpnn_core::knn::knn_subregion_qualification;
+use cpnn_core::framework::{knn_verifiers, run_verification_into};
+use cpnn_core::knn::{knn_probabilities, knn_subregion_qualification, KnnSubregion};
 use cpnn_core::pipeline::{cpnn, cpnn_with, CpnnResult, DistanceModel};
 use cpnn_core::refine::incremental_refine_with;
 use cpnn_core::subregion::MASS_EPS;
 use cpnn_core::verifiers::reference::{
     reference_extended_verifiers, reference_knn_verifiers, reference_verifiers,
 };
-use cpnn_core::verifiers::{kernels, VerificationState};
+use cpnn_core::verifiers::{kernels, VerificationState, Verifier};
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
     BatchExecutor, CandidateSet, Object2d, ObjectId, PipelineConfig, QueryScratch, QuerySpec,
@@ -52,15 +63,31 @@ const BOUND_TOL: f64 = 1e-12;
 /// the slack of the soundness check against the exact oracle.
 const EXACT_TOL: f64 = 1e-9;
 
+/// How an object's kernel outcome compares with its reference outcome.
+#[derive(Clone, Copy)]
+enum Compare {
+    /// Decided by a 1-NN verifier or by RS, or evaluated with no verifier
+    /// chain at all: same expression sequence, compared with `to_bits`.
+    Bitwise,
+    /// Went through 1-NN refinement (`exact probability`): bounds within
+    /// [`BOUND_TOL`], labels equal when the probability is decisive.
+    Refined1nn(f64),
+    /// k-NN, still `Unknown` after the coarse SR-k stage: the fine stage
+    /// (and refinement after it) ends within [`BOUND_TOL`] of the reference,
+    /// same label.
+    KnnFine,
+    /// k-NN, decided by the coarse SR-k stage: the bounds it stopped with
+    /// contain the reference's.
+    KnnCoarse,
+}
+
 /// Per-object outcome of the reference run.
 struct Reference {
     id: ObjectId,
     lo: f64,
     hi: f64,
     label: Label,
-    /// `Some(exact probability)` for an object that went through 1-NN
-    /// refinement — compared with tolerances; `None` compares bit for bit.
-    refined_1nn: Option<f64>,
+    compare: Compare,
 }
 
 /// Evaluate `spec` at `q` through the *legacy* path: same filter and
@@ -88,7 +115,7 @@ fn reference_eval<M: DistanceModel + ?Sized>(
         run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
     }
     let entered: Vec<bool> = state.labels.iter().map(|&l| l == Label::Unknown).collect();
-    let exact = if k == 1 {
+    let compare: Vec<Compare> = if k == 1 {
         incremental_refine_with(
             &table,
             &classifier,
@@ -96,7 +123,13 @@ fn reference_eval<M: DistanceModel + ?Sized>(
             RefinementOrder::DescendingMass,
             |i, j, _scr| subregion_qualification(&table, i, j),
         );
-        Some(exact_probabilities(&table).0)
+        let exact = exact_probabilities(&table).0;
+        (entered.iter().zip(exact))
+            .map(|(&refined, p)| match refined {
+                true => Compare::Refined1nn(p),
+                false => Compare::Bitwise,
+            })
+            .collect()
     } else {
         incremental_refine_with(
             &table,
@@ -105,23 +138,48 @@ fn reference_eval<M: DistanceModel + ?Sized>(
             RefinementOrder::DescendingMass,
             |i, j, _scr| knn_subregion_qualification(&table, i, j, k),
         );
-        None
+        if spec.strategy == EvalStrategy::Verified {
+            knn_stage_reached(&table, &classifier, k)
+        } else {
+            vec![Compare::Bitwise; table.n_objects()]
+        }
     };
     cands
         .members()
         .iter()
+        .zip(compare)
         .enumerate()
-        .map(|(i, m)| Reference {
+        .map(|(i, (m, compare))| Reference {
             id: m.id,
             lo: state.bounds[i].lo(),
             hi: state.bounds[i].hi(),
             label: state.labels[i],
-            refined_1nn: exact.as_ref().filter(|_| entered[i]).map(|p| p[i]),
+            compare,
         })
         .collect()
 }
 
-/// The two-halved contract of the module doc, object by object.
+/// Where the kernel k-NN chain (RS → coarse SR-k → fine SR-k) stops each
+/// object: replay its first two stages and look at what is still `Unknown`.
+fn knn_stage_reached(table: &SubregionTable, classifier: &Classifier, k: usize) -> Vec<Compare> {
+    let chain = knn_verifiers(k);
+    let mut state = VerificationState::new(table);
+    let mut stages = Vec::new();
+    run_verification_into(table, classifier, &chain[..1], &mut state, &mut stages);
+    let after_rs = state.labels.clone();
+    if state.unknown_count() > 0 {
+        run_verification_into(table, classifier, &chain[1..2], &mut state, &mut stages);
+    }
+    (after_rs.iter().zip(&state.labels))
+        .map(|(&rs, &coarse)| match (rs, coarse) {
+            (Label::Unknown, Label::Unknown) => Compare::KnnFine,
+            (Label::Unknown, _) => Compare::KnnCoarse,
+            _ => Compare::Bitwise,
+        })
+        .collect()
+}
+
+/// The reference half of the module doc's contract, object by object.
 fn assert_matches_reference(
     got: &CpnnResult,
     want: &[Reference],
@@ -131,31 +189,149 @@ fn assert_matches_reference(
     prop_assert_eq!(got.reports.len(), want.len(), "candidate count: {}", ctx);
     for (g, w) in got.reports.iter().zip(want) {
         prop_assert_eq!(g.id, w.id, "candidate order: {}", ctx);
-        let Some(exact) = w.refined_1nn else {
-            prop_assert_eq!(
+        let within_tol =
+            (g.bound.lo() - w.lo).abs() <= BOUND_TOL && (g.bound.hi() - w.hi).abs() <= BOUND_TOL;
+        match w.compare {
+            Compare::Bitwise => prop_assert_eq!(
                 (g.bound.lo().to_bits(), g.bound.hi().to_bits(), g.label),
                 (w.lo.to_bits(), w.hi.to_bits(), w.label),
                 "kernel vs reference, bit for bit, {:?}: {}",
                 g.id,
                 ctx
-            );
-            continue;
-        };
+            ),
+            Compare::Refined1nn(exact) => {
+                prop_assert!(
+                    within_tol,
+                    "refined bounds {} vs [{}, {}], {:?}: {}",
+                    g.bound,
+                    w.lo,
+                    w.hi,
+                    g.id,
+                    ctx
+                );
+                let decisive = [spec.threshold, spec.threshold - spec.tolerance]
+                    .iter()
+                    .all(|t| (exact - t).abs() > EXACT_TOL);
+                if decisive {
+                    prop_assert_eq!(g.label, w.label, "refined label, {:?}: {}", g.id, ctx);
+                }
+            }
+            Compare::KnnFine => prop_assert!(
+                within_tol && g.label == w.label,
+                "fine-stage {} {:?} vs [{}, {}] {:?}, {:?}: {}",
+                g.bound,
+                g.label,
+                w.lo,
+                w.hi,
+                w.label,
+                g.id,
+                ctx
+            ),
+            Compare::KnnCoarse => prop_assert!(
+                g.bound.lo() <= w.lo + BOUND_TOL && w.hi <= g.bound.hi() + BOUND_TOL,
+                "coarse-stage {} does not contain [{}, {}], {:?}: {}",
+                g.bound,
+                w.lo,
+                w.hi,
+                g.id,
+                ctx
+            ),
+        }
+    }
+    Ok(())
+}
+
+/// Soundness of one k-NN query against the naive exact probabilities
+/// (`knn::knn_probabilities`): every candidate's final bound brackets its
+/// probability, wherever the chain or refinement stopped it, and its label
+/// is one Definition 1 allows.
+fn assert_sound_knn<M: DistanceModel + ?Sized>(
+    model: &M,
+    q: &M::Query,
+    spec: &QuerySpec,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    let got = cpnn(model, q, spec, &PipelineConfig::default()).unwrap();
+    let filtered = model.filter(q, spec.k).expect("filter");
+    let table = SubregionTable::build(&CandidateSet::from_distances(filtered.items, spec.k));
+    let exact = knn_probabilities(&table, spec.k);
+    prop_assert_eq!(got.reports.len(), exact.len(), "candidate count: {}", ctx);
+    for (r, &p) in got.reports.iter().zip(&exact) {
         prop_assert!(
-            (g.bound.lo() - w.lo).abs() <= BOUND_TOL && (g.bound.hi() - w.hi).abs() <= BOUND_TOL,
-            "refined bounds {} vs [{}, {}], {:?}: {}",
-            g.bound,
-            w.lo,
-            w.hi,
-            g.id,
+            r.bound.contains(p, EXACT_TOL),
+            "{:?}: exact {} outside {:?}: {}",
+            r.id,
+            p,
+            r.bound,
             ctx
         );
-        let decisive = [spec.threshold, spec.threshold - spec.tolerance]
-            .iter()
-            .all(|t| (exact - t).abs() > EXACT_TOL);
-        if decisive {
-            prop_assert_eq!(g.label, w.label, "refined label, {:?}: {}", g.id, ctx);
+        if p >= spec.threshold + EXACT_TOL {
+            prop_assert_eq!(r.label, Label::Satisfy, "{:?}, p = {}: {}", r.id, p, ctx);
+        } else if p < spec.threshold - spec.tolerance - EXACT_TOL {
+            prop_assert_eq!(r.label, Label::Fail, "{:?}, p = {}: {}", r.id, p, ctx);
+        } else {
+            prop_assert!(r.label != Label::Unknown, "{:?}, p = {}: {}", r.id, p, ctx);
         }
+    }
+    Ok(())
+}
+
+/// Monotonicity of the two SR-k stages on one table: coarse bounds contain
+/// fine-only bounds, and the fine stage after the coarse one loosens
+/// neither a cell nor a bound (and lands on the fine-only values).
+fn assert_knn_stages_monotone(
+    table: &SubregionTable,
+    k: usize,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    let apply = |stages: &[KnnSubregion]| {
+        let mut state = VerificationState::new(table);
+        let mut snapshots = Vec::new();
+        for stage in stages {
+            stage.apply(table, &mut state);
+            snapshots.push((
+                state.bounds.clone(),
+                state.qij_lo.clone(),
+                state.qij_hi.clone(),
+            ));
+        }
+        snapshots
+    };
+    let fine = apply(&[KnnSubregion::new(k)]).remove(0);
+    let mut both = apply(&[KnnSubregion::coarse(k), KnnSubregion::new(k)]);
+    let (after, coarse) = (both.remove(1), both.remove(0));
+    for i in 0..table.n_objects() {
+        let (c, a, f) = (coarse.0[i], after.0[i], fine.0[i]);
+        prop_assert!(
+            c.lo() <= f.lo() + BOUND_TOL && f.hi() <= c.hi() + BOUND_TOL,
+            "coarse {} does not contain fine {}, object {}: {}",
+            c,
+            f,
+            i,
+            ctx
+        );
+        prop_assert!(
+            c.lo() <= a.lo() && a.hi() <= c.hi(),
+            "fine stage loosened {} to {}, object {}: {}",
+            c,
+            a,
+            i,
+            ctx
+        );
+        prop_assert!(
+            (a.lo() - f.lo()).abs() <= BOUND_TOL && (a.hi() - f.hi()).abs() <= BOUND_TOL,
+            "coarse-then-fine {} vs fine-only {}, object {}: {}",
+            a,
+            f,
+            i,
+            ctx
+        );
+    }
+    for (cell, (c, a)) in coarse.1.iter().zip(&after.1).enumerate() {
+        prop_assert!(c <= a, "q.l cell {} loosened {} -> {}: {}", cell, c, a, ctx);
+    }
+    for (cell, (c, a)) in coarse.2.iter().zip(&after.2).enumerate() {
+        prop_assert!(a <= c, "q.u cell {} loosened {} -> {}: {}", cell, c, a, ctx);
     }
     Ok(())
 }
@@ -302,6 +478,9 @@ proptest! {
             (QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified), false),
             (QuerySpec::nn(0.4, 0.0, EvalStrategy::Verified), true),
             (QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified), false),
+            // Refine-heavy: a low threshold with no tolerance leaves rows
+            // `Unknown` after both SR-k stages.
+            (QuerySpec::knn(4, 0.05, 0.0, EvalStrategy::Verified), false),
         ];
         for (spec, extended) in specs {
             let cfg = PipelineConfig {
@@ -427,6 +606,64 @@ proptest! {
                 let q = [x, y];
                 assert_sound(&db, &q, &spec, &format!("2-D q = {q:?}, {spec:?}"))?;
             }
+        }
+    }
+
+    /// k-NN soundness, 1-D: wherever the RS → coarse SR-k → fine SR-k →
+    /// refine pipeline stops an object, its bound brackets the naive
+    /// probability and its label obeys Definition 1.
+    #[test]
+    fn knn_verification_is_sound_against_the_naive_probabilities_1d(
+        objs in objects_1d(14),
+        queries in prop::collection::vec(-60.0f64..60.0, 2..5),
+    ) {
+        let db = UncertainDb::build(objs).unwrap();
+        for k in [2usize, 3, 4] {
+            for (threshold, tolerance) in [(0.3, 0.01), (0.6, 0.0), (0.05, 0.0)] {
+                let spec = QuerySpec::knn(k, threshold, tolerance, EvalStrategy::Verified);
+                for &q in &queries {
+                    assert_sound_knn(&db, &q, &spec, &format!("1-D q = {q}, {spec:?}"))?;
+                }
+            }
+        }
+    }
+
+    /// k-NN soundness, 2-D, including the refine-heavy spec (`P = 0.05`,
+    /// `Δ = 0`) that sends rows through `kernels::knn_qualification`.
+    #[test]
+    fn knn_verification_is_sound_against_the_naive_probabilities_2d(
+        objs in objects_2d(10),
+        queries in prop::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 2..4),
+    ) {
+        let db = UncertainDb2d::build(objs).unwrap();
+        for (k, threshold, tolerance) in
+            [(2, 0.3, 0.01), (3, 0.5, 0.0), (4, 0.3, 0.01), (2, 0.05, 0.0), (4, 0.05, 0.0)]
+        {
+            let spec = QuerySpec::knn(k, threshold, tolerance, EvalStrategy::Verified);
+            for &(x, y) in &queries {
+                let q = [x, y];
+                assert_sound_knn(&db, &q, &spec, &format!("2-D q = {q:?}, {spec:?}"))?;
+            }
+        }
+    }
+
+    /// The two SR-k stages are monotone on 1-D and 2-D tables: coarse ⊇
+    /// coarse-then-fine = fine-only, cell by cell and bound by bound.
+    #[test]
+    fn knn_stages_only_tighten(
+        objs1 in objects_1d(14),
+        objs2 in objects_2d(10),
+        q in -40.0f64..40.0,
+    ) {
+        let db1 = UncertainDb::build(objs1).unwrap();
+        let db2 = UncertainDb2d::build(objs2).unwrap();
+        for k in [2usize, 3, 4] {
+            let filtered = DistanceModel::filter(&db1, &q, k).expect("filter");
+            let table = SubregionTable::build(&CandidateSet::from_distances(filtered.items, k));
+            assert_knn_stages_monotone(&table, k, &format!("1-D q = {q}, k = {k}"))?;
+            let filtered = DistanceModel::filter(&db2, &[q, -q], k).expect("filter");
+            let table = SubregionTable::build(&CandidateSet::from_distances(filtered.items, k));
+            assert_knn_stages_monotone(&table, k, &format!("2-D q = [{q}, {}], k = {k}", -q))?;
         }
     }
 }
