@@ -1,6 +1,6 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation,
-//! plus the batch-scaling, serve-mode, sharding, and 2-D k-NN experiments,
-//! and emit a machine-readable timing file (the current series file,
+//! plus the 2-D k-NN, cache, update, verifier-kernel and recovery
+//! experiments, and emit a machine-readable timing file (the current series file,
 //! `BENCH_pr<N>.json` derived from [`CURRENT_PR`]) so later changes have a
 //! perf trajectory to regress against.
 //!
@@ -9,8 +9,8 @@
 //! repro [--quick] [--out DIR] [--bench-json FILE] [EXPERIMENT ...]
 //! ```
 //! where `EXPERIMENT` is any of `fig9 fig10 fig11 fig12 fig13 fig14 table3
-//! ablations batch serve shard knn2d cache update verify recovery` or `all` (default). `--quick` uses a
-//! reduced workload (same shapes, faster); `--out` selects the results
+//! ablations knn2d cache update verify recovery` or `all` (default).
+//! `--quick` uses a reduced workload (same shapes, faster); `--out` selects the results
 //! directory (default `results/`); `--bench-json` overrides the
 //! timing-file path (default: the current series file, empty string
 //! disables) — so one-off runs can land anywhere without touching source.
@@ -26,7 +26,7 @@ use cpnn_bench::report::Table;
 /// The PR this tree's timings belong to. The default timing file is
 /// derived from it, so each PR's trajectory lands in its own
 /// `BENCH_pr<N>.json` (override any single run with `--bench-json PATH`).
-const CURRENT_PR: u32 = 16;
+const CURRENT_PR: u32 = 26;
 
 /// The current series file: `BENCH_pr<CURRENT_PR>.json`.
 fn current_series() -> String {
@@ -57,8 +57,8 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: repro [--quick] [--out DIR] [--bench-json FILE (default {})] \
-                     [fig9|fig10|fig11|fig12|fig13|fig14|table3|ablations|batch|serve|shard|\
-                     knn2d|cache|update|verify|recovery|router|all ...]",
+                     [fig9|fig10|fig11|fig12|fig13|fig14|table3|ablations|knn2d|cache|update|\
+                     verify|recovery|all ...]",
                     current_series()
                 );
                 return;
@@ -79,15 +79,11 @@ fn main() {
         "fig14",
         "table3",
         "ablations",
-        "batch",
-        "serve",
-        "shard",
         "knn2d",
         "cache",
         "update",
         "verify",
         "recovery",
-        "router",
     ];
     if let Some(unknown) = wanted.iter().find(|w| !KNOWN.contains(&w.as_str())) {
         eprintln!(
@@ -158,15 +154,6 @@ fn main() {
             &mut produced,
         );
     }
-    if want("batch") {
-        run("batch", &experiments::batch::run, &mut produced);
-    }
-    if want("serve") {
-        run("serve", &experiments::serve::run, &mut produced);
-    }
-    if want("shard") {
-        run("shard", &experiments::shard::run, &mut produced);
-    }
     if want("knn2d") {
         run("knn2d", &experiments::knn2d::run, &mut produced);
     }
@@ -181,9 +168,6 @@ fn main() {
     }
     if want("recovery") {
         run("recovery", &experiments::recovery::run, &mut produced);
-    }
-    if want("router") {
-        run("router", &experiments::router::run, &mut produced);
     }
 
     for (t, _) in &produced {

@@ -3,7 +3,6 @@
 //! rows/series the paper plots.
 
 pub mod ablations;
-pub mod batch;
 pub mod cache;
 pub mod fig09;
 pub mod fig10;
@@ -13,9 +12,6 @@ pub mod fig13;
 pub mod fig14;
 pub mod knn2d;
 pub mod recovery;
-pub mod router;
-pub mod serve;
-pub mod shard;
 pub mod table3;
 pub mod update;
 pub mod verify;

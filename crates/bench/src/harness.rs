@@ -1,10 +1,7 @@
 //! Query-set runner: executes a batch of queries under one strategy and
-//! aggregates the per-phase statistics the figures plot.
-//!
-//! Both entry points route through [`BatchExecutor`]: [`run_queries`] on a
-//! single worker (the paper's per-query measurements), and
-//! [`run_queries_batched`] across a chosen thread count (the batch-scaling
-//! experiment).
+//! aggregates the per-phase statistics the figures plot. [`run_queries`]
+//! routes through a single-worker [`BatchExecutor`], so per-query timings
+//! are the paper's undisturbed measurements.
 
 use std::time::Duration;
 
@@ -29,7 +26,7 @@ pub struct RunSummary {
     pub avg_refine: Duration,
     /// Mean candidate-set size.
     pub avg_candidates: f64,
-    /// Mean work counter (integrations / integrand evals / worlds).
+    /// Mean work counter (integrations / integrand evals).
     pub avg_integrations: f64,
     /// Fraction of queries fully resolved by verification alone.
     pub resolved_fraction: f64,
@@ -38,29 +35,6 @@ pub struct RunSummary {
     /// unless the strategy verifies). Names can repeat: the k-NN chain runs
     /// `"SR-k"` twice.
     pub unknown_fraction_after: Vec<(&'static str, f64)>,
-}
-
-/// Timing of a parallel batch run: the aggregated per-query statistics
-/// plus the end-to-end wall clock the thread count actually delivered.
-#[derive(Debug, Clone)]
-pub struct BatchRunSummary {
-    /// Per-query aggregation (identical in shape to a sequential run).
-    pub run: RunSummary,
-    /// Worker threads used.
-    pub threads: usize,
-    /// End-to-end wall-clock time of the whole batch.
-    pub wall_time: Duration,
-}
-
-impl BatchRunSummary {
-    /// Queries per second of wall-clock time.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.run.queries as f64 / secs
-    }
 }
 
 /// Add one query's unknown fraction after each stage to `acc`, slot by
@@ -97,25 +71,11 @@ pub fn run_queries(
     tolerance: f64,
     strategy: Strategy,
 ) -> RunSummary {
-    run_queries_batched(db, queries, threshold, tolerance, strategy, 1).run
-}
-
-/// Run the query set across `threads` workers through the batch executor
-/// (`0` = one per core) and aggregate.
-pub fn run_queries_batched(
-    db: &UncertainDb,
-    queries: &[f64],
-    threshold: f64,
-    tolerance: f64,
-    strategy: Strategy,
-    threads: usize,
-) -> BatchRunSummary {
     let batch: Vec<CpnnQuery> = queries
         .iter()
         .map(|&q| CpnnQuery::new(q, threshold, tolerance))
         .collect();
-    let executor = BatchExecutor::new(threads);
-    let out = executor.run_cpnn(db, &batch, strategy, &db.config().pipeline());
+    let out = BatchExecutor::new(1).run_cpnn(db, &batch, strategy, &db.config().pipeline());
 
     let mut sum = RunSummary {
         queries: queries.len(),
@@ -162,11 +122,7 @@ pub fn run_queries_batched(
         // to report, so normalize by the query count, not the stage count.
         .map(|(name, acc)| (name, acc / n as f64))
         .collect();
-    BatchRunSummary {
-        run: sum,
-        threads: out.summary.threads,
-        wall_time: out.summary.wall_time,
-    }
+    sum
 }
 
 #[cfg(test)]
@@ -180,21 +136,6 @@ mod tests {
             ..LongBeachConfig::default()
         };
         UncertainDb::build(longbeach_with(3, cfg)).unwrap()
-    }
-
-    #[test]
-    fn batched_run_matches_sequential_aggregation() {
-        let db = db();
-        let queries = query_points(9, 12);
-        let seq = run_queries(&db, &queries, 0.3, 0.01, Strategy::Verified);
-        let par = run_queries_batched(&db, &queries, 0.3, 0.01, Strategy::Verified, 4);
-        assert_eq!(par.threads, 4);
-        assert_eq!(seq.queries, par.run.queries);
-        // Work counters are deterministic; timings are not.
-        assert_eq!(seq.avg_candidates, par.run.avg_candidates);
-        assert_eq!(seq.avg_integrations, par.run.avg_integrations);
-        assert_eq!(seq.resolved_fraction, par.run.resolved_fraction);
-        assert!(par.throughput() > 0.0);
     }
 
     #[test]

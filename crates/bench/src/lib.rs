@@ -21,5 +21,5 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 
-pub use harness::{run_queries, run_queries_batched, BatchRunSummary, RunSummary};
+pub use harness::{run_queries, RunSummary};
 pub use report::Table;

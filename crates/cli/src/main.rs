@@ -81,30 +81,23 @@ fn print_usage() {
          \x20 generate --out FILE [--count N] [--seed S]   create a synthetic dataset snapshot\n\
          \x20 info FILE                                    dataset statistics\n\
          \x20 pnn FILE --q Q [--top N]                     exact qualification probabilities\n\
-         \x20 cpnn FILE --q Q --p P [--delta D] [--strategy vr|basic|refine|mc] [--shards N]\n\
-         \x20           [--shard-balance width|quantile] [--cache N] [--cache-quantum EPS]\n\
-         \x20           [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20 cpnn FILE --q Q --p P [--delta D] [--strategy vr|basic|refine] [--cache N]\n\
+         \x20           [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
          \x20 cpnn FILE --batch N --p P [--threads T] [--seed S] [--delta D] [--strategy S]\n\
-         \x20           [--shards N] [--shard-balance B] [--cache N] [--cache-quantum EPS]\n\
-         \x20           [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20           [--cache N] [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
          \x20                                              batch over N random query points\n\
-         \x20                                              (T = 0 means one per core; shards > 1\n\
-         \x20                                              fans each query out across a\n\
-         \x20                                              domain-partitioned database —\n\
-         \x20                                              equal-width slabs by default,\n\
-         \x20                                              equal-count with --shard-balance\n\
-         \x20                                              quantile; --cache N memoizes\n\
-         \x20                                              verification state for up to N query\n\
-         \x20                                              points per worker, snapped to an\n\
-         \x20                                              EPS-wide grid; --shared-cache N adds\n\
-         \x20                                              a process-wide second tier that all\n\
-         \x20                                              workers consult on local misses and\n\
-         \x20                                              memoizes verification outcomes, with\n\
-         \x20                                              optional --cache-ttl entry lifetime)\n\
+         \x20                                              (T = 0 means one per core; --cache N\n\
+         \x20                                              memoizes verification state for up\n\
+         \x20                                              to N query points per worker, snapped\n\
+         \x20                                              to an EPS-wide grid; --shared-cache N\n\
+         \x20                                              adds a process-wide second tier that\n\
+         \x20                                              all workers consult on local misses\n\
+         \x20                                              and memoizes verification outcomes,\n\
+         \x20                                              with optional --cache-ttl lifetime)\n\
          \x20 knn FILE --q Q --k K --p P [--delta D]       constrained probabilistic k-NN\n\
          \x20 knn2d --qx X --qy Y --p P [--k K] [--count N] [--seed S] [--delta D]\n\
-         \x20       [--domain D] [--shards N] [--shard-balance B] [--cache N]\n\
-         \x20       [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20       [--domain D] [--cache N] [--cache-quantum EPS] [--shared-cache N]\n\
+         \x20       [--cache-ttl SECS]\n\
          \x20                                              constrained 2-D k-NN over a synthetic\n\
          \x20                                              disk/rectangle dataset on [0, D]²\n\
          \x20 range FILE --lo A --hi B --p P               probabilistic range query\n\
@@ -214,10 +207,6 @@ fn parse_strategy(name: &str) -> Result<Strategy, UsageError> {
         "vr" | "verified" => Ok(Strategy::Verified),
         "basic" => Ok(Strategy::Basic),
         "refine" => Ok(Strategy::RefineOnly),
-        "mc" | "montecarlo" => Ok(Strategy::MonteCarlo {
-            worlds: 10_000,
-            seed: 7,
-        }),
         other => Err(UsageError(format!("unknown strategy `{other}`"))),
     }
 }
@@ -284,22 +273,12 @@ fn cache_args(bag: &mut ArgBag) -> Result<(CacheConfig, SharedCacheConfig), Usag
 
 fn cpnn(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let path: PathBuf = bag.positional("dataset file")?;
-    let shards: usize = bag.optional("shards")?.unwrap_or(1);
-    let balance = shard_balance_args(bag)?;
     let batch = bag.optional::<usize>("batch")?;
     let (cache, shared_cache) = cache_args(bag)?;
-    // One storage layout, built once from the snapshot's raw objects: a
-    // ShardedDb whose single-shard case *is* the unsharded database
-    // (equivalence is property-tested), so there is no second code path.
-    let db = UncertainDb::build_sharded_with(load_objects_from_path(&path)?, shards, balance)?;
-    if shards > 1 {
-        eprintln!(
-            "sharded into {} domain slabs: sizes {:?}",
-            db.num_shards(),
-            db.shard_sizes()
-        );
-    }
-    let mut cfg = db.pipeline_config();
+    // Built from the snapshot's raw objects, so a sharded snapshot loads
+    // as one flat database too.
+    let db = UncertainDb::build(load_objects_from_path(&path)?)?;
+    let mut cfg = db.config().pipeline();
     cfg.cache = cache;
     cfg.shared_cache = shared_cache;
     if let Some(count) = batch {
@@ -330,8 +309,7 @@ fn warn_snapped(cache: &CacheConfig, coords: &[f64]) {
     }
 }
 
-/// Shared `--q/--p/--delta/--strategy` parsing for the one-shot `cpnn`
-/// paths (flat and sharded).
+/// `--q/--p/--delta/--strategy` parsing for the one-shot `cpnn` path.
 fn cpnn_query_args(bag: &mut ArgBag) -> Result<(CpnnQuery, Strategy), Box<dyn std::error::Error>> {
     let q: f64 = bag.required("q")?;
     let p: f64 = bag.required("p")?;
@@ -361,16 +339,14 @@ fn print_cpnn_result(res: &cpnn_core::CpnnResult) {
     }
 }
 
-/// Parsed arguments shared by the flat and sharded `--batch` paths.
-struct BatchArgs {
-    p: f64,
-    delta: f64,
-    threads: usize,
-    seed: u64,
-    strategy: Strategy,
-}
-
-fn batch_args(bag: &mut ArgBag) -> Result<BatchArgs, Box<dyn std::error::Error>> {
+/// `cpnn FILE --batch N`: evaluate `N` random query points concurrently
+/// through the batch executor and report aggregate statistics.
+fn cpnn_batch(
+    bag: &mut ArgBag,
+    db: &UncertainDb,
+    count: usize,
+    cfg: &cpnn_core::PipelineConfig,
+) -> Result<(), Box<dyn std::error::Error>> {
     let p: f64 = bag.required("p")?;
     let delta: f64 = bag.optional("delta")?.unwrap_or(0.01);
     let threads: usize = bag.optional("threads")?.unwrap_or(0);
@@ -380,35 +356,12 @@ fn batch_args(bag: &mut ArgBag) -> Result<BatchArgs, Box<dyn std::error::Error>>
             .unwrap_or_else(|| "vr".into()),
     )?;
     bag.finish()?;
-    Ok(BatchArgs {
-        p,
-        delta,
-        threads,
-        seed,
-        strategy,
-    })
-}
-
-/// `cpnn FILE --batch N [--shards S]`: evaluate `N` random query points
-/// concurrently through the shard-aware batch executor (`(query, shard)`
-/// work units; one shard is the unsharded case) and report aggregate
-/// statistics.
-fn cpnn_batch(
-    bag: &mut ArgBag,
-    db: &ShardedDb<UncertainDb>,
-    count: usize,
-    cfg: &cpnn_core::PipelineConfig,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let a = batch_args(bag)?;
-    let (lo, hi) = db
-        .extent()
-        .map(|e| (e.lo[0], e.hi[0]))
-        .unwrap_or((0.0, 1.0));
-    let jobs: Vec<(f64, QuerySpec)> = query_points_in(a.seed, count, lo, hi)
+    let (lo, hi) = db.domain().unwrap_or((0.0, 1.0));
+    let queries: Vec<CpnnQuery> = query_points_in(seed, count, lo, hi)
         .into_iter()
-        .map(|q| (q, QuerySpec::nn(a.p, a.delta, a.strategy)))
+        .map(|q| CpnnQuery::new(q, p, delta))
         .collect();
-    let out = BatchExecutor::new(a.threads).run_sharded(db, &jobs, cfg);
+    let out = BatchExecutor::new(threads).run_cpnn(db, &queries, strategy, cfg);
     print_batch_outcome(&out)
 }
 
@@ -477,8 +430,7 @@ fn knn(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
 
 /// `cpnn knn2d`: constrained probabilistic k-NN over a synthetic 2-D
 /// dataset (mixed uniform disks and rectangles) — the ROADMAP's "2-D k-NN"
-/// workload, running `pipeline::cpnn` with `k > 1` over `UncertainDb2d`,
-/// optionally domain-sharded with `--shards`.
+/// workload, running `pipeline::cpnn` with `k > 1` over `UncertainDb2d`.
 fn knn2d(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let qx: f64 = bag.required("qx")?;
     let qy: f64 = bag.required("qy")?;
@@ -488,8 +440,6 @@ fn knn2d(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let count: usize = bag.optional("count")?.unwrap_or(5_000);
     let seed: u64 = bag.optional("seed")?.unwrap_or(0x2D);
     let domain: f64 = bag.optional("domain")?.unwrap_or(1_000.0);
-    let shards: usize = bag.optional("shards")?.unwrap_or(1);
-    let balance = shard_balance_args(bag)?;
     let (cache, shared_cache) = cache_args(bag)?;
     bag.finish()?;
     let cfg2d = Synthetic2dConfig {
@@ -504,19 +454,16 @@ fn knn2d(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
         ))));
     }
     let objects = objects_2d(seed, cfg2d);
-    let db = UncertainDb2d::build_sharded_with(objects, shards, balance)?;
+    let db = UncertainDb2d::build(objects)?;
     let spec = QuerySpec::knn(k, p, delta, Strategy::Verified);
-    let mut cfg = db.pipeline_config();
-    cfg.cache = cache;
-    cfg.shared_cache = shared_cache;
+    let cfg = cpnn_core::PipelineConfig {
+        cache,
+        shared_cache,
+        ..Default::default()
+    };
     warn_snapped(&cfg.cache, &[qx, qy]);
     let res = pipeline::cpnn(&db, &[qx, qy], &spec, &cfg)?;
-    println!(
-        "{} objects ({} shard(s), sizes {:?}), query ({qx}, {qy}), k = {k}, P = {p}",
-        db.len(),
-        db.num_shards(),
-        db.shard_sizes()
-    );
+    println!("{} objects, query ({qx}, {qy}), k = {k}, P = {p}", db.len());
     println!(
         "answers: {:?}  ({} candidates, {} subregions, {} integrations, {:?})",
         res.answers.iter().map(|id| id.0).collect::<Vec<_>>(),

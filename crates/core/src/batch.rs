@@ -16,25 +16,26 @@
 //!   being reallocated per query;
 //! * results come back in input order and are bitwise identical to a
 //!   sequential run, whatever the thread count — each query's evaluation
-//!   (including Monte-Carlo seeding) is deterministic and independent.
+//!   is deterministic and independent.
+//!
+//! A [`crate::shard::ShardedDb`] is a [`DistanceModel`] like any other, so
+//! a sharded batch is the same [`BatchExecutor::run`] call: each worker
+//! fans its query out over the shards and verifies the merged candidates
+//! once.
 //!
 //! [`BatchSummary`] aggregates the per-phase [`QueryStats`] the paper's
-//! figures plot, plus wall-clock time and throughput for scaling studies
-//! (`repro`'s `batch` experiment sweeps the thread count over a 10k-query
-//! workload).
+//! figures plot, plus wall-clock time and throughput.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStats, SharedVerifyCache};
-use crate::candidate::CandidateSet;
 use crate::error::Result;
 use crate::pipeline::{
-    cpnn_with, evaluate_candidates, CpnnQuery, CpnnResult, DistanceModel, Filtered, PipelineConfig,
-    QueryScratch, QuerySpec, QueryStats, Strategy,
+    cpnn_with, CpnnQuery, CpnnResult, DistanceModel, PipelineConfig, QueryScratch, QuerySpec,
+    QueryStats, Strategy,
 };
-use crate::shard::{ShardPoint, ShardableModel, ShardedDb};
 
 /// Evaluates batches of constrained queries across worker threads.
 ///
@@ -130,178 +131,6 @@ impl BatchExecutor {
             let q = queries[i];
             (q.q, QuerySpec::nn(q.threshold, q.tolerance, strategy))
         })
-    }
-
-    /// Shard-aware batch evaluation against a [`ShardedDb`].
-    ///
-    /// Work units are `(query, shard)` pairs — each unit filters one query
-    /// against one overlapping shard — so worker threads steal across
-    /// *shards* as well as queries: one enormous query fanned out over many
-    /// shards parallelizes instead of pinning a single worker. The worker
-    /// that deposits the last shard of a query merges the survivor sets
-    /// (in the same ascending-mindist order the sequential fan-out uses)
-    /// and runs the shared verify/refine flow once over the merged
-    /// candidates ([`evaluate_candidates`]), so results are identical to a
-    /// sequential [`crate::pipeline::cpnn`] against the same `ShardedDb` —
-    /// and, by the fan-out equivalence, to an unsharded run.
-    pub fn run_sharded<M>(
-        &self,
-        db: &ShardedDb<M>,
-        jobs: &[(M::Query, QuerySpec)],
-        cfg: &PipelineConfig,
-    ) -> BatchOutcome
-    where
-        M: ShardableModel + Send + Sync,
-        M::Query: ShardPoint + Sync,
-        M::Config: Send + Sync,
-    {
-        // With the verification cache on, memoization wants the *merged*
-        // filter output of a whole query — which per-(query, shard) work
-        // units never materialize on one worker. Route whole queries
-        // through the generic path instead (the `ShardedDb` is itself a
-        // `DistanceModel` whose `filter` does the sequential fan-out), so
-        // each worker's cache sees complete, reusable candidate sets.
-        // Results are identical either way (fan-out equivalence,
-        // `tests/proptest_shard.rs`); only the stealing granularity drops
-        // from (query, shard) to query.
-        if cfg.cache.is_enabled() {
-            return self.run_indexed(db, jobs.len(), cfg, |i| jobs[i]);
-        }
-        struct Assembly {
-            /// One slot per selected shard, in selection (merge) order.
-            slots: Vec<Option<Result<(Filtered, Duration)>>>,
-            remaining: usize,
-        }
-        /// Pre-flight plan for one query: its `(mindist, shard)` selection
-        /// and any error caught before filtering.
-        type Plan = (Vec<(f64, usize)>, Option<crate::error::CoreError>);
-
-        let n = jobs.len();
-        let wall_start = Instant::now();
-        // Pre-flight (cheap, sequential): validate each query point and
-        // spec before any filtering work, matching `cpnn_with`'s order,
-        // then pick the shard set.
-        let plans: Vec<Plan> = jobs
-            .iter()
-            .map(|(q, spec)| {
-                let valid = db.check_query(q).and_then(|()| {
-                    crate::classify::Classifier::new(spec.threshold, spec.tolerance).map(|_| ())
-                });
-                match valid {
-                    Err(e) => (Vec::new(), Some(e)),
-                    Ok(()) => (db.overlapping(q, spec.k.max(1)), None),
-                }
-            })
-            .collect();
-        // One unit per (query, shard); a query with no overlapping shards
-        // (or a pre-flight error) gets a single merge-only unit so every
-        // result slot resolves.
-        let mut units: Vec<(usize, Option<usize>)> = Vec::new();
-        for (qi, (selected, err)) in plans.iter().enumerate() {
-            if err.is_some() || selected.is_empty() {
-                units.push((qi, None));
-            } else {
-                units.extend((0..selected.len()).map(|pos| (qi, Some(pos))));
-            }
-        }
-        let assemblies: Vec<Mutex<Assembly>> = plans
-            .iter()
-            .map(|(selected, _)| {
-                let mut slots = Vec::new();
-                slots.resize_with(selected.len(), || None);
-                Mutex::new(Assembly {
-                    slots,
-                    remaining: selected.len(),
-                })
-            })
-            .collect();
-
-        // Merge the per-shard survivor sets of query `qi` and evaluate.
-        let finish = |qi: usize,
-                      slots: Vec<Option<Result<(Filtered, Duration)>>>,
-                      scratch: &mut QueryScratch|
-         -> Result<CpnnResult> {
-            let (q_spec, err) = (&jobs[qi].1, &plans[qi].1);
-            if let Some(e) = err {
-                return Err(e.clone());
-            }
-            let mut items = Vec::new();
-            let mut filter_time = Duration::ZERO;
-            let mut shard_elapsed = Duration::ZERO;
-            for slot in slots {
-                let (filtered, elapsed) = slot.expect("every unit deposited its slot")?;
-                filter_time += filtered.filter_time;
-                shard_elapsed += elapsed;
-                items.extend(filtered.items);
-            }
-            let assemble_start = Instant::now();
-            let mut stats = QueryStats {
-                total_objects: db.total_objects(),
-                ..Default::default()
-            };
-            let cands = CandidateSet::from_distances(items, q_spec.k.max(1));
-            stats.candidates = cands.len();
-            stats.filter_time = filter_time.min(shard_elapsed);
-            stats.init_time =
-                shard_elapsed.saturating_sub(stats.filter_time) + assemble_start.elapsed();
-            evaluate_candidates(&cands, q_spec, cfg, scratch, stats)
-        };
-
-        let threads = self.threads.min(units.len().max(1));
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<CpnnResult>)>> = Mutex::new(Vec::with_capacity(n));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut scratch = QueryScratch::new();
-                    let mut local = Vec::new();
-                    loop {
-                        let u = next.fetch_add(1, Ordering::Relaxed);
-                        if u >= units.len() {
-                            break;
-                        }
-                        let (qi, pos) = units[u];
-                        let Some(pos) = pos else {
-                            // Merge-only unit: empty shard set or error.
-                            local.push((qi, finish(qi, Vec::new(), &mut scratch)));
-                            continue;
-                        };
-                        let (q, spec) = &jobs[qi];
-                        let shard = plans[qi].0[pos].1;
-                        let start = Instant::now();
-                        let filtered = db.shard_model(shard).filter(q, spec.k.max(1));
-                        let elapsed = start.elapsed();
-                        let mut asm = assemblies[qi].lock().expect("no worker panics");
-                        asm.slots[pos] = Some(filtered.map(|f| (f, elapsed)));
-                        asm.remaining -= 1;
-                        let done = asm.remaining == 0;
-                        let slots = if done {
-                            std::mem::take(&mut asm.slots)
-                        } else {
-                            Vec::new()
-                        };
-                        drop(asm);
-                        if done {
-                            // Last shard in: this worker owns the merge.
-                            local.push((qi, finish(qi, slots, &mut scratch)));
-                        }
-                    }
-                    collected.lock().expect("no worker panics").extend(local);
-                });
-            }
-        });
-        let mut slots: Vec<Option<Result<CpnnResult>>> = Vec::new();
-        slots.resize_with(n, || None);
-        for (i, r) in collected.into_inner().expect("no worker panics") {
-            slots[i] = Some(r);
-        }
-        let results: Vec<Result<CpnnResult>> = slots
-            .into_iter()
-            .map(|s| s.expect("every query was merged by exactly one worker"))
-            .collect();
-        let wall_time = wall_start.elapsed();
-        let summary = BatchSummary::aggregate(&results, threads, wall_time);
-        BatchOutcome { results, summary }
     }
 
     fn run_indexed<M, F>(&self, model: &M, n: usize, cfg: &PipelineConfig, job: F) -> BatchOutcome
@@ -421,7 +250,7 @@ pub struct BatchSummary {
     pub refine_time: Duration,
     /// Summed candidate-set sizes.
     pub candidates: usize,
-    /// Summed work counters (integrations / integrand evals / worlds).
+    /// Summed work counters (integrations / integrand evals).
     pub integrations: usize,
     /// Summed refined-object counts.
     pub refined_objects: usize,
@@ -606,7 +435,7 @@ mod tests {
         for shards in [1, 3, 8] {
             let db = UncertainDb::build_sharded(objs.clone(), shards).unwrap();
             for threads in [1, 4] {
-                let got = BatchExecutor::new(threads).run_sharded(&db, &jobs, &cfg);
+                let got = BatchExecutor::new(threads).run(&db, &jobs, &cfg);
                 assert_eq!(got.results.len(), want.results.len());
                 for (i, (a, b)) in want.results.iter().zip(&got.results).enumerate() {
                     let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -631,7 +460,7 @@ mod tests {
             (f64::NAN, QuerySpec::nn(0.3, 0.01, Strategy::Verified)),
             (7.0, QuerySpec::nn(0.0, 0.0, Strategy::Verified)), // invalid threshold
         ];
-        let out = BatchExecutor::new(3).run_sharded(&db, &jobs, &cfg);
+        let out = BatchExecutor::new(3).run(&db, &jobs, &cfg);
         assert!(out.results[0].is_ok());
         assert!(out.results[1].is_err());
         assert!(out.results[2].is_err());
@@ -642,10 +471,10 @@ mod tests {
     fn sharded_batch_on_empty_db_and_empty_jobs() {
         let db = UncertainDb::build_sharded(Vec::new(), 4).unwrap();
         let cfg = EngineConfig::default().pipeline();
-        let out = BatchExecutor::new(2).run_sharded::<UncertainDb>(&db, &[], &cfg);
+        let out = BatchExecutor::new(2).run(&db, &[], &cfg);
         assert!(out.results.is_empty());
         let jobs = vec![(0.0, QuerySpec::nn(0.3, 0.01, Strategy::Verified))];
-        let out = BatchExecutor::new(2).run_sharded(&db, &jobs, &cfg);
+        let out = BatchExecutor::new(2).run(&db, &jobs, &cfg);
         assert!(out.results[0].as_ref().unwrap().answers.is_empty());
     }
 

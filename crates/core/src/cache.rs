@@ -222,10 +222,8 @@ pub fn point_key_2d(q: [f64; 2]) -> u128 {
 }
 
 /// Bit-exact key of one memoized *verification outcome* at a cached
-/// query point: the exact threshold/tolerance band, the strategy
-/// (including Monte-Carlo world count and seed — strategies are
-/// deterministic functions of their spec), and the pipeline knobs that
-/// shape verify/refine (`refinement_order`, `basic_tolerance`,
+/// query point: the exact threshold/tolerance band, the strategy, and the
+/// pipeline knobs that shape verify/refine (`refinement_order`,
 /// `extended_verifiers`). `k` and the snapped point are already part of
 /// the *entry* key, so they are not repeated here.
 ///
@@ -240,35 +238,19 @@ pub fn point_key_2d(q: [f64; 2]) -> u128 {
 pub struct OutcomeKey {
     threshold: u64,
     tolerance: u64,
-    /// Strategy discriminant plus Monte-Carlo parameters (zero for the
-    /// deterministic strategies).
-    strategy: (u8, u64, u64),
-    refinement: u8,
-    basic_tolerance: u64,
+    strategy: crate::pipeline::Strategy,
+    refinement: crate::refine::RefinementOrder,
     extended_verifiers: bool,
 }
 
 impl OutcomeKey {
     /// The outcome key for evaluating `spec` under `cfg`.
     pub fn new(spec: &crate::pipeline::QuerySpec, cfg: &crate::pipeline::PipelineConfig) -> Self {
-        use crate::pipeline::Strategy;
-        use crate::refine::RefinementOrder;
-        let strategy = match spec.strategy {
-            Strategy::Basic => (0u8, 0u64, 0u64),
-            Strategy::RefineOnly => (1, 0, 0),
-            Strategy::Verified => (2, 0, 0),
-            Strategy::MonteCarlo { worlds, seed } => (3, worlds as u64, seed),
-        };
-        let refinement = match cfg.refinement_order {
-            RefinementOrder::DescendingMass => 0u8,
-            RefinementOrder::LeftToRight => 1,
-        };
         Self {
             threshold: spec.threshold.to_bits(),
             tolerance: spec.tolerance.to_bits(),
-            strategy,
-            refinement,
-            basic_tolerance: cfg.basic_tolerance.to_bits(),
+            strategy: spec.strategy,
+            refinement: cfg.refinement_order,
             extended_verifiers: cfg.extended_verifiers,
         }
     }
@@ -1410,30 +1392,6 @@ mod tests {
         // A different band misses; the threshold is keyed bit-exactly.
         let other = OutcomeKey::new(&QuerySpec::nn(0.4, 0.01, Strategy::Verified), &cfg);
         assert!(e.outcome(&other).is_none());
-        // MonteCarlo seeds are part of the band.
-        let mc1 = OutcomeKey::new(
-            &QuerySpec::nn(
-                0.3,
-                0.01,
-                Strategy::MonteCarlo {
-                    worlds: 64,
-                    seed: 1,
-                },
-            ),
-            &cfg,
-        );
-        let mc2 = OutcomeKey::new(
-            &QuerySpec::nn(
-                0.3,
-                0.01,
-                Strategy::MonteCarlo {
-                    worlds: 64,
-                    seed: 2,
-                },
-            ),
-            &cfg,
-        );
-        assert_ne!(mc1, mc2);
         // The memo list is bounded, evicting oldest-first.
         for i in 0..(OUTCOME_CAP + 2) {
             let spec = QuerySpec::nn(0.01 + i as f64 * 0.05, 0.0, Strategy::Verified);

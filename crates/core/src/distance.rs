@@ -158,7 +158,7 @@ impl DistanceDistribution {
         self.hist.mass_between(a, b)
     }
 
-    /// Inverse cdf (used by the Monte-Carlo baseline).
+    /// Inverse cdf (inverse-transform sampling of a distance).
     pub fn quantile(&self, p: f64) -> f64 {
         self.hist.quantile(p)
     }

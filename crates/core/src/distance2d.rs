@@ -13,19 +13,18 @@
 //! ```
 //!
 //! which has a closed form. The cdf is discretized (mass-preserving) into a
-//! distance histogram, after which the entire 1-D verifier machinery —
-//! subregions, RS/L-SR/U-SR, refinement — applies unchanged through
-//! [`crate::candidate::CandidateSet::from_distances`].
-
-use std::time::Instant;
+//! distance histogram ([`RadialCdf`], shared with rectangles), after which
+//! the entire 1-D verifier machinery — subregions, RS/L-SR/U-SR,
+//! refinement — applies unchanged through
+//! [`crate::candidate::CandidateSet::from_distances`]. This module holds the
+//! geometry only; queries over disks and rectangles run through
+//! [`crate::engine2d::UncertainDb2d`].
 
 use cpnn_pdf::HistogramPdf;
 
 use crate::distance::DistanceDistribution;
-use crate::engine::{ObjectReport, Strategy};
 use crate::error::{CoreError, Result};
 use crate::object::ObjectId;
-use crate::pipeline::{self, DistanceModel, Filtered, PipelineConfig, QuerySpec};
 
 /// A 2-D uncertain object: uniform pdf over a disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,100 +133,12 @@ pub fn lens_area(d: f64, r1: f64, r2: f64) -> f64 {
     t1 + t2 - 0.5 * s.sqrt()
 }
 
-/// Result of a 2-D C-PNN query.
-#[derive(Debug, Clone)]
-pub struct Cpnn2dResult {
-    /// IDs satisfying the query, ascending.
-    pub answers: Vec<ObjectId>,
-    /// Verdict per candidate.
-    pub reports: Vec<ObjectReport>,
-    /// Candidate-set size after filtering.
-    pub candidates: usize,
-    /// Whether verification alone resolved the query.
-    pub resolved_by_verification: bool,
-}
-
-/// A [`DistanceModel`] over a plain slice of circular objects — no index,
-/// exact near/far scan filtering. The smallest possible instantiation of
-/// the unified pipeline, useful for one-shot queries without building an
-/// [`crate::engine2d::UncertainDb2d`].
-#[derive(Debug, Clone, Copy)]
-pub struct CircleSliceModel<'a> {
-    objects: &'a [CircleObject],
-    bins: usize,
-}
-
-impl<'a> CircleSliceModel<'a> {
-    /// Model over `objects`, discretizing distance cdfs onto `bins` bars.
-    pub fn new(objects: &'a [CircleObject], bins: usize) -> Self {
-        Self { objects, bins }
-    }
-}
-
-impl DistanceModel for CircleSliceModel<'_> {
-    type Query = [f64; 2];
-
-    fn total_objects(&self) -> usize {
-        self.objects.len()
-    }
-
-    fn check_query(&self, q: &[f64; 2]) -> Result<()> {
-        check_finite_point(*q)
-    }
-
-    fn filter(&self, q: &[f64; 2], k: usize) -> Result<Filtered> {
-        let start = Instant::now();
-        let mut fars: Vec<f64> = self.objects.iter().map(|o| o.far(*q)).collect();
-        let horizon = crate::candidate::k_horizon(&mut fars, k);
-        let survivors: Vec<&CircleObject> = self
-            .objects
-            .iter()
-            .filter(|o| o.near(*q) <= horizon)
-            .collect();
-        let filter_time = start.elapsed();
-        let mut items = Vec::with_capacity(survivors.len());
-        for o in survivors {
-            items.push((o.id, o.radial(*q).distribution(self.bins)?));
-        }
-        Ok(Filtered { items, filter_time })
-    }
-}
-
-/// Evaluate a C-PNN over 2-D circular objects: exact near/far filtering,
-/// lens-area distance cdfs, then the standard verify → refine pipeline.
-pub fn cpnn_2d(
-    objects: &[CircleObject],
-    q: [f64; 2],
-    threshold: f64,
-    tolerance: f64,
-    bins: usize,
-) -> Result<Cpnn2dResult> {
-    let model = CircleSliceModel::new(objects, bins);
-    let res = pipeline::cpnn(
-        &model,
-        &q,
-        &QuerySpec::nn(threshold, tolerance, Strategy::Verified),
-        &PipelineConfig::default(),
-    )?;
-    Ok(Cpnn2dResult {
-        answers: res.answers,
-        candidates: res.stats.candidates,
-        resolved_by_verification: res.stats.resolved_by_verification,
-        reports: res.reports,
-    })
-}
-
-/// Exact 2-D PNN probabilities (subregion decomposition over lens-area
-/// cdfs), descending.
-pub fn pnn_2d(objects: &[CircleObject], q: [f64; 2], bins: usize) -> Result<Vec<(ObjectId, f64)>> {
-    let model = CircleSliceModel::new(objects, bins);
-    Ok(pipeline::pnn(&model, &q, 1)?.probabilities)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine2d::{Object2d, UncertainDb2d};
     use crate::geometry2d::Rect2;
+    use crate::pipeline::DistanceModel;
 
     #[test]
     fn lens_area_limits() {
@@ -276,33 +187,34 @@ mod tests {
 
     #[test]
     fn symmetric_circles_split_evenly() {
-        let objects = vec![
-            CircleObject::new(ObjectId(0), [2.0, 0.0], 1.0).unwrap(),
-            CircleObject::new(ObjectId(1), [-2.0, 0.0], 1.0).unwrap(),
-        ];
-        let probs = pnn_2d(&objects, [0.0, 0.0], 64).unwrap();
-        for (_, p) in &probs {
+        let db = UncertainDb2d::build(vec![
+            Object2d::circle(ObjectId(0), [2.0, 0.0], 1.0).unwrap(),
+            Object2d::circle(ObjectId(1), [-2.0, 0.0], 1.0).unwrap(),
+        ])
+        .unwrap();
+        for (_, p) in &db.pnn([0.0, 0.0]).unwrap().probabilities {
             assert!((p - 0.5).abs() < 1e-6, "p = {p}");
         }
     }
 
     #[test]
     fn nearer_circle_dominates() {
-        let objects = vec![
-            CircleObject::new(ObjectId(0), [1.0, 0.0], 0.5).unwrap(),
-            CircleObject::new(ObjectId(1), [5.0, 0.0], 0.5).unwrap(),
-        ];
-        let probs = pnn_2d(&objects, [0.0, 0.0], 64).unwrap();
+        let db = UncertainDb2d::build(vec![
+            Object2d::circle(ObjectId(0), [1.0, 0.0], 0.5).unwrap(),
+            Object2d::circle(ObjectId(1), [5.0, 0.0], 0.5).unwrap(),
+        ])
+        .unwrap();
+        let probs = db.pnn([0.0, 0.0]).unwrap().probabilities;
         assert_eq!(probs[0].0, ObjectId(0));
         assert!((probs[0].1 - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn cpnn_2d_answers_match_exact_thresholding() {
-        let objects: Vec<CircleObject> = (0..8)
+        let objects: Vec<Object2d> = (0..8)
             .map(|i| {
                 let angle = i as f64 * 0.7;
-                CircleObject::new(
+                Object2d::circle(
                     ObjectId(i),
                     [
                         (2.0 + 0.4 * i as f64) * angle.cos(),
@@ -313,28 +225,26 @@ mod tests {
                 .unwrap()
             })
             .collect();
+        let db = UncertainDb2d::build(objects).unwrap();
         let q = [0.5, 0.5];
-        let exact = pnn_2d(&objects, q, 48).unwrap();
+        let exact = db.pnn(q).unwrap().probabilities;
         for threshold in [0.2, 0.4, 0.6] {
-            let res = cpnn_2d(&objects, q, threshold, 0.0, 48).unwrap();
-            let want: Vec<ObjectId> = {
-                let mut v: Vec<ObjectId> = exact
-                    .iter()
-                    .filter(|(_, p)| *p >= threshold)
-                    .map(|(id, _)| *id)
-                    .collect();
-                v.sort_unstable();
-                v
-            };
+            let res = db.cpnn(q, threshold, 0.0).unwrap();
+            let mut want: Vec<ObjectId> = exact
+                .iter()
+                .filter(|(_, p)| *p >= threshold)
+                .map(|(id, _)| *id)
+                .collect();
+            want.sort_unstable();
             assert_eq!(res.answers, want, "P = {threshold}");
         }
     }
 
     #[test]
     fn probabilities_sum_to_one_2d() {
-        let objects: Vec<CircleObject> = (0..6)
+        let objects: Vec<Object2d> = (0..6)
             .map(|i| {
-                CircleObject::new(
+                Object2d::circle(
                     ObjectId(i),
                     [i as f64, (i % 3) as f64],
                     1.0 + 0.2 * i as f64,
@@ -342,8 +252,14 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let probs = pnn_2d(&objects, [1.5, 1.0], 64).unwrap();
-        let total: f64 = probs.iter().map(|(_, p)| p).sum();
+        let db = UncertainDb2d::build(objects).unwrap();
+        let total: f64 = db
+            .pnn([1.5, 1.0])
+            .unwrap()
+            .probabilities
+            .iter()
+            .map(|(_, p)| p)
+            .sum();
         assert!((total - 1.0).abs() < 1e-6, "sum = {total}");
     }
 
@@ -365,16 +281,16 @@ mod tests {
             CircleObject::new(ObjectId(0), [-inf, 2.0], 1.0),
             Err(CoreError::InvalidQueryPoint(-inf))
         );
-        let model = CircleSliceModel::new(&[], 8);
+        let db = UncertainDb2d::build(Vec::new()).unwrap();
         assert_eq!(
-            model.check_query(&[3.0, inf]),
+            db.check_query(&[3.0, inf]),
             Err(CoreError::InvalidQueryPoint(inf))
         );
         assert!(matches!(
-            model.check_query(&[3.0, f64::NAN]),
+            db.check_query(&[3.0, f64::NAN]),
             Err(CoreError::InvalidQueryPoint(v)) if v.is_nan()
         ));
-        assert_eq!(model.check_query(&[3.0, -4.0]), Ok(()));
+        assert_eq!(db.check_query(&[3.0, -4.0]), Ok(()));
     }
 
     /// Both shapes through the shared builder: the cdf is 0 at the near

@@ -32,8 +32,6 @@ pub struct EngineConfig {
     /// Cap on distance-histogram resolution (0 = exact folds). Bounds the
     /// subregion count `M`; see `DistanceDistribution::with_max_bins`.
     pub max_distance_bins: usize,
-    /// Adaptive-Simpson tolerance for the Basic baseline.
-    pub basic_tolerance: f64,
     /// Subregion visiting order during incremental refinement.
     pub refinement_order: RefinementOrder,
     /// R-tree fan-out parameters.
@@ -47,7 +45,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_distance_bins: 64,
-            basic_tolerance: 1e-6,
             refinement_order: RefinementOrder::DescendingMass,
             rtree_params: Params::default(),
             extended_verifiers: false,
@@ -62,7 +59,6 @@ impl EngineConfig {
     pub fn pipeline(&self) -> PipelineConfig {
         PipelineConfig {
             refinement_order: self.refinement_order,
-            basic_tolerance: self.basic_tolerance,
             extended_verifiers: self.extended_verifiers,
             ..PipelineConfig::default()
         }
@@ -388,26 +384,6 @@ mod tests {
             let vr = db.cpnn(&query, Strategy::Verified).unwrap();
             assert_eq!(basic.answers, refine.answers, "P = {p}");
             assert_eq!(basic.answers, vr.answers, "P = {p}");
-        }
-    }
-
-    #[test]
-    fn monte_carlo_agrees_away_from_threshold() {
-        let db = fig7_db();
-        // Thresholds far from the exact probabilities {.464, .485, .051}.
-        for p in [0.2, 0.7] {
-            let query = CpnnQuery::new(0.0, p, 0.0);
-            let exact = db.cpnn(&query, Strategy::Basic).unwrap();
-            let mc = db
-                .cpnn(
-                    &query,
-                    Strategy::MonteCarlo {
-                        worlds: 20_000,
-                        seed: 99,
-                    },
-                )
-                .unwrap();
-            assert_eq!(exact.answers, mc.answers, "P = {p}");
         }
     }
 

@@ -24,7 +24,7 @@ use crate::error::Result;
 use crate::geometry2d::Rect2;
 use crate::object::ObjectId;
 use crate::pipeline::{self, DistanceModel, Filtered, PipelineConfig, QuerySpec};
-use crate::shard::{Extent, ShardBalance, ShardableModel, ShardedDb};
+use crate::shard::{Extent, ShardableModel};
 use crate::store::{CowModel, IndexedStore, StoredObject};
 
 /// A 2-D uncertain object: an id plus a uniform uncertainty region.
@@ -179,26 +179,6 @@ impl UncertainDb2d {
         self.store.remove(id)
     }
 
-    /// Partition `objects` into a domain-sharded 2-D database: bbox tiles
-    /// along the widest axis, each shard with its own R-tree (see
-    /// [`ShardedDb`]). `shards = 1` is equivalent to an unsharded build.
-    pub fn build_sharded(
-        objects: Vec<Object2d>,
-        shards: usize,
-    ) -> Result<ShardedDb<UncertainDb2d>> {
-        ShardedDb::build(objects, Engine2dConfig::default(), shards)
-    }
-
-    /// As [`build_sharded`](Self::build_sharded) with an explicit
-    /// partitioning scheme (see [`ShardBalance`]).
-    pub fn build_sharded_with(
-        objects: Vec<Object2d>,
-        shards: usize,
-        balance: ShardBalance,
-    ) -> Result<ShardedDb<UncertainDb2d>> {
-        ShardedDb::build_with(objects, Engine2dConfig::default(), shards, balance)
-    }
-
     /// C-PNN over 2-D objects: the unified verify → refine pipeline, as in
     /// the 1-D engine.
     pub fn cpnn(&self, q: [f64; 2], threshold: f64, tolerance: f64) -> Result<CpnnResult> {
@@ -281,7 +261,8 @@ impl CowModel for UncertainDb2d {
 }
 
 /// One [`UncertainDb2d`] is one shard (its own bbox R-tree); a
-/// [`ShardedDb`] of these tiles the plane along the widest axis.
+/// [`ShardedDb`](crate::shard::ShardedDb) of these tiles the plane along
+/// the widest axis.
 impl ShardableModel for UncertainDb2d {
     type Config = Engine2dConfig;
 

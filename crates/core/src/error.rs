@@ -25,8 +25,6 @@ pub enum CoreError {
     },
     /// A duplicate object id was inserted into the database.
     DuplicateObjectId(u64),
-    /// Monte-Carlo world count must be positive.
-    ZeroWorlds,
     /// A durable-storage failure: the write-ahead journal or checkpoint
     /// could not be written (the message carries the backend detail), or
     /// a recovered layout failed validation. Writes that fail here are
@@ -50,7 +48,6 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid rectangle on axis {axis}: [{lo}, {hi}]")
             }
             CoreError::DuplicateObjectId(id) => write!(f, "duplicate object id {id}"),
-            CoreError::ZeroWorlds => write!(f, "Monte-Carlo world count must be positive"),
             CoreError::Storage(msg) => write!(f, "storage error: {msg}"),
         }
     }

@@ -89,12 +89,16 @@ pub fn exact_probabilities(table: &SubregionTable) -> (Vec<f64>, usize) {
     (probs, integrations)
 }
 
+/// Adaptive-Simpson tolerance of [`basic_probabilities`], split evenly
+/// across its fixed panels.
+pub const BASIC_TOLERANCE: f64 = 1e-6;
+
 /// The **Basic** method (\[5\]): per object, adaptive Simpson over
-/// `[n_i, fmin]` of `d_i(r) · Π_{k≠i}(1 − D_k(r))`, evaluating the distance
-/// pdfs/cdfs directly (binary search per evaluation — this is the cost the
-/// verifiers avoid). Returns the probabilities and the total number of
-/// integrand evaluations.
-pub fn basic_probabilities(cands: &CandidateSet, tol: f64) -> (Vec<f64>, usize) {
+/// `[n_i, fmin]` of `d_i(r) · Π_{k≠i}(1 − D_k(r))` to within
+/// [`BASIC_TOLERANCE`], evaluating the distance pdfs/cdfs directly (binary
+/// search per evaluation — this is the cost the verifiers avoid). Returns
+/// the probabilities and the total number of integrand evaluations.
+pub fn basic_probabilities(cands: &CandidateSet) -> (Vec<f64>, usize) {
     let members = cands.members();
     let n = members.len();
     let fmin = cands.fmin();
@@ -133,7 +137,7 @@ pub fn basic_probabilities(cands: &CandidateSet, tol: f64) -> (Vec<f64>, usize) 
         for k in 0..PANELS {
             let a = lo + k as f64 * w;
             let b = if k + 1 == PANELS { hi } else { a + w };
-            p += adaptive_simpson(integrand, a, b, tol / PANELS as f64);
+            p += adaptive_simpson(integrand, a, b, BASIC_TOLERANCE / PANELS as f64);
         }
         probs[i] = p.clamp(0.0, 1.0);
     }
@@ -173,7 +177,7 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let (want, _) = exact_probabilities(&table);
-        let (got, evals) = basic_probabilities(&cands, 1e-9);
+        let (got, evals) = basic_probabilities(&cands);
         assert!(evals > 0);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-6, "{g} vs {w}");
@@ -187,7 +191,7 @@ mod tests {
         let table = SubregionTable::build(&cands);
         let (probs, _) = exact_probabilities(&table);
         assert!((probs[0] - 1.0).abs() < 1e-12);
-        let (basic, _) = basic_probabilities(&cands, 1e-9);
+        let (basic, _) = basic_probabilities(&cands);
         assert!((basic[0] - 1.0).abs() < 1e-6);
     }
 

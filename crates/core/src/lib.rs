@@ -135,7 +135,6 @@ pub mod framework;
 pub mod geometry2d;
 pub mod idmap;
 pub mod knn;
-pub mod montecarlo;
 pub mod object;
 pub mod persist;
 pub mod pipeline;
@@ -161,7 +160,7 @@ pub use candidate::{CandidateMember, CandidateSet};
 pub use classify::{Classifier, Label};
 pub use cpnn_rtree::TreeStats;
 pub use distance::DistanceDistribution;
-pub use distance2d::{cpnn_2d, pnn_2d, CircleObject, Cpnn2dResult};
+pub use distance2d::CircleObject;
 pub use engine::{
     CpnnQuery, CpnnResult, EngineConfig, ObjectReport, PnnResult, QueryStats, Strategy, UncertainDb,
 };

@@ -32,9 +32,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::bounds::ProbBound;
 use crate::cache::{
     CacheConfig, CacheStats, CachedQuery, OutcomeKey, SharedCacheConfig, SharedVerifyCache,
@@ -48,16 +45,14 @@ use crate::exact::{basic_probabilities, exact_probabilities};
 use crate::framework::{
     default_verifiers, extended_verifiers, knn_verifiers, run_verification_into, StageReport,
 };
-use crate::knn::{knn_probabilities, monte_carlo_knn};
-use crate::montecarlo::monte_carlo_probabilities;
+use crate::knn::knn_probabilities;
 use crate::object::ObjectId;
 use crate::refine::{incremental_refine_with, RefinementOrder};
 use crate::subregion::{SubregionTable, MASS_EPS};
 use crate::verifiers::{kernels, VerificationState};
 
-/// Evaluation strategy — the three methods compared throughout Sec. V, plus
-/// the sampling baseline of \[9\].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Evaluation strategy — the three methods compared throughout Sec. V.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Exact probabilities for every candidate by direct numerical
     /// integration (\[5\]); answers thresholded afterwards.
@@ -67,13 +62,6 @@ pub enum Strategy {
     /// Verifiers first, refinement only for leftovers ("VR" — the paper's
     /// proposed method).
     Verified,
-    /// Monte-Carlo sampling over possible worlds (\[9\]).
-    MonteCarlo {
-        /// Number of sampled worlds.
-        worlds: usize,
-        /// RNG seed (queries are deterministic given the seed).
-        seed: u64,
-    },
 }
 
 /// A C-PNN query: point, threshold `P`, tolerance `Δ` (Definition 1).
@@ -131,7 +119,7 @@ pub struct QueryStats {
     /// Objects that entered refinement.
     pub refined_objects: usize,
     /// Work counter: subregion integrations (VR/Refine) or integrand
-    /// evaluations (Basic) or sampled worlds (Monte-Carlo).
+    /// evaluations (Basic).
     pub integrations: usize,
     /// Composite quadrature passes refinement ran for its `integrations`
     /// (VR/Refine; see [`crate::refine::RefineReport::column_passes`]).
@@ -228,8 +216,6 @@ impl QuerySpec {
 pub struct PipelineConfig {
     /// Subregion visiting order during incremental refinement.
     pub refinement_order: RefinementOrder,
-    /// Adaptive-Simpson tolerance for the Basic baseline.
-    pub basic_tolerance: f64,
     /// Add the FL-SR verifier to the 1-NN chain (see
     /// [`crate::verifiers::FarLowerSubregion`]).
     pub extended_verifiers: bool,
@@ -251,7 +237,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             refinement_order: RefinementOrder::DescendingMass,
-            basic_tolerance: 1e-6,
             extended_verifiers: false,
             cache: CacheConfig::disabled(),
             shared_cache: SharedCacheConfig::disabled(),
@@ -656,11 +641,11 @@ where
     Ok(Filtered { items, filter_time })
 }
 
-/// Run the strategy dispatch — verify → refine, exact, or Monte-Carlo —
+/// Run the strategy dispatch — verify → refine, refine alone, or exact —
 /// over an already-assembled candidate set.
 ///
-/// This is the back half of [`cpnn_with`]: the shard-aware batch executor
-/// calls it directly after merging per-shard filter results, so the merged
+/// This is the back half of [`cpnn_with`]: the shard router calls it
+/// directly after merging per-shard filter results, so the merged
 /// evaluation is *the same code* as the unsharded one. `stats` carries
 /// whatever the caller already measured (`total_objects`, `candidates`,
 /// `filter_time`, and the distribution-construction share of `init_time`);
@@ -708,27 +693,9 @@ fn evaluate_candidates_impl(
         (Strategy::Basic, 1) => {
             stats.init_time = init_time + init_start.elapsed();
             let start = Instant::now();
-            let (probs, evals) = basic_probabilities(cands, cfg.basic_tolerance);
+            let (probs, evals) = basic_probabilities(cands);
             stats.refine_time = start.elapsed();
             stats.integrations = evals;
-            Ok(finish_exact(cands, &classifier, &probs, stats))
-        }
-        (Strategy::MonteCarlo { worlds, seed }, 1) => {
-            stats.init_time = init_time + init_start.elapsed();
-            let start = Instant::now();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let probs = monte_carlo_probabilities(cands, worlds, &mut rng)?;
-            stats.refine_time = start.elapsed();
-            stats.integrations = worlds;
-            Ok(finish_exact(cands, &classifier, &probs, stats))
-        }
-        (Strategy::MonteCarlo { worlds, seed }, k) => {
-            stats.init_time = init_time + init_start.elapsed();
-            let start = Instant::now();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let probs = monte_carlo_knn(cands, k, worlds, &mut rng)?;
-            stats.refine_time = start.elapsed();
-            stats.integrations = worlds;
             Ok(finish_exact(cands, &classifier, &probs, stats))
         }
         (Strategy::Basic, k) => {

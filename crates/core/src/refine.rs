@@ -14,7 +14,7 @@ use crate::subregion::{SubregionTable, MASS_EPS};
 use crate::verifiers::{kernels, KernelScratch, VerificationState};
 
 /// In which order refinement visits an object's subregions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RefinementOrder {
     /// Largest subregion probability first — collapses the most bound width
     /// per integration (our default; the tech report's heuristic is not

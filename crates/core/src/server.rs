@@ -61,8 +61,7 @@
 //!
 //! Results for a given snapshot version are bitwise identical to a
 //! sequential [`crate::pipeline::cpnn`] run at any thread count: each
-//! query's evaluation (including Monte-Carlo seeding) is deterministic
-//! and independent.
+//! query's evaluation is deterministic and independent.
 //!
 //! # Example
 //!

@@ -353,8 +353,7 @@ impl<M: ShardableModel> ShardedDb<M> {
         self.len() == 0
     }
 
-    /// The shard models, in slab order (the shard-aware batch executor
-    /// filters against them directly).
+    /// The shard models, in slab order.
     pub fn shard_model(&self, shard: usize) -> &M {
         &self.shards[shard]
     }
@@ -478,10 +477,8 @@ impl<M: ShardableModel> ShardedDb<M> {
     /// `maxdist(q, MBR)`; once the visited shards hold at least `k`
     /// objects, that maxdist `H₀` upper-bounds the true candidate horizon
     /// (those `k` objects all have far points within `H₀`), so any shard
-    /// with `mindist > H₀` cannot contribute a candidate. The sequential
-    /// path tightens further per shard inside
-    /// [`pipeline::fan_out_filter`]; the batch path uses this list as its
-    /// fixed work-unit set.
+    /// with `mindist > H₀` cannot contribute a candidate.
+    /// [`pipeline::fan_out_filter`] tightens further per shard.
     pub fn overlapping(&self, q: &M::Query, k: usize) -> Vec<(f64, usize)>
     where
         M::Query: ShardPoint,
@@ -654,29 +651,6 @@ where
             &QuerySpec::knn(k, threshold, tolerance, Strategy::Verified),
             &self.pipeline_config(),
         )
-    }
-
-    /// Evaluate a batch of C-PNN queries through the shard-aware batch
-    /// executor ([`crate::batch::BatchExecutor::run_sharded`]: work units
-    /// are `(query, shard)` pairs, results in input order). `threads = 0`
-    /// means one worker per available core, as everywhere else.
-    pub fn cpnn_batch(
-        &self,
-        queries: &[CpnnQuery],
-        strategy: Strategy,
-        threads: usize,
-    ) -> Vec<Result<CpnnResult>>
-    where
-        M: Send + Sync,
-        M::Config: Send + Sync,
-    {
-        let jobs: Vec<(f64, QuerySpec)> = queries
-            .iter()
-            .map(|q| (q.q, QuerySpec::nn(q.threshold, q.tolerance, strategy)))
-            .collect();
-        crate::batch::BatchExecutor::new(threads)
-            .run_sharded(self, &jobs, &self.pipeline_config())
-            .results
     }
 }
 

@@ -15,9 +15,8 @@
 //!    sequential evaluation against the snapshot version the response
 //!    cites (version invalidation keeps COW updates from serving stale
 //!    bounds);
-//! 4. **sharded parity** — the shard-aware batch executor with caching on
-//!    (whole-query work units) matches flat sequential uncached
-//!    evaluation.
+//! 4. **sharded parity** — a cached batch over a sharded database matches
+//!    flat sequential uncached evaluation.
 
 use std::sync::Arc;
 
@@ -298,8 +297,8 @@ proptest! {
         prop_assert_eq!(stats.served, 2 * points.len() as u64);
     }
 
-    /// Property 4: sharded batch with caching on (whole-query work units)
-    /// ≡ flat sequential uncached evaluation.
+    /// Property 4: sharded batch with caching on ≡ flat sequential uncached
+    /// evaluation.
     #[test]
     fn sharded_batch_with_cache_matches_flat(
         objs in objects_1d(16),
@@ -313,7 +312,7 @@ proptest! {
         let jobs: Vec<(f64, QuerySpec)> = stream.iter().map(|&q| (q, spec)).collect();
         let mut cfg = sharded.pipeline_config();
         cfg.cache = CacheConfig::new(64, 0.0);
-        let out = BatchExecutor::new(2).run_sharded(&sharded, &jobs, &cfg);
+        let out = BatchExecutor::new(2).run(&sharded, &jobs, &cfg);
         prop_assert_eq!(out.results.len(), jobs.len());
         let uncached_cfg = PipelineConfig::default();
         for (i, ((q, spec), got)) in jobs.iter().zip(&out.results).enumerate() {

@@ -2,7 +2,7 @@
 
 use cpnn_core::exact::exact_probabilities;
 use cpnn_core::knn::{knn_probabilities, knn_upper_bounds, knn_verifier_bounds};
-use cpnn_core::{pnn_2d, CandidateSet, CircleObject, ObjectId, SubregionTable, UncertainObject};
+use cpnn_core::{CandidateSet, Object2d, ObjectId, SubregionTable, UncertainDb2d, UncertainObject};
 use proptest::prelude::*;
 
 fn objects_strategy(max: usize) -> impl Strategy<Value = Vec<UncertainObject>> {
@@ -15,12 +15,12 @@ fn objects_strategy(max: usize) -> impl Strategy<Value = Vec<UncertainObject>> {
     })
 }
 
-fn circles_strategy(max: usize) -> impl Strategy<Value = Vec<CircleObject>> {
+fn circles_strategy(max: usize) -> impl Strategy<Value = Vec<Object2d>> {
     prop::collection::vec((-20.0f64..20.0, -20.0f64..20.0, 0.3f64..5.0), 2..max).prop_map(|specs| {
         specs
             .into_iter()
             .enumerate()
-            .map(|(i, (x, y, r))| CircleObject::new(ObjectId(i as u64), [x, y], r).unwrap())
+            .map(|(i, (x, y, r))| Object2d::circle(ObjectId(i as u64), [x, y], r).unwrap())
             .collect()
     })
 }
@@ -91,7 +91,7 @@ proptest! {
         qx in -25.0f64..25.0,
         qy in -25.0f64..25.0,
     ) {
-        let probs = pnn_2d(&circles, [qx, qy], 32).unwrap();
+        let probs = UncertainDb2d::build(circles).unwrap().pnn([qx, qy]).unwrap().probabilities;
         let total: f64 = probs.iter().map(|(_, p)| p).sum();
         prop_assert!((total - 1.0).abs() < 1e-4, "sum = {total}");
         for (_, p) in &probs {
@@ -106,10 +106,10 @@ proptest! {
         r in 0.5f64..2.0,
     ) {
         // One circle hugging the query, another certainly farther.
-        let near = CircleObject::new(ObjectId(0), [qx + 0.1, qy], r).unwrap();
-        let far_center = [qx + 100.0, qy];
-        let far = CircleObject::new(ObjectId(1), far_center, r).unwrap();
-        let probs = pnn_2d(&[near, far], [qx, qy], 32).unwrap();
+        let near = Object2d::circle(ObjectId(0), [qx + 0.1, qy], r).unwrap();
+        let far = Object2d::circle(ObjectId(1), [qx + 100.0, qy], r).unwrap();
+        let db = UncertainDb2d::build(vec![near, far]).unwrap();
+        let probs = db.pnn([qx, qy]).unwrap().probabilities;
         prop_assert_eq!(probs[0].0, ObjectId(0));
         prop_assert!((probs[0].1 - 1.0).abs() < 1e-9);
     }

@@ -119,7 +119,7 @@ proptest! {
         // discontinuous integrand — the paper's own caveat about [5]/[9]:
         // "the accuracy of the answer probabilities depends on the precision
         // of the integration or number of samples used".
-        let (basic, _) = basic_probabilities(&cands, 1e-9);
+        let (basic, _) = basic_probabilities(&cands);
         for (i, (a, b)) in basic.iter().zip(&subregion).enumerate() {
             prop_assert!((a - b).abs() < 2e-4, "object {i}: basic {a} vs subregion {b}");
         }

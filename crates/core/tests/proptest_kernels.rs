@@ -547,8 +547,8 @@ proptest! {
         prop_assert!(scratch.cache_stats().hits > 0, "stream produced no hits");
     }
 
-    /// Sharded parity: the shard-aware batch executor at 1 and 8 shards
-    /// matches the naive reference on the flat model.
+    /// Sharded parity: a batch over 1 and 8 shards matches the naive
+    /// reference on the flat model.
     #[test]
     fn sharded_kernel_pipeline_matches_reference(
         objs in objects_1d(16),
@@ -560,7 +560,7 @@ proptest! {
         let spec = QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified);
         let jobs: Vec<(f64, QuerySpec)> = base.iter().map(|&q| (q, spec)).collect();
         let cfg = sharded.pipeline_config();
-        let out = BatchExecutor::new(2).run_sharded(&sharded, &jobs, &cfg);
+        let out = BatchExecutor::new(2).run(&sharded, &jobs, &cfg);
         prop_assert_eq!(out.results.len(), jobs.len());
         for (i, ((q, spec), got)) in jobs.iter().zip(&out.results).enumerate() {
             let want = reference_eval(&flat, q, spec, cfg.extended_verifiers);

@@ -9,9 +9,8 @@
 //!    selection must account for partially-filled candidate sets;
 //! 3. **2-D equivalence** — same, over the disk/rectangle engine (bbox
 //!    tiles instead of domain intervals);
-//! 4. **batch equivalence** — the shard-aware batch executor
-//!    (`(query, shard)` work units, cross-shard work stealing) matches
-//!    sequential sharded and unsharded evaluation at any thread count;
+//! 4. **batch equivalence** — a batch over the sharded database matches
+//!    sequential unsharded evaluation at any thread count;
 //! 5. **per-shard snapshot atomicity** — under interleaved
 //!    `insert`/`remove` (each rebuilding only the owning shard), every
 //!    served response is consistent with exactly one snapshot version:
@@ -143,8 +142,9 @@ proptest! {
         }
     }
 
-    /// Property 4: the shard-aware batch executor ((query, shard) work
-    /// units) matches unsharded sequential evaluation at any thread count.
+    /// Property 4: a batch over the sharded database (one worker per query,
+    /// each fanning out) matches unsharded sequential evaluation at any
+    /// thread count.
     #[test]
     fn sharded_batch_equals_unsharded_sequential(
         objs in objects(20),
@@ -156,7 +156,7 @@ proptest! {
         let cfg = PipelineConfig::default();
         let jobs: Vec<(f64, QuerySpec)> = points.iter().map(|&q| (q, spec())).collect();
         let sharded = ShardedDb::from_model(&flat, shards).unwrap();
-        let out = BatchExecutor::new(threads).run_sharded(&sharded, &jobs, &cfg);
+        let out = BatchExecutor::new(threads).run(&sharded, &jobs, &cfg);
         prop_assert_eq!(out.results.len(), points.len());
         for (i, (&q, got)) in points.iter().zip(&out.results).enumerate() {
             let want = cpnn(&flat, &q, &spec(), &cfg).unwrap();

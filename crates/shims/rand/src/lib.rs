@@ -5,7 +5,7 @@
 //! [`Rng::gen`], [`Rng::gen_range`], [`SeedableRng::seed_from_u64`], and
 //! [`rngs::StdRng`]. The generator is xoshiro256++ seeded through SplitMix64
 //! — deterministic given a seed, which is all the experiment harness and the
-//! Monte-Carlo baselines require. Swap back to the real crate by replacing
+//! possible-worlds test oracles require. Swap back to the real crate by replacing
 //! the `[patch]`-style path dependency in each manifest.
 
 #![warn(missing_docs)]

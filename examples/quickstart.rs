@@ -54,13 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("Basic      ", Strategy::Basic),
         ("Refine-only", Strategy::RefineOnly),
         ("Verified   ", Strategy::Verified),
-        (
-            "Monte-Carlo",
-            Strategy::MonteCarlo {
-                worlds: 100_000,
-                seed: 7,
-            },
-        ),
     ] {
         let res = db.cpnn(&query, strategy)?;
         let answers: Vec<String> = res

@@ -9,29 +9,32 @@
 //!
 //! Run with: `cargo run --example spatial_2d`
 
-use cpnn::core::{cpnn_2d, pnn_2d, CircleObject, ObjectId};
+use cpnn::core::{Object2d, ObjectId, UncertainDb2d};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 120 drivers scattered over a 10 km × 10 km city grid (meters).
     let mut rng = StdRng::seed_from_u64(314);
-    let drivers: Vec<CircleObject> = (0..120)
+    let drivers: Vec<Object2d> = (0..120)
         .map(|i| {
             let center = [rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0)];
             let drift = rng.gen_range(40.0..400.0); // staleness-dependent
-            CircleObject::new(ObjectId(i), center, drift).expect("valid circle")
+            Object2d::circle(ObjectId(i), center, drift).expect("valid circle")
         })
         .collect();
+    let db = UncertainDb2d::build(drivers.clone())?;
 
     let rider = [5_000.0, 5_000.0];
     println!("Rider at {rider:?}. Who is most likely the nearest driver?\n");
 
     // Exact probabilities for the contenders.
-    let probs = pnn_2d(&drivers, rider, 64)?;
+    let pnn = db.pnn(rider)?;
     println!("PNN probabilities (nonzero candidates):");
-    for (id, p) in probs.iter().filter(|(_, p)| *p > 1e-6) {
-        let d = &drivers[id.0 as usize];
+    for (id, p) in pnn.probabilities.iter().filter(|(_, p)| *p > 1e-6) {
+        let Object2d::Circle(d) = &drivers[id.0 as usize] else {
+            unreachable!("every driver is a disk")
+        };
         let dx = d.center[0] - rider[0];
         let dy = d.center[1] - rider[1];
         println!(
@@ -43,14 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Constrained query: dispatch candidates with ≥ 30% confidence.
-    let res = cpnn_2d(&drivers, rider, 0.30, 0.01, 64)?;
+    let res = db.cpnn(rider, 0.30, 0.01)?;
     println!(
         "\nC-PNN (P = 30%): {} candidate(s) after filtering, answers {:?}",
-        res.candidates, res.answers
+        res.stats.candidates, res.answers
     );
     println!(
         "verifiers resolved the query without integration: {}",
-        res.resolved_by_verification
+        res.stats.resolved_by_verification
     );
     for r in res.reports.iter().filter(|r| r.bound.hi() > 0.05) {
         println!("  driver {}: bound {} → {:?}", r.id, r.bound, r.label);

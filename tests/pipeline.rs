@@ -132,37 +132,6 @@ fn tolerance_increases_queries_finished_by_verification() {
 }
 
 #[test]
-fn monte_carlo_tracks_exact_probabilities_on_workload() {
-    let db = small_longbeach(23, 2_000);
-    let q = 1_234.5;
-    let exact = db.pnn(q).unwrap();
-    let query = CpnnQuery::new(q, 0.25, 0.0);
-    let mc = db
-        .cpnn(
-            &query,
-            Strategy::MonteCarlo {
-                worlds: 50_000,
-                seed: 5,
-            },
-        )
-        .unwrap();
-    for r in &mc.reports {
-        let p_exact = exact
-            .probabilities
-            .iter()
-            .find(|(id, _)| *id == r.id)
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0);
-        assert!(
-            (r.bound.lo() - p_exact).abs() < 0.02,
-            "object {}: MC {} vs exact {p_exact}",
-            r.id,
-            r.bound.lo()
-        );
-    }
-}
-
-#[test]
 fn min_query_on_workload_matches_leftmost_mass() {
     let db = small_longbeach(29, 1_000);
     let res = db.pnn_min().unwrap();
