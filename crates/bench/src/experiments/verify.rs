@@ -1,16 +1,17 @@
-//! Verification-kernel micro-benchmark — beyond the paper: the column-major
-//! kernels of `cpnn_core::verifiers::kernels` against the retained legacy
-//! path (`cpnn_core::verifiers::reference` + the naive scalar integrands),
-//! across a |C| × M grid.
+//! Verification-kernel micro-benchmark — beyond the paper: the kernels of
+//! `cpnn_core::verifiers::kernels` against the retained legacy path
+//! (`cpnn_core::verifiers::reference` + the naive scalar integrands), across
+//! a |C| × M grid.
 //!
 //! Both paths run the *same* verify → refine pipeline (RS, L-SR, U-SR, then
 //! incremental refinement at an ambiguous threshold P = 1/|C| so refinement
 //! actually integrates). The verifier stages are bit-identical; refined
 //! bounds agree within 1e-12 and both are sound against the exact oracle
 //! (`tests/proptest_kernels.rs`), so whatever separates the timings is pure
-//! implementation: SoA column scans, allocation-free scratch reuse and one
-//! shared quadrature pass per subregion column vs. row-major strided access
-//! with per-subregion allocations and one integral per `q_ij`.
+//! implementation: one shared survival-product table for the rows RS left
+//! open, contiguous row sweeps, allocation-free scratch reuse and one shared
+//! quadrature pass per subregion column vs. a fresh product per end-point
+//! over every row, per-subregion allocations and one integral per `q_ij`.
 //!
 //! M is swept independently of |C| by duplicating near endpoints: with
 //! group size g, only ⌈|C|/g⌉ distinct near points (hence proportionally
@@ -78,7 +79,7 @@ fn time_pass(
 }
 
 /// Run the kernel-vs-legacy grid. Columns: |C|, M, the table build-only
-/// time (the cache-blocked `SubregionTable::build`), the legacy pass, the
+/// time (the row-major `SubregionTable::build`), the legacy pass, the
 /// kernel pass, the legacy-over-kernel speedup, and the kernel pass's
 /// refinement work: `q_ij` collapsed and quadrature passes run for them.
 pub fn run(quick: bool) -> Table {
@@ -106,7 +107,7 @@ pub fn run(quick: bool) -> Table {
     table.note(format!(
         "best of {reps} passes; chain RS, L-SR, U-SR + incremental refinement at P = 1/|C|, Δ = 0.01; \
          legacy = verifiers::reference + naive integrand, kernel = verifiers::kernels; \
-         build = cache-blocked SubregionTable::build only; verifier stages bit-identical, \
+         build = row-major SubregionTable::build only; verifier stages bit-identical, \
          refined bounds within 1e-12 and sound against the exact oracle \
          (tests/proptest_kernels.rs); integrations = q_ij collapsed by the kernel pass, \
          column passes = quadrature passes it ran for them"

@@ -132,20 +132,12 @@ impl DistanceDistribution {
         self.hist.cdf(r)
     }
 
-    /// Bulk cdf evaluation over an **ascending** slice of radii: a single
-    /// merge pass over the histogram edges, appended to `out` (cleared
-    /// first). Bit-identical to calling [`Self::cdf`] per point — see
-    /// [`HistogramPdf::cdf_many_into`].
-    pub fn cdf_many_into(&self, rs: &[f64], out: &mut Vec<f64>) {
-        self.hist.cdf_many_into(rs, out);
-    }
-
-    /// Resumable chunk form of [`Self::cdf_many_into`]: evaluate one
-    /// ascending chunk, continuing the histogram merge from bin `*bin`.
-    /// Chunked calls over a split slice are bit-identical to one whole-slice
-    /// call — see [`HistogramPdf::cdf_many_resume`].
-    pub fn cdf_many_resume(&self, rs: &[f64], bin: &mut usize, out: &mut [f64]) {
-        self.hist.cdf_many_resume(rs, bin, out);
+    /// Bulk cdf evaluation over an **ascending** slice of radii into
+    /// `out[..rs.len()]`: a single merge pass over the histogram edges,
+    /// bit-identical to calling [`Self::cdf`] per point — see
+    /// [`HistogramPdf::cdf_many`].
+    pub fn cdf_many(&self, rs: &[f64], out: &mut [f64]) {
+        self.hist.cdf_many(rs, out);
     }
 
     /// Distance pdf `di(r)`.
@@ -268,8 +260,8 @@ mod tests {
         let pdf = HistogramPdf::from_masses(vec![0.0, 2.0, 6.0], vec![0.25, 0.75]).unwrap();
         let d = DistanceDistribution::from_pdf(&pdf, 4.0).unwrap();
         let rs = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.0, 3.7, 4.0, 9.0];
-        let mut out = Vec::new();
-        d.cdf_many_into(&rs, &mut out);
+        let mut out = [f64::NAN; 9];
+        d.cdf_many(&rs, &mut out);
         for (&r, &v) in rs.iter().zip(&out) {
             assert_eq!(v.to_bits(), d.cdf(r).to_bits(), "r = {r}");
         }

@@ -25,22 +25,16 @@ use crate::candidate::CandidateSet;
 /// (the paper's `U_k ∩ S_j ≠ ∅` membership test).
 pub const MASS_EPS: f64 = 1e-12;
 
-/// End-point columns per block of the cache-blocked table fill. One block
-/// of cdf columns touches `BUILD_BLOCK · 8 B = 2 KiB` per object row slot,
-/// and consecutive members land in the same cache lines (column-major), so
-/// the scatter working set (~16 KiB of distinct lines for 8-member groups)
-/// stays L1-resident across all candidates instead of streaming one full
-/// `L+1`-column row per member through the cache.
-const BUILD_BLOCK: usize = 256;
-
 /// The subregion table: end-points plus the `(s_ij, D_i(e_j))` pairs of
 /// Fig. 7(b).
 ///
-/// Storage is **column-major (subregion-major)**: every verifier inner loop
-/// walks all objects at a fixed end-point `j`, so keeping each column
-/// `D_·(e_j)` / `s_·j` contiguous turns those sweeps into unit-stride slices
-/// ([`Self::cdf_col`] / [`Self::mass_col`]) that the verification kernels
-/// consume directly.
+/// Storage is **row-major (object-major)**: the build evaluates one
+/// member's cdf over every end-point in a single sweep, and the 1-NN
+/// verifiers walk one object's subregions at a time — its product row,
+/// [`Self::mass_row`] and its `q_ij` row side by side — so each object's
+/// `D_i(e_·)` / `s_i·` is a contiguous slice ([`Self::cdf_row`] /
+/// [`Self::mass_row`]). Readers that need an end-point column gather it
+/// through [`Self::cdf_at`] / [`Self::mass`].
 #[derive(Debug, Clone)]
 pub struct SubregionTable {
     /// End-points `e_1 … e_{M}`; the last entry equals `fmin`. The *left*
@@ -50,9 +44,9 @@ pub struct SubregionTable {
     endpoints: Vec<f64>,
     fmax: f64,
     n: usize,
-    /// `mass[j·n + i] = s_ij` (column-major by subregion).
+    /// `mass[i·L + j] = s_ij` (row-major by object).
     mass: Vec<f64>,
-    /// `cdf[j·n + i] = D_i(e_j)` (column-major by end-point).
+    /// `cdf[i·(L+1) + j] = D_i(e_j)` (row-major by object).
     cdf: Vec<f64>,
     /// `rightmost[i] = s_{i,M} = 1 − D_i(fmin)`.
     rightmost: Vec<f64>,
@@ -112,56 +106,24 @@ impl SubregionTable {
             *last = fmin;
         }
         let l = endpoints.len() - 1;
+        let cols = l + 1;
 
         let mut mass = vec![0.0; n * l];
-        let mut cdf = vec![0.0; n * (l + 1)];
-        let mut rightmost = vec![0.0; n];
-        // Cache-blocked fill: sweep the end-points in BUILD_BLOCK-column
-        // chunks across *all* members before advancing, resuming each
-        // member's sorted histogram merge from a per-member bin cursor
-        // (cdf_many_resume). Chunked evaluation is bit-identical to one
-        // full cdf_many_into row per member, and the column-major scatter
-        // now reuses L1-resident lines across consecutive members.
-        let cols = l + 1;
-        let mut cursors = vec![0usize; n];
-        // Per member: the last cdf value of the previous block, so the mass
-        // column straddling a block boundary needs no second pass.
-        let mut prev = vec![0.0f64; n];
-        let mut block = [0.0f64; BUILD_BLOCK];
-        let mut j0 = 0;
-        while j0 < cols {
-            let j1 = (j0 + BUILD_BLOCK).min(cols);
-            let xs = &endpoints[j0..j1];
-            for (i, member) in candidates.members().iter().enumerate() {
-                let out = &mut block[..j1 - j0];
-                member.dist.cdf_many_resume(xs, &mut cursors[i], out);
-                // Scatter the cdf chunk and fold the mass differences in
-                // while the chunk is still in registers/L1 — the exact
-                // expressions of the old row-at-a-time fill, on exactly the
-                // old row values, so every output is bit-equal.
-                for (dj, &v) in out.iter().enumerate() {
-                    cdf[(j0 + dj) * n + i] = v;
-                }
-                if j0 > 0 {
-                    mass[(j0 - 1) * n + i] = (out[0] - prev[i]).max(0.0);
-                }
-                for dj in 0..j1 - j0 - 1 {
-                    mass[(j0 + dj) * n + i] = (out[dj + 1] - out[dj]).max(0.0);
-                }
-                prev[i] = out[j1 - j0 - 1];
+        let mut cdf = vec![0.0; n * cols];
+        let mut rightmost = Vec::with_capacity(n);
+        let mut counts = vec![0usize; l];
+        // One contiguous sweep over the end-points per member fills its cdf
+        // row; its mass row is the clamped differences of that row.
+        for (i, member) in candidates.members().iter().enumerate() {
+            let row = &mut cdf[i * cols..(i + 1) * cols];
+            member.dist.cdf_many(&endpoints, row);
+            let masses = mass[i * l..(i + 1) * l].iter_mut();
+            for ((s, pair), c) in masses.zip(row.windows(2)).zip(&mut counts) {
+                *s = (pair[1] - pair[0]).max(0.0);
+                *c += usize::from(*s > MASS_EPS);
             }
-            j0 = j1;
+            rightmost.push((1.0 - row[l]).max(0.0));
         }
-        // After the last block `prev[i]` holds `D_i(e_L)` — the rightmost
-        // column — for every member.
-        for i in 0..n {
-            rightmost[i] = (1.0 - prev[i]).max(0.0);
-        }
-        // Column-major mass makes the membership count a contiguous scan.
-        let counts = mass
-            .chunks_exact(n)
-            .map(|col| col.iter().filter(|&&s| s > MASS_EPS).count())
-            .collect();
 
         Self {
             endpoints,
@@ -206,24 +168,26 @@ impl SubregionTable {
 
     /// Subregion probability `s_ij` for left region `j`.
     pub fn mass(&self, i: usize, j: usize) -> f64 {
-        self.mass[j * self.n + i]
+        self.mass[i * self.left_regions() + j]
     }
 
     /// Distance cdf `D_i(e_j)` at end-point `j ∈ 0..=L`.
     pub fn cdf_at(&self, i: usize, j: usize) -> f64 {
-        self.cdf[j * self.n + i]
+        self.cdf[i * self.endpoints.len() + j]
     }
 
-    /// Contiguous cdf column `D_·(e_j)` for end-point `j ∈ 0..=L`: element
-    /// `i` is `D_i(e_j)`. Unit-stride input for the verification kernels.
-    pub fn cdf_col(&self, j: usize) -> &[f64] {
-        &self.cdf[j * self.n..(j + 1) * self.n]
+    /// Contiguous cdf row `D_i(e_·)` of object `i`: element `j ∈ 0..=L` is
+    /// `D_i(e_j)`.
+    pub fn cdf_row(&self, i: usize) -> &[f64] {
+        let cols = self.endpoints.len();
+        &self.cdf[i * cols..(i + 1) * cols]
     }
 
-    /// Contiguous mass column `s_·j` for left region `j ∈ 0..L`: element
-    /// `i` is `s_ij`.
-    pub fn mass_col(&self, j: usize) -> &[f64] {
-        &self.mass[j * self.n..(j + 1) * self.n]
+    /// Contiguous mass row `s_i·` of object `i`: element `j ∈ 0..L` is
+    /// `s_ij`.
+    pub fn mass_row(&self, i: usize) -> &[f64] {
+        let l = self.left_regions();
+        &self.mass[i * l..(i + 1) * l]
     }
 
     /// Rightmost-subregion probability `s_{iM} = 1 − D_i(fmin)`.
@@ -305,21 +269,19 @@ mod tests {
     }
 
     #[test]
-    fn columns_agree_with_scalar_accessors() {
+    fn rows_agree_with_scalar_accessors() {
         let (cands, _) = fig7_scenario();
         let t = SubregionTable::build(&cands);
-        let n = t.n_objects();
-        for j in 0..=t.left_regions() {
-            let col = t.cdf_col(j);
-            assert_eq!(col.len(), n);
-            for (i, &c) in col.iter().enumerate() {
+        let l = t.left_regions();
+        for i in 0..t.n_objects() {
+            let row = t.cdf_row(i);
+            assert_eq!(row.len(), l + 1);
+            for (j, &c) in row.iter().enumerate() {
                 assert_eq!(c.to_bits(), t.cdf_at(i, j).to_bits(), "cdf ({i},{j})");
             }
-        }
-        for j in 0..t.left_regions() {
-            let col = t.mass_col(j);
-            assert_eq!(col.len(), n);
-            for (i, &m) in col.iter().enumerate() {
+            let row = t.mass_row(i);
+            assert_eq!(row.len(), l);
+            for (j, &m) in row.iter().enumerate() {
                 assert_eq!(m.to_bits(), t.mass(i, j).to_bits(), "mass ({i},{j})");
             }
         }
@@ -369,42 +331,45 @@ mod tests {
         }
     }
 
-    /// Per-member one-shot reference for the blocked fill: every cdf, mass,
-    /// and rightmost cell must be bit-equal to one whole-row
-    /// `cdf_many_into` pass per member (the pre-blocking implementation).
-    fn assert_build_matches_row_reference(
-        t: &SubregionTable,
-        cands: &crate::candidate::CandidateSet,
-    ) {
+    /// The row sweep against the scalar pdf: every cdf cell is bit-equal to
+    /// `dist.cdf(e_j)`, every mass cell to the clamped difference of those,
+    /// the rightmost mass to `1 − D_i(fmin)` clamped, and `count(j)` to a
+    /// scan of column `j`.
+    fn assert_build_matches_pointwise_cdf(cands: &crate::candidate::CandidateSet) {
+        let t = SubregionTable::build(cands);
         let l = t.left_regions();
-        let mut row = Vec::new();
+        let bits = |x: f64| x.to_bits();
         for (i, member) in cands.members().iter().enumerate() {
-            member.dist.cdf_many_into(t.endpoints(), &mut row);
-            for (j, &v) in row.iter().enumerate() {
-                assert_eq!(t.cdf_at(i, j).to_bits(), v.to_bits(), "cdf ({i},{j})");
+            let cdf = |j: usize| member.dist.cdf(t.endpoint(j));
+            for j in 0..=l {
+                assert_eq!(bits(t.cdf_at(i, j)), bits(cdf(j)), "cdf ({i},{j})");
             }
             for j in 0..l {
-                let want = (row[j + 1] - row[j]).max(0.0);
-                assert_eq!(t.mass(i, j).to_bits(), want.to_bits(), "mass ({i},{j})");
+                let want = (cdf(j + 1) - cdf(j)).max(0.0);
+                assert_eq!(bits(t.mass(i, j)), bits(want), "mass ({i},{j})");
             }
-            let want = (1.0 - row[l]).max(0.0);
-            assert_eq!(t.rightmost(i).to_bits(), want.to_bits(), "rightmost {i}");
+            let want = (1.0 - cdf(l)).max(0.0);
+            assert_eq!(bits(t.rightmost(i)), bits(want), "rightmost {i}");
+        }
+        for j in 0..l {
+            let scan = (0..t.n_objects())
+                .filter(|&i| t.mass(i, j) > MASS_EPS)
+                .count();
+            assert_eq!(t.count(j), scan, "count {j}");
         }
     }
 
     #[test]
     fn blocked_build_matches_row_reference_bitwise() {
         let (cands, _) = fig7_scenario();
-        let t = SubregionTable::build(&cands);
-        assert_build_matches_row_reference(&t, &cands);
+        assert_build_matches_pointwise_cdf(&cands);
     }
 
     #[test]
     fn blocked_build_spans_multiple_blocks_bitwise() {
-        // Enough staggered near points that the end-point list crosses at
-        // least one BUILD_BLOCK boundary, so the resumable cursors carry
-        // real state between blocks.
-        let objects: Vec<_> = (0..300u32)
+        // 300 staggered members give more than 256 end-point columns, so
+        // each cdf row spans many cache lines of the sweep.
+        let staggered: Vec<_> = (0..300u32)
             .map(|k| {
                 let lo = 1.0 + k as f64 * 0.01;
                 crate::object::UncertainObject::uniform(
@@ -415,14 +380,9 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let cands = crate::candidate::CandidateSet::build(&objects, 0.0, 0).unwrap();
-        let t = SubregionTable::build(&cands);
-        assert!(
-            t.left_regions() + 1 > super::BUILD_BLOCK,
-            "scenario too small to cross a block boundary: {} cols",
-            t.left_regions() + 1
-        );
-        assert_build_matches_row_reference(&t, &cands);
+        let wide = crate::candidate::CandidateSet::build(&staggered, 0.0, 0).unwrap();
+        assert!(SubregionTable::build(&wide).left_regions() + 1 > 256);
+        assert_build_matches_pointwise_cdf(&wide);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   unit test constructs a case where FL-SR is ~6× tighter.
 //!
 //! The framework takes the per-subregion maximum of both, which is always
-//! at least as tight as the paper's chain. Cost: `O(|C|·M)`, same as L-SR.
+//! at least as tight as the paper's chain. Cost: it reads the exclude-one
+//! products L-SR already built (`O(|C|·M)` once per query, shared), so its
+//! own work is `O(open·M)` bound updates for the `open` rows RS left
+//! `Unknown`.
 
 use crate::classify::Label;
 use crate::subregion::{SubregionTable, MASS_EPS};
@@ -40,19 +43,24 @@ impl Verifier for FarLowerSubregion {
         if n == 0 || l == 0 {
             return;
         }
-        let shared = state.kernel.try_shared_products(table);
-        for j in 0..l {
-            if !shared {
-                state.kernel.excl.recompute_survival(table.cdf_col(j + 1));
+        let VerificationState {
+            labels,
+            qij_lo,
+            kernel,
+            ..
+        } = state;
+        for (i, products) in kernel.open.get(table, labels) {
+            if labels[i] != Label::Unknown {
+                continue;
             }
-            let mass = table.mass_col(j);
-            let (pref, suff) = state.kernel.col_products(shared, j + 1);
-            for i in 0..n {
-                if state.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
+            let cells = qij_lo[i * l..(i + 1) * l].iter_mut();
+            // `S_j` reads the product at its far end-point `e_{j+1}`.
+            let row = cells.zip(table.mass_row(i)).zip(&products[1..]);
+            for ((cell, &s), &e) in row {
+                if s <= MASS_EPS {
                     continue;
                 }
-                let q = (pref[i] * suff[i + 1]).clamp(0.0, 1.0);
-                let cell = &mut state.qij_lo[i * l + j];
+                let q = e.clamp(0.0, 1.0);
                 if q > *cell {
                     *cell = q;
                 }

@@ -1,12 +1,15 @@
-//! Column-major verification kernels.
+//! Verification kernels over the row-major [`SubregionTable`].
 //!
-//! Every verifier inner loop sweeps all objects at a fixed end-point `j`,
-//! which the SoA [`SubregionTable`] exposes as contiguous slices
-//! ([`SubregionTable::cdf_col`] / [`SubregionTable::mass_col`]). The
-//! primitives here consume those slices with plain unit-stride loops (one
-//! safe scalar form of each, no dispatch) and write into **reusable**
-//! buffers ([`KernelScratch`]) so the hot path performs zero heap
-//! allocations per subregion.
+//! The 1-NN subregion verifiers (L-SR, FL-SR, U-SR) share one table of
+//! exclude-one survival products (`OpenProducts`), built on first use per
+//! query for the rows RS left `Unknown` only; each verifier then walks such
+//! a row's products, its [`SubregionTable::mass_row`] and its `q_ij` row side
+//! by side. The products cost `O(|C|·M)` once per query, the bound updates
+//! `O(open·M)` per verifier. Readers that need an end-point column — the
+//! SR-k sweep, the refine integrands — gather it. Every primitive has one
+//! safe scalar form (no dispatch) and writes into **reusable** buffers
+//! ([`KernelScratch`]), so the hot path performs zero heap allocations once
+//! warm.
 //!
 //! Determinism contract, in three parts.
 //!
@@ -16,7 +19,9 @@
 //!   [`crate::verifiers::reference`],
 //!   [`crate::knn::knn_subregion_qualification`] and as naive loops in this
 //!   module's tests): bit-identical to them, and so across the kernel,
-//!   cached, sharded, and batched paths.
+//!   cached, sharded, and batched paths. For the survival products that
+//!   holds per end-point column: the open-row sweeps multiply each column's
+//!   factors in the order of the reference's prefix/suffix chain.
 //! * **The 1-NN refine integrand** ([`nn_qualification`]) shares one
 //!   quadrature pass among all rows still `Unknown`, so a `q_ij` multiplies
 //!   its factors in a different order than the naive expression tree
@@ -47,8 +52,7 @@ use cpnn_pdf::integrate::{gauss_legendre, Gl16, GlOrder};
 
 use crate::classify::Label;
 use crate::subregion::{SubregionTable, MASS_EPS};
-use crate::verifiers::products::survival_products;
-use crate::verifiers::{ExcludeOneProduct, VerificationState};
+use crate::verifiers::VerificationState;
 
 /// Reusable kernel buffers, threaded through the pipeline inside
 /// [`crate::verifiers::VerificationState`] (and hence per-query scratch).
@@ -58,24 +62,19 @@ use crate::verifiers::{ExcludeOneProduct, VerificationState};
 /// resizes what it needs, so no explicit reset is required between queries.
 #[derive(Debug, Clone, Default)]
 pub struct KernelScratch {
-    /// Exclude-one survival product at the current end-point — the
-    /// fallback when the table is too large for the shared column tables.
-    pub(crate) excl: ExcludeOneProduct,
-    /// Exclude-one product at the next end-point (U-SR's `Y_{j+1}`).
-    pub(crate) excl_next: ExcludeOneProduct,
-    /// Shared exclude-one survival products, one column per end-point:
-    /// `col_prefix[j·(n+1) + i] = Π_{k<i} (1 − D_k(e_j))` and the matching
-    /// suffix table. Built at most once per query
-    /// ([`Self::try_shared_products`]) — L-SR, U-SR, and FL-SR all read
-    /// the same end-point columns, so sharing halves the product work the
-    /// per-verifier ping-pong used to redo.
-    pub(crate) col_prefix: Vec<f64>,
-    /// Suffix half of the shared product table (same layout).
-    pub(crate) col_suffix: Vec<f64>,
-    /// Column stride of the product tables (`n + 1`).
-    pub(crate) col_stride: usize,
-    /// Whether the product tables describe the current query's table.
-    pub(crate) products_ready: bool,
+    /// The exclude-one survival products of the rows RS left open, shared
+    /// by L-SR, FL-SR and U-SR.
+    pub(crate) open: OpenProducts,
+    /// L-SR: `1 / c_j` per left subregion.
+    pub(crate) inv_counts: Vec<f64>,
+    /// SR-k: the gathered cdf column of the end-point before the visited
+    /// one. The three column buffers rotate as the sweep advances, so each
+    /// visited column is gathered once.
+    pub(crate) col_below: Vec<f64>,
+    /// SR-k: the gathered cdf column of the visited end-point.
+    pub(crate) col_here: Vec<f64>,
+    /// SR-k: the gathered cdf column of the next visited end-point.
+    pub(crate) col_above: Vec<f64>,
     /// DP buffer of the k-NN integrand's Poisson-binomial tail.
     pub(crate) dp_spare: Vec<f64>,
     /// SR-k: `(row, cdf)` of the factors with `0 < cdf < 1` at the end-point
@@ -183,90 +182,126 @@ impl ColumnMemo {
     }
 }
 
-/// Upper size (in `f64`s per half-table) of the shared survival product
-/// tables. Beyond this the tables spill out of L2 and the three passes
-/// (build + two reading verifiers) cost more in memory traffic than the
-/// per-column ping-pong recompute they replace, so the verifiers fall back
-/// to [`ExcludeOneProduct::recompute_survival`]. 8192 f64s = 64 KiB per
-/// half; both choices produce bit-identical products.
-const SHARED_PRODUCTS_MAX: usize = 8192;
+/// The exclude-one survival products `Π_{k≠i} (1 − D_k(e_j))` at every
+/// end-point `j ∈ 0..=L` of the rows still `Unknown` when the first 1-NN
+/// subregion verifier of a query runs — the rows RS left *open*.
+///
+/// Built on first use after [`crate::verifiers::VerificationState::reset`]
+/// and reused by every later verifier of the chain: L-SR, FL-SR and U-SR
+/// serve only rows still `Unknown`, a subset of the open ones. Two sweeps
+/// over the cdf rows advance all `L + 1` column products side by side:
+///
+/// * forward over rows `0..=last_open`, `run[j] *= 1 − D_k(e_j)`, copying
+///   `run` into an open row's slot before its own factor — its prefix;
+/// * backward over rows `first_open..n`, the same update from a fresh
+///   `run`, multiplied into an open row's slot before its own factor — its
+///   suffix.
+///
+/// Per column that is the multiplication sequence of the prefix/suffix
+/// chain of [`crate::verifiers::ExcludeOneProduct`] (a product of two
+/// floats does not depend on their order), so every entry is the
+/// reference's `prefix[i]·suffix[i+1]` bit for bit. With at most `|C|` rows
+/// the table is never larger than the cdf table it is read from.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpenProducts {
+    /// The open rows, ascending.
+    rows: Vec<usize>,
+    /// `products[r·(L+1) + j]`: the product of the `r`-th open row at `e_j`.
+    products: Vec<f64>,
+    /// The running column products of the sweep in progress.
+    run: Vec<f64>,
+    /// Whether `rows` and `products` describe the current query.
+    ready: bool,
+}
 
-impl KernelScratch {
-    /// Rotate the fallback product pair: `Y_{j+1}` becomes the next `Y_j`.
-    pub(crate) fn swap_products(&mut self) {
-        std::mem::swap(&mut self.excl, &mut self.excl_next);
+impl OpenProducts {
+    /// Forget the current query: the next [`Self::get`] builds afresh.
+    pub(crate) fn invalidate(&mut self) {
+        self.ready = false;
     }
 
-    /// Build the shared exclude-one survival product tables for every
-    /// end-point column of `table`, unless they are already up to date for
-    /// this query ([`crate::verifiers::VerificationState::reset`] clears the
-    /// flag) or the table exceeds [`SHARED_PRODUCTS_MAX`] (returns `false`;
-    /// callers then recompute per column with
-    /// [`ExcludeOneProduct::recompute_survival`] — the same chain, so the
-    /// verifiers read bit-identical products either way).
-    pub(crate) fn try_shared_products(&mut self, table: &SubregionTable) -> bool {
-        let n = table.n_objects();
+    /// Every open row `i` of `table` with its products at `e_0 … e_L`, the
+    /// open rows being those `Unknown` in `labels` on the first call since
+    /// [`Self::invalidate`]. Builds nothing when no row is open.
+    pub(crate) fn get(
+        &mut self,
+        table: &SubregionTable,
+        labels: &[Label],
+    ) -> impl Iterator<Item = (usize, &[f64])> + '_ {
+        if !self.ready {
+            self.build(table, labels);
+        }
         let cols = table.left_regions() + 1;
-        let stride = n + 1;
-        if cols * stride > SHARED_PRODUCTS_MAX {
-            return false;
-        }
-        if self.products_ready {
-            return true;
-        }
-        self.col_stride = stride;
-        self.col_prefix.clear();
-        self.col_prefix.resize(cols * stride, 0.0);
-        self.col_suffix.clear();
-        self.col_suffix.resize(cols * stride, 0.0);
-        for j in 0..cols {
-            let span = j * stride..(j + 1) * stride;
-            survival_products(
-                table.cdf_col(j),
-                &mut self.col_prefix[span.clone()],
-                &mut self.col_suffix[span],
-            );
-        }
-        self.products_ready = true;
-        true
+        self.rows
+            .iter()
+            .copied()
+            .zip(self.products.chunks_exact(cols))
     }
 
-    /// The exclude-one `(prefix, suffix)` product slices for end-point
-    /// column `col`: the shared column table when `shared`, else the
-    /// ping-pong fallback product (already recomputed by the caller).
-    pub(crate) fn col_products(&self, shared: bool, col: usize) -> (&[f64], &[f64]) {
-        if shared {
-            let base = col * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-            )
-        } else {
-            self.excl.parts()
-        }
-    }
+    fn build(&mut self, table: &SubregionTable, labels: &[Label]) {
+        self.ready = true;
+        self.rows.clear();
+        let open = labels
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l == Label::Unknown);
+        self.rows.extend(open.map(|(i, _)| i));
+        let (Some(&first), Some(&last)) = (self.rows.first(), self.rows.last()) else {
+            return;
+        };
+        let cols = table.left_regions() + 1;
+        self.products.clear();
+        self.products.resize(self.rows.len() * cols, 0.0);
 
-    /// The two `(prefix, suffix)` product pairs U-SR's trapezoid reads for
-    /// the column pair `(j, j+1)`: `(pc, sc)` at the near end-point and
-    /// `(pn, sn)` at the far one. Shared mode slices the column table;
-    /// non-shared mode returns the ping-pong pair (`excl` = `Y_j`,
-    /// `excl_next` = `Y_{j+1}`, both recomputed by the caller).
-    pub(crate) fn usr_products(&self, shared: bool, j: usize) -> (&[f64], &[f64], &[f64], &[f64]) {
-        if shared {
-            let base = j * self.col_stride;
-            let base_next = (j + 1) * self.col_stride;
-            (
-                &self.col_prefix[base..base + self.col_stride],
-                &self.col_suffix[base..base + self.col_stride],
-                &self.col_prefix[base_next..base_next + self.col_stride],
-                &self.col_suffix[base_next..base_next + self.col_stride],
-            )
-        } else {
-            let (pc, sc) = self.excl.parts();
-            let (pn, sn) = self.excl_next.parts();
-            (pc, sc, pn, sn)
+        self.run.clear();
+        self.run.resize(cols, 1.0);
+        let mut slots = self
+            .rows
+            .iter()
+            .zip(self.products.chunks_exact_mut(cols))
+            .peekable();
+        for k in 0..=last {
+            if let Some((_, prefix)) = slots.next_if(|&(&i, _)| i == k) {
+                prefix.copy_from_slice(&self.run);
+            }
+            if k < last {
+                fold_survival(&mut self.run, table.cdf_row(k));
+            }
+        }
+
+        self.run.fill(1.0);
+        let mut slots = self
+            .rows
+            .iter()
+            .zip(self.products.chunks_exact_mut(cols))
+            .rev()
+            .peekable();
+        for k in (first..table.n_objects()).rev() {
+            if let Some((_, product)) = slots.next_if(|&(&i, _)| i == k) {
+                for (p, &r) in product.iter_mut().zip(&self.run) {
+                    *p *= r;
+                }
+            }
+            if k > first {
+                fold_survival(&mut self.run, table.cdf_row(k));
+            }
         }
     }
+}
+
+/// Multiply one row's survival factors `1 − D_k(e_j)` into the running
+/// column products, all end-points side by side.
+#[inline]
+fn fold_survival(run: &mut [f64], cdf_row: &[f64]) {
+    for (r, &c) in run.iter_mut().zip(cdf_row) {
+        *r *= 1.0 - c;
+    }
+}
+
+/// Gather end-point column `j` of the cdf table, `D_·(e_j)`, into `out`.
+fn gather_cdf_column(table: &SubregionTable, j: usize, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend((0..table.n_objects()).map(|i| table.cdf_at(i, j)));
 }
 
 /// One Poisson-binomial DP row update with an already-clamped success
@@ -415,7 +450,9 @@ fn sr_k_tail(
 /// Per visited end-point: a row asks for a tail only if one of the two
 /// groups holds more than [`MASS_EPS`] of its mass (the convention of L-SR,
 /// U-SR and FL-SR: a group below it keeps `[0, 1]`), read off the three cdf
-/// columns involved; the column's states are built once, over the
+/// columns involved — each gathered from the row-major table once per
+/// sweep, into buffers that rotate as it advances; the column's states are
+/// built once, over the
 /// straddlers only ([`straddler_states`]), and only if some row asks. When
 /// the groups are single columns the tails are the `q_ij` bounds refinement
 /// reuses, so they are also recorded in the cells (`max`/`min`, like the
@@ -454,6 +491,9 @@ pub(crate) fn sr_k_pass(
         straddlers,
         sr_rows,
         pb_tails,
+        col_below,
+        col_here,
+        col_above,
         ..
     } = &mut state.kernel;
     sr_rows.clear();
@@ -467,10 +507,14 @@ pub(crate) fn sr_k_pass(
         }
     }
 
-    let (mut prev, mut e) = (0, 0);
+    // The group end-points around `e`: `below` (= `e` at the first) and
+    // `next` (= `e` at the last), their cdf columns gathered once each.
+    let (mut e, mut next) = (0, stride.min(l));
+    gather_cdf_column(table, 0, col_below);
+    gather_cdf_column(table, 0, col_here);
+    gather_cdf_column(table, next, col_above);
     loop {
-        let next = (e + stride).min(l);
-        let (below, probs, above) = (table.cdf_col(prev), table.cdf_col(e), table.cdf_col(next));
+        let (below, probs, above) = (&col_below[..], &col_here[..], &col_above[..]);
         // The column's states, built by the first row that asks for a tail
         // here (if any does), and the merge position of the served rows —
         // both ascending — in its straddler list.
@@ -522,7 +566,10 @@ pub(crate) fn sr_k_pass(
         if e == l {
             break;
         }
-        (prev, e) = (e, next);
+        (e, next) = (next, (next + stride).min(l));
+        std::mem::swap(col_below, col_here);
+        std::mem::swap(col_here, col_above);
+        gather_cdf_column(table, next, col_above);
     }
 
     for r in sr_rows.iter() {
@@ -548,12 +595,13 @@ pub fn nn_qualification(
     j: usize,
     scr: &mut KernelScratch,
 ) -> f64 {
-    let cdf = table.cdf_col(j);
-    let mass = table.mass_col(j);
     // A competitor whose factor is identically 1 on this subregion is left
     // out of the product; a row without mass here never asks the memo.
-    let active = |k: usize| cdf[k] > 0.0 || mass[k] > MASS_EPS;
-    let memo_slot = scr.columns.slot_of(table, i).filter(|_| active(i));
+    let active = |cdf: f64, mass: f64| cdf > 0.0 || mass > MASS_EPS;
+    let memo_slot = scr
+        .columns
+        .slot_of(table, i)
+        .filter(|_| active(table.cdf_at(i, j), table.mass(i, j)));
     if let Some(slot) = memo_slot {
         if scr.columns.done[j] {
             return scr.columns.q[j * scr.columns.pending + slot];
@@ -564,18 +612,19 @@ pub fn nn_qualification(
     scr.pend_cdf.clear();
     scr.pend_mass.clear();
     scr.pend_row.clear();
-    for k in 0..cdf.len() {
+    for k in 0..table.n_objects() {
+        let (cdf, mass) = (table.cdf_at(k, j), table.mass(k, j));
         let pending = match memo_slot {
-            Some(_) => scr.columns.slot[k] != SETTLED && active(k),
+            Some(_) => scr.columns.slot[k] != SETTLED && active(cdf, mass),
             None => k == i,
         };
         if pending {
-            scr.pend_cdf.push(cdf[k]);
-            scr.pend_mass.push(mass[k]);
+            scr.pend_cdf.push(cdf);
+            scr.pend_mass.push(mass);
             scr.pend_row.push(k);
-        } else if active(k) {
-            scr.coef_cdf.push(cdf[k]);
-            scr.coef_mass.push(mass[k]);
+        } else if active(cdf, mass) {
+            scr.coef_cdf.push(cdf);
+            scr.coef_mass.push(mass);
         }
     }
     column_pass(scr);
@@ -676,16 +725,14 @@ pub fn knn_qualification(
     if k >= n {
         return 1.0; // fewer competitors than slots
     }
-    let cdf = table.cdf_col(j);
-    let mass = table.mass_col(j);
     scr.coef_cdf.clear();
     scr.coef_mass.clear();
     for kk in 0..n {
         if kk == i {
             continue;
         }
-        scr.coef_cdf.push(cdf[kk]);
-        scr.coef_mass.push(mass[kk]);
+        scr.coef_cdf.push(table.cdf_at(kk, j));
+        scr.coef_mass.push(table.mass(kk, j));
     }
     scr.quadrature_passes += 1;
     let limit = k - 1;
@@ -972,8 +1019,7 @@ mod tests {
     }
 
     /// `n` overlapping two-bin histograms with distinct near points and
-    /// shared interior/far edges: `n + 1` left regions, so the product
-    /// tables would need `(n + 1)·(n + 2)` entries per half.
+    /// shared interior/far edges: `n + 1` left regions.
     fn overlapping_histograms(n: usize) -> SubregionTable {
         let objects: Vec<UncertainObject> = (0..n)
             .map(|i| {
@@ -989,49 +1035,146 @@ mod tests {
         SubregionTable::build(&CandidateSet::build(&objects, 0.0, 0).unwrap())
     }
 
-    /// Both sides of the [`SHARED_PRODUCTS_MAX`] fork — the shared column
-    /// tables just under the cap and the ping-pong fallback over it — are
-    /// bit-identical to the reference chains on bounds, labels and `q_ij`.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `got` and `want` agree bit for bit on labels, `q_ij` and bounds.
+    fn assert_same_bits(got: &VerificationState, want: &VerificationState, what: &str) {
+        assert_eq!(got.labels, want.labels, "{what}");
+        assert_eq!(bits(&got.qij_lo), bits(&want.qij_lo), "{what}");
+        assert_eq!(bits(&got.qij_hi), bits(&want.qij_hi), "{what}");
+        for (g, w) in got.bounds.iter().zip(&want.bounds) {
+            assert_eq!(g.lo().to_bits(), w.lo().to_bits(), "{what}");
+            assert_eq!(g.hi().to_bits(), w.hi().to_bits(), "{what}");
+        }
+    }
+
+    /// Run the default and the extended chain and their reference chains
+    /// over `table`; every pair must agree bit for bit. Returns the kernel
+    /// states and stage reports of both chains.
+    fn chains_against_reference(
+        table: &SubregionTable,
+        classifier: &Classifier,
+        what: &str,
+    ) -> Vec<(VerificationState, Vec<crate::framework::StageReport>)> {
+        [
+            (default_verifiers(), reference_verifiers()),
+            (extended_verifiers(), reference_extended_verifiers()),
+        ]
+        .into_iter()
+        .map(|(chain, reference)| {
+            let mut got = VerificationState::new(table);
+            let mut want = VerificationState::new(table);
+            let (mut stages, mut ref_stages) = (Vec::new(), Vec::new());
+            run_verification_into(table, classifier, &chain, &mut got, &mut stages);
+            run_verification_into(table, classifier, &reference, &mut want, &mut ref_stages);
+            assert_same_bits(&got, &want, what);
+            (got, stages)
+        })
+        .collect()
+    }
+
+    /// The open-row products against the reference chains, bitwise, on
+    /// tables of 89 and 130 rows. In the extended chain FL-SR decides some
+    /// open rows before U-SR runs: U-SR reuses the table L-SR built (its
+    /// rows are still RS's open set) and skips the decided rows.
     #[test]
-    fn verifier_chains_match_reference_on_both_sides_of_the_products_cap() {
-        for (n, want_shared) in [(89, true), (130, false)] {
+    fn open_row_products_match_reference_bitwise() {
+        for n in [89, 130] {
             let table = overlapping_histograms(n);
             assert_eq!(table.n_objects(), n);
-            assert_eq!(
-                KernelScratch::default().try_shared_products(&table),
-                want_shared,
-                "n = {n}: {} product entries vs cap {SHARED_PRODUCTS_MAX}",
-                (n + 1) * (table.left_regions() + 1)
-            );
             let classifier = Classifier::new(1.0 / n as f64, 0.0).unwrap();
-            // The default chain reaches U-SR with every row still Unknown;
-            // in the extended one FL-SR decides some first, so U-SR's label
-            // gate is compared too.
-            for (chain, reference, gated) in [
-                (default_verifiers(), reference_verifiers(), false),
-                (extended_verifiers(), reference_extended_verifiers(), true),
-            ] {
-                let mut got = VerificationState::new(&table);
-                let mut want = VerificationState::new(&table);
-                let mut stages = Vec::new();
-                run_verification_into(&table, &classifier, &chain, &mut got, &mut stages);
-                run_verification_into(&table, &classifier, &reference, &mut want, &mut stages);
-                assert_eq!(got.labels, want.labels, "n = {n}");
-                if gated {
-                    let before_usr = stages[2].unknown_after;
-                    assert!(
-                        0 < before_usr && before_usr < n,
-                        "n = {n}: U-SR ran ungated"
-                    );
-                }
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.qij_lo), bits(&want.qij_lo), "n = {n}");
-                assert_eq!(bits(&got.qij_hi), bits(&want.qij_hi), "n = {n}");
-                for (g, w) in got.bounds.iter().zip(&want.bounds) {
-                    assert_eq!(g.lo().to_bits(), w.lo().to_bits(), "n = {n}");
-                    assert_eq!(g.hi().to_bits(), w.hi().to_bits(), "n = {n}");
+            let runs = chains_against_reference(&table, &classifier, &format!("n = {n}"));
+            let (state, stages) = &runs[1];
+            let (after_rs, before_usr) = (stages[0].unknown_after, stages[2].unknown_after);
+            assert!(
+                0 < before_usr && before_usr < after_rs,
+                "n = {n}: U-SR ran ungated ({after_rs} open, {before_usr} left)"
+            );
+            assert_eq!(stages[3].name, "U-SR");
+            assert_eq!(state.kernel.open.rows.len(), after_rs, "n = {n}: rebuilt");
+        }
+    }
+
+    /// Each open row's products at every end-point are the two-pass
+    /// exclude-one chain over that column's survival factors, bit for bit,
+    /// whatever rows are open.
+    #[test]
+    fn open_products_match_exclude_one_chain_bitwise() {
+        let table = overlapping_histograms(23);
+        let (n, l) = (table.n_objects(), table.left_regions());
+        for open in [
+            vec![0, 1, 2],
+            vec![n - 1],
+            vec![3, 9, 10, 17],
+            (0..n).collect(),
+        ] {
+            let labels: Vec<Label> = (0..n)
+                .map(|i| match open.contains(&i) {
+                    true => Label::Unknown,
+                    false => Label::Fail,
+                })
+                .collect();
+            let mut products = OpenProducts::default();
+            let rows: Vec<(usize, Vec<f64>)> = products
+                .get(&table, &labels)
+                .map(|(i, p)| (i, p.to_vec()))
+                .collect();
+            assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), open);
+            for j in 0..=l {
+                let factors: Vec<f64> = (0..n).map(|k| 1.0 - table.cdf_at(k, j)).collect();
+                let chain = crate::verifiers::ExcludeOneProduct::new(&factors);
+                for (i, p) in &rows {
+                    assert_eq!(p[j].to_bits(), chain.excluding(*i).to_bits(), "({i},{j})");
                 }
             }
+        }
+    }
+
+    /// RS fails the first, a middle and the last row (their mass lies far
+    /// beyond `fmin`), so the open set is not contiguous and neither sweep
+    /// may cover all rows: the forward one stops at the last open row, the
+    /// backward one at the first.
+    #[test]
+    fn open_rows_with_gaps_at_both_ends_match_reference_bitwise() {
+        let mut objects = vec![
+            UncertainObject::uniform(ObjectId(100), 0.5, 200.0).unwrap(),
+            UncertainObject::uniform(ObjectId(101), 1.35, 250.0).unwrap(),
+            UncertainObject::uniform(ObjectId(102), 9.5, 300.0).unwrap(),
+        ];
+        objects.extend((0..8).map(|i| {
+            let lo = 1.0 + 0.1 * i as f64;
+            UncertainObject::uniform(ObjectId(i), lo, lo + 9.0).unwrap()
+        }));
+        let table = SubregionTable::build(&CandidateSet::build(&objects, 0.0, 0).unwrap());
+        let n = table.n_objects();
+        let classifier = Classifier::new(0.1, 0.0).unwrap();
+        for (state, stages) in chains_against_reference(&table, &classifier, "gaps") {
+            let rows = &state.kernel.open.rows;
+            assert_eq!(rows.len(), stages[0].unknown_after);
+            assert!(rows[0] > 0 && rows[rows.len() - 1] < n - 1, "{rows:?}");
+            assert!(rows.windows(2).any(|w| w[1] > w[0] + 1), "{rows:?}");
+        }
+    }
+
+    /// When RS decides every row the chain stops before L-SR, and a
+    /// subregion verifier applied anyway finds no open row: no product is
+    /// ever built.
+    #[test]
+    fn no_products_are_built_when_rs_decides_every_row() {
+        let table = SubregionTable::build(&fig7_scenario().0);
+        let classifier = Classifier::new(0.3, 1.0).unwrap();
+        for (mut state, stages) in chains_against_reference(&table, &classifier, "RS only") {
+            assert_eq!(stages.len(), 1);
+            assert_eq!(state.unknown_count(), 0);
+            let before = state.clone();
+            for v in extended_verifiers() {
+                v.apply(&table, &mut state);
+            }
+            assert_same_bits(&state, &before, "decided rows stay untouched");
+            assert!(state.kernel.open.rows.is_empty());
+            assert_eq!(state.kernel.open.products.capacity(), 0);
         }
     }
 
@@ -1041,11 +1184,27 @@ mod tests {
         let cands = CandidateSet::build_k(&objects, 0.0, 0, 2).unwrap();
         let table = SubregionTable::build(&cands);
         let mut state = VerificationState::new(&table);
+        let chain = extended_verifiers();
+        let classifier = Classifier::new(0.45, 0.0).unwrap();
+        let mut stages = Vec::new();
         // Warm every buffer once.
         let _ = nn_qualification(&table, 0, 3, &mut state.kernel);
         let _ = knn_qualification(&table, 0, 3, 2, &mut state.kernel);
         sr_k_pass(&table, &mut state, 2, 1);
+        state.reset(&table);
+        run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
         let scr = &state.kernel;
+        // The SR-k column buffers rotate, so their allocations are pinned
+        // as a set.
+        let columns = |scr: &KernelScratch| {
+            let mut ptrs = [
+                scr.col_below.as_ptr(),
+                scr.col_here.as_ptr(),
+                scr.col_above.as_ptr(),
+            ];
+            ptrs.sort();
+            ptrs
+        };
         let ptrs = (
             scr.coef_cdf.as_ptr(),
             scr.coef_mass.as_ptr(),
@@ -1054,6 +1213,11 @@ mod tests {
             scr.pb_suffix.as_ptr(),
             scr.straddlers.as_ptr(),
             scr.sr_rows.as_ptr(),
+            columns(scr),
+            scr.open.rows.as_ptr(),
+            scr.open.products.as_ptr(),
+            scr.open.run.as_ptr(),
+            scr.inv_counts.as_ptr(),
         );
         // Re-run the kernels: the backing allocations must not move.
         for j in 0..table.left_regions() {
@@ -1064,8 +1228,12 @@ mod tests {
             state.reset(&table);
             sr_k_pass(&table, &mut state, 2, stride);
         }
+        state.reset(&table);
+        stages.clear();
+        run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
         let scr = &state.kernel;
         assert!(scr.pb_tails > 0 && !scr.sr_rows.is_empty());
+        assert!(!scr.open.rows.is_empty() && stages.len() > 1);
         assert_eq!(ptrs.0, scr.coef_cdf.as_ptr());
         assert_eq!(ptrs.1, scr.coef_mass.as_ptr());
         assert_eq!(ptrs.2, scr.dp_spare.as_ptr());
@@ -1073,5 +1241,10 @@ mod tests {
         assert_eq!(ptrs.4, scr.pb_suffix.as_ptr());
         assert_eq!(ptrs.5, scr.straddlers.as_ptr());
         assert_eq!(ptrs.6, scr.sr_rows.as_ptr());
+        assert_eq!(ptrs.7, columns(scr));
+        assert_eq!(ptrs.8, scr.open.rows.as_ptr());
+        assert_eq!(ptrs.9, scr.open.products.as_ptr());
+        assert_eq!(ptrs.10, scr.open.run.as_ptr());
+        assert_eq!(ptrs.11, scr.inv_counts.as_ptr());
     }
 }

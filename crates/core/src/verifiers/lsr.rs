@@ -9,8 +9,10 @@
 //!   is constant inside a subregion), so `Pr[N | E] ≥ 1/c_j` (Lemma 3).
 //!
 //! Hence `q_ij.l = (1/c_j) · Π_{k≠i}(1 − D_k(e_j))` and
-//! `p_i.l = Σ_j s_ij · q_ij.l` (Eq. 4). Cost: `O(|C|·M)` using exclude-one
-//! products (the paper's `Y_j` trick, Eqs. 2–3).
+//! `p_i.l = Σ_j s_ij · q_ij.l` (Eq. 4). Cost: the exclude-one products (the
+//! paper's `Y_j` trick, Eqs. 2–3), `O(|C|·M)` once per query and shared with
+//! FL-SR and U-SR, then `O(open·M)` bound updates for the `open` rows RS
+//! left `Unknown`.
 //!
 //! Note the product here runs over **all** `k ≠ i`: under the paper's
 //! assumption (pdf non-zero throughout `U_k`) the extra factors are exactly
@@ -37,24 +39,32 @@ impl Verifier for LowerSubregion {
         if n == 0 || l == 0 {
             return;
         }
-        let shared = state.kernel.try_shared_products(table);
-        for j in 0..l {
-            let cj = table.count(j);
-            if cj == 0 {
+        let VerificationState {
+            labels,
+            qij_lo,
+            kernel,
+            ..
+        } = state;
+        // `c_j = 0` means no row has mass in `S_j`: the mass gate below
+        // never reads its (infinite) inverse.
+        kernel.inv_counts.clear();
+        kernel
+            .inv_counts
+            .extend((0..l).map(|j| 1.0 / table.count(j) as f64));
+        for (i, products) in kernel.open.get(table, labels) {
+            if labels[i] != Label::Unknown {
                 continue;
             }
-            if !shared {
-                state.kernel.excl.recompute_survival(table.cdf_col(j));
-            }
-            let inv_cj = 1.0 / cj as f64;
-            let mass = table.mass_col(j);
-            let (pref, suff) = state.kernel.col_products(shared, j);
-            for i in 0..n {
-                if state.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
+            let cells = qij_lo[i * l..(i + 1) * l].iter_mut();
+            let row = cells
+                .zip(table.mass_row(i))
+                .zip(products)
+                .zip(&kernel.inv_counts);
+            for (((cell, &s), &e), &inv_cj) in row {
+                if s <= MASS_EPS {
                     continue;
                 }
-                let q = (pref[i] * suff[i + 1] * inv_cj).clamp(0.0, 1.0);
-                let cell = &mut state.qij_lo[i * l + j];
+                let q = (e * inv_cj).clamp(0.0, 1.0);
                 if q > *cell {
                     *cell = q;
                 }

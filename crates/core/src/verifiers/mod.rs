@@ -11,6 +11,11 @@
 //! | [`LowerSubregion`] (L-SR)    | lower | `O(|C|·M)` |
 //! | [`UpperSubregion`] (U-SR)    | upper | `O(|C|·M)` |
 //!
+//! The `O(|C|·M)` of L-SR and U-SR (and FL-SR) is the exclude-one survival
+//! products, built once per query and shared by all three
+//! (`kernels::OpenProducts`); each verifier's own bound updates cost
+//! `O(open·M)`, `open` being the objects RS left `Unknown`.
+//!
 //! Besides the object-level bounds, L-SR and U-SR also record per-subregion
 //! qualification bounds `[q_ij.l, q_ij.u]`, which the incremental refinement
 //! stage (Sec. IV-D) reuses.
@@ -50,7 +55,7 @@ pub struct VerificationState {
     pub qij_lo: Vec<f64>,
     /// `q_ij.u` flattened as `i·L + j`.
     pub qij_hi: Vec<f64>,
-    /// Reusable kernel buffers (exclude-one products, Poisson-binomial DP
+    /// Reusable kernel buffers (open-row survival products, Poisson-binomial
     /// states, integrand coefficients, refinement order). Living here means
     /// every path that reuses the state — the per-query scratch, the batch
     /// executor's per-thread states — gets allocation-free verify/refine
@@ -79,9 +84,10 @@ impl VerificationState {
         self.qij_lo.resize(n * l, 0.0);
         self.qij_hi.clear();
         self.qij_hi.resize(n * l, 1.0);
-        // The shared survival products describe a specific table; a reset
-        // means a new query, so force a rebuild on first verifier use.
-        self.kernel.products_ready = false;
+        // The open-row survival products describe a specific table and
+        // `Unknown` set; a reset means a new query, so force a rebuild on
+        // first verifier use.
+        self.kernel.open.invalidate();
         // So do the memoised refine column integrals.
         self.kernel.columns.close();
     }
@@ -91,8 +97,8 @@ impl VerificationState {
     pub fn recompute_lower(&mut self, table: &SubregionTable, i: usize) {
         let l = table.left_regions();
         let mut lo = 0.0;
-        for j in 0..l {
-            lo += table.mass(i, j) * self.qij_lo[i * l + j];
+        for (&s, &q) in table.mass_row(i).iter().zip(&self.qij_lo[i * l..]) {
+            lo += s * q;
         }
         self.bounds[i].raise_lo(lo);
     }
@@ -102,8 +108,8 @@ impl VerificationState {
     pub fn recompute_upper(&mut self, table: &SubregionTable, i: usize) {
         let l = table.left_regions();
         let mut hi = 0.0;
-        for j in 0..l {
-            hi += table.mass(i, j) * self.qij_hi[i * l + j];
+        for (&s, &q) in table.mass_row(i).iter().zip(&self.qij_hi[i * l..]) {
+            hi += s * q;
         }
         self.bounds[i].lower_hi(hi);
     }

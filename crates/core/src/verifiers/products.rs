@@ -9,6 +9,11 @@
 //! products, giving every exclude-one product in O(1) with no division at
 //! all: `Π_{k≠i} f_k = prefix[i] · suffix[i+1]`. Same O(|C|) cost per
 //! subregion as the paper's `Y_j` trick.
+//!
+//! [`ExcludeOneProduct`] is the per-column form the reference verifiers
+//! use. The kernel verifiers run the same chain for every end-point column
+//! at once, and only for the rows RS left open (`kernels::OpenProducts`),
+//! with the same multiplication order per column and so the same bits.
 
 /// Prefix/suffix product table over a factor vector.
 ///
@@ -51,25 +56,6 @@ impl ExcludeOneProduct {
         }
     }
 
-    /// Rebuild directly from a cdf column, taking factor `i` as
-    /// `1.0 − cdf[i]` on the fly: the same `1.0 − c` subtraction feeds the
-    /// same multiplication chain in the same order, so the resulting products
-    /// are bit-identical to [`Self::recompute`] on the survival factors —
-    /// with one fewer write-then-read sweep over a factors buffer.
-    pub fn recompute_survival(&mut self, cdf: &[f64]) {
-        let n = cdf.len();
-        self.prefix.resize(n + 1, 0.0);
-        self.suffix.resize(n + 1, 0.0);
-        survival_products(cdf, &mut self.prefix, &mut self.suffix);
-    }
-
-    /// Prefix/suffix halves (`prefix[i] · suffix[i + 1]` is the exclude-one
-    /// product), for slice-based inner loops that also consume the shared
-    /// column tables of [`super::kernels::KernelScratch`].
-    pub(crate) fn parts(&self) -> (&[f64], &[f64]) {
-        (&self.prefix, &self.suffix)
-    }
-
     /// Product of all factors.
     pub fn total(&self) -> f64 {
         *self.prefix.last().expect("non-empty prefix")
@@ -88,24 +74,6 @@ impl ExcludeOneProduct {
     /// Is the factor sequence empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Fill `prefix[i] = Π_{k<i} (1 − cdf[k])` and `suffix[i] = Π_{k≥i} (1 − cdf[k])`
-/// (both `cdf.len() + 1` long) — the one survival-product chain, shared by
-/// [`ExcludeOneProduct::recompute_survival`] and the per-query column tables
-/// of [`super::kernels::KernelScratch`], so both read identical bits.
-pub(crate) fn survival_products(cdf: &[f64], prefix: &mut [f64], suffix: &mut [f64]) {
-    let n = cdf.len();
-    prefix[0] = 1.0;
-    let mut acc = 1.0;
-    for (i, &c) in cdf.iter().enumerate() {
-        acc *= 1.0 - c;
-        prefix[i + 1] = acc;
-    }
-    suffix[n] = 1.0;
-    for i in (0..n).rev() {
-        suffix[i] = (1.0 - cdf[i]) * suffix[i + 1];
     }
 }
 
@@ -177,24 +145,6 @@ mod tests {
         for i in 0..b.len() {
             assert_eq!(p.excluding(i).to_bits(), fresh_b.excluding(i).to_bits());
         }
-    }
-
-    #[test]
-    fn recompute_survival_matches_two_pass_bitwise() {
-        let cdf = [0.0, 0.125, 0.3, 0.5, 0.97, 1.0];
-        let factors: Vec<f64> = cdf.iter().map(|&c| 1.0 - c).collect();
-        let mut two_pass = ExcludeOneProduct::default();
-        two_pass.recompute(&factors);
-        let mut fused = ExcludeOneProduct::default();
-        fused.recompute_survival(&cdf);
-        assert_eq!(fused.len(), two_pass.len());
-        for i in 0..cdf.len() {
-            assert_eq!(
-                fused.excluding(i).to_bits(),
-                two_pass.excluding(i).to_bits()
-            );
-        }
-        assert_eq!(fused.total().to_bits(), two_pass.total().to_bits());
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!
 //! Together `q_ij.u = ½ (Pr[F] + Pr[E]) =
 //! ½ (Π_{k≠i}(1 − D_k(e_{j+1})) + Π_{k≠i}(1 − D_k(e_j)))`, and
-//! `p_i.u = Σ_j s_ij · q_ij.u`. Cost: `O(|C|·M)` — consecutive subregions
-//! share an end-point, so one exclude-one product per end-point suffices
-//! (the paper's Eq. 11 reuse of `Y_j`, `Y_{j+1}`).
+//! `p_i.u = Σ_j s_ij · q_ij.u`. Consecutive subregions share an end-point,
+//! so one exclude-one product per end-point suffices (the paper's Eq. 11
+//! reuse of `Y_j`, `Y_{j+1}`). Cost: those products, `O(|C|·M)` once per
+//! query and shared with L-SR and FL-SR, then `O(open·M)` bound updates for
+//! the `open` rows RS left `Unknown`.
 
 use crate::classify::Label;
 use crate::subregion::{SubregionTable, MASS_EPS};
@@ -34,34 +36,31 @@ impl Verifier for UpperSubregion {
             return;
         }
         // Consecutive subregions share an end-point (the paper's Y_j /
-        // Y_{j+1} reuse): read both from the shared product table, or keep
-        // the two products in ping-pong buffers when the table is too big.
-        let shared = state.kernel.try_shared_products(table);
-        if !shared {
-            state.kernel.excl.recompute_survival(table.cdf_col(0));
-        }
-        for j in 0..l {
-            if !shared {
-                state
-                    .kernel
-                    .excl_next
-                    .recompute_survival(table.cdf_col(j + 1));
+        // Y_{j+1} reuse): `S_j` reads products `j` and `j + 1` of the row.
+        let VerificationState {
+            labels,
+            qij_lo,
+            qij_hi,
+            kernel,
+            ..
+        } = state;
+        for (i, products) in kernel.open.get(table, labels) {
+            if labels[i] != Label::Unknown {
+                continue;
             }
-            let mass = table.mass_col(j);
-            let (pc, sc, pn, sn) = state.kernel.usr_products(shared, j);
-            for i in 0..n {
-                if state.labels[i] != Label::Unknown || mass[i] <= MASS_EPS {
+            let cells = qij_hi[i * l..(i + 1) * l].iter_mut();
+            let row = cells
+                .zip(table.mass_row(i))
+                .zip(&qij_lo[i * l..(i + 1) * l])
+                .zip(products.windows(2));
+            for (((cell, &s), &lo), e) in row {
+                if s <= MASS_EPS {
                     continue;
                 }
-                let q = 0.5 * (pn[i] * sn[i + 1] + pc[i] * sc[i + 1]);
-                let lo = state.qij_lo[i * l + j];
-                let cell = &mut state.qij_hi[i * l + j];
+                let q = 0.5 * (e[1] + e[0]);
                 if q < *cell {
                     *cell = q.clamp(lo, 1.0);
                 }
-            }
-            if !shared {
-                state.kernel.swap_products();
             }
         }
         for i in 0..n {

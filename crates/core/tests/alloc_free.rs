@@ -14,7 +14,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpnn_core::classify::Classifier;
-use cpnn_core::framework::{extended_verifiers, knn_verifiers, run_verification_into};
+use cpnn_core::framework::{
+    default_verifiers, extended_verifiers, knn_verifiers, run_verification_into,
+};
 use cpnn_core::refine::{incremental_refine_with, RefinementOrder};
 use cpnn_core::verifiers::{kernels, VerificationState};
 use cpnn_core::{CandidateSet, ObjectId, SubregionTable, UncertainObject};
@@ -109,16 +111,25 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
         |i, j, scr| kernels::nn_qualification(&table, i, j, scr),
     );
 
-    // ---- Measured: 1-NN verification must allocate nothing at all. ----
-    state.reset(&table);
-    stages.clear();
-    let before = allocations();
-    run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
-    let verify_allocs = allocations() - before;
-    assert_eq!(
-        verify_allocs, 0,
-        "warm 1-NN verification performed {verify_allocs} allocations"
-    );
+    // ---- Measured: 1-NN verification must allocate nothing at all, through
+    // the paper's chain and the extended one (both build and read the
+    // open-row product table). ----
+    for chain in [default_verifiers(), extended_verifiers()] {
+        state.reset(&table);
+        stages.clear();
+        let before = allocations();
+        run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
+        let verify_allocs = allocations() - before;
+        assert_eq!(
+            stages.len(),
+            chain.len(),
+            "a stage before U-SR decided everything"
+        );
+        assert_eq!(
+            verify_allocs, 0,
+            "warm 1-NN verification performed {verify_allocs} allocations"
+        );
+    }
 
     // ---- Measured: refinement may allocate only its report vector. ----
     // Refine a fresh (unverified) state so every object takes the full

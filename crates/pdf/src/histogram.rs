@@ -260,39 +260,21 @@ impl HistogramPdf {
     }
 
     /// Bulk cdf evaluation over an **ascending** slice of points: one merge
-    /// pass over the bin edges instead of a binary search per point.
-    ///
-    /// Appends `Pdf::cdf(x)` for each `x ∈ xs` to `out` (cleared first).
-    /// Results are bit-identical to the scalar [`Pdf::cdf`]: the same bin
-    /// index is located (last bin whose left edge is `≤ x`) and the same
-    /// interpolation expression is evaluated, so downstream consumers such
-    /// as the subregion table see identical f64 values either way.
-    ///
-    /// `xs` must be sorted ascending (`debug_assert`ed); the subregion
-    /// end-point list already is.
-    pub fn cdf_many_into(&self, xs: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(xs.len(), 0.0);
-        let mut bin = 0usize;
-        self.cdf_many_resume(xs, &mut bin, out);
-    }
-
-    /// Resumable slice form of [`cdf_many_into`](Self::cdf_many_into): the
-    /// sweep's bin cursor lives in `bin`, so a caller can evaluate one long
-    /// ascending grid in several consecutive chunks (the cache-blocked
-    /// subregion-table build does exactly this, one cursor per member)
-    /// without restarting the edge merge from bin 0 each time.
+    /// pass over the bin edges instead of a binary search per point, writing
+    /// `Pdf::cdf(xs[i])` to `out[i]`. The subregion-table build fills each
+    /// member's row with one call.
     ///
     /// Points sharing a bin form a *run*; each run is interpolated with the
-    /// bin's constants hoisted, bit-identical to [`Pdf::cdf`] per point.
+    /// bin's constants hoisted. Results are bit-identical to the scalar
+    /// [`Pdf::cdf`]: the same bin index is located (last bin whose left edge
+    /// is `≤ x`) and the same interpolation expression is evaluated.
     ///
-    /// Contract: `xs` ascends, `out.len() == xs.len()`, `*bin` was produced
-    /// by a previous call on the same histogram with points `≤ xs[0]` (or is
-    /// 0), all `debug_assert`ed.
-    pub fn cdf_many_resume(&self, xs: &[f64], bin: &mut usize, out: &mut [f64]) {
+    /// Contract: `xs` ascends and `out.len() == xs.len()`, both
+    /// `debug_assert`ed; the subregion end-point list already ascends.
+    pub fn cdf_many(&self, xs: &[f64], out: &mut [f64]) {
         debug_assert!(
             xs.windows(2).all(|w| w[0] <= w[1]),
-            "cdf_many_resume requires ascending inputs"
+            "cdf_many requires ascending inputs"
         );
         debug_assert_eq!(xs.len(), out.len());
         let n = self.density.len();
@@ -311,15 +293,13 @@ impl HistogramPdf {
             out[end] = 1.0;
         }
         // `b` is the current bin: the largest index with edges[b] <= x.
-        // Because xs ascends (across calls too), it only ever moves right.
-        let mut b = *bin;
-        debug_assert!(b < n, "stale bin cursor");
+        // Because xs ascends, it only ever moves right.
+        let mut b = 0usize;
         while i < end {
             let x0 = xs[i];
             while self.edges[b + 1] <= x0 {
                 b += 1;
             }
-            debug_assert!(self.edges[b] <= x0, "cursor resumed past its points");
             // The run of points that stay inside bin b (x0 always does).
             let (c, d, e) = (self.cdf[b], self.density[b], self.edges[b]);
             let next = self.edges[b + 1];
@@ -331,7 +311,6 @@ impl HistogramPdf {
                 }
             }
         }
-        *bin = b;
     }
 
     /// Index of the bin containing `x` (bins are `[e_i, e_{i+1})`, with the
@@ -532,15 +511,11 @@ mod tests {
         let xs = [
             5.0, 9.99, 10.0, 10.5, 12.0, 12.0, 13.5, 15.0, 17.9, 18.0, 19.99, 20.0, 25.0,
         ];
-        let mut out = Vec::new();
-        h.cdf_many_into(&xs, &mut out);
-        assert_eq!(out.len(), xs.len());
+        let mut out = vec![f64::NAN; xs.len()];
+        h.cdf_many(&xs, &mut out);
         for (&x, &v) in xs.iter().zip(&out) {
             assert_eq!(v.to_bits(), h.cdf(x).to_bits(), "x = {x}");
         }
-        // Buffer reuse: second call clears and refills.
-        h.cdf_many_into(&xs[..3], &mut out);
-        assert_eq!(out.len(), 3);
     }
 
     #[test]
@@ -551,34 +526,32 @@ mod tests {
             let h = example();
             let mut xs: Vec<f64> = (0..40).map(|_| rng.gen_range(8.0..22.0)).collect();
             xs.sort_by(f64::total_cmp);
-            let mut out = Vec::new();
-            h.cdf_many_into(&xs, &mut out);
+            let mut out = vec![f64::NAN; xs.len()];
+            h.cdf_many(&xs, &mut out);
             for (&x, &v) in xs.iter().zip(&out) {
                 assert_eq!(v.to_bits(), h.cdf(x).to_bits(), "x = {x}");
             }
         }
     }
 
+    /// Every slice length and offset of one ascending grid — runs that
+    /// start mid-bin, end on an edge, or hold a single point — writes the
+    /// per-point cdf into every slot of `out`.
     #[test]
-    fn cdf_many_resume_chunks_match_one_shot_bitwise() {
+    fn cdf_many_slices_equal_per_point_cdf() {
         let h = example();
         let mut rng = StdRng::seed_from_u64(11);
         use rand::Rng;
-        for chunk in [1usize, 2, 3, 5, 64] {
-            let mut xs: Vec<f64> = (0..41).map(|_| rng.gen_range(8.0..22.0)).collect();
-            xs.sort_by(f64::total_cmp);
-            let mut whole = Vec::new();
-            h.cdf_many_into(&xs, &mut whole);
-            let mut chunked = vec![0.0; xs.len()];
-            let mut bin = 0usize;
-            let mut at = 0usize;
-            while at < xs.len() {
-                let end = (at + chunk).min(xs.len());
-                h.cdf_many_resume(&xs[at..end], &mut bin, &mut chunked[at..end]);
-                at = end;
-            }
-            for (i, (&w, &c)) in whole.iter().zip(&chunked).enumerate() {
-                assert_eq!(w.to_bits(), c.to_bits(), "chunk {chunk} point {i}");
+        let mut xs: Vec<f64> = (0..41).map(|_| rng.gen_range(8.0..22.0)).collect();
+        xs.extend([10.0, 12.0, 15.0, 18.0, 20.0]);
+        xs.sort_by(f64::total_cmp);
+        for at in 0..xs.len() {
+            for end in at..=xs.len() {
+                let mut out = vec![f64::NAN; end - at];
+                h.cdf_many(&xs[at..end], &mut out);
+                for (&x, &v) in xs[at..end].iter().zip(&out) {
+                    assert_eq!(v.to_bits(), h.cdf(x).to_bits(), "[{at}, {end}) x = {x}");
+                }
             }
         }
     }
