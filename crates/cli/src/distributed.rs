@@ -267,8 +267,8 @@ pub fn route(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let wall = start.elapsed();
     let stats = router.router_stats();
     eprintln!(
-        "routed {served} queries ({} shard filters fanned out, {} pruned), {} update burst(s) \
-         in {wall:.3?}",
+        "routed {served} queries ({} shard filters fanned out, {} shards pruned by selection or \
+         by the horizon of earlier replies), {} update burst(s) in {wall:.3?}",
         stats.fanned_out, stats.pruned, stats.bursts
     );
     Ok(())

@@ -21,6 +21,12 @@
 //!             | rectangle: min x, min y, max x, max y (f64 each)
 //! ```
 //!
+//! The byte codec ([`SnapshotWriter`] / [`SnapshotReader`]) only encodes
+//! and decodes; it is shared with WAL records and wire messages, which
+//! checksum their finished buffer once. A snapshot streams to its sink,
+//! so its trailer comes from a [`ChecksumWriter`] around the sink and is
+//! checked by a [`ChecksumReader`] around the source.
+//!
 //! All integers and floats are little-endian. The `snapshot version`
 //! field carries the serving layer's published snapshot version through
 //! checkpoints, so a recovered server resumes the citation sequence its
@@ -146,33 +152,103 @@ impl Fnv1a {
 }
 
 /// One-shot FNV-1a (64-bit) over a byte slice — the same digest the
-/// snapshot trailer uses, exported for the WAL's per-record checksums
-/// ([`crate::storage`]).
+/// snapshot trailer uses, exported for the checksums computed over a
+/// finished buffer: WAL records ([`crate::storage`]) and wire frames.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(bytes);
     h.0
 }
 
-/// Writer that hashes everything it forwards — the encoding half of the
-/// snapshot/WAL wire format. [`finish`](Self::finish) appends the running
-/// digest as the little-endian trailer.
-pub struct SnapshotWriter<W: Write> {
+/// A [`Write`] adapter that FNV-1a-hashes every byte it forwards — the
+/// streaming trailer of the formats written straight to a sink
+/// (checkpoints, the router's shard map). [`finish`](Self::finish)
+/// appends the digest as the little-endian trailer.
+pub struct ChecksumWriter<W: Write> {
     inner: W,
     hash: Fnv1a,
 }
 
-impl<W: Write> SnapshotWriter<W> {
-    /// Wrap a sink; all bytes written through `put*` are hashed.
+impl<W: Write> ChecksumWriter<W> {
+    /// Wrap a sink; every byte written through the adapter is hashed.
     pub fn new(inner: W) -> Self {
         Self {
             inner,
             hash: Fnv1a::new(),
         }
     }
+    /// Append the digest trailer (the trailer itself is not hashed) and
+    /// return the sink.
+    pub fn finish(mut self) -> io::Result<W> {
+        let digest = self.hash.0;
+        self.inner.write_all(&digest.to_le_bytes())?;
+        Ok(self.inner)
+    }
+}
+
+impl<W: Write> Write for ChecksumWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hash.update(&buf[..n]);
+        Ok(n)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// A [`Read`] adapter that FNV-1a-hashes every byte it yields — the
+/// reading half of [`ChecksumWriter`].
+pub struct ChecksumReader<R: Read> {
+    inner: R,
+    hash: Fnv1a,
+}
+
+impl<R: Read> ChecksumReader<R> {
+    /// Wrap a source; every byte read through the adapter is hashed.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            hash: Fnv1a::new(),
+        }
+    }
+    /// Read the (unhashed) trailer and compare it to the digest of
+    /// everything read so far.
+    pub fn verify_trailer(mut self) -> SnapshotResult<()> {
+        let computed = self.hash.0;
+        let mut trailer = [0u8; 8];
+        self.inner.read_exact(&mut trailer)?;
+        let stored = u64::from_le_bytes(trailer);
+        if stored != computed {
+            return Err(SnapshotError::ChecksumMismatch { stored, computed });
+        }
+        Ok(())
+    }
+}
+
+impl<R: Read> Read for ChecksumReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hash.update(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// The little-endian byte codec shared by snapshots, WAL records and wire
+/// messages — the encoding half. It only encodes: a format whose trailer
+/// is streamed wraps its sink in a [`ChecksumWriter`], and one checksummed
+/// over a finished buffer hashes that buffer once ([`fnv1a`]).
+pub struct SnapshotWriter<W: Write> {
+    inner: W,
+}
+
+impl<W: Write> SnapshotWriter<W> {
+    /// Wrap a sink.
+    pub fn new(inner: W) -> Self {
+        Self { inner }
+    }
     /// Write raw bytes.
     pub fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.hash.update(bytes);
         self.inner.write_all(bytes)
     }
     /// Write a little-endian `u8`.
@@ -192,40 +268,27 @@ impl<W: Write> SnapshotWriter<W> {
     pub fn put_f64(&mut self, v: f64) -> io::Result<()> {
         self.put(&v.to_le_bytes())
     }
-    /// Append the digest trailer (the trailer itself is not hashed) and
-    /// return the sink.
-    pub fn finish(mut self) -> io::Result<W> {
-        let digest = self.hash.0;
-        self.inner.write_all(&digest.to_le_bytes())?;
-        Ok(self.inner)
-    }
-    /// Unwrap without writing a trailer (for length-prefixed WAL payloads
-    /// whose checksum is computed over the finished buffer instead).
+    /// Unwrap, returning the sink.
     pub fn into_inner(self) -> W {
         self.inner
     }
 }
 
-/// Reader that hashes everything it yields — the decoding half of the
-/// snapshot/WAL wire format.
+/// The decoding half of the byte codec (see [`SnapshotWriter`]); a
+/// streamed trailer is the job of a [`ChecksumReader`] under it.
 pub struct SnapshotReader<R: Read> {
     inner: R,
-    hash: Fnv1a,
 }
 
 impl<R: Read> SnapshotReader<R> {
-    /// Wrap a source; all bytes read through `take*` are hashed.
+    /// Wrap a source.
     pub fn new(inner: R) -> Self {
-        Self {
-            inner,
-            hash: Fnv1a::new(),
-        }
+        Self { inner }
     }
     /// Read exactly `N` raw bytes.
     pub fn take<const N: usize>(&mut self) -> io::Result<[u8; N]> {
         let mut buf = [0u8; N];
         self.inner.read_exact(&mut buf)?;
-        self.hash.update(&buf);
         Ok(buf)
     }
     /// Read a little-endian `u8`.
@@ -243,17 +306,6 @@ impl<R: Read> SnapshotReader<R> {
     /// Read a little-endian `f64` (raw IEEE-754 bits).
     pub fn take_f64(&mut self) -> io::Result<f64> {
         Ok(f64::from_le_bytes(self.take::<8>()?))
-    }
-    /// Read the (unhashed) trailer and compare it to the running digest.
-    pub fn verify_trailer(&mut self) -> SnapshotResult<()> {
-        let computed = self.hash.0;
-        let mut trailer = [0u8; 8];
-        self.inner.read_exact(&mut trailer)?;
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        Ok(())
     }
     /// Unwrap, returning the underlying source (for slice readers: the
     /// unconsumed remainder).
@@ -298,14 +350,14 @@ pub fn write_model<M: PersistentModel, W: Write>(
     snapshot_version: u64,
     w: W,
 ) -> SnapshotResult<()> {
-    let mut w = SnapshotWriter::new(w);
+    let mut w = SnapshotWriter::new(ChecksumWriter::new(w));
     w.put(MAGIC)?;
     w.put_u32(VERSION)?;
     w.put_u32(M::DIM)?;
     w.put_u8(M::KIND)?;
     w.put_u64(snapshot_version)?;
     model.write_body(&mut w)?;
-    w.finish()?;
+    w.into_inner().finish()?;
     Ok(())
 }
 
@@ -314,7 +366,7 @@ pub fn write_model<M: PersistentModel, W: Write>(
 /// format and (for 1-D flat models) legacy version-1 files, which carry
 /// snapshot version 0.
 pub fn read_model<M: PersistentModel, R: Read>(r: R, ctx: &M::Context) -> SnapshotResult<(M, u64)> {
-    let mut r = SnapshotReader::new(r);
+    let mut r = SnapshotReader::new(ChecksumReader::new(r));
     let format = read_magic_and_version(&mut r)?;
     let snapshot_version = if format == LEGACY_VERSION {
         if M::DIM != 1 || M::KIND != KIND_FLAT {
@@ -335,7 +387,7 @@ pub fn read_model<M: PersistentModel, R: Read>(r: R, ctx: &M::Context) -> Snapsh
         r.take_u64()?
     };
     let model = M::read_body(&mut r, ctx)?;
-    r.verify_trailer()?;
+    r.into_inner().verify_trailer()?;
     Ok((model, snapshot_version))
 }
 
@@ -607,10 +659,10 @@ pub fn load_snapshot_with<R: Read>(r: R, config: EngineConfig) -> SnapshotResult
 /// current flat files, and current *sharded* files (flattened in slab
 /// order, so the caller may re-partition freely).
 pub fn load_objects<R: Read>(r: R) -> SnapshotResult<Vec<UncertainObject>> {
-    let mut r = SnapshotReader::new(r);
+    let mut r = SnapshotReader::new(ChecksumReader::new(r));
     let format = read_magic_and_version(&mut r)?;
     let objects = if format == LEGACY_VERSION {
-        read_object_list::<UncertainDb, R>(&mut r)?
+        read_object_list::<UncertainDb, _>(&mut r)?
     } else {
         let dim = r.take_u32()?;
         if dim != 1 {
@@ -622,7 +674,7 @@ pub fn load_objects<R: Read>(r: R) -> SnapshotResult<Vec<UncertainObject>> {
         match r.take_u8()? {
             KIND_FLAT => {
                 let _snapshot_version = r.take_u64()?;
-                read_object_list::<UncertainDb, R>(&mut r)?
+                read_object_list::<UncertainDb, _>(&mut r)?
             }
             KIND_SHARDED => {
                 let _snapshot_version = r.take_u64()?;
@@ -640,14 +692,14 @@ pub fn load_objects<R: Read>(r: R) -> SnapshotResult<Vec<UncertainObject>> {
                 }
                 let mut all = Vec::new();
                 for _ in 0..nshards {
-                    all.extend(read_object_list::<UncertainDb, R>(&mut r)?);
+                    all.extend(read_object_list::<UncertainDb, _>(&mut r)?);
                 }
                 all
             }
             _ => return Err(SnapshotError::BadHeader),
         }
     };
-    r.verify_trailer()?;
+    r.into_inner().verify_trailer()?;
     Ok(objects)
 }
 

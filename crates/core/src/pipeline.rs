@@ -591,52 +591,81 @@ pub fn cpnn_with<M: DistanceModel + ?Sized>(
     result
 }
 
-/// Fan a filtering pass out over shards and merge the survivors.
-///
-/// `shards` yields `(bound, model)` pairs where `bound` is a conservative
-/// lower bound on the distance from `q` to anything that model stores
-/// (e.g. the mindist from `q` to the shard's minimum bounding box). A
-/// shard whose bound exceeds the merged candidate *horizon* — the `k`-th
-/// smallest far point collected so far — is skipped outright: every one of
-/// its objects has a near distance of at least `bound`, so the candidate
-/// assembly ([`CandidateSet::from_distances`]) would prune it anyway.
-/// The merged result is therefore identical to filtering one unsharded
-/// model over the same objects (property-tested in
-/// `tests/proptest_shard.rs`). Visit shards in ascending `bound` order for
-/// maximal pruning; the order affects how much work is skipped, never the
-/// merged candidate set.
-pub fn fan_out_filter<'a, M, I>(shards: I, q: &M::Query, k: usize) -> Result<Filtered>
-where
-    M: DistanceModel + 'a,
-    I: IntoIterator<Item = (f64, &'a M)>,
-{
-    let k = k.max(1);
-    let mut items: Vec<(ObjectId, DistanceDistribution)> = Vec::new();
-    let mut filter_time = Duration::ZERO;
-    // The `k` smallest far points seen so far, sorted ascending. Once full,
-    // its last element is the merged horizon; until then every object
-    // anywhere is still a candidate, so the horizon stays infinite.
-    let mut k_fars: Vec<f64> = Vec::with_capacity(k);
-    for (bound, shard) in shards {
-        let horizon = if k_fars.len() == k {
-            k_fars[k - 1]
+/// The merged candidate horizon of a fan-out: the `k`-th smallest far
+/// point over every filtered item pushed so far, or `∞` while fewer than
+/// `k` are in hand (every object anywhere is then still a candidate).
+/// [`fan_out_filter`] skips a shard whose bound exceeds it; the socket
+/// router (`cpnn-router`) stops asking shards by the same value.
+#[derive(Debug, Clone)]
+pub struct Horizon {
+    k: usize,
+    /// The `k` smallest far points seen so far, ascending.
+    fars: Vec<f64>,
+}
+
+impl Horizon {
+    /// An empty horizon (`∞`) for a `k`-NN query (`k = 0` counts as 1).
+    pub fn new(k: usize) -> Self {
+        let k = k.max(1);
+        Self {
+            k,
+            fars: Vec::with_capacity(k),
+        }
+    }
+
+    /// Account for one filtered item with far point `far`.
+    pub fn push(&mut self, far: f64) {
+        if self.fars.len() < self.k || far < self.fars[self.k - 1] {
+            let at = self.fars.partition_point(|f| *f <= far);
+            self.fars.insert(at, far);
+            self.fars.truncate(self.k);
+        }
+    }
+
+    /// The current horizon.
+    pub fn get(&self) -> f64 {
+        if self.fars.len() == self.k {
+            self.fars[self.k - 1]
         } else {
             f64::INFINITY
-        };
-        if bound > horizon {
+        }
+    }
+}
+
+/// Fan a filtering pass out over shards and merge the survivors.
+///
+/// `shards` yields `(bound, source)` pairs where `bound` is a conservative
+/// lower bound on the distance from the query to anything the shard
+/// stores (e.g. the mindist from the query to the shard's minimum bounding
+/// box) and `source` yields the shard's [`Filtered`] output — called at
+/// most once, and only for a shard that is visited, whose items then move
+/// into the merge. A shard whose bound exceeds the merged candidate
+/// [`Horizon`] — the `k`-th smallest far point collected so far — is
+/// skipped outright: every one of its objects has a near distance of at
+/// least `bound`, so the candidate assembly
+/// ([`CandidateSet::from_distances`]) would prune it anyway. The merged
+/// result is therefore identical to filtering one unsharded model over the
+/// same objects (property-tested in `tests/proptest_shard.rs`). Visit
+/// shards in ascending `bound` order for maximal pruning; the order
+/// affects how much work is skipped, never the merged candidate set.
+pub fn fan_out_filter<I, F>(shards: I, k: usize) -> Result<Filtered>
+where
+    I: IntoIterator<Item = (f64, F)>,
+    F: FnOnce() -> Result<Filtered>,
+{
+    let mut horizon = Horizon::new(k);
+    let mut items: Vec<(ObjectId, DistanceDistribution)> = Vec::new();
+    let mut filter_time = Duration::ZERO;
+    for (bound, source) in shards {
+        if bound > horizon.get() {
             continue;
         }
-        let filtered = shard.filter(q, k)?;
+        let filtered = source()?;
         filter_time += filtered.filter_time;
-        for (id, dist) in filtered.items {
-            let far = dist.far();
-            if k_fars.len() < k || far < k_fars[k - 1] {
-                let at = k_fars.partition_point(|f| *f <= far);
-                k_fars.insert(at, far);
-                k_fars.truncate(k);
-            }
-            items.push((id, dist));
+        for (_, dist) in &filtered.items {
+            horizon.push(dist.far());
         }
+        items.extend(filtered.items);
     }
     Ok(Filtered { items, filter_time })
 }

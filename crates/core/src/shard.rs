@@ -599,8 +599,12 @@ where
         let start = Instant::now();
         let selected = self.overlapping(q, k);
         let select_time = start.elapsed();
-        let mut filtered =
-            pipeline::fan_out_filter(selected.iter().map(|&(d, i)| (d, &*self.shards[i])), q, k)?;
+        let mut filtered = pipeline::fan_out_filter(
+            selected
+                .iter()
+                .map(|&(d, i)| (d, move || self.shards[i].filter(q, k))),
+            k,
+        )?;
         filtered.filter_time += select_time;
         Ok(filtered)
     }

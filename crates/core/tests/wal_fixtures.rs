@@ -65,6 +65,34 @@ fn recover(wal: &[u8]) -> Result<storage::Recovered<UncertainDb>, StorageError> 
     replay_wal(wal, model, version)
 }
 
+/// The checkpoint writer (codec over a hashing sink) and the journal
+/// record encoder reproduce the checked-in bytes exactly.
+#[test]
+fn encoders_reproduce_the_fixture_bytes() {
+    let (checkpoint, rec1, rec2) = canonical_bytes();
+    assert_eq!(checkpoint, fixture("checkpoint_base.cpnn"));
+    let mut clean = storage::wal_header().to_vec();
+    clean.extend_from_slice(&rec1);
+    clean.extend_from_slice(&rec2);
+    assert_eq!(clean, fixture("wal_clean.cpwl"));
+}
+
+#[test]
+fn corrupted_checkpoint_trailer_is_a_checksum_mismatch() {
+    let mut bytes = fixture("checkpoint_base.cpnn");
+    *bytes.last_mut().unwrap() ^= 0x01;
+    match persist::read_model::<UncertainDb, _>(bytes.as_slice(), &EngineConfig::default()) {
+        Err(SnapshotError::ChecksumMismatch { stored, computed }) => {
+            assert_ne!(stored, computed);
+        }
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+    assert!(matches!(
+        persist::load_objects(bytes.as_slice()),
+        Err(SnapshotError::ChecksumMismatch { .. })
+    ));
+}
+
 #[test]
 fn clean_journal_replays_both_records() {
     let rec = recover(&fixture("wal_clean.cpwl")).unwrap();

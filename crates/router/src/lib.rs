@@ -15,16 +15,19 @@
 //!   frames in the `storage.rs` record idiom, with a torn/corrupt error
 //!   taxonomy instead of panics on any malformed input;
 //! * **router** ([`router`]) — owns the shard map (partition axis +
-//!   slab boundaries), prunes fan-out with the *same*
+//!   slab boundaries), selects shards with the *same*
 //!   [`select_overlapping`](cpnn_core::shard::select_overlapping)
-//!   horizon argument the in-process database uses, merges shard
-//!   candidate replies through the *same*
+//!   horizon argument the in-process database uses, asks them in
+//!   groups of equal bound, nearest first, until the
+//!   [`Horizon`](cpnn_core::pipeline::Horizon) over the replies in hand
+//!   excludes the next bound — a superset of the shards the in-process
+//!   fan-out visits — merges shard candidate replies through the *same*
 //!   [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter) /
 //!   [`evaluate_candidates`](cpnn_core::pipeline::evaluate_candidates)
 //!   seam (verify/refine runs once, router-side), routes update bursts
 //!   to the owning shard by the *same* slab arithmetic, and degrades
 //!   with a typed [`RouterError::ShardUnavailable`](router::RouterError)
-//!   instead of a wrong answer when a shard dies.
+//!   instead of a wrong answer when a shard the horizon needs dies.
 //!
 //! The headline property (see `tests/proptest_router.rs`): a routed
 //! query is **bit-for-bit** the single-process answer — same verdicts,

@@ -21,7 +21,9 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use cpnn_core::persist::{SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter};
+use cpnn_core::persist::{
+    ChecksumReader, ChecksumWriter, SnapshotError, SnapshotReader, SnapshotResult, SnapshotWriter,
+};
 
 use crate::net::ShardAddr;
 
@@ -69,7 +71,7 @@ impl ShardMap {
     /// Encode into `sink` (snapshot idiom: hashed body + FNV trailer).
     pub fn write_to<W: Write>(&self, sink: W) -> SnapshotResult<()> {
         self.validate()?;
-        let mut w = SnapshotWriter::new(sink);
+        let mut w = SnapshotWriter::new(ChecksumWriter::new(sink));
         w.put(MAGIC)?;
         w.put_u32(VERSION)?;
         w.put_u32(self.axis as u32)?;
@@ -88,14 +90,14 @@ impl ShardMap {
             w.put_u32(bytes.len() as u32)?;
             w.put(bytes)?;
         }
-        let mut sink = w.finish()?;
+        let mut sink = w.into_inner().finish()?;
         sink.flush()?;
         Ok(())
     }
 
     /// Decode from `source`; the dual of [`write_to`](Self::write_to).
     pub fn read_from<R: Read>(source: R) -> SnapshotResult<Self> {
-        let mut r = SnapshotReader::new(source);
+        let mut r = SnapshotReader::new(ChecksumReader::new(source));
         if &r.take::<4>()? != MAGIC {
             return Err(SnapshotError::BadHeader);
         }
@@ -137,7 +139,7 @@ impl ShardMap {
                 _ => return Err(SnapshotError::BadHeader),
             });
         }
-        r.verify_trailer()?;
+        r.into_inner().verify_trailer()?;
         let map = Self {
             axis,
             bounds,
@@ -155,5 +157,39 @@ impl ShardMap {
     /// Read from a file (buffered).
     pub fn read_from_path(path: &Path) -> SnapshotResult<Self> {
         Self::read_from(BufReader::new(File::open(path)?))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample() -> ShardMap {
+        ShardMap {
+            axis: 0,
+            bounds: vec![0.0, 50.0, 100.0],
+            addrs: vec![
+                ShardAddr::Unix("fleet/s0.sock".into()),
+                ShardAddr::Tcp("127.0.0.1:7001".into()),
+            ],
+        }
+    }
+
+    #[test]
+    fn round_trips() {
+        let mut bytes = Vec::new();
+        sample().write_to(&mut bytes).unwrap();
+        assert_eq!(ShardMap::read_from(bytes.as_slice()).unwrap(), sample());
+    }
+
+    #[test]
+    fn corrupted_trailer_is_a_checksum_mismatch() {
+        let mut bytes = Vec::new();
+        sample().write_to(&mut bytes).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        assert!(matches!(
+            ShardMap::read_from(bytes.as_slice()),
+            Err(SnapshotError::ChecksumMismatch { .. })
+        ));
     }
 }

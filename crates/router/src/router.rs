@@ -7,19 +7,33 @@
 //!
 //! 1. **Selection** — the router keeps each shard's exact extent and
 //!    object count (refreshed from every reply's status) and runs the
-//!    *same* [`select_overlapping`] the in-process database runs, so
-//!    routed and local queries visit identical shard sets in identical
-//!    order. A selected shard that cannot answer is a typed
-//!    [`RouterError::ShardUnavailable`] — the router refuses to
+//!    *same* [`select_overlapping`] the in-process database runs. It then
+//!    asks the selected shards in **bound groups**: every shard tied at
+//!    the smallest remaining bound is sent its request before any of the
+//!    group's replies is read (so they filter in parallel), and before
+//!    each group the router computes the [`Horizon`] — the `k`-th
+//!    smallest far point over the items received so far. Once the next
+//!    bound exceeds it, the rest are skipped. This asks a superset of the
+//!    shards the in-process
+//!    [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter) visits:
+//!    that walk skips a shard only when its bound exceeds the horizon
+//!    over the shards it visited, and a shard the router fetched but the
+//!    walk would skip has every far point above that horizon (far ≥ near
+//!    ≥ bound), so it never moves the `k`-th far. The router's horizon
+//!    before a group therefore equals the walk's horizon there, and when
+//!    it stops, the walk skips every later shard as well. A selected
+//!    shard that the horizon still needs and that cannot answer is a
+//!    typed [`RouterError::ShardUnavailable`] — the router refuses to
 //!    under-approximate a candidate set, so degradation is never a wrong
-//!    answer.
+//!    answer; a dead shard the horizon excludes is never asked.
 //! 2. **Merge** — shard replies carry raw filter output (bit-exact
-//!    histograms, see [`crate::wire`]); [`merge_replies`] wraps each
-//!    reply in a buffered [`DistanceModel`] and runs the *same*
-//!    [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter) over them, sorted by `(mindist, shard index)`
-//!    — so the merged survivor set is a pure function of the reply
-//!    *contents*, independent of arrival order (property-tested with
-//!    shuffled replies).
+//!    histograms, see [`crate::wire`]); [`merge_replies`] sorts them by
+//!    `(mindist, shard index)` and moves each reply's items into the
+//!    *same* [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter),
+//!    which drops the fetched extras by the skip rule above — so the
+//!    merged survivor set is a pure function of the reply *contents*,
+//!    independent of arrival order (property-tested with shuffled
+//!    replies), and equal to the in-process fan-out's.
 //! 3. **Evaluation** — the merged candidates run once, router-side,
 //!    through the *same* [`CandidateSet::from_distances`] +
 //!    [`evaluate_candidates`](pipeline::evaluate_candidates) the
@@ -37,10 +51,10 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use cpnn_core::candidate::CandidateSet;
-use cpnn_core::pipeline::{self, CpnnResult, Filtered, QueryStats};
+use cpnn_core::pipeline::{self, CpnnResult, Filtered, Horizon, QueryStats};
 use cpnn_core::shard::{select_overlapping, slab_of, Extent};
 use cpnn_core::{
-    CoreError, DistanceModel, ObjectId, PipelineConfig, QueryScratch, QuerySpec, ServerStats,
+    CoreError, DistanceDistribution, ObjectId, PipelineConfig, QueryScratch, QuerySpec, ServerStats,
 };
 
 use crate::map::ShardMap;
@@ -138,10 +152,12 @@ impl From<CoreError> for RouterError {
 pub struct RouterStats {
     /// Queries answered.
     pub queries: u64,
-    /// Filter requests fanned out (one per selected shard per query).
+    /// Filter requests fanned out: one per shard a query asked — the
+    /// bound groups fetched before the horizon stopped the walk.
     pub fanned_out: u64,
-    /// Shards skipped by horizon pruning (non-empty shards the selection
-    /// proved irrelevant before any bytes moved).
+    /// Non-empty shards a query did not ask: those selection proved
+    /// irrelevant before any bytes moved, plus selected shards the
+    /// horizon skipped after earlier replies arrived.
     pub pruned: u64,
     /// Idempotent requests retried after a failure.
     pub retries: u64,
@@ -184,33 +200,6 @@ pub struct ClusterStats {
     pub router: RouterStats,
 }
 
-/// A buffered shard reply masquerading as a [`DistanceModel`]: `filter`
-/// replays the shipped survivor set verbatim. Wrapping replies in these
-/// lets the router merge through the *real* [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter) — same
-/// horizon bookkeeping, same skip rule — instead of a reimplementation.
-struct BufferedReply {
-    items: Vec<(ObjectId, cpnn_core::DistanceDistribution)>,
-}
-
-impl DistanceModel for BufferedReply {
-    type Query = ();
-
-    fn total_objects(&self) -> usize {
-        self.items.len()
-    }
-
-    fn check_query(&self, _q: &()) -> cpnn_core::Result<()> {
-        Ok(())
-    }
-
-    fn filter(&self, _q: &(), _k: usize) -> cpnn_core::Result<Filtered> {
-        Ok(Filtered {
-            items: self.items.clone(),
-            filter_time: Duration::ZERO,
-        })
-    }
-}
-
 /// One shard's reply to a fan-out, paired with the selection metadata
 /// the merge needs. Public so the merge-determinism property test can
 /// build shuffled reply sets directly.
@@ -221,22 +210,31 @@ pub struct ShardReply {
     /// Shard index (the deterministic tie-break).
     pub shard: usize,
     /// The shard's raw filter output.
-    pub items: Vec<(ObjectId, cpnn_core::DistanceDistribution)>,
+    pub items: Vec<(ObjectId, DistanceDistribution)>,
 }
 
 /// Merge shard filter replies into one [`Filtered`] — the routed twin of
 /// [`ShardedDb::filter`](cpnn_core::ShardedDb). Replies are first sorted
 /// by `(near, shard index)` — the exact order [`select_overlapping`]
-/// yields — then fed through the real [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter), so the result
-/// is independent of the order replies arrived in: shuffling the input
-/// changes nothing (property-tested in `tests/proptest_router.rs`).
+/// yields — then moved through the real
+/// [`fan_out_filter`](cpnn_core::pipeline::fan_out_filter) (same horizon
+/// bookkeeping, same skip rule), so the result is independent of the
+/// order replies arrived in: shuffling the input changes nothing
+/// (property-tested in `tests/proptest_router.rs`).
 pub fn merge_replies(mut replies: Vec<ShardReply>, k: usize) -> cpnn_core::Result<Filtered> {
     replies.sort_by(|a, b| a.near.total_cmp(&b.near).then(a.shard.cmp(&b.shard)));
-    let buffered: Vec<(f64, BufferedReply)> = replies
-        .into_iter()
-        .map(|r| (r.near, BufferedReply { items: r.items }))
-        .collect();
-    pipeline::fan_out_filter(buffered.iter().map(|(near, b)| (*near, b)), &(), k)
+    pipeline::fan_out_filter(
+        replies.into_iter().map(|r| {
+            let source = move || {
+                Ok(Filtered {
+                    items: r.items,
+                    filter_time: Duration::ZERO,
+                })
+            };
+            (r.near, source)
+        }),
+        k,
+    )
 }
 
 /// A live connection to one shard (writer half + buffered reader half of
@@ -468,56 +466,32 @@ impl<M: RoutedModel> QueryRouter<M> {
         self.stats.pruned += (nonempty - selected.len()) as u64;
         let select_time = start.elapsed();
 
-        // Fan out: write every request first (the shards filter in
-        // parallel), then collect replies in selection order. A lost
-        // reply is retried on a fresh connection — Filter is idempotent —
-        // and a shard that stays silent fails the query typed: dropping
-        // its candidates could under-approximate the answer.
-        let req_of = |q: &M::Query, k: usize| Request::<M>::Filter {
+        // Fan out by bound group, nearest first, until the horizon over
+        // the replies in hand excludes the next bound (the module docs
+        // argue why this asks a superset of the in-process fan-out).
+        let req = Request::<M>::Filter {
             coords: crate::query_coords::<M>(q),
             k: k as u64,
         };
-        let mut pending: Vec<(usize, bool)> = Vec::with_capacity(selected.len());
-        for &(_, shard) in &selected {
-            self.ensure_connected(shard)?;
-            let sent = {
-                let conn = self.shards[shard].conn.as_mut().expect("just connected");
-                write_frame(&mut conn.writer, &req_of(q, k).encode()).is_ok()
-            };
-            if !sent {
-                self.shards[shard].conn = None;
-            }
-            self.stats.fanned_out += 1;
-            pending.push((shard, sent));
-        }
+        let mut horizon = Horizon::new(k);
         let mut replies: Vec<ShardReply> = Vec::with_capacity(selected.len());
-        for (&(near, shard), &(pshard, sent)) in selected.iter().zip(&pending) {
-            debug_assert_eq!(shard, pshard);
-            let resp = if sent {
-                match self.read_reply(shard) {
-                    Ok(resp) => resp,
-                    // Pipelined reply lost: fall back to the sequential
-                    // retry path (fresh connection, full budget).
-                    Err(_) => self.request_idempotent(shard, &req_of(q, k))?,
+        let mut next = 0;
+        while next < selected.len() && selected[next].0 <= horizon.get() {
+            let bound = selected[next].0;
+            let len = selected[next..]
+                .iter()
+                .take_while(|&&(near, _)| near == bound)
+                .count();
+            let fetched = replies.len();
+            self.fetch_group(&selected[next..next + len], &req, &mut replies)?;
+            for reply in &replies[fetched..] {
+                for (_, dist) in &reply.items {
+                    horizon.push(dist.far());
                 }
-            } else {
-                self.request_idempotent(shard, &req_of(q, k))?
-            };
-            let items = match resp {
-                Response::Candidates { version, items } => {
-                    self.version = self.version.max(version);
-                    items
-                }
-                Response::Error(message) => return Err(RouterError::Shard { shard, message }),
-                _ => {
-                    return Err(RouterError::Protocol {
-                        shard,
-                        detail: "expected a Candidates reply".into(),
-                    })
-                }
-            };
-            replies.push(ShardReply { near, shard, items });
+            }
+            next += len;
         }
+        self.stats.pruned += (selected.len() - next) as u64;
 
         // Merge through the real fan-out seam, then evaluate once.
         let mut filtered = merge_replies(replies, k).map_err(RouterError::Query)?;
@@ -535,6 +509,74 @@ impl<M: RoutedModel> QueryRouter<M> {
         stats.init_time = init_from_filter + assemble.elapsed();
         pipeline::evaluate_candidates(&cands, spec, &self.pipeline, &mut self.scratch, stats)
             .map_err(RouterError::Query)
+    }
+
+    /// Ask every shard of one bound group for its filter output: write
+    /// every request before reading any reply, so the group's shards
+    /// filter in parallel, then append the replies to `replies` in group
+    /// order. A lost reply is retried on a fresh connection — Filter is
+    /// idempotent — and a shard that stays silent fails the query typed:
+    /// dropping its candidates could under-approximate the answer. On a
+    /// failure every request still in flight loses its connection, so no
+    /// stale reply can answer a later query.
+    fn fetch_group(
+        &mut self,
+        group: &[(f64, usize)],
+        req: &Request<M>,
+        replies: &mut Vec<ShardReply>,
+    ) -> Result<(), RouterError> {
+        let mut sent = Vec::with_capacity(group.len());
+        for &(_, shard) in group {
+            self.stats.fanned_out += 1;
+            let ok = self.shards[shard]
+                .conn
+                .as_mut()
+                .is_some_and(|conn| write_frame(&mut conn.writer, &req.encode()).is_ok());
+            if !ok {
+                self.shards[shard].conn = None;
+            }
+            sent.push(ok);
+        }
+        let mut failure = None;
+        for (&(near, shard), sent) in group.iter().zip(sent) {
+            if failure.is_some() {
+                if sent {
+                    self.shards[shard].conn = None;
+                }
+                continue;
+            }
+            match self.filter_reply(shard, sent, req) {
+                Ok(items) => replies.push(ShardReply { near, shard, items }),
+                Err(e) => failure = Some(e),
+            }
+        }
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// `shard`'s filter output: the reply to the request already `sent`
+    /// on its connection, or — when it was not sent or its reply was lost
+    /// — the sequential retry path (fresh connection, full budget).
+    fn filter_reply(
+        &mut self,
+        shard: usize,
+        sent: bool,
+        req: &Request<M>,
+    ) -> Result<Vec<(ObjectId, DistanceDistribution)>, RouterError> {
+        let resp = match sent.then(|| self.read_reply(shard)) {
+            Some(Ok(resp)) => resp,
+            _ => self.request_idempotent(shard, req)?,
+        };
+        match resp {
+            Response::Candidates { version, items } => {
+                self.version = self.version.max(version);
+                Ok(items)
+            }
+            Response::Error(message) => Err(RouterError::Shard { shard, message }),
+            _ => Err(RouterError::Protocol {
+                shard,
+                detail: "expected a Candidates reply".into(),
+            }),
+        }
     }
 
     /// Read one frame + decode on `shard`'s live connection.

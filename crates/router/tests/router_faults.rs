@@ -90,6 +90,138 @@ fn spawn_durable_shard(
     .unwrap()
 }
 
+/// One volatile shard server per shard of `db`, on sockets under `dir`,
+/// and a router connected to them.
+fn spawn_fleet(
+    db: &ShardedDb<UncertainDb>,
+    dir: &std::path::Path,
+) -> (
+    Vec<ShardServerHandle<UncertainDb>>,
+    QueryRouter<UncertainDb>,
+) {
+    let socket = |i: usize| dir.join(format!("s{i}.sock"));
+    let mut handles = Vec::new();
+    for i in 0..db.num_shards() {
+        let model =
+            UncertainDb::with_config(db.shard_model(i).shard_objects(), *db.shard_configuration())
+                .unwrap();
+        let server = Arc::new(QueryServer::start(model, 1, db.pipeline_config()));
+        let listener = ShardListener::bind(&ShardAddr::Unix(socket(i))).unwrap();
+        handles
+            .push(ShardServerHandle::spawn(server, listener, ShardServeConfig::default()).unwrap());
+    }
+    let map = ShardMap {
+        axis: db.partition_axis(),
+        bounds: db.slab_bounds().to_vec(),
+        addrs: (0..db.num_shards())
+            .map(|i| ShardAddr::Unix(socket(i)))
+            .collect(),
+    };
+    let router = QueryRouter::connect(&map, db.pipeline_config(), quick_cfg()).unwrap();
+    (handles, router)
+}
+
+/// Two shards that selection always pairs near the slab boundary: shard 0
+/// holds a far outlier (its extent's maxdist exceeds shard 1's, so a query
+/// near the origin selects both) and a straddler reaching into shard 1's
+/// extent (so a query at 24.5 is inside both extents).
+fn overlapping_fleet_db() -> ShardedDb<UncertainDb> {
+    let obj = |id: u64, lo: f64, hi: f64| UncertainObject::uniform(ObjectId(id), lo, hi).unwrap();
+    ShardedDb::from_parts(
+        0,
+        vec![-60.0, 22.0, 31.0],
+        vec![
+            vec![
+                obj(10, -60.0, -59.0),
+                obj(11, 0.0, 1.0),
+                obj(12, 2.0, 3.0),
+                obj(13, 14.0, 26.0),
+            ],
+            vec![obj(14, 24.0, 25.0), obj(15, 30.0, 31.0)],
+        ],
+        Default::default(),
+    )
+    .unwrap()
+}
+
+/// The router asks the selected shards nearest bound first and stops once
+/// the horizon over the replies in hand excludes the next bound: a query
+/// deep inside shard 0 asks one shard although selection keeps both, while
+/// a query inside both extents (bound 0 for each) asks both in one group.
+/// Every answer is the in-process one, bit for bit.
+#[test]
+fn horizon_stops_the_fan_out_after_the_first_group() {
+    let dir = std::env::temp_dir().join(format!("cpnn-router-groups-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let local = overlapping_fleet_db();
+    let cfg = local.pipeline_config();
+    let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+    let (handles, mut router) = spawn_fleet(&local, &dir);
+
+    assert_eq!(local.overlapping(&0.5, 1).len(), 2, "selection keeps both");
+    let before = router.router_stats().clone();
+    let want = cpnn(&local, &0.5, &spec, &cfg).unwrap();
+    assert_same(&router.query(&0.5, &spec).unwrap(), &want, "q = 0.5");
+    let after = router.router_stats().clone();
+    assert_eq!(after.fanned_out - before.fanned_out, 1, "one shard asked");
+    assert_eq!(after.pruned - before.pruned, 1, "the far shard pruned");
+
+    let bounds: Vec<f64> = local.overlapping(&24.5, 1).iter().map(|s| s.0).collect();
+    assert_eq!(bounds, vec![0.0, 0.0], "q = 24.5 is inside both extents");
+    let want = cpnn(&local, &24.5, &spec, &cfg).unwrap();
+    assert_same(&router.query(&24.5, &spec).unwrap(), &want, "q = 24.5");
+    let last = router.router_stats().clone();
+    assert_eq!(last.fanned_out - after.fanned_out, 2, "both shards asked");
+    assert_eq!(last.pruned, after.pruned, "nothing pruned");
+
+    for h in handles {
+        h.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A dead shard that selection keeps but the first group's horizon
+/// excludes is never asked, so the query still answers, bit for bit.
+#[test]
+fn dead_shard_beyond_the_horizon_does_not_fail_the_query() {
+    let dir = std::env::temp_dir().join(format!("cpnn-router-beyond-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let local = overlapping_fleet_db();
+    let cfg = local.pipeline_config();
+    let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+    let (mut handles, mut router) = spawn_fleet(&local, &dir);
+
+    // q = 30.5 selects shard 1 (bound 0) and shard 0 (bound 4.5); shard
+    // 1's nearest object puts the horizon at 0.5.
+    assert_eq!(local.overlapping(&30.5, 1).len(), 2, "selection keeps both");
+    handles.remove(0).kill();
+    let want = cpnn(&local, &30.5, &spec, &cfg).unwrap();
+    assert_same(
+        &router.query(&30.5, &spec).unwrap(),
+        &want,
+        "q = 30.5 with shard 0 dead",
+    );
+    // A query that needs the dead shard still degrades typed; the request
+    // already written to shard 1 in the same group is abandoned with its
+    // connection, so its reply cannot answer the next query.
+    match router.query(&24.5, &spec) {
+        Err(RouterError::ShardUnavailable { shard: 0, .. }) => {}
+        other => panic!("expected ShardUnavailable for the dead shard, got {other:?}"),
+    }
+    assert_same(
+        &router.query(&30.5, &spec).unwrap(),
+        &want,
+        "q = 30.5 after a failed group",
+    );
+
+    for h in handles {
+        h.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn killed_shard_degrades_typed_then_recovers_from_its_data_dir() {
     let dir = std::env::temp_dir().join(format!("cpnn-router-faults-{}", std::process::id()));
@@ -251,26 +383,7 @@ fn repeated_queries_against_a_dead_shard_stay_typed() {
     let cfg = PipelineConfig::default();
     let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
 
-    let socket = |i: usize| dir.join(format!("s{i}.sock"));
-    let mut handles = Vec::new();
-    for i in 0..2 {
-        let model = UncertainDb::with_config(
-            local.shard_model(i).shard_objects(),
-            *local.shard_configuration(),
-        )
-        .unwrap();
-        let server = Arc::new(QueryServer::start(model, 1, local.pipeline_config()));
-        let listener = ShardListener::bind(&ShardAddr::Unix(socket(i))).unwrap();
-        handles
-            .push(ShardServerHandle::spawn(server, listener, ShardServeConfig::default()).unwrap());
-    }
-    let map = ShardMap {
-        axis: local.partition_axis(),
-        bounds: local.slab_bounds().to_vec(),
-        addrs: (0..2).map(|i| ShardAddr::Unix(socket(i))).collect(),
-    };
-    let mut router: QueryRouter<UncertainDb> =
-        QueryRouter::connect(&map, cfg, quick_cfg()).unwrap();
+    let (mut handles, mut router) = spawn_fleet(&local, &dir);
 
     handles.remove(1).kill();
     let before = router.router_stats().retries;
