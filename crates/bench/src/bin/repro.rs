@@ -26,7 +26,7 @@ use cpnn_bench::report::Table;
 /// The PR this tree's timings belong to. The default timing file is
 /// derived from it, so each PR's trajectory lands in its own
 /// `BENCH_pr<N>.json` (override any single run with `--bench-json PATH`).
-const CURRENT_PR: u32 = 28;
+const CURRENT_PR: u32 = 29;
 
 /// The current series file: `BENCH_pr<CURRENT_PR>.json`.
 fn current_series() -> String {

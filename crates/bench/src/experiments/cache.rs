@@ -9,10 +9,12 @@
 //! The workload is Zipf-skewed repeat traffic
 //! ([`cpnn_datagen::zipfian_query_points`]): a handful of hot query
 //! points dominate the stream, exactly the regime the ROADMAP's caching
-//! item targets. With the cache on, repeats skip filter + init (distance
-//! distributions and the subregion table come from the LRU); the shared
-//! tier additionally memoizes verification *outcomes*, so repeats in the
-//! same threshold band skip verify + refine too. Answers are
+//! item targets. With the cache on, repeats skip filter and distribution
+//! construction (the candidate set comes from the LRU; a band seen before
+//! replays its memoized outcome, a new band rebuilds the subregion table
+//! from the cached candidates); the shared tier lets one worker's entries
+//! and outcomes serve every worker, so repeats in the same threshold band
+//! skip verify + refine on any worker. Answers are
 //! bit-identical in every mode — asserted per row against the uncached
 //! run. The quantization row jitters every point around its hot spot and
 //! snaps with `quantum` wider than the jitter, showing nearby-point

@@ -82,9 +82,9 @@ fn print_usage() {
          \x20 info FILE                                    dataset statistics\n\
          \x20 pnn FILE --q Q [--top N]                     exact qualification probabilities\n\
          \x20 cpnn FILE --q Q --p P [--delta D] [--strategy vr|basic|refine] [--cache N]\n\
-         \x20           [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20           [--cache-quantum EPS] [--shared-cache N]\n\
          \x20 cpnn FILE --batch N --p P [--threads T] [--seed S] [--delta D] [--strategy S]\n\
-         \x20           [--cache N] [--cache-quantum EPS] [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20           [--cache N] [--cache-quantum EPS] [--shared-cache N]\n\
          \x20                                              batch over N random query points\n\
          \x20                                              (T = 0 means one per core; --cache N\n\
          \x20                                              memoizes verification state for up\n\
@@ -92,18 +92,16 @@ fn print_usage() {
          \x20                                              to an EPS-wide grid; --shared-cache N\n\
          \x20                                              adds a process-wide second tier that\n\
          \x20                                              all workers consult on local misses\n\
-         \x20                                              and memoizes verification outcomes,\n\
-         \x20                                              with optional --cache-ttl lifetime)\n\
+         \x20                                              and memoizes verification outcomes)\n\
          \x20 knn FILE --q Q --k K --p P [--delta D]       constrained probabilistic k-NN\n\
          \x20 knn2d --qx X --qy Y --p P [--k K] [--count N] [--seed S] [--delta D]\n\
          \x20       [--domain D] [--cache N] [--cache-quantum EPS] [--shared-cache N]\n\
-         \x20       [--cache-ttl SECS]\n\
          \x20                                              constrained 2-D k-NN over a synthetic\n\
          \x20                                              disk/rectangle dataset on [0, D]²\n\
          \x20 range FILE --lo A --hi B --p P               probabilistic range query\n\
          \x20 serve FILE [--threads T] [--queries FILE] [--shards N] [--shard-balance B]\n\
          \x20       [--cache N] [--cache-quantum EPS]      long-lived query server: stream\n\
-         \x20       [--shared-cache N] [--cache-ttl SECS]\n\
+         \x20       [--shared-cache N]\n\
          \x20       [--data-dir DIR] [--checkpoint-every N] queries from stdin (or FILE) through\n\
          \x20                                              a worker pool; insert/remove are\n\
          \x20                                              O(log n) path-copying snapshot swaps,\n\
@@ -225,15 +223,13 @@ fn shard_balance_args(bag: &mut ArgBag) -> Result<ShardBalance, UsageError> {
     }
 }
 
-/// Shared `--cache N` / `--cache-quantum EPS` / `--shared-cache N` /
-/// `--cache-ttl SECS` parsing (capacity 0, the default, disables each
-/// tier). `--shared-cache` alone implies a per-thread L1 of the same
+/// Shared `--cache N` / `--cache-quantum EPS` / `--shared-cache N`
+/// parsing (capacity 0, the default, disables each tier). `--shared-cache` alone implies a per-thread L1 of the same
 /// capacity, since the shared tier is only consulted on L1 misses.
 fn cache_args(bag: &mut ArgBag) -> Result<(CacheConfig, SharedCacheConfig), UsageError> {
     let capacity: Option<usize> = bag.optional("cache")?;
     let quantum: f64 = bag.optional("cache-quantum")?.unwrap_or(0.0);
     let shared: usize = bag.optional("shared-cache")?.unwrap_or(0);
-    let ttl: Option<f64> = bag.optional("cache-ttl")?;
     if !(quantum.is_finite() && quantum >= 0.0) {
         return Err(UsageError(format!(
             "--cache-quantum must be a finite value >= 0, got {quantum}"
@@ -252,23 +248,10 @@ fn cache_args(bag: &mut ArgBag) -> Result<(CacheConfig, SharedCacheConfig), Usag
             "--cache-quantum has no effect without --cache N (N > 0 enables the cache)".into(),
         ));
     }
-    let mut shared_cfg = SharedCacheConfig::new(shared);
-    if let Some(secs) = ttl {
-        if shared == 0 {
-            return Err(UsageError(
-                "--cache-ttl has no effect without --shared-cache N (N > 0 enables the shared \
-                 tier)"
-                    .into(),
-            ));
-        }
-        if !(secs.is_finite() && secs >= 0.0) {
-            return Err(UsageError(format!(
-                "--cache-ttl must be a finite number of seconds >= 0, got {secs}"
-            )));
-        }
-        shared_cfg = shared_cfg.with_ttl(std::time::Duration::from_secs_f64(secs));
-    }
-    Ok((CacheConfig::new(capacity, quantum), shared_cfg))
+    Ok((
+        CacheConfig::new(capacity, quantum),
+        SharedCacheConfig::new(shared),
+    ))
 }
 
 fn cpnn(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
@@ -508,10 +491,10 @@ update queued before it. Relevant flags: --threads T (worker pool),
 --shards N (domain partitioning; updates path-copy only the owning
 shard), --shard-balance width|quantile (slab scheme), --cache N
 [--cache-quantum EPS] (verification-state cache; updates invalidate it
-incrementally by region), --shared-cache N [--cache-ttl SECS] (a
-process-wide second cache tier all workers consult on local misses and
-publish fills into, with verification outcomes memoized per threshold
-band; entries admit on second sight and expire after SECS),
+incrementally by region), --shared-cache N (a process-wide second cache
+tier all workers consult on local misses and publish fills into, with
+verification outcomes memoized per threshold band; entries admit on
+second sight),
 --data-dir DIR (durable storage: each burst
 appends one fsync'd write-ahead journal record BEFORE it publishes, and
 a restart pointing at the same DIR recovers checkpoint + journal tail —

@@ -2,7 +2,7 @@
 //! expensive, *query-point-determined* half of the pipeline.
 //!
 //! The paper's verify/refine flow recomputes per-object distance
-//! distributions and the dense [`SubregionTable`] from scratch for every
+//! distributions and the dense subregion table from scratch for every
 //! query, even though real traffic issues repeated (or, after
 //! quantization, identical) query points whose candidate sets and
 //! distributions are the same — precomputing query-independent
@@ -13,14 +13,19 @@
 //! * the **filter output** — the candidate set, including every
 //!   survivor's distance distribution (the product of phases 1–2,
 //!   dominated by pdf folding / 2-D cdf integration);
-//! * the **subregion table** — built lazily by the first strategy that
-//!   needs one and reused afterwards.
+//! * the **outcomes** — the reports of every (spec, config) band already
+//!   evaluated at that point ([`OutcomeKey`]), replayed on a repeat.
 //!
-//! Thresholds, tolerances, and strategies are deliberately *not* part of
-//! the key: verify/refine re-run on every query, so one cached entry
-//! serves every `P`/`Δ`/strategy at that point. The cache therefore never
-//! changes any verdict or probability bound — it only skips recomputing
-//! inputs that are bit-identical by construction.
+//! The subregion table is *not* memoized: at ≈ 4× the size of the
+//! candidate set it would dominate the cache's footprint, and a repeat
+//! under a known band never reads it. A hit under a new band rebuilds it
+//! from the cached candidate set ([`SubregionTable::build`] is
+//! deterministic) and runs verify/refine, so one entry serves every
+//! `P`/`Δ`/strategy at that point. The cache therefore never changes any
+//! verdict or probability bound — it only skips recomputing inputs that
+//! are bit-identical by construction.
+//!
+//! [`SubregionTable::build`]: crate::subregion::SubregionTable::build
 //!
 //! # Quantization correctness
 //!
@@ -83,11 +88,9 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use crate::candidate::CandidateSet;
 use crate::shard::Extent;
-use crate::subregion::SubregionTable;
 
 /// Tuning for a per-thread [`VerifyCache`]. Lives inside
 /// [`crate::PipelineConfig`], so every execution surface — one-shot,
@@ -257,9 +260,11 @@ impl OutcomeKey {
 }
 
 /// One memoized verification state: the candidate set (filter output +
-/// per-candidate distance distributions) and, once some strategy built
-/// it, the subregion table. Both sit behind [`Arc`]s so a hit costs two
-/// refcount bumps, not a copy.
+/// per-candidate distance distributions) and the outcomes of the bands
+/// evaluated on it. The candidate set sits behind an [`Arc`], so a hit
+/// costs a refcount bump, not a copy. The subregion table is not kept: a
+/// hit under a band without an outcome rebuilds it from the candidates
+/// (see the [module docs](self)).
 ///
 /// For **incremental invalidation** the entry also remembers the (snapped)
 /// query point it was computed at and its *candidate horizon* — the
@@ -271,7 +276,6 @@ impl OutcomeKey {
 #[derive(Debug, Clone)]
 pub struct CachedQuery {
     cands: Arc<CandidateSet>,
-    table: Option<Arc<SubregionTable>>,
     /// Coordinates of the (snapped) query point, `None` when the model
     /// cannot expose them — such entries drop on any region invalidation.
     coords: Option<Box<[f64]>>,
@@ -293,13 +297,12 @@ pub struct CachedQuery {
 const OUTCOME_CAP: usize = 8;
 
 impl CachedQuery {
-    /// An entry holding filter output only (the table attaches later).
+    /// An entry holding filter output only (outcomes attach later).
     /// Without query coordinates the entry is dropped by *any* region
     /// invalidation; prefer [`for_query`](Self::for_query).
     pub fn new(cands: Arc<CandidateSet>) -> Self {
         Self {
             cands,
-            table: None,
             coords: None,
             horizon: f64::INFINITY,
             outcomes: Vec::new(),
@@ -318,7 +321,6 @@ impl CachedQuery {
         };
         Self {
             cands,
-            table: None,
             coords: coords.map(Vec::into_boxed_slice),
             horizon,
             outcomes: Vec::new(),
@@ -328,20 +330,6 @@ impl CachedQuery {
     /// The memoized candidate set.
     pub fn candidates(&self) -> &Arc<CandidateSet> {
         &self.cands
-    }
-
-    /// The memoized subregion table, if one was ever built at this point.
-    pub fn table(&self) -> Option<&Arc<SubregionTable>> {
-        self.table.as_ref()
-    }
-
-    /// Fill the subregion table if none is attached yet (first builder
-    /// wins; the table is a pure function of the candidate set, so any
-    /// builder's copy is interchangeable).
-    pub fn set_table(&mut self, table: Arc<SubregionTable>) {
-        if self.table.is_none() {
-            self.table = Some(table);
-        }
     }
 
     /// The memoized reports for an exact (spec, config) band, if this
@@ -398,7 +386,7 @@ struct Key {
 }
 
 /// A per-thread LRU memoizing filter output, distance distributions, and
-/// subregion tables by quantized query point. See the [module
+/// verification outcomes by quantized query point. See the [module
 /// docs](self) for the key design and the correctness argument; the
 /// high-level entry points are [`crate::QueryScratch::with_cache`] and
 /// [`crate::PipelineConfig`]'s `cache` field.
@@ -588,18 +576,6 @@ impl VerifyCache {
         self.map.insert(key, (self.tick, entry));
     }
 
-    /// Attach a just-built subregion table to an existing entry (the
-    /// table is built lazily by the first strategy that needs one).
-    /// Ignored if the entry was evicted in the meantime or already has a
-    /// table.
-    pub fn attach_table(&mut self, point: u128, k: usize, table: Arc<SubregionTable>) {
-        if let Some((_, entry)) = self.map.get_mut(&Key { point, k }) {
-            if entry.table.is_none() {
-                entry.table = Some(table);
-            }
-        }
-    }
-
     /// Attach a just-evaluated verification outcome to an existing entry
     /// (see [`CachedQuery::record_outcome`]). Ignored if the entry was
     /// evicted in the meantime.
@@ -642,11 +618,6 @@ pub struct SharedCacheConfig {
     /// Total memoized query points across all segments; `0` disables the
     /// tier entirely (the default).
     pub capacity: usize,
-    /// Entry lifetime: a published entry older than this is expired on
-    /// lookup (and counts as a miss). `None` (the default) never expires
-    /// by age — version/region invalidation still applies. Expiry never
-    /// changes an answer, only whether the state is recomputed.
-    pub ttl: Option<Duration>,
     /// Admit a key on its first publish attempt instead of the default
     /// **second-sight** admission (first attempt only records the key;
     /// the next attempt admits it). Second sight keeps adversarial
@@ -656,8 +627,7 @@ pub struct SharedCacheConfig {
 }
 
 impl SharedCacheConfig {
-    /// A shared tier of `capacity` entries with second-sight admission
-    /// and no TTL.
+    /// A shared tier of `capacity` entries with second-sight admission.
     ///
     /// ```
     /// use cpnn_core::cache::SharedCacheConfig;
@@ -668,7 +638,6 @@ impl SharedCacheConfig {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            ttl: None,
             admit_first_sight: false,
         }
     }
@@ -677,15 +646,8 @@ impl SharedCacheConfig {
     pub fn disabled() -> Self {
         Self {
             capacity: 0,
-            ttl: None,
             admit_first_sight: false,
         }
-    }
-
-    /// Same configuration with an entry lifetime.
-    pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
     }
 
     /// Same configuration admitting entries on first sight (useful when
@@ -714,16 +676,13 @@ impl Default for SharedCacheConfig {
 pub struct SharedCacheStats {
     /// Lookups answered from the tier.
     pub hits: u64,
-    /// Lookups the tier could not answer (absent, wrong version, or
-    /// expired).
+    /// Lookups the tier could not answer (absent or wrong version).
     pub misses: u64,
     /// Entries admitted into a segment.
     pub admitted: u64,
     /// Publish attempts deferred by second-sight admission (the key was
     /// only recorded; its next publish admits).
     pub deferred: u64,
-    /// Entries dropped because their TTL elapsed.
-    pub expired: u64,
     /// Segment clears (version mismatch, backwards move, or unknown
     /// update footprint).
     pub invalidations: u64,
@@ -749,14 +708,16 @@ struct Segment {
     tick: u64,
     map: HashMap<Key, SharedSlot>,
     /// Second-sight admission ledger: key → tick of its recorded first
-    /// sighting. Bounded; oldest sightings are forgotten under churn.
+    /// sighting. Bounded; oldest sightings are forgotten under churn. It
+    /// holds keys, never state, so it outlives version advances: a hot
+    /// spot seen once before an update burst is admitted on its next
+    /// publish after it.
     seen: HashMap<Key, u64>,
 }
 
 #[derive(Debug)]
 struct SharedSlot {
     tick: u64,
-    created: Instant,
     entry: CachedQuery,
 }
 
@@ -774,8 +735,8 @@ struct SharedSlot {
 /// the same region-journal survivor test the per-thread map uses, and
 /// the server fans it out *before* a new snapshot becomes visible (see
 /// `server.rs`), so no worker can be pinned to a version whose segments
-/// have not been walked. **Admission + TTL**
-/// ([`SharedCacheConfig`]) keep adversarial point churn from thrashing
+/// have not been walked. **Second-sight admission**
+/// ([`SharedCacheConfig`]) keeps adversarial point churn from thrashing
 /// the tier.
 ///
 /// ```
@@ -803,7 +764,6 @@ pub struct SharedVerifyCache {
     misses: AtomicU64,
     admitted: AtomicU64,
     deferred: AtomicU64,
-    expired: AtomicU64,
     invalidations: AtomicU64,
     region_evictions: AtomicU64,
 }
@@ -839,7 +799,6 @@ impl SharedVerifyCache {
             misses: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             deferred: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             region_evictions: AtomicU64::new(0),
         }
@@ -876,7 +835,6 @@ impl SharedVerifyCache {
             misses: self.misses.load(Ordering::Relaxed),
             admitted: self.admitted.load(Ordering::Relaxed),
             deferred: self.deferred.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             region_evictions: self.region_evictions.load(Ordering::Relaxed),
         }
@@ -929,16 +887,6 @@ impl SharedVerifyCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        if let Some(ttl) = self.config.ttl {
-            if seg
-                .map
-                .get(&key)
-                .is_some_and(|slot| slot.created.elapsed() >= ttl)
-            {
-                seg.map.remove(&key);
-                self.expired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         seg.tick += 1;
         let tick = seg.tick;
         match seg.map.get_mut(&key) {
@@ -958,7 +906,7 @@ impl SharedVerifyCache {
     /// was actually admitted: a stale `version` is dropped (the tier has
     /// moved on), second-sight admission defers a first-seen key, and a
     /// full segment evicts its LRU entry to make room. Republishing an
-    /// existing key replaces the entry (and refreshes its TTL clock).
+    /// existing key replaces the entry.
     pub fn publish(
         &self,
         point: u128,
@@ -980,11 +928,7 @@ impl SharedVerifyCache {
         seg.tick += 1;
         let tick = seg.tick;
         if let Some(slot) = seg.map.get_mut(&key) {
-            *slot = SharedSlot {
-                tick,
-                created: Instant::now(),
-                entry,
-            };
+            *slot = SharedSlot { tick, entry };
             return true;
         }
         let admit = self.config.admit_first_sight || seg.seen.remove(&key).is_some();
@@ -1010,31 +954,9 @@ impl SharedVerifyCache {
                 seg.map.remove(&oldest);
             }
         }
-        seg.map.insert(
-            key,
-            SharedSlot {
-                tick,
-                created: Instant::now(),
-                entry,
-            },
-        );
+        seg.map.insert(key, SharedSlot { tick, entry });
         self.admitted.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Attach a just-built subregion table to a shared entry (no-op if
-    /// the entry is absent or the caller's version is stale).
-    pub fn attach_table(&self, point: u128, k: usize, version: u64, table: Arc<SubregionTable>) {
-        let key = Key { point, k };
-        let mut seg = self.segments[self.segment_of(&key)]
-            .lock()
-            .expect("shared-cache segment poisoned");
-        if seg.version != version {
-            return;
-        }
-        if let Some(slot) = seg.map.get_mut(&key) {
-            slot.entry.set_table(table);
-        }
     }
 
     /// Attach a just-evaluated verification outcome to a shared entry
@@ -1063,12 +985,13 @@ impl SharedVerifyCache {
     /// whose candidate horizon one of the update `regions` intersects —
     /// the same survivor test as [`VerifyCache::advance_version`], striped
     /// per segment. `None` regions (unknown footprint) or a backwards
-    /// move clears the segment. The server calls this under its writer
-    /// lock *before* the new snapshot becomes visible, so no worker is
-    /// ever pinned to a version whose segments still hold unwalked
-    /// entries; a concurrent publish carrying the old version is dropped
-    /// by the per-segment version check (each segment records the last
-    /// version walked).
+    /// move clears the segment's entries; the second-sight ledger is kept
+    /// (it names keys, not state, so no answer can depend on it). The
+    /// server calls this under its writer lock *before* the new snapshot
+    /// becomes visible, so no worker is ever pinned to a version whose
+    /// segments still hold unwalked entries; a concurrent publish carrying
+    /// the old version is dropped by the per-segment version check (each
+    /// segment records the last version walked).
     pub fn advance_version(&self, version: u64, regions: Option<&[Extent]>) {
         for segment in &self.segments {
             let mut seg = segment.lock().expect("shared-cache segment poisoned");
@@ -1078,7 +1001,6 @@ impl SharedVerifyCache {
             let forward = version > seg.version;
             seg.version = version;
             seg.source = None;
-            seg.seen.clear();
             match regions {
                 Some(regions) if forward => {
                     let before = seg.map.len();
@@ -1166,23 +1088,33 @@ mod tests {
     }
 
     #[test]
-    fn attach_table_fills_once_and_tolerates_eviction() {
-        let mut cache = VerifyCache::new(CacheConfig::new(1, 0.0));
-        cache.insert(1, 1, entry(0.0));
-        let e = cache.lookup(1, 1).unwrap();
-        assert!(e.table().is_none());
-        let table = Arc::new(SubregionTable::build(e.candidates()));
-        cache.attach_table(1, 1, Arc::clone(&table));
-        let e = cache.lookup(1, 1).unwrap();
-        assert!(e.table().is_some());
-        // A second attach does not replace the first.
-        cache.attach_table(1, 1, Arc::new(SubregionTable::build(e.candidates())));
-        let again = cache.lookup(1, 1).unwrap();
-        assert!(Arc::ptr_eq(again.table().unwrap(), &table));
-        // Attaching to an evicted key is a no-op.
-        cache.insert(2, 1, entry(0.0));
-        cache.attach_table(1, 1, table);
-        assert!(cache.lookup(1, 1).is_none());
+    fn hit_under_a_new_band_records_a_second_outcome() {
+        use crate::pipeline::{cpnn, cpnn_with, PipelineConfig, QueryScratch, QuerySpec};
+        use crate::{Strategy, UncertainDb};
+        let (_, objects) = crate::testutil::fig7_scenario();
+        let db = UncertainDb::build(objects).unwrap();
+        let cfg = PipelineConfig {
+            cache: CacheConfig::new(4, 0.0),
+            ..Default::default()
+        };
+        let mut scratch = QueryScratch::new();
+        let a = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+        let b = QuerySpec::nn(0.5, 0.0, Strategy::Verified);
+        // Miss: fill the entry and record a's outcome.
+        cpnn_with(&db, &0.0, &a, &cfg, &mut scratch).unwrap();
+        // Entry hit, no outcome for b: the table is rebuilt from the
+        // cached candidates and verify/refine run.
+        let hit_b = cpnn_with(&db, &0.0, &b, &cfg, &mut scratch).unwrap();
+        assert!(hit_b.stats.subregions > 0, "table rebuilt on the hit");
+        assert_eq!(scratch.cache_stats().outcome_hits, 0);
+        // Both bands now replay from the one entry.
+        for spec in [a, b] {
+            let replay = cpnn_with(&db, &0.0, &spec, &cfg, &mut scratch).unwrap();
+            let fresh = cpnn(&db, &0.0, &spec, &PipelineConfig::default()).unwrap();
+            assert_eq!(replay.reports, fresh.reports);
+        }
+        let s = scratch.cache_stats();
+        assert_eq!((s.misses, s.hits, s.outcome_hits), (1, 3, 2));
     }
 
     #[test]
@@ -1325,19 +1257,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_tier_ttl_expires_entries() {
-        let tier = SharedVerifyCache::new(
-            SharedCacheConfig::new(64)
-                .admit_immediately()
-                .with_ttl(Duration::ZERO),
-        );
+    fn shared_tier_sightings_survive_a_version_advance() {
+        let tier = SharedVerifyCache::new(SharedCacheConfig::new(64));
         let p = point_key_1d(0.0);
-        assert!(tier.publish(p, 1, 0, 1, shared_entry(0.0)));
-        assert_eq!(tier.len(), 1);
-        // Zero TTL: expired by the time any lookup sees it.
-        assert!(tier.lookup(p, 1, 0, 1).is_none());
-        assert!(tier.is_empty());
-        assert_eq!(tier.stats().expired, 1);
+        // Seen once at version 0: deferred.
+        assert!(!tier.publish(p, 1, 0, 1, shared_entry(0.0)));
+        // A far-away update advances the tier without touching the key.
+        tier.advance_version(1, Some(&[Extent::new(vec![100.0], vec![101.0])]));
+        // Its next publish, at the new version, is its second sighting.
+        assert!(tier.publish(p, 1, 1, 1, shared_entry(0.0)));
+        assert!(tier.lookup(p, 1, 1, 1).is_some());
+        let s = tier.stats();
+        assert_eq!((s.deferred, s.admitted), (1, 1));
     }
 
     #[test]

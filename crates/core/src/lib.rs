@@ -79,11 +79,12 @@
 //!
 //! ## Caching
 //!
-//! Repeated (or, after quantization, nearby) query points skip filter +
-//! init entirely: [`cache::VerifyCache`] — a per-thread LRU enabled via
-//! [`PipelineConfig`]'s `cache` knob and hung off [`QueryScratch`] —
-//! memoizes candidate sets, distance distributions, and subregion tables
-//! by quantized query point. Snapshot swaps invalidate it
+//! Repeated (or, after quantization, nearby) query points skip filter and
+//! distribution construction: [`cache::VerifyCache`] — a per-thread LRU
+//! enabled via [`PipelineConfig`]'s `cache` knob and hung off
+//! [`QueryScratch`] — memoizes candidate sets, distance distributions, and
+//! per-band verification outcomes by quantized query point (a new band
+//! rebuilds its subregion table from the cached candidates). Snapshot swaps invalidate it
 //! *incrementally*: only entries whose candidate horizon intersects an
 //! updated region drop ([`cache::VerifyCache::advance_version`]); the
 //! rest keep serving hits across versions.

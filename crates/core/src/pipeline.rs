@@ -25,8 +25,8 @@
 //! [`QueryScratch`] holds the allocations the verify/refine phases reuse
 //! across queries, plus (when enabled through [`PipelineConfig`]'s
 //! `cache` knob) a per-thread [`VerifyCache`] memoizing filter output,
-//! distance distributions, and subregion tables by quantized query point
-//! (see [`crate::cache`]); the batch executor ([`crate::batch`]) keeps
+//! distance distributions, and verification outcomes by quantized query
+//! point (see [`crate::cache`]); the batch executor ([`crate::batch`]) keeps
 //! one scratch per worker thread.
 
 use std::sync::Arc;
@@ -439,10 +439,11 @@ pub fn cpnn<M: DistanceModel + ?Sized>(
 /// When `cfg` (or the scratch itself) enables the verification-state
 /// cache, the query point is first snapped onto the quantization grid
 /// ([`DistanceModel::quantize_query`] — the identity at quantum 0) and
-/// the memoized candidate set / subregion table for that snapped point is
-/// reused instead of re-running filter + init. Verify and refine always
-/// run, so thresholds, tolerances, and strategies need no cache keying;
-/// see [`crate::cache`] for the correctness argument.
+/// the memoized candidate set for that snapped point is reused instead of
+/// re-running filter + distribution construction. A band already
+/// evaluated there replays its memoized reports; any other band rebuilds
+/// the subregion table from the cached candidates and runs verify/refine.
+/// See [`crate::cache`] for the correctness argument.
 pub fn cpnn_with<M: DistanceModel + ?Sized>(
     model: &M,
     q: &M::Query,
@@ -521,10 +522,10 @@ pub fn cpnn_with<M: DistanceModel + ?Sized>(
     // `fresh_coords` is `Some` exactly when filter + init ran here — the
     // fill that should publish a complete entry upward afterwards.
     let mut fresh_coords: Option<Option<Vec<f64>>> = None;
-    let (cands, cached_table): (Arc<CandidateSet>, Option<Arc<SubregionTable>>) = match hit {
+    let cands: Arc<CandidateSet> = match hit {
         Some(entry) => {
             stats.candidates = entry.candidates().len();
-            (Arc::clone(entry.candidates()), entry.table().cloned())
+            Arc::clone(entry.candidates())
         }
         None => {
             let (cands, init_time) = prepare(model, &q_eval, k, &mut stats)?;
@@ -541,50 +542,29 @@ pub fn cpnn_with<M: DistanceModel + ?Sized>(
                 }
                 fresh_coords = Some(coords);
             }
-            (cands, None)
+            cands
         }
     };
-    let mut built_table = None;
-    let result = evaluate_candidates_impl(
-        &cands,
-        spec,
-        cfg,
-        scratch,
-        stats,
-        cached_table.clone(),
-        &mut built_table,
-    );
+    let result = evaluate_candidates(&cands, spec, cfg, scratch, stats);
     if let (Some((point, kk)), Ok(res)) = (slot, result.as_ref()) {
         let okey = okey.expect("slot implies outcome key");
         let reports = Arc::new(res.reports.clone());
-        // Local bookkeeping: attach the freshly built table and memoize
-        // this band's outcome on the entry.
+        // Local bookkeeping: memoize this band's outcome on the entry.
         if let Some(cache) = scratch.cache_mut(&cfg.cache) {
-            if let Some(table) = built_table.clone() {
-                cache.attach_table(point, kk, table);
-            }
             cache.attach_outcome(point, kk, okey, Arc::clone(&reports));
         }
         // Shared bookkeeping: a fresh fill publishes the complete entry
         // upward (admission control applies inside); an entry hit pushes
-        // just the new table/outcome onto the shared copy, if the tier
-        // holds one. A shared hit needs no republish of the entry itself.
+        // just the new outcome onto the shared copy, if the tier holds
+        // one. A shared hit needs no republish of the entry itself.
         if let Some(tier) = tier.as_ref() {
             match fresh_coords {
                 Some(coords) => {
                     let mut entry = CachedQuery::for_query(Arc::clone(&cands), coords, kk);
-                    if let Some(table) = built_table.or_else(|| cached_table.clone()) {
-                        entry.set_table(table);
-                    }
                     entry.record_outcome(okey, reports);
                     tier.publish(point, kk, version, total_objects, entry);
                 }
-                None => {
-                    if let Some(table) = built_table {
-                        tier.attach_table(point, kk, version, table);
-                    }
-                    tier.attach_outcome(point, kk, version, okey, reports);
-                }
+                None => tier.attach_outcome(point, kk, version, okey, reports),
             }
         }
     }
@@ -684,39 +664,12 @@ pub fn evaluate_candidates(
     spec: &QuerySpec,
     cfg: &PipelineConfig,
     scratch: &mut QueryScratch,
-    stats: QueryStats,
-) -> Result<CpnnResult> {
-    evaluate_candidates_impl(cands, spec, cfg, scratch, stats, None, &mut None)
-}
-
-/// [`evaluate_candidates`] with verification-cache plumbing: `cached_table`
-/// supplies a memoized [`SubregionTable`] (skipping the build), and a
-/// table built here is handed back through `built_table` so the caller can
-/// attach it to the cache entry.
-fn evaluate_candidates_impl(
-    cands: &CandidateSet,
-    spec: &QuerySpec,
-    cfg: &PipelineConfig,
-    scratch: &mut QueryScratch,
     mut stats: QueryStats,
-    cached_table: Option<Arc<SubregionTable>>,
-    built_table: &mut Option<Arc<SubregionTable>>,
 ) -> Result<CpnnResult> {
     let classifier = Classifier::new(spec.threshold, spec.tolerance)?;
     let k = spec.k.max(1);
     let init_time = stats.init_time;
     let init_start = Instant::now();
-    // Reuse the memoized table or build (and report back) a fresh one.
-    let mut obtain_table = |cands: &CandidateSet| -> Arc<SubregionTable> {
-        match cached_table.clone() {
-            Some(table) => table,
-            None => {
-                let table = Arc::new(SubregionTable::build(cands));
-                *built_table = Some(Arc::clone(&table));
-                table
-            }
-        }
-    };
 
     match (spec.strategy, k) {
         (Strategy::Basic, 1) => {
@@ -728,7 +681,7 @@ fn evaluate_candidates_impl(
             Ok(finish_exact(cands, &classifier, &probs, stats))
         }
         (Strategy::Basic, k) => {
-            let table = obtain_table(cands);
+            let table = SubregionTable::build(cands);
             stats.subregions = table.subregion_count();
             stats.init_time = init_time + init_start.elapsed();
             let start = Instant::now();
@@ -739,7 +692,7 @@ fn evaluate_candidates_impl(
         }
         (strategy, k) => {
             // Verify → refine (or refine alone), over the subregion table.
-            let table = obtain_table(cands);
+            let table = SubregionTable::build(cands);
             stats.subregions = table.subregion_count();
             stats.init_time = init_time + init_start.elapsed();
             scratch.state.reset(&table);

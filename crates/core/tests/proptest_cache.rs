@@ -5,7 +5,9 @@
 //!    stream (with repeats) through a cached scratch returns bit-for-bit
 //!    the verdicts and probability bounds of fresh uncached evaluation,
 //!    for 1-D, 2-D, and k-NN specs, at capacities small enough to force
-//!    LRU eviction;
+//!    LRU eviction — including entry hits under a second Verified band at
+//!    the same `k`, which rebuild the subregion table from the cached
+//!    candidates and re-run verify/refine;
 //! 2. **quantization determinism** — at quantum ε > 0 every response
 //!    equals the *uncached* evaluation of the snapped query point,
 //!    regardless of cache capacity or arrival order (the approximation is
@@ -95,6 +97,7 @@ proptest! {
         let uncached_cfg = PipelineConfig::default();
         let specs = [
             QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified),
+            QuerySpec::nn(0.5, 0.0, EvalStrategy::Verified),
             QuerySpec::nn(0.5, 0.0, EvalStrategy::Basic),
             QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified),
         ];
@@ -108,8 +111,11 @@ proptest! {
         }
         // The repeated rounds must actually hit (3 rounds × shared entry
         // per (point, k); capacity 2 still hits within a round across specs
-        // of equal k).
-        prop_assert!(scratch.cache_stats().hits > 0, "stream produced no hits");
+        // of equal k), and some hits must land on a band the entry has no
+        // outcome for yet (the table-rebuild path).
+        let s = scratch.cache_stats();
+        prop_assert!(s.hits > 0, "stream produced no hits");
+        prop_assert!(s.hits > s.outcome_hits, "no hit under a new band");
     }
 
     /// Property 1 (2-D): same equivalence over the 2-D engine.
@@ -126,6 +132,7 @@ proptest! {
         let uncached_cfg = PipelineConfig::default();
         let specs = [
             QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified),
+            QuerySpec::nn(0.5, 0.0, EvalStrategy::Verified),
             QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified),
         ];
         let mut scratch = QueryScratch::new();
@@ -143,7 +150,8 @@ proptest! {
                 }
             }
         }
-        prop_assert!(scratch.cache_stats().hits > 0);
+        let s = scratch.cache_stats();
+        prop_assert!(s.hits > s.outcome_hits, "no hit under a new band");
     }
 
     /// Property 2: with quantum ε, every answer equals uncached evaluation
