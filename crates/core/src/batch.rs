@@ -144,13 +144,16 @@ impl BatchExecutor {
         // One shared L2 tier per batch run, attached to every worker's
         // scratch, so a hot point computed by one worker hits on all of
         // them (inert unless both cache knobs are enabled).
-        let tier = (cfg.cache.is_enabled() && cfg.shared_cache.is_enabled())
-            .then(|| Arc::new(SharedVerifyCache::new(cfg.shared_cache)));
-        let results: Vec<Result<CpnnResult>> = if threads <= 1 {
+        let tier = SharedVerifyCache::for_config(cfg, 0);
+        let worker_scratch = || {
             let mut scratch = QueryScratch::new();
-            if let Some(tier) = tier.as_ref() {
+            if let Some(tier) = &tier {
                 scratch.attach_shared(Arc::clone(tier));
             }
+            scratch
+        };
+        let results: Vec<Result<CpnnResult>> = if threads <= 1 {
+            let mut scratch = worker_scratch();
             let results = (0..n)
                 .map(|i| {
                     let (q, spec) = job(i);
@@ -167,10 +170,7 @@ impl BatchExecutor {
             std::thread::scope(|scope| {
                 for _ in 0..threads {
                     scope.spawn(|| {
-                        let mut scratch = QueryScratch::new();
-                        if let Some(tier) = tier.as_ref() {
-                            scratch.attach_shared(Arc::clone(tier));
-                        }
+                        let mut scratch = worker_scratch();
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);

@@ -27,6 +27,18 @@
 //!
 //! [`SubregionTable::build`]: crate::subregion::SubregionTable::build
 //!
+//! # Two tiers, one segment
+//!
+//! Both tiers are built from one private LRU segment: an entry map keyed
+//! by `(snapped point, k)`, pinned to a `(snapshot version, object count)`
+//! pair, with region-scoped advance, outcome attach and its own counters.
+//! A [`VerifyCache`] — the per-thread L1 every [`crate::QueryScratch`]
+//! owns — is one segment, lock-free. A [`SharedVerifyCache`] — the
+//! process-wide L2 — is a set of lock-striped segments plus a
+//! second-sight admission ledger. The L1 → L2 policy lives here too: a
+//! local miss consults the shared tier and installs its hit locally, a
+//! fresh fill publishes upward, and a new outcome attaches to both copies.
+//!
 //! # Quantization correctness
 //!
 //! With `quantum == 0` a lookup key is the exact bit pattern of the query
@@ -49,13 +61,13 @@
 //! a copy-on-write update can never serve stale candidate sets or bounds
 //! (property-tested under interleaved `insert`/`remove` through
 //! [`crate::server::QueryServer`]). As defense in depth for callers
-//! driving `cpnn_with` directly, the cache also pins the database's
-//! object count on every query ([`VerifyCache::pin_source`]): an
-//! in-place `insert`/`remove` on the model, or reusing one scratch
-//! across differently-sized databases, invalidates automatically even
-//! though no version ever moved. An equal-count swap is the one case the
-//! guards cannot see — use a fresh scratch (or bump the version) when
-//! substituting objects behind a cached scratch.
+//! driving `cpnn_with` directly, every segment also pins the database's
+//! object count on every query: an in-place `insert`/`remove` on the
+//! model, or reusing one scratch across differently-sized databases,
+//! invalidates automatically even though no version ever moved. An
+//! equal-count swap is the one case the guards cannot see — use a fresh
+//! scratch (or bump the version) when substituting objects behind a
+//! cached scratch.
 //!
 //! # Example
 //!
@@ -86,10 +98,11 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::candidate::CandidateSet;
+use crate::pipeline::{ObjectReport, PipelineConfig, QuerySpec, Strategy};
+use crate::refine::RefinementOrder;
 use crate::shard::Extent;
 
 /// Tuning for a per-thread [`VerifyCache`]. Lives inside
@@ -141,11 +154,16 @@ impl Default for CacheConfig {
     }
 }
 
-/// Cumulative cache counters. Survive [`VerifyCache`] invalidations, so a
+/// Cumulative counters of one cache tier. Survive invalidations, so a
 /// long-running worker reports its lifetime hit rate.
+///
+/// A [`VerifyCache`] counts each query exactly once as a local hit, a
+/// shared hit or a miss. A [`SharedVerifyCache`] counts its own lookups
+/// in `hits` and `misses` and leaves `shared_hits` and `outcome_hits` at
+/// zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the *local* (per-thread) cache.
+    /// Lookups answered by the tier itself.
     pub hits: u64,
     /// Lookups that had to filter and build distributions from scratch
     /// (neither tier had the entry).
@@ -160,12 +178,13 @@ pub struct CacheStats {
     /// verify/refine entirely. Always `≤ hits + shared_hits`; counted in
     /// addition to the entry hit, not instead of it.
     pub outcome_hits: u64,
-    /// Whole-cache clears caused by a snapshot-version change.
+    /// Whole-segment clears caused by a snapshot-version change, an
+    /// unknown update footprint, or a moved object count.
     pub invalidations: u64,
     /// Entries dropped by *incremental* (region-scoped) invalidation —
     /// entries whose candidate horizon intersected an updated region (see
-    /// [`VerifyCache::advance_version`]). Entries that survive such a
-    /// pass keep serving hits across snapshot versions.
+    /// [`crate::QueryScratch::advance_snapshot`]). Entries that survive
+    /// such a pass keep serving hits across snapshot versions.
     pub region_evictions: u64,
 }
 
@@ -187,7 +206,7 @@ impl CacheStats {
     }
 
     /// Fold another counter set into this one (batch workers aggregate
-    /// their per-thread caches this way).
+    /// their per-thread caches, the shared tier its segments, this way).
     pub fn accumulate(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
@@ -236,19 +255,19 @@ pub fn point_key_2d(q: [f64; 2]) -> u128 {
 /// config — and since every strategy is a deterministic function of
 /// (candidates, spec, config), the replayed reports are bit-for-bit what
 /// re-running verify/refine would produce (property-tested in
-/// `tests/proptest_shared_cache.rs`).
+/// `tests/proptest_cache.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OutcomeKey {
     threshold: u64,
     tolerance: u64,
-    strategy: crate::pipeline::Strategy,
-    refinement: crate::refine::RefinementOrder,
+    strategy: Strategy,
+    refinement: RefinementOrder,
     extended_verifiers: bool,
 }
 
 impl OutcomeKey {
     /// The outcome key for evaluating `spec` under `cfg`.
-    pub fn new(spec: &crate::pipeline::QuerySpec, cfg: &crate::pipeline::PipelineConfig) -> Self {
+    pub fn new(spec: &QuerySpec, cfg: &PipelineConfig) -> Self {
         Self {
             threshold: spec.threshold.to_bits(),
             tolerance: spec.tolerance.to_bits(),
@@ -258,6 +277,10 @@ impl OutcomeKey {
         }
     }
 }
+
+/// Reports of one evaluated band, shared between a cache entry and its
+/// copies in other tiers.
+type Reports = Arc<Vec<ObjectReport>>;
 
 /// One memoized verification state: the candidate set (filter output +
 /// per-candidate distance distributions) and the outcomes of the bands
@@ -274,7 +297,7 @@ impl OutcomeKey {
 /// not a candidate; its far distance exceeds the `k`-th far, so it cannot
 /// tighten the horizon either), so the entry survives the snapshot swap.
 #[derive(Debug, Clone)]
-pub struct CachedQuery {
+struct CachedQuery {
     cands: Arc<CandidateSet>,
     /// Coordinates of the (snapped) query point, `None` when the model
     /// cannot expose them — such entries drop on any region invalidation.
@@ -288,7 +311,15 @@ pub struct CachedQuery {
     /// invalidation rule (version, source pin, region pass, eviction)
     /// covers them for free: an outcome is replayable exactly as long as
     /// its candidate set is.
-    outcomes: Vec<(OutcomeKey, Arc<Vec<crate::pipeline::ObjectReport>>)>,
+    outcomes: Vec<(OutcomeKey, Reports)>,
+}
+
+/// What a cache hit hands the pipeline: the memoized candidates and, when
+/// the entry already holds the probe's band, that band's reports.
+#[derive(Debug)]
+pub(crate) struct Hit {
+    pub(crate) cands: Arc<CandidateSet>,
+    pub(crate) reports: Option<Reports>,
 }
 
 /// Distinct (spec, config) bands memoized per cached entry; real traffic
@@ -297,23 +328,11 @@ pub struct CachedQuery {
 const OUTCOME_CAP: usize = 8;
 
 impl CachedQuery {
-    /// An entry holding filter output only (outcomes attach later).
-    /// Without query coordinates the entry is dropped by *any* region
-    /// invalidation; prefer [`for_query`](Self::for_query).
-    pub fn new(cands: Arc<CandidateSet>) -> Self {
-        Self {
-            cands,
-            coords: None,
-            horizon: f64::INFINITY,
-            outcomes: Vec::new(),
-        }
-    }
-
-    /// An entry that can survive incremental invalidation: remembers the
-    /// snapped query coordinates and derives the candidate horizon from
-    /// the candidate set (`INFINITY` when fewer than `k` candidates exist
-    /// — then the whole database was in range and any update may matter).
-    pub fn for_query(cands: Arc<CandidateSet>, coords: Option<Vec<f64>>, k: usize) -> Self {
+    /// An entry for the candidates at a (snapped) query point with
+    /// coordinates `coords`. The candidate horizon is `INFINITY` when
+    /// fewer than `k` candidates exist — then the whole database was in
+    /// range and any update may matter.
+    fn new(cands: Arc<CandidateSet>, coords: Option<Vec<f64>>, k: usize) -> Self {
         let horizon = if cands.len() < k.max(1) {
             f64::INFINITY
         } else {
@@ -327,29 +346,28 @@ impl CachedQuery {
         }
     }
 
-    /// The memoized candidate set.
-    pub fn candidates(&self) -> &Arc<CandidateSet> {
-        &self.cands
-    }
-
     /// The memoized reports for an exact (spec, config) band, if this
     /// entry has seen that band before.
-    pub fn outcome(&self, key: &OutcomeKey) -> Option<Arc<Vec<crate::pipeline::ObjectReport>>> {
+    fn outcome(&self, key: &OutcomeKey) -> Option<&Reports> {
         self.outcomes
             .iter()
             .find(|(k, _)| k == key)
-            .map(|(_, reports)| Arc::clone(reports))
+            .map(|(_, reports)| reports)
+    }
+
+    /// This entry as a hit for `band`.
+    fn hit(&self, band: &OutcomeKey) -> Hit {
+        Hit {
+            cands: Arc::clone(&self.cands),
+            reports: self.outcome(band).cloned(),
+        }
     }
 
     /// Memoize the reports of one evaluated (spec, config) band, evicting
     /// the oldest band beyond `OUTCOME_CAP`. First writer wins on a
     /// duplicate key (the reports are deterministic, so copies agree).
-    pub fn record_outcome(
-        &mut self,
-        key: OutcomeKey,
-        reports: Arc<Vec<crate::pipeline::ObjectReport>>,
-    ) {
-        if self.outcomes.iter().any(|(k, _)| *k == key) {
+    fn record_outcome(&mut self, key: OutcomeKey, reports: Reports) {
+        if self.outcome(&key).is_some() {
             return;
         }
         if self.outcomes.len() >= OUTCOME_CAP {
@@ -367,202 +385,157 @@ impl CachedQuery {
         let Some(coords) = self.coords.as_deref() else {
             return false;
         };
-        if coords.len() != region.dims() {
-            return false;
-        }
-        region.mindist(&coords) > self.horizon
+        coords.len() == region.dims() && region.mindist(&coords) > self.horizon
     }
 }
 
 /// Key of one memoized query: the snapped point's bit pattern plus the
 /// neighbor count `k` (a `k = 1` candidate set prunes against a tighter
 /// horizon than a `k = 3` one, so they cannot share state). The snapshot
-/// version is *not* in the key — a version change clears the whole cache
-/// instead, so stale entries cannot linger in the LRU.
+/// version is *not* in the key — a segment is pinned to one version and
+/// advancing it drops every entry the update could have changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     point: u128,
     k: usize,
 }
 
-/// A per-thread LRU memoizing filter output, distance distributions, and
-/// verification outcomes by quantized query point. See the [module
-/// docs](self) for the key design and the correctness argument; the
-/// high-level entry points are [`crate::QueryScratch::with_cache`] and
-/// [`crate::PipelineConfig`]'s `cache` field.
-///
-/// ```
-/// use cpnn_core::cache::{CacheConfig, CachedQuery, VerifyCache};
-/// use cpnn_core::{CandidateSet, ObjectId, UncertainObject};
-/// use std::sync::Arc;
-///
-/// let objects = vec![UncertainObject::uniform(ObjectId(1), 1.0, 3.0).unwrap()];
-/// let cands = Arc::new(CandidateSet::build(&objects, 0.0, 0).unwrap());
-/// let mut cache = VerifyCache::new(CacheConfig::new(2, 0.0));
-///
-/// let point = cpnn_core::cache::point_key_1d(0.0);
-/// assert!(cache.lookup(point, 1).is_none()); // miss
-/// cache.insert(point, 1, CachedQuery::new(cands));
-/// assert!(cache.lookup(point, 1).is_some()); // hit
-///
-/// // A snapshot-version change invalidates everything.
-/// cache.set_version(1);
-/// assert!(cache.lookup(point, 1).is_none());
-/// assert_eq!(cache.stats().invalidations, 1);
-/// ```
-#[derive(Debug)]
-pub struct VerifyCache {
-    config: CacheConfig,
-    /// The snapshot version the cached entries were computed against.
+/// One cached query in flight, carried from [`VerifyCache::lookup`] to
+/// [`VerifyCache::fill`] / [`VerifyCache::record_outcome`]: the entry key,
+/// the object count of the database it is evaluated against, and the
+/// band being evaluated.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    key: Key,
+    total_objects: usize,
+    outcome: OutcomeKey,
+}
+
+impl Probe {
+    /// A probe for the snapped point `point` under `spec` and `cfg`
+    /// against a database of `total_objects` objects.
+    pub(crate) fn new(
+        point: u128,
+        spec: &QuerySpec,
+        cfg: &PipelineConfig,
+        total_objects: usize,
+    ) -> Self {
+        Self {
+            key: Key {
+                point,
+                k: spec.k.max(1),
+            },
+            total_objects,
+            outcome: OutcomeKey::new(spec, cfg),
+        }
+    }
+}
+
+/// One LRU map of memoized queries, pinned to the snapshot its entries
+/// were computed against — the one building block of both tiers.
+#[derive(Debug, Default)]
+struct Segment {
+    /// Entry budget; `0` stores nothing.
+    capacity: usize,
+    /// The snapshot version the entries were computed against.
     version: u64,
     /// Object count of the database the entries were computed against
-    /// (`None` until the first query) — a defense-in-depth guard for the
-    /// public `cpnn_with` seam: an in-place `insert`/`remove` on the
-    /// model, or reusing one scratch across differently-sized databases,
-    /// changes the count and invalidates even though no snapshot version
-    /// ever moved. Equal-count mutations still need
-    /// [`set_version`](Self::set_version) (or a fresh scratch) — the
-    /// serving path always provides exactly that.
-    source_objects: Option<usize>,
+    /// (`None` until the first query after a version move) — a
+    /// defense-in-depth guard for the public `cpnn_with` seam: an
+    /// in-place `insert`/`remove` on the model, or reusing one scratch
+    /// across differently-sized databases, changes the count and
+    /// invalidates even though no snapshot version ever moved.
+    source: Option<usize>,
     /// Entry → (last-use tick, state). Eviction scans for the minimum
-    /// tick — O(capacity), fine for the few-hundred-entry caches this is
+    /// tick — O(capacity), fine for the few-hundred-entry segments this is
     /// built for and free of unsafe linked-list bookkeeping.
     map: HashMap<Key, (u64, CachedQuery)>,
     tick: u64,
+    /// This segment's counters. It counts its own invalidations and
+    /// region evictions; the tier that owns it counts hits and misses.
     stats: CacheStats,
 }
 
-impl VerifyCache {
-    /// A fresh cache (snapshot version 0).
-    pub fn new(config: CacheConfig) -> Self {
+impl Segment {
+    fn new(capacity: usize, version: u64) -> Self {
         Self {
-            config,
-            version: 0,
-            source_objects: None,
-            map: HashMap::with_capacity(config.capacity.min(1024)),
-            tick: 0,
-            stats: CacheStats::default(),
+            capacity,
+            version,
+            ..Self::default()
         }
     }
 
-    /// The configuration this cache runs under.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The quantization grid width.
-    pub fn quantum(&self) -> f64 {
-        self.config.quantum
-    }
-
-    /// The snapshot version current entries belong to.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Number of memoized query points.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Cumulative counters (not reset by invalidation).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Pin the snapshot version. Moving to a *different* version drops
-    /// every entry — the memoized candidate sets were computed against a
-    /// database that no longer serves — and counts one invalidation (if
-    /// anything was dropped). Idempotent for the current version.
-    pub fn set_version(&mut self, version: u64) {
-        if version == self.version {
-            return;
+    /// Pin a caller evaluating snapshot `version` of a database with
+    /// `total_objects` objects. Returns `false` — the caller must bail —
+    /// when the segment holds another version; a moved object count
+    /// clears the segment.
+    fn pin(&mut self, version: u64, total_objects: usize) -> bool {
+        if self.version != version {
+            return false;
         }
-        self.version = version;
+        if self.source != Some(total_objects) {
+            if self.source.is_some() {
+                self.clear();
+            }
+            self.source = Some(total_objects);
+        }
+        true
+    }
+
+    /// Drop every entry, counting one invalidation if there was any.
+    fn clear(&mut self) {
         if !self.map.is_empty() {
             self.map.clear();
             self.stats.invalidations += 1;
         }
     }
 
-    /// Pin the snapshot version **incrementally**: instead of clearing,
-    /// drop only the entries whose cached candidate horizon intersects one
-    /// of the `regions` the intervening updates touched (see
-    /// [`CachedQuery::for_query`] for why surviving entries are provably
-    /// still exact). Entries without query coordinates are dropped
-    /// conservatively. Idempotent for the current version; moving
-    /// *backwards* falls back to a full clear (the regions walked forward
-    /// do not describe the reverse trip).
-    pub fn advance_version(&mut self, version: u64, regions: &[Extent]) {
+    /// Move to snapshot `version`. Forward with the `regions` the
+    /// intervening updates touched, drop only the entries whose candidate
+    /// horizon one of them intersects (see [`CachedQuery`] for why the
+    /// survivors are still exact); an unknown footprint (`None`) or a
+    /// backwards move clears. Idempotent for the current version.
+    fn advance(&mut self, version: u64, regions: Option<&[Extent]>) {
         if version == self.version {
             return;
         }
-        if version < self.version {
-            self.set_version(version);
-            return;
-        }
+        let forward = version > self.version;
         self.version = version;
-        // The source-object count moves with every applied update; the
-        // version move is the sanctioned invalidation here, so re-arm the
-        // count guard instead of letting it clear the survivors.
-        self.source_objects = None;
-        let before = self.map.len();
-        self.map
-            .retain(|_, (_, entry)| regions.iter().all(|r| entry.survives(r)));
-        self.stats.region_evictions += (before - self.map.len()) as u64;
-    }
-
-    /// Drop every entry without touching counters or version.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Pin the object count of the database about to be queried,
-    /// invalidating every entry if it moved since the last query (see
-    /// the `source_objects` field docs — the guard that catches in-place
-    /// mutation and cross-database scratch reuse without a version
-    /// change). The pipeline calls this on every cached query.
-    pub fn pin_source(&mut self, total_objects: usize) {
-        if self.source_objects == Some(total_objects) {
-            return;
+        // The object count moves with every applied update; the version
+        // move is the sanctioned invalidation here, so re-arm the count
+        // guard instead of letting it clear the survivors.
+        self.source = None;
+        match regions {
+            Some(regions) if forward => {
+                let before = self.map.len();
+                self.map
+                    .retain(|_, (_, entry)| regions.iter().all(|r| entry.survives(r)));
+                self.stats.region_evictions += (before - self.map.len()) as u64;
+            }
+            _ => self.clear(),
         }
-        if self.source_objects.is_some() && !self.map.is_empty() {
-            self.map.clear();
-            self.stats.invalidations += 1;
-        }
-        self.source_objects = Some(total_objects);
     }
 
-    /// Look up the memoized state for a snapped point and neighbor count,
-    /// counting a hit or miss.
-    pub fn lookup(&mut self, point: u128, k: usize) -> Option<CachedQuery> {
+    /// The entry under `key` for a caller pinned as in [`pin`](Self::pin),
+    /// refreshing its LRU tick. Counts nothing.
+    fn get(&mut self, key: &Key, version: u64, total_objects: usize) -> Option<&CachedQuery> {
+        if !self.pin(version, total_objects) {
+            return None;
+        }
         self.tick += 1;
-        match self.map.get_mut(&Key { point, k }) {
-            Some((tick, entry)) => {
-                *tick = self.tick;
-                self.stats.hits += 1;
-                Some(entry.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let (tick, entry) = self.map.get_mut(key)?;
+        *tick = self.tick;
+        Some(entry)
     }
 
-    /// Memoize freshly computed state, evicting the least-recently-used
-    /// entry if the cache is full. No-op at capacity 0.
-    pub fn insert(&mut self, point: u128, k: usize, entry: CachedQuery) {
-        if self.config.capacity == 0 {
+    /// Memoize `entry` (replacing any entry under `key`), evicting the
+    /// least-recently-used entry when full. No-op at capacity 0.
+    fn insert(&mut self, key: Key, entry: CachedQuery) {
+        if self.capacity == 0 {
             return;
         }
-        let key = Key { point, k };
-        if self.map.len() >= self.config.capacity && !self.map.contains_key(&key) {
+        self.tick += 1;
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             if let Some(oldest) = self
                 .map
                 .iter()
@@ -572,62 +545,161 @@ impl VerifyCache {
                 self.map.remove(&oldest);
             }
         }
-        self.tick += 1;
         self.map.insert(key, (self.tick, entry));
     }
 
-    /// Attach a just-evaluated verification outcome to an existing entry
-    /// (see [`CachedQuery::record_outcome`]). Ignored if the entry was
-    /// evicted in the meantime.
-    pub fn attach_outcome(
-        &mut self,
-        point: u128,
-        k: usize,
-        key: OutcomeKey,
-        reports: Arc<Vec<crate::pipeline::ObjectReport>>,
-    ) {
-        if let Some((_, entry)) = self.map.get_mut(&Key { point, k }) {
-            entry.record_outcome(key, reports);
+    /// Attach a just-evaluated outcome to the entry under `key` (see
+    /// [`CachedQuery::record_outcome`]); ignored if the entry is gone.
+    fn attach(&mut self, key: &Key, outcome: OutcomeKey, reports: Reports) {
+        if let Some((_, entry)) = self.map.get_mut(key) {
+            entry.record_outcome(outcome, reports);
+        }
+    }
+}
+
+/// The per-thread L1: one LRU segment memoizing filter output, distance
+/// distributions and verification outcomes by quantized query point,
+/// plus the process-wide [`SharedVerifyCache`] behind it, when the owning
+/// execution surface attached one. See the [module docs](self) for the
+/// key design and the correctness argument. Every
+/// [`crate::QueryScratch`] owns one, sized by [`crate::PipelineConfig`]'s
+/// `cache` field on every query.
+///
+/// ```
+/// use cpnn_core::cache::CacheConfig;
+/// use cpnn_core::{pipeline, ObjectId, PipelineConfig, QueryScratch, QuerySpec, Strategy};
+/// use cpnn_core::{UncertainDb, UncertainObject};
+///
+/// let db = UncertainDb::build(vec![UncertainObject::uniform(ObjectId(1), 1.0, 3.0).unwrap()])
+///     .unwrap();
+/// let cfg = PipelineConfig {
+///     cache: CacheConfig::new(2, 0.0),
+///     ..Default::default()
+/// };
+/// let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+/// let mut scratch = QueryScratch::new();
+/// pipeline::cpnn_with(&db, &0.0, &spec, &cfg, &mut scratch).unwrap(); // miss
+/// pipeline::cpnn_with(&db, &0.0, &spec, &cfg, &mut scratch).unwrap(); // hit
+///
+/// // A snapshot-version change invalidates everything.
+/// scratch.set_snapshot_version(1);
+/// pipeline::cpnn_with(&db, &0.0, &spec, &cfg, &mut scratch).unwrap(); // miss
+/// let stats = scratch.cache_stats();
+/// assert_eq!((stats.hits, stats.misses, stats.invalidations), (1, 2, 1));
+/// ```
+#[derive(Debug, Default)]
+pub struct VerifyCache {
+    local: Segment,
+    shared: Option<Arc<SharedVerifyCache>>,
+}
+
+impl VerifyCache {
+    /// Follow `config`: a changed capacity rebuilds the local segment
+    /// empty; its pins and counters carry over.
+    pub(crate) fn configure(&mut self, config: &CacheConfig) {
+        if self.local.capacity != config.capacity {
+            self.local.capacity = config.capacity;
+            self.local.map = HashMap::new();
         }
     }
 
-    /// Reclassify the latest counted miss as a shared-tier hit: the
-    /// pipeline counts a local miss in [`lookup`](Self::lookup) first,
-    /// then consults the L2, and calls this when the L2 answered. Keeps
-    /// `lookups()` counting every query exactly once.
-    pub fn promote_miss_to_shared_hit(&mut self) {
-        debug_assert!(self.stats.misses > 0, "no miss to promote");
-        self.stats.misses = self.stats.misses.saturating_sub(1);
-        self.stats.shared_hits += 1;
+    /// Does the current configuration cache anything?
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.local.capacity > 0
     }
 
-    /// Count one outcome-memo hit (an entry hit whose memoized reports
-    /// short-circuited verify/refine).
-    pub fn note_outcome_hit(&mut self) {
-        self.stats.outcome_hits += 1;
+    /// Consult `tier` on local misses and publish fresh fills into it.
+    pub(crate) fn attach_shared(&mut self, tier: Arc<SharedVerifyCache>) {
+        self.shared = Some(tier);
+    }
+
+    /// Move to snapshot `version` (see `Segment::advance`: only entries
+    /// the update `regions` can reach drop; `None` clears).
+    pub(crate) fn advance_version(&mut self, version: u64, regions: Option<&[Extent]>) {
+        self.local.advance(version, regions);
+    }
+
+    /// Cumulative counters (not reset by invalidation or reconfiguration).
+    pub fn stats(&self) -> CacheStats {
+        self.local.stats
+    }
+
+    /// Two-tier lookup: the local segment, then the shared tier, whose
+    /// hit is installed locally so repeats on this thread stay lock-free.
+    /// Counts the query exactly once — a hit, a shared hit or a miss —
+    /// plus an outcome hit when the entry already holds the probe's band.
+    pub(crate) fn lookup(&mut self, probe: &Probe) -> Option<Hit> {
+        let (key, version, total) = (probe.key, self.local.version, probe.total_objects);
+        let local = self.local.get(&key, version, total);
+        let hit = if let Some(hit) = local.map(|entry| entry.hit(&probe.outcome)) {
+            self.local.stats.hits += 1;
+            hit
+        } else if let Some(entry) = self
+            .shared
+            .as_ref()
+            .and_then(|t| t.lookup(key, version, total))
+        {
+            let hit = entry.hit(&probe.outcome);
+            self.local.insert(key, entry);
+            self.local.stats.shared_hits += 1;
+            hit
+        } else {
+            self.local.stats.misses += 1;
+            return None;
+        };
+        if hit.reports.is_some() {
+            self.local.stats.outcome_hits += 1;
+        }
+        Some(hit)
+    }
+
+    /// Memoize a fresh fill — the candidates filtered at the probe's
+    /// point (with coordinates `coords`) and the reports of its band:
+    /// insert locally and publish upward (second-sight admission applies
+    /// in the shared tier).
+    pub(crate) fn fill(
+        &mut self,
+        probe: &Probe,
+        cands: Arc<CandidateSet>,
+        coords: Option<Vec<f64>>,
+        reports: Reports,
+    ) {
+        let mut entry = CachedQuery::new(cands, coords, probe.key.k);
+        entry.record_outcome(probe.outcome, reports);
+        if let Some(tier) = &self.shared {
+            tier.publish(
+                probe.key,
+                self.local.version,
+                probe.total_objects,
+                entry.clone(),
+            );
+        }
+        self.local.insert(probe.key, entry);
+    }
+
+    /// Memoize the reports of a band evaluated on a cached entry, on the
+    /// local entry and on the shared copy, wherever they still exist.
+    pub(crate) fn record_outcome(&mut self, probe: &Probe, reports: Reports) {
+        if let Some(tier) = &self.shared {
+            tier.attach(probe, self.local.version, Arc::clone(&reports));
+        }
+        self.local.attach(&probe.key, probe.outcome, reports);
     }
 }
 
 /// Tuning for the process-wide [`SharedVerifyCache`] tier. Lives inside
 /// [`crate::PipelineConfig`] next to the per-thread `cache` knob; the
-/// tier only engages when **both** are enabled (the shared tier is an L2
-/// behind the local L1 — a local miss consults it, a local fill
-/// publishes upward).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// tier only exists when **both** are enabled
+/// ([`SharedVerifyCache::for_config`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheConfig {
     /// Total memoized query points across all segments; `0` disables the
     /// tier entirely (the default).
     pub capacity: usize,
-    /// Admit a key on its first publish attempt instead of the default
-    /// **second-sight** admission (first attempt only records the key;
-    /// the next attempt admits it). Second sight keeps adversarial
-    /// point churn — a stream of never-repeated points — from thrashing
-    /// entries that are actually hot.
-    pub admit_first_sight: bool,
 }
 
 impl SharedCacheConfig {
-    /// A shared tier of `capacity` entries with second-sight admission.
+    /// A shared tier of `capacity` entries.
     ///
     /// ```
     /// use cpnn_core::cache::SharedCacheConfig;
@@ -636,26 +708,12 @@ impl SharedCacheConfig {
     /// assert!(!SharedCacheConfig::disabled().is_enabled());
     /// ```
     pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            admit_first_sight: false,
-        }
+        Self { capacity }
     }
 
     /// The no-tier configuration (also the [`Default`]).
     pub fn disabled() -> Self {
-        Self {
-            capacity: 0,
-            admit_first_sight: false,
-        }
-    }
-
-    /// Same configuration admitting entries on first sight (useful when
-    /// the workload is known-hot, and in tests that need deterministic
-    /// single-pass warming).
-    pub fn admit_immediately(mut self) -> Self {
-        self.admit_first_sight = true;
-        self
+        Self::default()
     }
 
     /// Does this configuration share anything at all?
@@ -664,114 +722,76 @@ impl SharedCacheConfig {
     }
 }
 
-impl Default for SharedCacheConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
-/// Cumulative counters of a [`SharedVerifyCache`], aggregated across all
-/// segments (relaxed atomics — totals, not a consistent snapshot).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SharedCacheStats {
-    /// Lookups answered from the tier.
-    pub hits: u64,
-    /// Lookups the tier could not answer (absent or wrong version).
-    pub misses: u64,
-    /// Entries admitted into a segment.
-    pub admitted: u64,
-    /// Publish attempts deferred by second-sight admission (the key was
-    /// only recorded; its next publish admits).
-    pub deferred: u64,
-    /// Segment clears (version mismatch, backwards move, or unknown
-    /// update footprint).
-    pub invalidations: u64,
-    /// Entries dropped by incremental (region-scoped) invalidation.
-    pub region_evictions: u64,
-}
-
 /// Upper bound on lock-striped segments; the actual count never exceeds
 /// the configured capacity, so tiny tiers do not scatter one entry per
 /// lock.
 const SHARED_SEGMENTS: usize = 16;
 
-/// One lock-striped segment of the shared tier. The version and source
-/// pin are **per segment**, checked under the segment's own mutex: a
-/// publish racing an [`SharedVerifyCache::advance_version`] walk either
-/// lands before the walk reaches the segment (and is region-checked by
-/// it) or carries a stale version and is dropped — no global lock, no
-/// stale entry, in either order.
-#[derive(Debug)]
-struct Segment {
-    version: u64,
-    source: Option<usize>,
-    tick: u64,
-    map: HashMap<Key, SharedSlot>,
-    /// Second-sight admission ledger: key → tick of its recorded first
-    /// sighting. Bounded; oldest sightings are forgotten under churn. It
-    /// holds keys, never state, so it outlives version advances: a hot
-    /// spot seen once before an update burst is admitted on its next
-    /// publish after it.
-    seen: HashMap<Key, u64>,
-}
+/// Second-sight admission ledger of one shared segment: key → tick of
+/// its recorded first sighting.
+type Sightings = HashMap<Key, u64>;
 
-#[derive(Debug)]
-struct SharedSlot {
-    tick: u64,
-    entry: CachedQuery,
-}
-
-/// The process-wide L2 behind every worker's [`VerifyCache`]: a
-/// lock-striped concurrent map over the same `(snapped point bits, k)`
-/// keys, so one worker's miss warms every worker. At `T` serve threads
-/// the effective hit rate on hot-spot traffic multiplies instead of
-/// dividing by `T` — a repeat query hits no matter which worker the
-/// scheduler lands it on.
+/// The process-wide L2 behind every worker's [`VerifyCache`]: lock-striped
+/// segments over the same `(snapped point bits, k)` keys, so one worker's
+/// miss warms every worker. At `T` serve threads the effective hit rate
+/// on hot-spot traffic multiplies instead of dividing by `T` — a repeat
+/// query hits no matter which worker the scheduler lands it on.
 ///
-/// **Eviction** is segmented LRU: each segment evicts its own
-/// least-recently-used entry under its own mutex, so a hot segment never
-/// takes a global lock. **Invalidation** mirrors the local tier:
-/// [`advance_version`](Self::advance_version) walks the segments with
-/// the same region-journal survivor test the per-thread map uses, and
-/// the server fans it out *before* a new snapshot becomes visible (see
-/// `server.rs`), so no worker can be pinned to a version whose segments
-/// have not been walked. **Second-sight admission**
-/// ([`SharedCacheConfig`]) keeps adversarial point churn from thrashing
-/// the tier.
+/// Each segment is the same LRU segment a [`VerifyCache`] owns, behind
+/// its own mutex, with its own version and object-count pin: every tier
+/// operation pins, so a publish racing an
+/// [`advance_version`](Self::advance_version) walk either lands before
+/// the walk reaches the segment (and is region-checked by it) or carries
+/// a stale version and is dropped — no global lock, no stale entry, in
+/// either order. The server fans the walk out *before* a new snapshot
+/// becomes visible (see `server.rs`), so no worker can be pinned to a
+/// version whose segments have not been walked.
+///
+/// **Second-sight admission** keeps adversarial point churn — a stream
+/// of never-repeated points — from thrashing entries that are actually
+/// hot: a key's first publish only records a sighting, its next one
+/// admits it. The ledger holds keys, never state, so it outlives version
+/// advances (a hot spot seen once before an update burst is admitted on
+/// its next publish after it) and no answer can depend on it.
 ///
 /// ```
-/// use cpnn_core::cache::{CachedQuery, SharedCacheConfig, SharedVerifyCache};
-/// use cpnn_core::{CandidateSet, ObjectId, UncertainObject};
-/// use std::sync::Arc;
+/// use cpnn_core::cache::{CacheConfig, SharedCacheConfig};
+/// use cpnn_core::{pipeline, ObjectId, PipelineConfig, QueryScratch, QuerySpec, Strategy};
+/// use cpnn_core::{SharedVerifyCache, UncertainDb, UncertainObject};
 ///
-/// let objects = vec![UncertainObject::uniform(ObjectId(1), 1.0, 3.0).unwrap()];
-/// let cands = Arc::new(CandidateSet::build(&objects, 0.0, 0).unwrap());
-/// let tier = SharedVerifyCache::new(SharedCacheConfig::new(64).admit_immediately());
-///
-/// let point = cpnn_core::cache::point_key_1d(0.0);
-/// assert!(tier.lookup(point, 1, 0, 1).is_none()); // miss
-/// assert!(tier.publish(point, 1, 0, 1, CachedQuery::new(cands)));
-/// assert!(tier.lookup(point, 1, 0, 1).is_some()); // any thread hits now
-/// assert!(tier.lookup(point, 1, 9, 1).is_none()); // other versions never hit
+/// let db = UncertainDb::build(vec![UncertainObject::uniform(ObjectId(1), 1.0, 3.0).unwrap()])
+///     .unwrap();
+/// let cfg = PipelineConfig {
+///     cache: CacheConfig::new(8, 0.0),
+///     shared_cache: SharedCacheConfig::new(64),
+///     ..Default::default()
+/// };
+/// let tier = SharedVerifyCache::for_config(&cfg, 0).expect("both tiers enabled");
+/// let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+/// let mut workers: Vec<QueryScratch> = (0..3).map(|_| QueryScratch::new()).collect();
+/// for scratch in &mut workers {
+///     scratch.attach_shared(tier.clone());
+///     pipeline::cpnn_with(&db, &0.0, &spec, &cfg, scratch).unwrap();
+/// }
+/// // The first two workers miss (the second sighting admits the entry);
+/// // the third is served by the tier.
+/// assert_eq!(workers[2].cache_stats().shared_hits, 1);
+/// assert_eq!(tier.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct SharedVerifyCache {
-    config: SharedCacheConfig,
-    /// Per-segment entry budget (`ceil(capacity / segments)`).
-    per_segment: usize,
-    segments: Vec<Mutex<Segment>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    admitted: AtomicU64,
-    deferred: AtomicU64,
-    invalidations: AtomicU64,
-    region_evictions: AtomicU64,
+    segments: Vec<Mutex<(Segment, Sightings)>>,
 }
 
 impl SharedVerifyCache {
-    /// A fresh tier at snapshot version 0.
-    pub fn new(config: SharedCacheConfig) -> Self {
-        Self::new_at(config, 0)
+    /// The tier a batch run or server with configuration `cfg` shares
+    /// across its workers, starting at snapshot `version` — `None` unless
+    /// both the per-thread `cache` and `shared_cache` are enabled (the
+    /// shared tier is an L2 behind the local L1). The one place that
+    /// decides whether a shared tier exists.
+    pub fn for_config(cfg: &PipelineConfig, version: u64) -> Option<Arc<Self>> {
+        (cfg.cache.is_enabled() && cfg.shared_cache.is_enabled())
+            .then(|| Arc::new(Self::new_at(cfg.shared_cache, version)))
     }
 
     /// A fresh tier whose segments start pinned at `version` (servers
@@ -779,48 +799,17 @@ impl SharedVerifyCache {
     /// recovered version).
     pub fn new_at(config: SharedCacheConfig, version: u64) -> Self {
         let nsegs = SHARED_SEGMENTS.min(config.capacity.max(1));
-        let per_segment = config.capacity.max(1).div_ceil(nsegs);
+        let per_segment = config.capacity.div_ceil(nsegs);
         let segments = (0..nsegs)
-            .map(|_| {
-                Mutex::new(Segment {
-                    version,
-                    source: None,
-                    tick: 0,
-                    map: HashMap::new(),
-                    seen: HashMap::new(),
-                })
-            })
+            .map(|_| Mutex::new((Segment::new(per_segment, version), Sightings::new())))
             .collect();
-        Self {
-            config,
-            per_segment,
-            segments,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            deferred: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            region_evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The configuration this tier runs under.
-    pub fn config(&self) -> &SharedCacheConfig {
-        &self.config
-    }
-
-    /// Number of lock-striped segments.
-    pub fn segments(&self) -> usize {
-        self.segments.len()
+        Self { segments }
     }
 
     /// Total entries across all segments (advisory; segments are locked
     /// one at a time).
     pub fn len(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.lock().expect("shared-cache segment poisoned").map.len())
-            .sum()
+        self.segments.iter().map(|s| lock(s).0.map.len()).sum()
     }
 
     /// Is the tier empty?
@@ -828,206 +817,124 @@ impl SharedVerifyCache {
         self.len() == 0
     }
 
-    /// Cumulative counters across all segments.
-    pub fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            deferred: self.deferred.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            region_evictions: self.region_evictions.load(Ordering::Relaxed),
+    /// Cumulative counters across all segments (each segment read under
+    /// its own lock — totals, not a consistent snapshot).
+    pub fn stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for segment in &self.segments {
+            total.accumulate(&lock(segment).0.stats);
         }
-    }
-
-    fn segment_of(&self, key: &Key) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.segments.len() as u64) as usize
-    }
-
-    /// Pin `seg` to (version, source). Returns `false` — caller must
-    /// bail — when the caller's version does not match the segment's.
-    /// A moved source count clears the segment (same in-place-mutation
-    /// guard as [`VerifyCache::pin_source`], striped per segment).
-    fn pin(&self, seg: &mut Segment, version: u64, total_objects: usize) -> bool {
-        if seg.version != version {
-            return false;
-        }
-        if seg.source != Some(total_objects) {
-            if seg.source.is_some() && !seg.map.is_empty() {
-                seg.map.clear();
-                seg.seen.clear();
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-            }
-            seg.source = Some(total_objects);
-        }
-        true
-    }
-
-    /// Look up the shared state for a snapped point and neighbor count,
-    /// on behalf of a caller pinned to snapshot `version` of a database
-    /// with `total_objects` objects. Counts a hit or miss; a hit clones
-    /// the entry out (two refcount bumps) and refreshes its LRU tick.
-    pub fn lookup(
-        &self,
-        point: u128,
-        k: usize,
-        version: u64,
-        total_objects: usize,
-    ) -> Option<CachedQuery> {
-        if !self.config.is_enabled() {
-            return None;
-        }
-        let key = Key { point, k };
-        let mut seg = self.segments[self.segment_of(&key)]
-            .lock()
-            .expect("shared-cache segment poisoned");
-        if !self.pin(&mut seg, version, total_objects) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        seg.tick += 1;
-        let tick = seg.tick;
-        match seg.map.get_mut(&key) {
-            Some(slot) => {
-                slot.tick = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.entry.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Publish freshly computed state upward. Returns whether the entry
-    /// was actually admitted: a stale `version` is dropped (the tier has
-    /// moved on), second-sight admission defers a first-seen key, and a
-    /// full segment evicts its LRU entry to make room. Republishing an
-    /// existing key replaces the entry.
-    pub fn publish(
-        &self,
-        point: u128,
-        k: usize,
-        version: u64,
-        total_objects: usize,
-        entry: CachedQuery,
-    ) -> bool {
-        if !self.config.is_enabled() {
-            return false;
-        }
-        let key = Key { point, k };
-        let mut seg = self.segments[self.segment_of(&key)]
-            .lock()
-            .expect("shared-cache segment poisoned");
-        if !self.pin(&mut seg, version, total_objects) {
-            return false;
-        }
-        seg.tick += 1;
-        let tick = seg.tick;
-        if let Some(slot) = seg.map.get_mut(&key) {
-            *slot = SharedSlot { tick, entry };
-            return true;
-        }
-        let admit = self.config.admit_first_sight || seg.seen.remove(&key).is_some();
-        if !admit {
-            // Record the sighting; bound the ledger by forgetting the
-            // oldest sightings under churn.
-            if seg.seen.len() >= self.per_segment.saturating_mul(4).max(8) {
-                if let Some(oldest) = seg.seen.iter().min_by_key(|(_, t)| **t).map(|(k, _)| *k) {
-                    seg.seen.remove(&oldest);
-                }
-            }
-            seg.seen.insert(key, tick);
-            self.deferred.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        if seg.map.len() >= self.per_segment {
-            if let Some(oldest) = seg
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.tick)
-                .map(|(k, _)| *k)
-            {
-                seg.map.remove(&oldest);
-            }
-        }
-        seg.map.insert(key, SharedSlot { tick, entry });
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Attach a just-evaluated verification outcome to a shared entry
-    /// (no-op if the entry is absent or the caller's version is stale).
-    pub fn attach_outcome(
-        &self,
-        point: u128,
-        k: usize,
-        version: u64,
-        okey: OutcomeKey,
-        reports: Arc<Vec<crate::pipeline::ObjectReport>>,
-    ) {
-        let key = Key { point, k };
-        let mut seg = self.segments[self.segment_of(&key)]
-            .lock()
-            .expect("shared-cache segment poisoned");
-        if seg.version != version {
-            return;
-        }
-        if let Some(slot) = seg.map.get_mut(&key) {
-            slot.entry.record_outcome(okey, reports);
-        }
+        total
     }
 
     /// Advance every segment to snapshot `version`, dropping only entries
     /// whose candidate horizon one of the update `regions` intersects —
-    /// the same survivor test as [`VerifyCache::advance_version`], striped
-    /// per segment. `None` regions (unknown footprint) or a backwards
-    /// move clears the segment's entries; the second-sight ledger is kept
-    /// (it names keys, not state, so no answer can depend on it). The
-    /// server calls this under its writer lock *before* the new snapshot
-    /// becomes visible, so no worker is ever pinned to a version whose
-    /// segments still hold unwalked entries; a concurrent publish carrying
-    /// the old version is dropped by the per-segment version check (each
-    /// segment records the last version walked).
+    /// the same segment walk as the per-thread tier's. `None` regions
+    /// (unknown footprint) or a backwards move clears the segment's
+    /// entries; the second-sight ledger is kept. The server calls this
+    /// under its writer lock *before* the new snapshot becomes visible.
     pub fn advance_version(&self, version: u64, regions: Option<&[Extent]>) {
         for segment in &self.segments {
-            let mut seg = segment.lock().expect("shared-cache segment poisoned");
-            if seg.version == version {
-                continue;
-            }
-            let forward = version > seg.version;
-            seg.version = version;
-            seg.source = None;
-            match regions {
-                Some(regions) if forward => {
-                    let before = seg.map.len();
-                    seg.map
-                        .retain(|_, slot| regions.iter().all(|r| slot.entry.survives(r)));
-                    self.region_evictions
-                        .fetch_add((before - seg.map.len()) as u64, Ordering::Relaxed);
-                }
-                _ => {
-                    if !seg.map.is_empty() {
-                        seg.map.clear();
-                        self.invalidations.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+            lock(segment).0.advance(version, regions);
         }
     }
+
+    /// The segment (and its ledger) that owns `key`.
+    fn segment(&self, key: &Key) -> MutexGuard<'_, (Segment, Sightings)> {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        lock(&self.segments[(hasher.finish() % self.segments.len() as u64) as usize])
+    }
+
+    /// The shared state under `key` for a caller pinned to snapshot
+    /// `version` of a database with `total_objects` objects, counting a
+    /// hit or a miss.
+    fn lookup(&self, key: Key, version: u64, total_objects: usize) -> Option<CachedQuery> {
+        let mut guard = self.segment(&key);
+        let seg = &mut guard.0;
+        let entry = seg.get(&key, version, total_objects).cloned();
+        match entry {
+            Some(_) => seg.stats.hits += 1,
+            None => seg.stats.misses += 1,
+        }
+        entry
+    }
+
+    /// Publish a fresh fill. Dropped under a stale version; a key already
+    /// held is replaced; otherwise the first publish of a key only records
+    /// a sighting and the next one admits it, evicting the segment's LRU
+    /// entry when full.
+    fn publish(&self, key: Key, version: u64, total_objects: usize, entry: CachedQuery) {
+        let mut guard = self.segment(&key);
+        let (seg, seen) = &mut *guard;
+        if !seg.pin(version, total_objects) {
+            return;
+        }
+        if seg.map.contains_key(&key) || seen.remove(&key).is_some() {
+            seg.insert(key, entry);
+            return;
+        }
+        // Record the sighting; bound the ledger by forgetting the oldest
+        // sightings under churn.
+        seg.tick += 1;
+        if seen.len() >= seg.capacity.saturating_mul(4).max(8) {
+            if let Some(oldest) = seen.iter().min_by_key(|(_, t)| **t).map(|(k, _)| *k) {
+                seen.remove(&oldest);
+            }
+        }
+        seen.insert(key, seg.tick);
+    }
+
+    /// Attach a just-evaluated outcome to the shared copy of the probe's
+    /// entry, under the same pin as every other tier operation.
+    fn attach(&self, probe: &Probe, version: u64, reports: Reports) {
+        let mut guard = self.segment(&probe.key);
+        let seg = &mut guard.0;
+        if seg.pin(version, probe.total_objects) {
+            seg.attach(&probe.key, probe.outcome, reports);
+        }
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("shared-cache segment poisoned")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::{ObjectId, UncertainObject};
+    use crate::pipeline::{cpnn, cpnn_with, QueryScratch};
+    use crate::UncertainDb;
 
+    /// An entry at query point `q` over one object on `[1, 3]`.
     fn entry(q: f64) -> CachedQuery {
         let objects = vec![UncertainObject::uniform(ObjectId(7), 1.0, 3.0).unwrap()];
-        CachedQuery::new(Arc::new(CandidateSet::build(&objects, q, 0).unwrap()))
+        let cands = CandidateSet::build(&objects, q, 0).unwrap();
+        CachedQuery::new(Arc::new(cands), Some(vec![q]), 1)
+    }
+
+    fn key(point: u64) -> Key {
+        Key {
+            point: point as u128,
+            k: 1,
+        }
+    }
+
+    /// A segment of `capacity` entries pinned to version 0 of a
+    /// one-object database.
+    fn segment(capacity: usize) -> Segment {
+        let mut seg = Segment::new(capacity, 0);
+        assert!(seg.pin(0, 1));
+        seg
+    }
+
+    fn has(seg: &mut Segment, key: Key) -> bool {
+        seg.get(&key, seg.version, 1).is_some()
+    }
+
+    fn tier(capacity: usize) -> SharedVerifyCache {
+        SharedVerifyCache::new_at(SharedCacheConfig::new(capacity), 0)
     }
 
     #[test]
@@ -1049,94 +956,69 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut cache = VerifyCache::new(CacheConfig::new(2, 0.0));
-        cache.insert(1, 1, entry(0.0));
-        cache.insert(2, 1, entry(0.0));
+        let mut seg = segment(2);
+        seg.insert(key(1), entry(0.0));
+        seg.insert(key(2), entry(0.0));
         // Touch 1, then insert 3: 2 is the LRU victim.
-        assert!(cache.lookup(1, 1).is_some());
-        cache.insert(3, 1, entry(0.0));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(1, 1).is_some());
-        assert!(cache.lookup(2, 1).is_none());
-        assert!(cache.lookup(3, 1).is_some());
+        assert!(has(&mut seg, key(1)));
+        seg.insert(key(3), entry(0.0));
+        assert_eq!(seg.map.len(), 2);
+        assert!(has(&mut seg, key(1)));
+        assert!(!has(&mut seg, key(2)));
+        assert!(has(&mut seg, key(3)));
+        // Replacing a held key evicts nothing.
+        seg.insert(key(3), entry(0.0));
+        assert!(has(&mut seg, key(1)));
     }
 
     #[test]
     fn k_is_part_of_the_key() {
-        let mut cache = VerifyCache::new(CacheConfig::new(4, 0.0));
-        cache.insert(1, 1, entry(0.0));
-        assert!(cache.lookup(1, 2).is_none());
-        assert!(cache.lookup(1, 1).is_some());
+        let mut seg = segment(4);
+        seg.insert(key(1), entry(0.0));
+        assert!(seg.get(&Key { point: 1, k: 2 }, 0, 1).is_none());
+        assert!(has(&mut seg, key(1)));
     }
 
     #[test]
     fn version_change_clears_but_counters_survive() {
-        let mut cache = VerifyCache::new(CacheConfig::new(4, 0.0));
-        cache.insert(1, 1, entry(0.0));
-        assert!(cache.lookup(1, 1).is_some());
-        cache.set_version(1);
-        assert!(cache.is_empty());
-        assert!(cache.lookup(1, 1).is_none());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations), (1, 1, 1));
-        // Same version again: no further invalidation.
-        cache.set_version(1);
-        assert_eq!(cache.stats().invalidations, 1);
-        // Clearing an empty cache on a version move counts nothing.
-        cache.set_version(2);
-        assert_eq!(cache.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn hit_under_a_new_band_records_a_second_outcome() {
-        use crate::pipeline::{cpnn, cpnn_with, PipelineConfig, QueryScratch, QuerySpec};
-        use crate::{Strategy, UncertainDb};
-        let (_, objects) = crate::testutil::fig7_scenario();
-        let db = UncertainDb::build(objects).unwrap();
-        let cfg = PipelineConfig {
-            cache: CacheConfig::new(4, 0.0),
-            ..Default::default()
-        };
-        let mut scratch = QueryScratch::new();
-        let a = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
-        let b = QuerySpec::nn(0.5, 0.0, Strategy::Verified);
-        // Miss: fill the entry and record a's outcome.
-        cpnn_with(&db, &0.0, &a, &cfg, &mut scratch).unwrap();
-        // Entry hit, no outcome for b: the table is rebuilt from the
-        // cached candidates and verify/refine run.
-        let hit_b = cpnn_with(&db, &0.0, &b, &cfg, &mut scratch).unwrap();
-        assert!(hit_b.stats.subregions > 0, "table rebuilt on the hit");
-        assert_eq!(scratch.cache_stats().outcome_hits, 0);
-        // Both bands now replay from the one entry.
-        for spec in [a, b] {
-            let replay = cpnn_with(&db, &0.0, &spec, &cfg, &mut scratch).unwrap();
-            let fresh = cpnn(&db, &0.0, &spec, &PipelineConfig::default()).unwrap();
-            assert_eq!(replay.reports, fresh.reports);
-        }
-        let s = scratch.cache_stats();
-        assert_eq!((s.misses, s.hits, s.outcome_hits), (1, 3, 2));
+        let mut seg = segment(4);
+        seg.insert(key(1), entry(0.0));
+        seg.advance(1, None);
+        assert!(seg.map.is_empty());
+        assert_eq!(seg.stats.invalidations, 1);
+        // Callers still on the old version no longer pin.
+        assert!(!seg.pin(0, 1));
+        assert!(seg.pin(1, 1));
+        // Same version again: no further invalidation; clearing an empty
+        // segment on a version move counts nothing.
+        seg.advance(1, None);
+        seg.advance(2, None);
+        assert_eq!(seg.stats.invalidations, 1);
     }
 
     #[test]
     fn pin_source_invalidates_on_count_change_only() {
-        let mut cache = VerifyCache::new(CacheConfig::new(4, 0.0));
-        cache.pin_source(10);
-        cache.insert(1, 1, entry(0.0));
+        let mut seg = segment(4);
+        seg.insert(key(1), entry(0.0));
         // Same count: entries survive.
-        cache.pin_source(10);
-        assert!(cache.lookup(1, 1).is_some());
+        assert!(seg.pin(0, 1));
+        assert!(has(&mut seg, key(1)));
+        // Another version bails without touching anything.
+        assert!(!seg.pin(7, 2));
+        assert!(seg.get(&key(1), 7, 1).is_none());
+        assert!(has(&mut seg, key(1)));
         // Count moved (in-place insert / different database): clear.
-        cache.pin_source(11);
-        assert!(cache.lookup(1, 1).is_none());
-        assert_eq!(cache.stats().invalidations, 1);
+        assert!(seg.pin(0, 2));
+        assert!(seg.map.is_empty());
+        assert_eq!(seg.stats.invalidations, 1);
     }
 
     #[test]
     fn capacity_zero_never_stores() {
-        let mut cache = VerifyCache::new(CacheConfig::disabled());
-        cache.insert(1, 1, entry(0.0));
-        assert!(cache.is_empty());
-        assert!(cache.lookup(1, 1).is_none());
+        let mut seg = segment(0);
+        seg.insert(key(1), entry(0.0));
+        assert!(seg.map.is_empty());
+        assert!(!has(&mut seg, key(1)));
     }
 
     #[test]
@@ -1165,155 +1047,207 @@ mod tests {
     }
 
     #[test]
+    fn hit_under_a_new_band_records_a_second_outcome() {
+        let (_, objects) = crate::testutil::fig7_scenario();
+        let db = UncertainDb::build(objects).unwrap();
+        let cfg = PipelineConfig {
+            cache: CacheConfig::new(4, 0.0),
+            ..Default::default()
+        };
+        let mut scratch = QueryScratch::new();
+        let a = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+        let b = QuerySpec::nn(0.5, 0.0, Strategy::Verified);
+        // Miss: fill the entry and record a's outcome.
+        cpnn_with(&db, &0.0, &a, &cfg, &mut scratch).unwrap();
+        // Entry hit, no outcome for b: the table is rebuilt from the
+        // cached candidates and verify/refine run.
+        let hit_b = cpnn_with(&db, &0.0, &b, &cfg, &mut scratch).unwrap();
+        assert!(hit_b.stats.subregions > 0, "table rebuilt on the hit");
+        assert_eq!(scratch.cache_stats().outcome_hits, 0);
+        // Both bands now replay from the one entry.
+        for spec in [a, b] {
+            let replay = cpnn_with(&db, &0.0, &spec, &cfg, &mut scratch).unwrap();
+            let fresh = cpnn(&db, &0.0, &spec, &PipelineConfig::default()).unwrap();
+            assert_eq!(replay.reports, fresh.reports);
+        }
+        let s = scratch.cache_stats();
+        assert_eq!((s.misses, s.hits, s.outcome_hits), (1, 3, 2));
+    }
+
+    /// The two-tier lookup: a local miss answered by the shared tier is
+    /// promoted into the local segment and counted once, as a shared hit.
+    #[test]
     fn promote_and_outcome_counters_keep_lookups_consistent() {
-        let mut cache = VerifyCache::new(CacheConfig::new(4, 0.0));
-        assert!(cache.lookup(1, 1).is_none()); // miss...
-        cache.promote_miss_to_shared_hit(); // ...answered by the L2
-        cache.note_outcome_hit();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.shared_hits, s.misses), (0, 1, 0));
-        assert_eq!(s.outcome_hits, 1);
-        assert_eq!(s.lookups(), 1);
+        let cfg = PipelineConfig {
+            cache: CacheConfig::new(4, 0.0),
+            shared_cache: SharedCacheConfig::new(4),
+            ..Default::default()
+        };
+        let tier = SharedVerifyCache::for_config(&cfg, 0).expect("both tiers enabled");
+        let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+        let probe = Probe::new(1, &spec, &cfg, 1);
+        let mut workers: Vec<VerifyCache> = (0..3)
+            .map(|_| {
+                let mut cache = VerifyCache::default();
+                cache.configure(&cfg.cache);
+                cache.attach_shared(Arc::clone(&tier));
+                cache
+            })
+            .collect();
+        // Two workers miss and fill: the second fill is the key's second
+        // sighting, so the tier admits it (with the band's outcome).
+        for w in &mut workers[..2] {
+            assert!(w.lookup(&probe).is_none());
+            w.fill(&probe, Arc::clone(&entry(0.0).cands), None, Arc::default());
+            assert_eq!(w.local.map.len(), 1);
+        }
+        let third = &mut workers[2];
+        assert!(third.lookup(&probe).is_some(), "shared hit");
+        assert_eq!(third.local.map.len(), 1, "promoted into the local segment");
+        assert!(third.lookup(&probe).is_some(), "local hit");
+        let s = third.stats();
+        assert_eq!((s.hits, s.shared_hits, s.misses), (1, 1, 0));
+        assert_eq!(s.outcome_hits, 2);
+        assert_eq!(s.lookups(), 2);
         assert_eq!(s.hit_rate(), 1.0);
+        assert_eq!(workers[0].stats().lookups(), 1);
     }
 
     #[test]
     fn advance_version_drops_only_intersecting_entries() {
-        let objects = vec![UncertainObject::uniform(ObjectId(7), 1.0, 3.0).unwrap()];
-        let at = |q: f64| {
-            CachedQuery::for_query(
-                Arc::new(CandidateSet::build(&objects, q, 0).unwrap()),
-                Some(vec![q]),
-                1,
-            )
-        };
-        let mut cache = VerifyCache::new(CacheConfig::new(8, 0.0));
+        let mut seg = segment(8);
         // Entry at q = 0: horizon = far point of [1, 3] from 0 → 3.
-        cache.insert(point_key_1d(0.0), 1, at(0.0));
+        seg.insert(key(0), entry(0.0));
         // Entry without coordinates: always dropped on region passes.
-        cache.insert(
-            point_key_1d(50.0),
-            1,
-            CachedQuery::new(Arc::new(CandidateSet::build(&objects, 50.0, 0).unwrap())),
-        );
+        let mut bare = entry(50.0);
+        bare.coords = None;
+        seg.insert(key(50), bare);
         // Far-away update region [100, 101]: mindist from q = 0 is 100 > 3,
         // so the coordinate-bearing entry survives; the bare one drops.
-        cache.advance_version(1, &[Extent::new(vec![100.0], vec![101.0])]);
-        assert_eq!(cache.version(), 1);
-        assert!(cache.lookup(point_key_1d(0.0), 1).is_some());
-        assert!(cache.lookup(point_key_1d(50.0), 1).is_none());
-        assert_eq!(cache.stats().region_evictions, 1);
-        assert_eq!(cache.stats().invalidations, 0, "no full clear happened");
+        seg.advance(1, Some(&[Extent::new(vec![100.0], vec![101.0])]));
+        assert_eq!(seg.version, 1);
+        assert!(has(&mut seg, key(0)));
+        assert!(!has(&mut seg, key(50)));
+        assert_eq!(seg.stats.region_evictions, 1);
+        assert_eq!(seg.stats.invalidations, 0, "no full clear happened");
         // A region inside the horizon (mindist 1 ≤ 3) drops the entry.
-        cache.advance_version(2, &[Extent::new(vec![-2.0], vec![-1.0])]);
-        assert!(cache.lookup(point_key_1d(0.0), 1).is_none());
-        assert_eq!(cache.stats().region_evictions, 2);
+        seg.advance(2, Some(&[Extent::new(vec![-2.0], vec![-1.0])]));
+        assert!(!has(&mut seg, key(0)));
+        assert_eq!(seg.stats.region_evictions, 2);
         // Same version again: no-op. Backwards: full clear.
-        cache.insert(point_key_1d(0.0), 1, at(0.0));
-        cache.advance_version(2, &[Extent::new(vec![0.0], vec![1.0])]);
-        assert!(cache.lookup(point_key_1d(0.0), 1).is_some());
-        cache.advance_version(0, &[]);
-        assert!(cache.is_empty());
-    }
-
-    /// A coordinate-bearing shared entry at query point `q`.
-    fn shared_entry(q: f64) -> CachedQuery {
-        let objects = vec![UncertainObject::uniform(ObjectId(7), 1.0, 3.0).unwrap()];
-        CachedQuery::for_query(
-            Arc::new(CandidateSet::build(&objects, q, 0).unwrap()),
-            Some(vec![q]),
-            1,
-        )
+        seg.insert(key(0), entry(0.0));
+        seg.advance(2, Some(&[Extent::new(vec![0.0], vec![1.0])]));
+        assert!(has(&mut seg, key(0)));
+        seg.advance(0, Some(&[]));
+        assert!(seg.map.is_empty());
+        assert_eq!(seg.stats.invalidations, 1);
     }
 
     #[test]
     fn shared_tier_second_sight_admission() {
-        let tier = SharedVerifyCache::new(SharedCacheConfig::new(64));
-        let p = point_key_1d(0.0);
+        let tier = tier(64);
         // First publish only records the sighting.
-        assert!(!tier.publish(p, 1, 0, 1, shared_entry(0.0)));
-        assert!(tier.lookup(p, 1, 0, 1).is_none());
+        tier.publish(key(0), 0, 1, entry(0.0));
+        assert!(tier.lookup(key(0), 0, 1).is_none());
+        assert!(tier.is_empty());
         // Second publish admits.
-        assert!(tier.publish(p, 1, 0, 1, shared_entry(0.0)));
-        assert!(tier.lookup(p, 1, 0, 1).is_some());
+        tier.publish(key(0), 0, 1, entry(0.0));
+        assert!(tier.lookup(key(0), 0, 1).is_some());
         let s = tier.stats();
-        assert_eq!((s.deferred, s.admitted), (1, 1));
         assert_eq!((s.hits, s.misses), (1, 1));
     }
 
+    /// Every tier operation goes through the segment pin — `attach` too.
     #[test]
     fn shared_tier_version_and_source_guards() {
-        let tier = SharedVerifyCache::new(SharedCacheConfig::new(64).admit_immediately());
-        let p = point_key_1d(0.0);
-        assert!(tier.publish(p, 1, 0, 1, shared_entry(0.0)));
-        // A stale-version publish or lookup never touches current state.
-        assert!(!tier.publish(p, 1, 7, 1, shared_entry(0.0)));
-        assert!(tier.lookup(p, 1, 7, 1).is_none());
-        assert!(tier.lookup(p, 1, 0, 1).is_some());
-        // A moved object count clears the segment (in-place mutation guard).
-        assert!(tier.lookup(p, 1, 0, 2).is_none());
-        assert!(tier.lookup(p, 1, 0, 2).is_none());
-        assert!(tier.stats().invalidations >= 1);
+        let tier = tier(64);
+        let cfg = PipelineConfig::default();
+        let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
+        let probe = Probe::new(0, &spec, &cfg, 1);
+        for _ in 0..2 {
+            tier.publish(probe.key, 0, 1, entry(0.0));
+        }
+        // A stale-version publish, lookup or attach never touches current
+        // state.
+        tier.publish(probe.key, 7, 1, entry(0.0));
+        assert!(tier.lookup(probe.key, 7, 1).is_none());
+        tier.attach(&probe, 7, Arc::default());
+        let held = tier.lookup(probe.key, 0, 1).expect("entry survives");
+        assert!(held.outcome(&probe.outcome).is_none());
+        // The current version attaches.
+        tier.attach(&probe, 0, Arc::default());
+        let held = tier.lookup(probe.key, 0, 1).unwrap();
+        assert!(held.outcome(&probe.outcome).is_some());
+        // A moved object count clears the segment (in-place mutation
+        // guard), whichever operation sees it first.
+        tier.attach(&Probe::new(0, &spec, &cfg, 2), 0, Arc::default());
+        assert!(tier.is_empty());
+        assert_eq!(tier.stats().invalidations, 1);
     }
 
     #[test]
     fn shared_tier_sightings_survive_a_version_advance() {
-        let tier = SharedVerifyCache::new(SharedCacheConfig::new(64));
-        let p = point_key_1d(0.0);
+        let tier = tier(64);
         // Seen once at version 0: deferred.
-        assert!(!tier.publish(p, 1, 0, 1, shared_entry(0.0)));
+        tier.publish(key(0), 0, 1, entry(0.0));
         // A far-away update advances the tier without touching the key.
         tier.advance_version(1, Some(&[Extent::new(vec![100.0], vec![101.0])]));
         // Its next publish, at the new version, is its second sighting.
-        assert!(tier.publish(p, 1, 1, 1, shared_entry(0.0)));
-        assert!(tier.lookup(p, 1, 1, 1).is_some());
-        let s = tier.stats();
-        assert_eq!((s.deferred, s.admitted), (1, 1));
+        tier.publish(key(0), 1, 1, entry(0.0));
+        assert!(tier.lookup(key(0), 1, 1).is_some());
+        assert_eq!(tier.len(), 1);
     }
 
     #[test]
     fn shared_tier_segmented_lru_eviction_is_bounded() {
-        let tier = SharedVerifyCache::new(SharedCacheConfig::new(16).admit_immediately());
-        assert!(tier.segments() <= SHARED_SEGMENTS);
-        for i in 0..200u64 {
-            tier.publish(point_key_1d(i as f64), 1, 0, 1, shared_entry(i as f64));
+        let tier = tier(16);
+        assert!(tier.segments.len() <= SHARED_SEGMENTS);
+        for _ in 0..2 {
+            for i in 0..200u64 {
+                tier.publish(key(i), 0, 1, entry(i as f64));
+            }
         }
         // Per-segment LRU keeps the total at or under capacity.
+        assert!(!tier.is_empty());
         assert!(tier.len() <= 16, "len {} exceeds capacity", tier.len());
     }
 
     #[test]
     fn shared_tier_advance_version_walks_every_segment() {
-        let tier = SharedVerifyCache::new(SharedCacheConfig::new(256).admit_immediately());
+        let tier = tier(256);
         // Spread entries across segments; all have horizon 3 around ~0.
         for i in 0..32u64 {
-            let q = i as f64 * 0.001;
-            assert!(tier.publish(point_key_1d(q), 1, 0, 1, shared_entry(q)));
+            for _ in 0..2 {
+                tier.publish(key(i), 0, 1, entry(i as f64 * 0.001));
+            }
         }
         assert_eq!(tier.len(), 32);
+        let filled = |tier: &SharedVerifyCache| {
+            let segs = tier.segments.iter();
+            segs.filter(|s| !lock(s).0.map.is_empty()).count()
+        };
+        assert!(filled(&tier) > 1, "entries spread over several segments");
         // Far-away region: every entry survives, in every segment.
         tier.advance_version(1, Some(&[Extent::new(vec![100.0], vec![101.0])]));
         assert_eq!(tier.len(), 32);
-        assert!(tier.lookup(point_key_1d(0.0), 1, 1, 1).is_some());
-        assert!(
-            tier.lookup(point_key_1d(0.0), 1, 0, 1).is_none(),
-            "old version"
-        );
+        assert!(tier.lookup(key(0), 1, 1).is_some());
+        assert!(tier.lookup(key(0), 0, 1).is_none(), "old version");
         // Near region: every entry drops, in every segment.
         tier.advance_version(2, Some(&[Extent::new(vec![0.5], vec![1.5])]));
         assert!(tier.is_empty());
         assert_eq!(tier.stats().region_evictions, 32);
         // Unknown footprint clears.
-        assert!(tier.publish(point_key_1d(0.0), 1, 2, 1, shared_entry(0.0)));
+        for _ in 0..2 {
+            tier.publish(key(0), 2, 1, entry(0.0));
+        }
+        assert_eq!(tier.len(), 1);
         tier.advance_version(3, None);
         assert!(tier.is_empty());
     }
 
     #[test]
     fn cached_query_outcome_memo_is_bounded_and_exact() {
-        use crate::pipeline::{PipelineConfig, QuerySpec};
-        use crate::Strategy;
-        let mut e = shared_entry(0.0);
+        let mut e = entry(0.0);
         let cfg = PipelineConfig::default();
         let spec = QuerySpec::nn(0.3, 0.01, Strategy::Verified);
         let key = OutcomeKey::new(&spec, &cfg);
@@ -1329,5 +1263,6 @@ mod tests {
             e.record_outcome(OutcomeKey::new(&spec, &cfg), Arc::new(Vec::new()));
         }
         assert!(e.outcome(&key).is_none(), "oldest band evicted");
+        assert_eq!(e.outcomes.len(), OUTCOME_CAP);
     }
 }

@@ -34,8 +34,6 @@ pub struct EngineConfig {
     pub max_distance_bins: usize,
     /// Subregion visiting order during incremental refinement.
     pub refinement_order: RefinementOrder,
-    /// R-tree fan-out parameters.
-    pub rtree_params: Params,
     /// Add the FL-SR verifier to the chain (an extra lower-bound pass
     /// beyond the paper; see `verifiers::FarLowerSubregion`).
     pub extended_verifiers: bool,
@@ -46,7 +44,6 @@ impl Default for EngineConfig {
         Self {
             max_distance_bins: 64,
             refinement_order: RefinementOrder::DescendingMass,
-            rtree_params: Params::default(),
             extended_verifiers: false,
         }
     }
@@ -234,7 +231,7 @@ impl UncertainDb {
     /// Build with explicit configuration.
     pub fn with_config(objects: Vec<UncertainObject>, config: EngineConfig) -> Result<Self> {
         Ok(Self {
-            store: IndexedStore::build(objects, config.rtree_params)?,
+            store: IndexedStore::build(objects, Params::default())?,
             config,
         })
     }

@@ -81,26 +81,29 @@
 //!
 //! Repeated (or, after quantization, nearby) query points skip filter and
 //! distribution construction: [`cache::VerifyCache`] — a per-thread LRU
-//! enabled via [`PipelineConfig`]'s `cache` knob and hung off
+//! sized by [`PipelineConfig`]'s `cache` knob and owned by
 //! [`QueryScratch`] — memoizes candidate sets, distance distributions, and
 //! per-band verification outcomes by quantized query point (a new band
-//! rebuilds its subregion table from the cached candidates). Snapshot swaps invalidate it
-//! *incrementally*: only entries whose candidate horizon intersects an
-//! updated region drop ([`cache::VerifyCache::advance_version`]); the
-//! rest keep serving hits across versions.
+//! rebuilds its subregion table from the cached candidates). Snapshot
+//! swaps invalidate it *incrementally*: only entries whose candidate
+//! horizon intersects an updated region drop
+//! ([`QueryScratch::advance_snapshot`]); the rest keep serving hits across
+//! versions.
 //!
 //! Behind the per-thread cache sits an optional **shared tier**
-//! ([`cache::SharedVerifyCache`], enabled via [`PipelineConfig`]'s
-//! `shared_cache` knob): a lock-striped process-wide L2 that batch
-//! workers and server workers consult on local misses and publish local
-//! fills into, so one worker's miss warms every worker. Entries also
-//! memoize **verification outcomes** per exact (threshold, tolerance,
-//! strategy, config) band ([`cache::OutcomeKey`]) — a repeat query in a
-//! known band replays the memoized verdicts and bounds without touching
-//! verify or refine at all. Both layers are answer-invariant: cached,
-//! shared, and uncached evaluation agree bit-for-bit at quantum 0
-//! (property-tested in `tests/proptest_cache.rs` and
-//! `tests/proptest_shared_cache.rs`).
+//! ([`cache::SharedVerifyCache`], built by
+//! [`cache::SharedVerifyCache::for_config`] when [`PipelineConfig`]'s
+//! `shared_cache` knob is on too): a lock-striped process-wide L2 that
+//! batch workers and server workers consult on local misses and publish
+//! local fills into, so one worker's miss warms every worker. Both tiers
+//! are the same LRU segment type, and the L1 → L2 policy lives in
+//! [`cache`]. Entries also memoize **verification outcomes** per exact
+//! (threshold, tolerance, strategy, config) band ([`cache::OutcomeKey`]) —
+//! a repeat query in a known band replays the memoized verdicts and
+//! bounds without touching verify or refine at all. Both layers are
+//! answer-invariant: cached, shared, and uncached evaluation agree
+//! bit-for-bit at quantum 0 (property-tested in
+//! `tests/proptest_cache.rs`).
 //!
 //! ## Entry point
 //!
@@ -154,8 +157,7 @@ pub(crate) mod testutil;
 pub use batch::{BatchExecutor, BatchOutcome, BatchSummary};
 pub use bounds::ProbBound;
 pub use cache::{
-    CacheConfig, CacheStats, OutcomeKey, SharedCacheConfig, SharedCacheStats, SharedVerifyCache,
-    VerifyCache,
+    CacheConfig, CacheStats, OutcomeKey, SharedCacheConfig, SharedVerifyCache, VerifyCache,
 };
 pub use candidate::{CandidateMember, CandidateSet};
 pub use classify::{Classifier, Label};

@@ -23,19 +23,20 @@
 //! carries its own copy of the control flow.
 //!
 //! [`QueryScratch`] holds the allocations the verify/refine phases reuse
-//! across queries, plus (when enabled through [`PipelineConfig`]'s
-//! `cache` knob) a per-thread [`VerifyCache`] memoizing filter output,
+//! across queries, plus the per-thread [`VerifyCache`] that (when enabled
+//! through [`PipelineConfig`]'s `cache` knob) memoizes filter output,
 //! distance distributions, and verification outcomes by quantized query
-//! point (see [`crate::cache`]); the batch executor ([`crate::batch`]) keeps
-//! one scratch per worker thread.
+//! point; [`cpnn_with`] only snaps and keys the point and hands the
+//! lookup, fill and outcome record to it (the two-tier policy lives in
+//! [`crate::cache`]). The batch executor ([`crate::batch`]) keeps one
+//! scratch per worker thread.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::bounds::ProbBound;
 use crate::cache::{
-    CacheConfig, CacheStats, CachedQuery, OutcomeKey, SharedCacheConfig, SharedVerifyCache,
-    VerifyCache,
+    CacheConfig, CacheStats, Probe, SharedCacheConfig, SharedVerifyCache, VerifyCache,
 };
 use crate::candidate::CandidateSet;
 use crate::classify::{Classifier, Label};
@@ -221,14 +222,14 @@ pub struct PipelineConfig {
     pub extended_verifiers: bool,
     /// Per-thread verification-state cache (see [`crate::cache`]):
     /// capacity 0 (the default) disables it, otherwise each
-    /// [`QueryScratch`] lazily grows a [`VerifyCache`] and the pipeline
-    /// consults it transparently.
+    /// [`QueryScratch`]'s [`VerifyCache`] is sized from it and the
+    /// pipeline consults it transparently.
     pub cache: CacheConfig,
-    /// Process-wide shared cache tier (see
-    /// [`crate::cache::SharedVerifyCache`]): the L2 behind every
-    /// worker's per-thread cache. Only engages when `cache` is enabled
-    /// too — the execution surfaces (batch, server) build one tier and
-    /// attach it to each worker's scratch
+    /// Process-wide shared cache tier (see [`SharedVerifyCache`]): the L2
+    /// behind every worker's per-thread cache. The execution surfaces
+    /// (batch, server) build one tier with
+    /// [`SharedVerifyCache::for_config`] — which builds none unless
+    /// `cache` is enabled too — and attach it to each worker's scratch
     /// ([`QueryScratch::attach_shared`]).
     pub shared_cache: SharedCacheConfig,
 }
@@ -300,7 +301,7 @@ pub trait DistanceModel {
 
     /// The raw coordinates of a query point, or `None` when the model
     /// cannot expose them. Used only to let cached verification state
-    /// survive *incremental* invalidation ([`VerifyCache::advance_version`]):
+    /// survive *incremental* invalidation ([`QueryScratch::advance_snapshot`]):
     /// entries without coordinates are dropped conservatively whenever a
     /// region-scoped invalidation runs, so the default costs correctness
     /// nothing.
@@ -310,22 +311,20 @@ pub trait DistanceModel {
     }
 }
 
-/// Reusable per-query state: the verification buffers and, when caching
-/// is enabled, the per-thread [`VerifyCache`]. One scratch per worker
-/// thread lets a batch run recycle these across the queries it executes
-/// instead of reallocating them per query.
+/// Reusable per-query state: the verification buffers and the per-thread
+/// [`VerifyCache`] (with the shared tier attached to it, if any). One
+/// scratch per worker thread lets a batch run recycle these across the
+/// queries it executes instead of reallocating them per query.
 ///
-/// The cache is created either explicitly ([`with_cache`](Self::with_cache))
-/// or lazily on first use from [`PipelineConfig`]'s `cache` field, so the
-/// batch executor and query server enable caching purely through
+/// The cache follows each query's [`PipelineConfig`]: its `cache` field
+/// sizes the per-thread segment on every call (capacity 0 bypasses it),
+/// so the batch executor and query server enable caching purely through
 /// configuration.
 ///
 /// ```
-/// use cpnn_core::cache::CacheConfig;
 /// use cpnn_core::QueryScratch;
 ///
-/// // A scratch with a 64-entry cache snapping queries to a 0.5-wide grid.
-/// let mut scratch = QueryScratch::with_cache(CacheConfig::new(64, 0.5));
+/// let mut scratch = QueryScratch::new();
 /// assert_eq!(scratch.cache_stats().lookups(), 0);
 ///
 /// // Serving surfaces pin the snapshot version they evaluate against;
@@ -336,49 +335,28 @@ pub trait DistanceModel {
 pub struct QueryScratch {
     state: VerificationState,
     stages: Vec<StageReport>,
-    cache: Option<VerifyCache>,
-    /// The process-wide L2 behind the per-thread cache, when the owning
-    /// execution surface attached one ([`attach_shared`](Self::attach_shared)).
-    shared: Option<Arc<SharedVerifyCache>>,
-    /// Snapshot version to pin a lazily created cache to.
-    snapshot_version: u64,
+    cache: VerifyCache,
 }
 
 impl QueryScratch {
-    /// Fresh scratch (allocates lazily on first use), no cache until a
-    /// [`PipelineConfig`] with caching enabled passes through.
+    /// Fresh scratch (allocates lazily on first use); caches nothing
+    /// until a [`PipelineConfig`] with caching enabled passes through.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Fresh scratch with an eagerly created verification-state cache.
-    pub fn with_cache(config: CacheConfig) -> Self {
-        let mut scratch = Self::default();
-        if config.is_enabled() {
-            scratch.cache = Some(VerifyCache::new(config));
-        }
-        scratch
-    }
-
     /// Cumulative cache counters (all zero when caching never ran).
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map(VerifyCache::stats)
-            .unwrap_or_default()
+        self.cache.stats()
     }
 
     /// Attach the process-wide shared tier this scratch should consult on
     /// local misses (and publish fresh fills into). Batch and server
-    /// surfaces call this once per worker; the tier only engages on
-    /// queries whose config also enables the per-thread cache.
+    /// surfaces call this once per worker with the tier
+    /// [`SharedVerifyCache::for_config`] built; the tier only engages on
+    /// queries whose config enables the per-thread cache.
     pub fn attach_shared(&mut self, tier: Arc<SharedVerifyCache>) {
-        self.shared = Some(tier);
-    }
-
-    /// The attached shared tier, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedVerifyCache>> {
-        self.shared.as_ref()
+        self.cache.attach_shared(tier);
     }
 
     /// Pin the snapshot version subsequent queries evaluate against.
@@ -386,40 +364,17 @@ impl QueryScratch {
     /// invalidation that keeps copy-on-write updates from serving stale
     /// candidate sets or bounds (see [`crate::cache`]).
     pub fn set_snapshot_version(&mut self, version: u64) {
-        self.snapshot_version = version;
-        if let Some(cache) = self.cache.as_mut() {
-            cache.set_version(version);
-        }
+        self.cache.advance_version(version, None);
     }
 
     /// Pin a newer snapshot version with the regions the intervening
     /// updates touched: cached entries provably unaffected by every
-    /// region survive, the rest drop
-    /// ([`VerifyCache::advance_version`]). `None` regions — the updates'
+    /// region survive, the rest drop. `None` regions — the updates'
     /// footprint is unknown — fall back to the full clear of
-    /// [`set_snapshot_version`](Self::set_snapshot_version).
+    /// [`set_snapshot_version`](Self::set_snapshot_version), as does a
+    /// move backwards.
     pub fn advance_snapshot(&mut self, version: u64, regions: Option<&[crate::shard::Extent]>) {
-        match regions {
-            Some(regions) => {
-                self.snapshot_version = version;
-                if let Some(cache) = self.cache.as_mut() {
-                    cache.advance_version(version, regions);
-                }
-            }
-            None => self.set_snapshot_version(version),
-        }
-    }
-
-    /// The cache to consult under `cfg`, creating it on first use when
-    /// `cfg` enables caching and none exists yet. An explicitly created
-    /// cache ([`with_cache`](Self::with_cache)) wins over `cfg`.
-    fn cache_mut(&mut self, cfg: &CacheConfig) -> Option<&mut VerifyCache> {
-        if self.cache.is_none() && cfg.is_enabled() {
-            let mut cache = VerifyCache::new(*cfg);
-            cache.set_version(self.snapshot_version);
-            self.cache = Some(cache);
-        }
-        self.cache.as_mut()
+        self.cache.advance_version(version, regions);
     }
 }
 
@@ -436,8 +391,8 @@ pub fn cpnn<M: DistanceModel + ?Sized>(
 
 /// [`cpnn`] with caller-provided scratch buffers.
 ///
-/// When `cfg` (or the scratch itself) enables the verification-state
-/// cache, the query point is first snapped onto the quantization grid
+/// When `cfg` enables the verification-state cache, the query point is
+/// first snapped onto the quantization grid
 /// ([`DistanceModel::quantize_query`] — the identity at quantum 0) and
 /// the memoized candidate set for that snapped point is reused instead of
 /// re-running filter + distribution construction. A band already
@@ -460,112 +415,50 @@ pub fn cpnn_with<M: DistanceModel + ?Sized>(
         ..Default::default()
     };
 
-    // Cache consultation: snap the point, derive its key, look up the
-    // memoized verification state. `slot` remembers where fresh state
-    // should be stored; `q_eval` is the point actually evaluated (snapped
-    // whenever the cache is active — deterministically, so answers never
-    // depend on cache contents).
+    // Cache consultation: snap the point and key it whenever the cache is
+    // on — deterministically, so answers never depend on cache contents —
+    // then look it up in both tiers.
     let mut q_eval = *q;
-    let mut slot: Option<(u128, usize)> = None;
-    let mut hit: Option<CachedQuery> = None;
-    if let Some(cache) = scratch.cache_mut(&cfg.cache) {
-        // Guard against a mutated or swapped-out database behind the
-        // same scratch (the snapshot version handles the serving path;
-        // this catches in-place `insert`/`remove` and cross-database
-        // reuse through the public seam).
-        cache.pin_source(stats.total_objects);
-        let snapped = model.quantize_query(q, cache.quantum());
+    let mut probe = None;
+    let mut hit = None;
+    scratch.cache.configure(&cfg.cache);
+    if scratch.cache.is_enabled() {
+        let snapped = model.quantize_query(q, cfg.cache.quantum);
         if let Some(point) = model.cache_key(&snapped) {
             q_eval = snapped;
-            hit = cache.lookup(point, k);
-            slot = Some((point, k));
-        }
-    }
-    // L2: a local miss consults the shared tier. A shared hit installs
-    // the entry into the local cache (so subsequent repeats on this
-    // worker stay lock-free) and reclassifies the counted miss.
-    let tier = scratch
-        .shared
-        .clone()
-        .filter(|_| cfg.shared_cache.is_enabled());
-    let total_objects = stats.total_objects;
-    let version = scratch.snapshot_version;
-    if hit.is_none() {
-        if let (Some((point, kk)), Some(tier)) = (slot, tier.as_ref()) {
-            if let Some(entry) = tier.lookup(point, kk, version, total_objects) {
-                if let Some(cache) = scratch.cache_mut(&cfg.cache) {
-                    cache.insert(point, kk, entry.clone());
-                    cache.promote_miss_to_shared_hit();
-                }
-                hit = Some(entry);
-            }
+            let p = Probe::new(point, spec, cfg, stats.total_objects);
+            hit = scratch.cache.lookup(&p);
+            probe = Some(p);
         }
     }
 
-    // Outcome memoization: an entry hit (either tier) whose entry has
-    // already been evaluated under this exact (spec, config) band replays
-    // the memoized reports — skipping verify *and* refine. Sound because
-    // the entry key pins (snapped point, k, version, source) and the
-    // outcome key pins every remaining input bit-exactly; strategies are
-    // deterministic functions of (candidates, spec, config).
-    let okey = slot.map(|_| OutcomeKey::new(spec, cfg));
-    if let (Some(entry), Some(okey)) = (hit.as_ref(), okey.as_ref()) {
-        if let Some(reports) = entry.outcome(okey) {
-            if let Some(cache) = scratch.cache_mut(&cfg.cache) {
-                cache.note_outcome_hit();
-            }
-            stats.candidates = entry.candidates().len();
-            return Ok(collect(reports.as_ref().clone(), stats));
-        }
-    }
-
-    // `fresh_coords` is `Some` exactly when filter + init ran here — the
-    // fill that should publish a complete entry upward afterwards.
-    let mut fresh_coords: Option<Option<Vec<f64>>> = None;
+    let fresh = hit.is_none();
     let cands: Arc<CandidateSet> = match hit {
-        Some(entry) => {
-            stats.candidates = entry.candidates().len();
-            Arc::clone(entry.candidates())
+        Some(hit) => {
+            stats.candidates = hit.cands.len();
+            // An entry already evaluated under this exact (spec, config)
+            // band replays its reports, skipping verify *and* refine —
+            // strategies are deterministic functions of (candidates,
+            // spec, config).
+            if let Some(reports) = hit.reports {
+                return Ok(collect(reports.as_ref().clone(), stats));
+            }
+            hit.cands
         }
         None => {
             let (cands, init_time) = prepare(model, &q_eval, k, &mut stats)?;
             stats.init_time = init_time;
-            let cands = Arc::new(cands);
-            if let Some((point, k)) = slot {
-                let coords = model.query_coords(&q_eval);
-                if let Some(cache) = scratch.cache_mut(&cfg.cache) {
-                    cache.insert(
-                        point,
-                        k,
-                        CachedQuery::for_query(Arc::clone(&cands), coords.clone(), k),
-                    );
-                }
-                fresh_coords = Some(coords);
-            }
-            cands
+            Arc::new(cands)
         }
     };
     let result = evaluate_candidates(&cands, spec, cfg, scratch, stats);
-    if let (Some((point, kk)), Ok(res)) = (slot, result.as_ref()) {
-        let okey = okey.expect("slot implies outcome key");
+    if let (Some(probe), Ok(res)) = (probe, result.as_ref()) {
         let reports = Arc::new(res.reports.clone());
-        // Local bookkeeping: memoize this band's outcome on the entry.
-        if let Some(cache) = scratch.cache_mut(&cfg.cache) {
-            cache.attach_outcome(point, kk, okey, Arc::clone(&reports));
-        }
-        // Shared bookkeeping: a fresh fill publishes the complete entry
-        // upward (admission control applies inside); an entry hit pushes
-        // just the new outcome onto the shared copy, if the tier holds
-        // one. A shared hit needs no republish of the entry itself.
-        if let Some(tier) = tier.as_ref() {
-            match fresh_coords {
-                Some(coords) => {
-                    let mut entry = CachedQuery::for_query(Arc::clone(&cands), coords, kk);
-                    entry.record_outcome(okey, reports);
-                    tier.publish(point, kk, version, total_objects, entry);
-                }
-                None => tier.attach_outcome(point, kk, version, okey, reports),
-            }
+        if fresh {
+            let coords = model.query_coords(&q_eval);
+            scratch.cache.fill(&probe, cands, coords, reports);
+        } else {
+            scratch.cache.record_outcome(&probe, reports);
         }
     }
     result

@@ -39,7 +39,7 @@
 //!   regions it touched in a bounded journal; workers re-pinning onto a
 //!   newer snapshot drop only the cached verification state whose
 //!   candidate horizon intersects those regions
-//!   ([`crate::cache::VerifyCache::advance_version`]) instead of clearing
+//!   ([`crate::QueryScratch::advance_snapshot`]) instead of clearing
 //!   their whole cache.
 //! * **shared cache tier** — when the config enables both cache knobs,
 //!   all workers share one [`crate::cache::SharedVerifyCache`] L2: a
@@ -440,8 +440,7 @@ where
         };
         // One shared L2 tier per server, started at the initial version
         // so recovered servers keep one coherent version sequence.
-        let shared_cache = (cfg.cache.is_enabled() && cfg.shared_cache.is_enabled())
-            .then(|| Arc::new(SharedVerifyCache::new_at(cfg.shared_cache, initial_version)));
+        let shared_cache = SharedVerifyCache::for_config(&cfg, initial_version);
         let shared = Arc::new(Shared {
             current: Mutex::new(Snapshot {
                 version: initial_version,
