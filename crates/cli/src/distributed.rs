@@ -25,7 +25,9 @@ use cpnn_router::{
 };
 
 use crate::args::ArgBag;
-use crate::{parse_serve_line, shard_balance_args, ServeRequest};
+use crate::{
+    parse_serve_line, shard_balance_args, write_stats_line, write_update_line, ServeRequest,
+};
 
 /// The shard-map file name `shard-split` writes and `route` loads.
 pub const SHARD_MAP_FILE: &str = "shards.cpsm";
@@ -175,7 +177,6 @@ pub fn route(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut queued: Vec<UpdateOp<UncertainDb>> = Vec::new();
-    let mut served = 0u64;
     let mut seq = 0u64;
     let mut line_no = 0u64;
 
@@ -200,7 +201,6 @@ pub fn route(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
                 flush_burst(&mut router, &mut queued, &mut out)?;
                 match router.query(&q, &spec) {
                     Ok(res) => {
-                        served += 1;
                         writeln!(
                             out,
                             "#{seq} v{} answers={:?} cands={} t={:?}",
@@ -217,29 +217,12 @@ pub fn route(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
                 }
                 seq += 1;
             }
-            Ok(ServeRequest::Insert(object)) => queued.push(UpdateOp::Insert(object)),
-            Ok(ServeRequest::Remove(id)) => queued.push(UpdateOp::Remove(id)),
+            Ok(ServeRequest::Update(op)) => queued.push(op),
             Ok(ServeRequest::Stats) => {
                 flush_burst(&mut router, &mut queued, &mut out)?;
                 match router.stats() {
                     Ok(s) => {
-                        let sv = &s.server;
-                        writeln!(
-                            out,
-                            "stats served={} updates={} coalesced_batches={} applied_updates={} \
-                             cache_hits={} cache_misses={} shared_hits={} outcome_hits={} \
-                             wal_records={} checkpoints={}",
-                            sv.served,
-                            sv.updates,
-                            sv.coalesced_batches,
-                            sv.applied_updates,
-                            sv.cache_hits,
-                            sv.cache_misses,
-                            sv.shared_hits,
-                            sv.outcome_hits,
-                            sv.wal_records,
-                            sv.checkpoints
-                        )?;
+                        write_stats_line(&mut out, &s.server)?;
                         let r = &s.router;
                         writeln!(
                             out,
@@ -267,9 +250,9 @@ pub fn route(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
     let wall = start.elapsed();
     let stats = router.router_stats();
     eprintln!(
-        "routed {served} queries ({} shard filters fanned out, {} shards pruned by selection or \
+        "routed {} queries ({} shard filters fanned out, {} shards pruned by selection or \
          by the horizon of earlier replies), {} update burst(s) in {wall:.3?}",
-        stats.fanned_out, stats.pruned, stats.bursts
+        stats.queries, stats.fanned_out, stats.pruned, stats.bursts
     );
     Ok(())
 }
@@ -289,14 +272,7 @@ fn flush_burst(
     match router.update(std::mem::take(queued)) {
         Ok(report) => {
             for outcome in &report.outcomes {
-                match outcome {
-                    Ok(()) => writeln!(
-                        out,
-                        "update v{} objects={} batch={}",
-                        report.version, report.objects, report.batch
-                    )?,
-                    Err(e) => writeln!(out, "update rejected: {e}")?,
-                }
+                write_update_line(out, outcome, report.version, report.objects, report.batch)?;
             }
         }
         // The burst could not reach its shard: typed, loud, non-fatal.

@@ -24,9 +24,9 @@ use std::time::Instant;
 
 use cpnn_core::persist::{load_from_path, load_objects_from_path, save_to_path};
 use cpnn_core::{
-    pipeline, BatchExecutor, CacheConfig, CpnnQuery, EngineConfig, FileBackend, ObjectId,
-    QueryServer, QuerySpec, Served, ShardBalance, ShardedDb, SharedCacheConfig, Strategy, Ticket,
-    UncertainDb, UncertainDb2d, UncertainObject, UpdateOutcome,
+    pipeline, BatchExecutor, CacheConfig, CowModel, CpnnQuery, EngineConfig, FileBackend, ObjectId,
+    QueryServer, QuerySpec, Served, ServerStats, ShardBalance, ShardedDb, SharedCacheConfig,
+    Strategy, Ticket, UncertainDb, UncertainDb2d, UncertainObject, UpdateOp, UpdateOutcome,
 };
 use cpnn_datagen::{
     longbeach::longbeach_with, objects_2d, query_points_in, LongBeachConfig, Synthetic2dConfig,
@@ -667,13 +667,10 @@ fn serve(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
                 pending.push_back((submitted, server.submit(q, spec)));
                 submitted += 1;
             }
-            Ok(ServeRequest::Insert(object)) => {
+            Ok(ServeRequest::Update(op)) => {
                 // Queue only — consecutive update lines coalesce into one
                 // publish at the burst's end.
-                queued_updates.push(server.queue_insert(object));
-            }
-            Ok(ServeRequest::Remove(id)) => {
-                queued_updates.push(server.queue_remove(id));
+                queued_updates.push(server.queue_update(op));
             }
             Ok(ServeRequest::Stats) => {
                 // Settle earlier queries and flush queued updates first so
@@ -685,23 +682,7 @@ fn serve(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
                     &mut checkpoint_policy,
                     &mut out,
                 )?;
-                let s = server.stats();
-                writeln!(
-                    out,
-                    "stats served={} updates={} coalesced_batches={} applied_updates={} \
-                     cache_hits={} cache_misses={} shared_hits={} outcome_hits={} \
-                     wal_records={} checkpoints={}",
-                    s.served,
-                    s.updates,
-                    s.coalesced_batches,
-                    s.applied_updates,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.shared_hits,
-                    s.outcome_hits,
-                    s.wal_records,
-                    s.checkpoints
-                )?;
+                write_stats_line(&mut out, &server.stats())?;
             }
             Err(msg) => {
                 eprintln!("line {line_no}: {msg}");
@@ -821,31 +802,69 @@ fn flush_updates(
         return Ok(());
     }
     server.flush_writes();
-    let objects = server.snapshot().model.len();
+    let objects = server.snapshot().model.len() as u64;
     for ticket in queued.drain(..) {
         let outcome = ticket.wait();
-        match &outcome.result {
-            Ok(()) => writeln!(
-                out,
-                "update v{} objects={objects} batch={}",
-                outcome.snapshot_version, outcome.batch
-            )?,
-            Err(e) => writeln!(out, "update rejected: {e}")?,
-        }
+        write_update_line(
+            out,
+            &outcome.result,
+            outcome.snapshot_version,
+            objects,
+            outcome.batch,
+        )?;
     }
     policy.after_burst(server)?;
     Ok(())
 }
 
-enum ServeRequest {
+/// The `stats served=… checkpoints=…` line `serve` and `route` print.
+fn write_stats_line(out: &mut impl std::io::Write, s: &ServerStats) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "stats served={} updates={} coalesced_batches={} applied_updates={} cache_hits={} \
+         cache_misses={} shared_hits={} outcome_hits={} wal_records={} checkpoints={}",
+        s.served,
+        s.updates,
+        s.coalesced_batches,
+        s.applied_updates,
+        s.cache_hits,
+        s.cache_misses,
+        s.shared_hits,
+        s.outcome_hits,
+        s.wal_records,
+        s.checkpoints
+    )
+}
+
+/// One op's line after its burst published: `update v<version>
+/// objects=<n> batch=<burst>` when it applied, `update rejected: <err>`
+/// when it did not — the lines `serve` and `route` print alike.
+fn write_update_line(
+    out: &mut impl std::io::Write,
+    result: &Result<(), impl std::fmt::Display>,
+    version: u64,
+    objects: u64,
+    batch: usize,
+) -> std::io::Result<()> {
+    match result {
+        Ok(()) => writeln!(out, "update v{version} objects={objects} batch={batch}"),
+        Err(e) => writeln!(out, "update rejected: {e}"),
+    }
+}
+
+/// One parsed line of the serve protocol, for a model `M` of uniform
+/// 1-D objects (the flat database behind `route`, the sharded one behind
+/// `serve`).
+enum ServeRequest<M: CowModel<Object = UncertainObject>> {
     Query(f64, QuerySpec),
-    Insert(UncertainObject),
-    Remove(ObjectId),
+    Update(UpdateOp<M>),
     Stats,
 }
 
 /// Parse one line of the serve protocol (see [`SERVE_PROTOCOL`]).
-fn parse_serve_line(line: &str) -> Result<ServeRequest, String> {
+fn parse_serve_line<M: CowModel<Object = UncertainObject>>(
+    line: &str,
+) -> Result<ServeRequest<M>, String> {
     let fields: Vec<&str> = line.split_whitespace().collect();
     let num = |s: &str, what: &str| -> Result<f64, String> {
         s.parse::<f64>()
@@ -874,15 +893,18 @@ fn parse_serve_line(line: &str) -> Result<ServeRequest, String> {
                 Strategy::Verified,
             ),
         )),
-        ["insert", id, lo, hi] => Ok(ServeRequest::Insert(
+        ["insert", id, lo, hi] => Ok(ServeRequest::Update(UpdateOp::Insert(
             UncertainObject::uniform(
                 ObjectId(int(id, "object id")?),
                 num(lo, "lower bound")?,
                 num(hi, "upper bound")?,
             )
             .map_err(|e| e.to_string())?,
-        )),
-        ["remove", id] => Ok(ServeRequest::Remove(ObjectId(int(id, "object id")?))),
+        ))),
+        ["remove", id] => {
+            let id = ObjectId(int(id, "object id")?);
+            Ok(ServeRequest::Update(UpdateOp::Remove(id)))
+        }
         ["stats"] => Ok(ServeRequest::Stats),
         // Bare and `cpnn`-prefixed 1-NN queries come last: a two- or
         // three-field line that is not a keyword request is `<q> <p> [delta]`.

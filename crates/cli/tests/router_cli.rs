@@ -193,10 +193,17 @@ fn routed_fleet_matches_serve_and_survives_kill_dash_nine() {
     // reconnects on the next request that needs it.
     shards[1] = Some(spawn_shard(&shard_dir(1)));
     stdin
-        .write_all(b"100.5 0.3\nknn 100.5 2 0.2\nquit\n")
+        .write_all(b"100.5 0.3\nknn 100.5 2 0.2\nstats\nquit\n")
         .unwrap();
     got.push(comparable(&read_line("post-recovery query")));
     got.push(comparable(&read_line("post-recovery knn")));
+    // `served` counts the routed queries answered: eight asked, one
+    // degraded during the outage.
+    let stats = read_line("stats line");
+    assert!(
+        stats.starts_with("stats served=7 "),
+        "route must report its own answered queries, got: {stats}"
+    );
     drop(stdin);
     let status = route.wait().expect("route exit");
     assert!(status.success(), "route must exit cleanly");

@@ -57,7 +57,8 @@
 //! [`storage::StorageBackend`] seam. A [`server::QueryServer`] with a
 //! backend [attached](server::QueryServer::attach_storage) makes every
 //! publish durable *before* it becomes visible (one journal record per
-//! coalesced burst; checkpoints truncate the journal), and
+//! burst, holding the ops that applied in the [`update::UpdateOp`]
+//! codec the router's wire shares; checkpoints truncate the journal), and
 //! [`storage::FileBackend::recover`] replays checkpoint + journal tail
 //! — surviving a crash at **any** byte of the journal — into a live
 //! database that is bit-for-bit the pre-crash state (property-tested in
@@ -72,10 +73,12 @@
 //!   behind a submission queue, streaming responses per request while
 //!   `insert`/`remove` swap immutable, path-copied database snapshots
 //!   underneath the stream (every response cites the snapshot version
-//!   that answered it); bursty writers queue on the write-coalescing
-//!   lane ([`server::QueryServer::queue_insert`] +
-//!   [`server::QueryServer::flush_writes`]) and publish a whole burst as
-//!   one swap.
+//!   that answered it). Every update is one [`update::UpdateOp`] — the
+//!   value the serve loops parse, the journal records and the router
+//!   ships — queued on the server's single write lane
+//!   ([`server::QueryServer::queue_update`] +
+//!   [`server::QueryServer::flush_writes`]) and published a whole burst
+//!   per swap.
 //!
 //! ## Caching
 //!
@@ -149,6 +152,7 @@ pub mod shard;
 pub mod storage;
 pub mod store;
 pub mod subregion;
+pub mod update;
 pub mod verifiers;
 
 #[cfg(test)]
@@ -178,7 +182,8 @@ pub use refine::RefinementOrder;
 pub use server::{FlushReport, QueryServer, Served, ServerStats, Snapshot, Ticket, UpdateOutcome};
 pub use shard::{Extent, ShardBalance, ShardPoint, ShardableModel, ShardedDb};
 pub use storage::{
-    CrashWriter, FileBackend, MemoryBackend, NullBackend, Recovered, StorageBackend, StorageError,
+    CrashWriter, FileBackend, MemoryBackend, Recovered, StorageBackend, StorageError,
 };
 pub use store::{CowModel, IndexedStore, StoredObject};
 pub use subregion::SubregionTable;
+pub use update::UpdateOp;

@@ -101,6 +101,9 @@ pub enum SnapshotError {
     },
     /// Payload decoded but failed semantic validation.
     Invalid(CoreError),
+    /// An update op whose tag is neither insert nor remove
+    /// ([`crate::update::UpdateOp::read_op`]).
+    UnknownOp(u8),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -121,6 +124,7 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
             SnapshotError::Invalid(e) => write!(f, "snapshot payload invalid: {e}"),
+            SnapshotError::UnknownOp(tag) => write!(f, "unknown update op kind {tag}"),
         }
     }
 }
@@ -158,6 +162,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(bytes);
     h.0
+}
+
+/// Write one `len u32 | payload | fnv1a(payload) u64` frame — the layout
+/// of a write-ahead journal record ([`crate::storage::encode_record`]) and
+/// of a router wire frame alike. Only the writer is shared: the readers
+/// keep their own contracts (a torn journal tail ends replay cleanly; the
+/// wire caps the length and types every failure).
+pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&fnv1a(payload).to_le_bytes())
 }
 
 /// A [`Write`] adapter that FNV-1a-hashes every byte it forwards — the

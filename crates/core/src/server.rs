@@ -9,34 +9,36 @@
 //! that on plain `std` primitives (no external runtime):
 //!
 //! * **submission queue** — callers [`submit`](QueryServer::submit)
-//!   queries one at a time (or in micro-batches via
-//!   [`submit_batch`](QueryServer::submit_batch)) into an `std::mpsc`
-//!   channel and receive a [`Ticket`] that resolves to the result through
-//!   a per-request response channel — no up-front batching;
+//!   queries one at a time into an `std::mpsc` channel and receive a
+//!   [`Ticket`] that resolves to the result through a per-request
+//!   response channel — no up-front batching;
 //! * **persistent workers** — `threads` long-lived `std::thread` workers
 //!   drain the queue, each owning a [`QueryScratch`] so steady-state
 //!   throughput matches the batch executor (same reuse of
 //!   verification/refinement buffers across queries);
 //! * **snapshot-swap updates** — the database lives behind an [`Arc`] in
-//!   a versioned [`Snapshot`]. Writers never mutate it in place: an
-//!   [`update`](QueryServer::update) builds a *new* model and swaps the
-//!   `Arc` atomically. For any [`CowModel`](crate::store::CowModel) (the 1-D/2-D databases and
-//!   [`ShardedDb`]) the successor is a **path copy** —
-//!   [`QueryServer::insert`] / [`QueryServer::remove`] are O(log n)
+//!   a versioned [`Snapshot`]. Writers never mutate it in place: every
+//!   update is an [`UpdateOp`] whose [`apply`](UpdateOp::apply) builds a
+//!   *new* model, and a publish swaps the `Arc` atomically. For any
+//!   [`CowModel`](crate::store::CowModel) (the 1-D/2-D databases and
+//!   [`ShardedDb`]) the successor is a **path copy** — O(log n)
 //!   structural edits, never rebuilds. A worker pins the snapshot it
 //!   dequeued a job with, so every response is evaluated against exactly
 //!   one consistent database version — reads never block on writes and
 //!   never observe a half-applied update (property-tested in
 //!   `tests/proptest_server.rs`).
-//! * **write-coalescing lane** — bursty writers enqueue updates without
-//!   publishing ([`queue_insert`](QueryServer::queue_insert) /
-//!   [`queue_remove`](QueryServer::queue_remove), each returning a
-//!   [`Ticket`]); [`flush_writes`](QueryServer::flush_writes) drains the
-//!   whole burst into **one** snapshot publish — one version bump, one
-//!   cache-invalidation pass, N applied updates. Per-op outcomes resolve
-//!   through the tickets at flush time.
+//! * **one write lane** — writers enqueue ops without publishing
+//!   ([`queue_update`](QueryServer::queue_update), or its
+//!   [`queue_insert`](QueryServer::queue_insert) /
+//!   [`queue_remove`](QueryServer::queue_remove) shorthands, each
+//!   returning a [`Ticket`]); [`flush_writes`](QueryServer::flush_writes)
+//!   drains the whole burst into **one** snapshot publish — one version
+//!   bump, one cache-invalidation pass, N applied updates. Per-op outcomes
+//!   resolve through the tickets at flush time.
+//!   [`insert`](QueryServer::insert) / [`remove`](QueryServer::remove) are
+//!   the same lane: queue, flush, wait.
 //! * **incremental cache invalidation** — every publish records the
-//!   regions it touched in a bounded journal; workers re-pinning onto a
+//!   extents its ops touched in a bounded journal; workers re-pinning onto a
 //!   newer snapshot drop only the cached verification state whose
 //!   candidate horizon intersects those regions
 //!   ([`crate::QueryScratch::advance_snapshot`]) instead of clearing
@@ -49,10 +51,9 @@
 //!   new snapshot becomes visible.
 //! * **durability (opt-in)** — with a [`crate::storage::StorageBackend`]
 //!   [attached](QueryServer::attach_storage), every publish is made
-//!   durable **before** it becomes visible: coalesced bursts append one
-//!   write-ahead journal record each, arbitrary
-//!   [`update`](QueryServer::update) closures (unjournalable footprint)
-//!   checkpoint the full successor model, and
+//!   durable **before** it becomes visible: each burst appends one
+//!   write-ahead journal record holding the ops that applied, encoded at
+//!   flush time by [`UpdateOp::write_op`], and
 //!   [`checkpoint_now`](QueryServer::checkpoint_now) truncates the
 //!   journal on demand. A server restarted from
 //!   [`crate::storage::FileBackend::recover`] resumes via
@@ -108,14 +109,15 @@ use crate::cache::SharedVerifyCache;
 use crate::error::CoreError;
 use crate::error::Result;
 use crate::object::ObjectId;
-use crate::persist::PersistentModel;
+use crate::persist::{PersistentModel, SnapshotWriter};
 use crate::pipeline::{
     cpnn_with, CpnnResult, DistanceModel, PipelineConfig, QueryScratch, QuerySpec,
 };
 use crate::shard::Extent;
 #[cfg(doc)]
 use crate::shard::ShardedDb;
-use crate::storage::{self, StorageBackend};
+use crate::storage::StorageBackend;
+use crate::update::UpdateOp;
 
 /// How many published versions the region journal remembers. A worker
 /// that fell further behind than this simply clears its whole cache — the
@@ -126,8 +128,8 @@ const JOURNAL_CAP: usize = 128;
 ///
 /// Version `0` is the model the server [started](QueryServer::start) with
 /// (a server [recovered](QueryServer::start_at) from durable storage
-/// starts at its pre-crash version instead); every successful
-/// [`QueryServer::update`] increments it by one. Holding a
+/// starts at its pre-crash version instead); every published burst
+/// ([`QueryServer::flush_writes`]) increments it by one. Holding a
 /// `Snapshot` keeps that database version alive (it is an [`Arc`]) without
 /// blocking the server from swapping in newer ones.
 #[derive(Debug)]
@@ -194,16 +196,17 @@ impl<T> Ticket<T> {
 /// Aggregate counters reported at [`QueryServer::shutdown`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
-    /// Individual query responses sent (micro-batch members count one each).
+    /// Individual query responses sent.
     pub served: u64,
     /// Snapshot swaps applied (a coalesced burst counts once).
     pub updates: u64,
     /// Write-lane bursts published by [`QueryServer::flush_writes`] (each
-    /// is one snapshot swap covering one or more applied updates).
+    /// is one snapshot swap covering one or more applied updates; every
+    /// swap is one, so this equals `updates`).
     pub coalesced_batches: u64,
-    /// Individual updates applied through the write lane (members of
-    /// coalesced batches; direct [`QueryServer::insert`]/[`remove`](QueryServer::remove)
-    /// calls are not counted here — they are their own swaps).
+    /// Individual updates applied through the write lane (direct
+    /// [`QueryServer::insert`]/[`remove`](QueryServer::remove) calls
+    /// included — they ride the same lane).
     pub applied_updates: u64,
     /// Local (per-worker) verification-cache hits across all workers (0
     /// unless the server's [`PipelineConfig`] enabled the cache; see
@@ -221,12 +224,10 @@ pub struct ServerStats {
     /// skipping verify/refine entirely.
     pub outcome_hits: u64,
     /// Write-ahead journal records appended (0 unless a storage backend
-    /// is [attached](QueryServer::attach_storage); one per durable burst
-    /// or direct insert/remove).
+    /// is [attached](QueryServer::attach_storage); one per durable burst).
     pub wal_records: u64,
-    /// Checkpoints written through the attached storage backend
-    /// (explicit [`QueryServer::checkpoint_now`] calls plus implicit
-    /// checkpoints forced by unjournalable updates).
+    /// Checkpoints written through the attached storage backend (the
+    /// [`QueryServer::checkpoint_now`] calls).
     pub checkpoints: u64,
 }
 
@@ -255,18 +256,11 @@ pub struct FlushReport {
     pub published: Option<u64>,
 }
 
-enum Job<M: DistanceModel> {
-    One {
-        q: M::Query,
-        spec: QuerySpec,
-        reply: Sender<Served>,
-    },
-    /// A micro-batch: all members are evaluated by one worker against one
-    /// pinned snapshot (a consistent multi-query read).
-    Batch {
-        jobs: Vec<(M::Query, QuerySpec)>,
-        reply: Sender<Vec<Served>>,
-    },
+/// One submitted query and the channel its response goes back on.
+struct Job<M: DistanceModel> {
+    q: M::Query,
+    spec: QuerySpec,
+    reply: Sender<Served>,
 }
 
 struct Shared<M> {
@@ -283,11 +277,9 @@ struct Shared<M> {
     /// unaffected).
     writer: Mutex<()>,
     /// Bounded history of `(version, regions touched by that publish)`.
-    /// `None` regions mean the footprint is unknown (an arbitrary
-    /// [`QueryServer::update`] closure) — workers crossing such a version
-    /// fall back to a full cache clear. Entries are pushed *before* the
-    /// version atomic moves, so any observed version is already journaled.
-    journal: Mutex<VecDeque<(u64, Option<Vec<Extent>>)>>,
+    /// Entries are pushed *before* the version atomic moves, so any
+    /// observed version is already journaled.
+    journal: Mutex<VecDeque<(u64, Vec<Extent>)>>,
     served: AtomicU64,
     updates: AtomicU64,
     coalesced_batches: AtomicU64,
@@ -318,8 +310,8 @@ impl<M> Shared<M> {
 
     /// Swap `next` in and publish its version. Caller must hold the
     /// writer lock; `regions` is this publish's update footprint for the
-    /// journal (`None` = unknown, forces full cache clears downstream).
-    fn publish(&self, next: Snapshot<M>, regions: Option<Vec<Extent>>) {
+    /// journal.
+    fn publish(&self, next: Snapshot<M>, regions: Vec<Extent>) {
         let version = next.version;
         // Fan the invalidation out to the shared cache tier *before* the
         // snapshot swap: workers only evaluate at the new version after
@@ -327,7 +319,7 @@ impl<M> Shared<M> {
         // racing publish into an already-walked segment carries the old
         // version and is dropped by the per-segment version check).
         if let Some(tier) = &self.shared_cache {
-            tier.advance_version(version, regions.as_deref());
+            tier.advance_version(version, Some(&regions));
         }
         // Journal *before* swapping the snapshot in: a worker can pin
         // whatever sits behind `current` the moment the swap lands (it
@@ -356,40 +348,34 @@ impl<M> Shared<M> {
     }
 
     /// The concatenated update regions for versions `(old, new]`, or
-    /// `None` when any of them is missing from the journal or has an
-    /// unknown footprint (→ the caller must fully clear its cache).
+    /// `None` when any of them is missing from the journal (→ the caller
+    /// must fully clear its cache).
     fn regions_between(&self, old: u64, new: u64) -> Option<Vec<Extent>> {
         let journal = self.journal.lock().expect("journal lock unpoisoned");
         let mut out = Vec::new();
         for v in old + 1..=new {
-            match journal.iter().find(|(ver, _)| *ver == v) {
-                Some((_, Some(regions))) => out.extend(regions.iter().cloned()),
-                _ => return None,
-            }
+            let (_, regions) = journal.iter().find(|(ver, _)| *ver == v)?;
+            out.extend(regions.iter().cloned());
         }
         Some(out)
     }
 }
 
-/// A queued write's application: current model in, successor model plus
-/// the regions the write touched out.
-type ApplyWrite<M> = Box<dyn FnOnce(&M) -> Result<(M, Vec<Extent>)> + Send>;
-
-/// One queued write: a copy-on-write application returning the successor
-/// model plus the regions it touched, and the reply channel its
+/// One queued write: the op, and the reply channel its
 /// [`UpdateOutcome`] resolves through at flush time.
-struct QueuedWrite<M> {
-    apply: ApplyWrite<M>,
+struct QueuedWrite<M: PersistentModel> {
+    op: UpdateOp<M>,
     reply: Sender<UpdateOutcome>,
-    /// The op pre-encoded for the write-ahead journal (encoded at queue
-    /// time, where `M::Object` is still in scope), `None` when no
-    /// backend was attached when the op was queued.
-    wal: Option<Vec<u8>>,
 }
 
 /// A long-lived query-serving worker pool over an immutable, swappable
 /// database snapshot. See the [module docs](self) for the full design.
-pub struct QueryServer<M: DistanceModel> {
+///
+/// Any [`PersistentModel`] can be served — the 1-D/2-D databases (O(log
+/// n) store path copies) and [`ShardedDb`] (path copy of the owning
+/// shard only, all other shard `Arc`s shared between snapshots) — so
+/// every queued op can be journaled once a backend is attached.
+pub struct QueryServer<M: DistanceModel + PersistentModel> {
     shared: Arc<Shared<M>>,
     /// `Some` while serving; taken (and dropped, closing the queue) at
     /// shutdown.
@@ -407,7 +393,7 @@ pub struct QueryServer<M: DistanceModel> {
 
 impl<M> QueryServer<M>
 where
-    M: DistanceModel + Send + Sync + 'static,
+    M: DistanceModel + PersistentModel + Send + Sync + 'static,
     M::Query: Send + 'static,
 {
     /// Start a server over `model` with `threads` persistent workers
@@ -497,106 +483,21 @@ where
     pub fn submit(&self, q: M::Query, spec: QuerySpec) -> Ticket {
         let (reply, ticket) = mpsc::channel();
         self.sender()
-            .send(Job::One { q, spec, reply })
-            .expect("serving queue open while server alive");
-        Ticket(ticket)
-    }
-
-    /// Enqueue a micro-batch evaluated by a single worker against a single
-    /// pinned snapshot: all responses share one `snapshot_version` (a
-    /// consistent multi-query read under concurrent updates).
-    pub fn submit_batch(&self, jobs: Vec<(M::Query, QuerySpec)>) -> Ticket<Vec<Served>> {
-        let (reply, ticket) = mpsc::channel();
-        self.sender()
-            .send(Job::Batch { jobs, reply })
+            .send(Job { q, spec, reply })
             .expect("serving queue open while server alive");
         Ticket(ticket)
     }
 }
 
-/// Update, flush, and lifecycle surface — available for any model (no
-/// `Send`/`Sync` bounds: nothing here crosses a thread).
-impl<M: DistanceModel> QueryServer<M> {
-    /// Swap in a new snapshot built from the current one (copy-on-write).
-    ///
-    /// `rebuild` receives the current model and returns its replacement;
-    /// on success the new snapshot (version = old + 1) becomes current and
-    /// is returned. Writers are serialized against each other; readers are
-    /// never blocked — in-flight queries keep the snapshot they pinned and
-    /// finish against it.
-    ///
-    /// The update's footprint is unknown to the server, so workers
-    /// crossing this version clear their verification caches entirely;
-    /// [`insert`](Self::insert)/[`remove`](Self::remove) record their
-    /// touched regions and invalidate incrementally instead.
-    pub fn update<F>(&self, rebuild: F) -> Result<Snapshot<M>>
-    where
-        F: FnOnce(&M) -> Result<M>,
-    {
-        self.update_tracked(|model| rebuild(model).map(|next| (next, None)), None)
-    }
-
-    /// [`update`](Self::update) with a known region footprint: `rebuild`
-    /// additionally reports which regions it touched, which lets workers
-    /// invalidate their caches incrementally. `wal_op` is the update
-    /// pre-encoded for the write-ahead journal; `None` (an arbitrary
-    /// closure whose effect cannot be journaled) forces a full checkpoint
-    /// when a storage backend is attached.
-    fn update_tracked<F>(&self, rebuild: F, wal_op: Option<Vec<u8>>) -> Result<Snapshot<M>>
-    where
-        F: FnOnce(&M) -> Result<(M, Option<Vec<Extent>>)>,
-    {
-        let _writers = self.shared.writer.lock().expect("writer lock unpoisoned");
-        let base = self.shared.pin();
-        let (model, regions) = rebuild(&base.model)?;
-        let next = Snapshot {
-            version: base.version + 1,
-            model: Arc::new(model),
-        };
-        // Write-ahead: durable before visible. A storage failure fails
-        // the whole update — the swap below never happens.
-        self.persist_ahead(&next, wal_op.map(|op| vec![op]))?;
-        self.shared.publish(next.clone(), regions);
-        Ok(next)
-    }
-
-    /// The write-ahead hook: with a backend attached, make `next` durable
-    /// — append `ops` as one journal record, or checkpoint the full model
-    /// when the ops are unknown (`None`) — before the caller publishes
-    /// it. No-op without a backend. Callers hold the writer lock.
-    fn persist_ahead(&self, next: &Snapshot<M>, ops: Option<Vec<Vec<u8>>>) -> Result<()> {
-        let mut storage = self.storage.lock().expect("storage lock unpoisoned");
-        let Some(sink) = storage.as_mut() else {
-            return Ok(());
-        };
-        let result = match &ops {
-            Some(ops) => sink.append_burst(next.version, ops).map(|()| {
-                self.shared.wal_records.fetch_add(1, Ordering::Relaxed);
-            }),
-            None => sink.checkpoint(&next.model, next.version).map(|()| {
-                self.shared.checkpoints.fetch_add(1, Ordering::Relaxed);
-            }),
-        };
-        result.map_err(|e| CoreError::Storage(e.to_string()))
-    }
-
+/// Update, flush, and lifecycle surface (no `Send`/`Sync` bounds:
+/// nothing here crosses a thread).
+impl<M: DistanceModel + PersistentModel> QueryServer<M> {
     /// Attach a durable storage sink: every subsequent publish becomes
-    /// durable **before** it becomes visible — coalesced bursts and
-    /// direct inserts/removes append one write-ahead journal record
-    /// each; arbitrary [`update`](Self::update) closures (unjournalable
-    /// footprint) checkpoint the full successor model instead. Attach
-    /// before accepting writes: ops queued earlier carry no journal
-    /// encoding, so their burst degrades to a full checkpoint.
+    /// durable **before** it becomes visible — each burst appends one
+    /// write-ahead journal record, ops queued before the attach included
+    /// (they are encoded when they flush).
     pub fn attach_storage(&self, backend: Box<dyn StorageBackend<M>>) {
         *self.storage.lock().expect("storage lock unpoisoned") = Some(backend);
-    }
-
-    /// Whether a storage backend is attached.
-    pub fn storage_attached(&self) -> bool {
-        self.storage
-            .lock()
-            .expect("storage lock unpoisoned")
-            .is_some()
     }
 
     /// Checkpoint the current snapshot through the attached backend,
@@ -616,13 +517,57 @@ impl<M: DistanceModel> QueryServer<M> {
         Ok(Some(base.version))
     }
 
-    /// Drain every queued write (see [`queue_insert`](Self::queue_insert))
-    /// into **one** snapshot publish: ops apply in queue order onto a
-    /// single successor model, the swap happens once, and every op's
-    /// [`Ticket`] resolves with its [`UpdateOutcome`]. An op that fails
-    /// (e.g. a duplicate-id insert) reports its error without blocking the
-    /// rest of the burst. No-op (and no version bump) when nothing is
-    /// queued or every op failed.
+    /// Copy-on-write insert, published now: queues the op and flushes the
+    /// lane — this op and any queued before it publish as one burst. Fails
+    /// on a duplicate id. Returns the snapshot current after the flush.
+    pub fn insert(&self, object: M::Object) -> Result<Snapshot<M>> {
+        self.update_now(UpdateOp::Insert(object))
+    }
+
+    /// Copy-on-write remove: as [`insert`](Self::insert). Removing an
+    /// absent id still publishes (contents unchanged, version advanced)
+    /// with an empty footprint, so caches survive untouched.
+    pub fn remove(&self, id: ObjectId) -> Result<Snapshot<M>> {
+        self.update_now(UpdateOp::Remove(id))
+    }
+
+    fn update_now(&self, op: UpdateOp<M>) -> Result<Snapshot<M>> {
+        let ticket = self.queue_update(op);
+        self.flush_writes();
+        ticket.wait().result.map(|()| self.shared.pin())
+    }
+
+    /// Queue an insert on the write lane **without** publishing; see
+    /// [`queue_update`](Self::queue_update).
+    pub fn queue_insert(&self, object: M::Object) -> Ticket<UpdateOutcome> {
+        self.queue_update(UpdateOp::Insert(object))
+    }
+
+    /// Queue a remove on the write lane; see
+    /// [`queue_update`](Self::queue_update).
+    pub fn queue_remove(&self, id: ObjectId) -> Ticket<UpdateOutcome> {
+        self.queue_update(UpdateOp::Remove(id))
+    }
+
+    /// Queue one op on the write lane **without** publishing. The
+    /// returned ticket resolves when a [`flush_writes`](Self::flush_writes)
+    /// drains the burst (shutdown and drop flush too, so tickets never
+    /// dangle).
+    pub fn queue_update(&self, op: UpdateOp<M>) -> Ticket<UpdateOutcome> {
+        let (reply, ticket) = mpsc::channel();
+        self.queued
+            .lock()
+            .expect("write queue unpoisoned")
+            .push(QueuedWrite { op, reply });
+        Ticket(ticket)
+    }
+
+    /// Drain every queued write into **one** snapshot publish: ops apply
+    /// in queue order onto a single successor model, the swap happens
+    /// once, and every op's [`Ticket`] resolves with its
+    /// [`UpdateOutcome`]. An op that fails (e.g. a duplicate-id insert)
+    /// reports its error without blocking the rest of the burst. No-op
+    /// (and no version bump) when nothing is queued or every op failed.
     ///
     /// With a storage backend [attached](Self::attach_storage), the
     /// burst's applied ops are appended to the write-ahead journal as
@@ -638,60 +583,62 @@ impl<M: DistanceModel> QueryServer<M> {
         let burst: Vec<QueuedWrite<M>> =
             std::mem::take(&mut *self.queued.lock().expect("write queue unpoisoned"));
         let total = burst.len();
-        if total == 0 {
-            return FlushReport {
-                queued: 0,
-                applied: 0,
-                published: None,
-            };
-        }
         let base = self.shared.pin();
+        // Held until the append, so the backend cannot change mid-burst.
+        let mut storage = self.storage.lock().expect("storage lock unpoisoned");
         let mut acc: Option<M> = None;
         let mut regions: Vec<Extent> = Vec::new();
-        let mut applied = 0usize;
         let mut replies: Vec<(Sender<UpdateOutcome>, Result<()>)> = Vec::with_capacity(total);
-        let mut wal_ops: Vec<Vec<u8>> = Vec::with_capacity(total);
-        let mut unencoded = 0usize;
-        for write in burst {
-            let current: &M = acc.as_ref().unwrap_or(&base.model);
-            match (write.apply)(current) {
+        // The journal record's ops, encoded only with a backend attached:
+        // exactly the ops that *applied* (failed ops changed nothing, so
+        // replay must not see them).
+        let mut wal = Vec::new();
+        for QueuedWrite { op, reply } in burst {
+            let mark = wal.len();
+            if storage.is_some() {
+                op.write_op(&mut SnapshotWriter::new(&mut wal))
+                    .expect("write to Vec<u8> is infallible");
+            }
+            match op.apply(acc.as_ref().unwrap_or(&base.model)) {
                 Ok((next, touched)) => {
                     acc = Some(next);
                     regions.extend(touched);
-                    applied += 1;
-                    replies.push((write.reply, Ok(())));
-                    // The journal records exactly the ops that *applied*
-                    // (failed ops changed nothing, so replay must not see
-                    // them).
-                    match write.wal {
-                        Some(op) => wal_ops.push(op),
-                        None => unencoded += 1,
-                    }
+                    replies.push((reply, Ok(())));
                 }
-                Err(e) => replies.push((write.reply, Err(e))),
+                Err(e) => {
+                    wal.truncate(mark);
+                    replies.push((reply, Err(e)));
+                }
             }
         }
+        let mut applied = replies.iter().filter(|(_, r)| r.is_ok()).count();
         let mut published = None;
         if let Some(model) = acc {
             let next = Snapshot {
                 version: base.version + 1,
                 model: Arc::new(model),
             };
-            // Write-ahead: one journal record per published burst. Ops
-            // queued before a backend was attached carry no encoding; the
-            // burst then degrades to a full checkpoint (still ahead of
-            // the publish).
-            let ops = (unencoded == 0).then_some(wal_ops);
-            match self.persist_ahead(&next, ops) {
+            // Write-ahead: one journal record per published burst, durable
+            // before it is visible.
+            let durable = match storage.as_mut() {
+                Some(sink) => sink
+                    .append_burst(next.version, applied as u32, &wal)
+                    .map(|()| {
+                        self.shared.wal_records.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .map_err(|e| CoreError::Storage(e.to_string())),
+                None => Ok(()),
+            };
+            match durable {
                 Ok(()) => {
-                    self.shared.publish(next, Some(regions));
+                    published = Some(next.version);
+                    self.shared.publish(next, regions);
                     self.shared
                         .coalesced_batches
                         .fetch_add(1, Ordering::Relaxed);
                     self.shared
                         .applied_updates
                         .fetch_add(applied as u64, Ordering::Relaxed);
-                    published = Some(base.version + 1);
                 }
                 Err(e) => {
                     // The burst could not be made durable, so it was not
@@ -762,7 +709,7 @@ impl<M: DistanceModel> QueryServer<M> {
     }
 }
 
-impl<M: DistanceModel> Drop for QueryServer<M> {
+impl<M: DistanceModel + PersistentModel> Drop for QueryServer<M> {
     fn drop(&mut self) {
         // Resolve queued write tickets (flush needs no Send/Sync bounds),
         // then close the queue and join. `join_workers` is inlined: Drop
@@ -773,100 +720,6 @@ impl<M: DistanceModel> Drop for QueryServer<M> {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-/// Update surface for any [`PersistentModel`] (every [`CowModel`](crate::store::CowModel) in the
-/// crate implements it) — the 1-D/2-D databases (O(log n) store path
-/// copies) and [`ShardedDb`] (path copy of the owning shard only, all
-/// other shard `Arc`s shared between snapshots). Snapshot atomicity is
-/// unchanged: readers pin a whole model version and never observe a
-/// half-applied update (property-tested in `tests/proptest_server.rs` /
-/// `tests/proptest_shard.rs`). The [`PersistentModel`] bound (rather
-/// than bare [`CowModel`](crate::store::CowModel)) lets these ops encode themselves for the
-/// write-ahead journal when a storage backend is attached.
-impl<M> QueryServer<M>
-where
-    M: DistanceModel + PersistentModel + Send + Sync + 'static,
-    M::Query: Send + 'static,
-    M::Object: Send + 'static,
-{
-    /// Copy-on-write insert: path-copies the structures around `object`
-    /// and swaps the successor in immediately (its own version bump).
-    /// Fails on a duplicate id (the snapshot is untouched). For bursty
-    /// writers prefer [`queue_insert`](Self::queue_insert) +
-    /// [`flush_writes`](Self::flush_writes).
-    pub fn insert(&self, object: M::Object) -> Result<Snapshot<M>> {
-        let wal = self
-            .storage_attached()
-            .then(|| storage::encode_insert_op::<M>(&object));
-        let region = M::object_extent(&object);
-        self.update_tracked(
-            move |db| {
-                db.with_inserted(object)
-                    .map(|next| (next, Some(vec![region])))
-            },
-            wal,
-        )
-    }
-
-    /// Copy-on-write remove: as [`insert`](Self::insert). Removing an
-    /// absent id still swaps (contents unchanged, version advanced), and
-    /// records an empty footprint so caches survive untouched.
-    pub fn remove(&self, id: ObjectId) -> Result<Snapshot<M>> {
-        let wal = self
-            .storage_attached()
-            .then(|| storage::encode_remove_op(id));
-        self.update_tracked(
-            move |db| {
-                let (next, removed) = db.with_removed(id);
-                let regions = removed.as_ref().map(M::object_extent).into_iter().collect();
-                Ok((next, Some(regions)))
-            },
-            wal,
-        )
-    }
-
-    /// Queue an insert on the write-coalescing lane **without**
-    /// publishing. The returned ticket resolves when a
-    /// [`flush_writes`](Self::flush_writes) drains the burst (shutdown and
-    /// drop flush too, so tickets never dangle).
-    pub fn queue_insert(&self, object: M::Object) -> Ticket<UpdateOutcome> {
-        let wal = self
-            .storage_attached()
-            .then(|| storage::encode_insert_op::<M>(&object));
-        let region = M::object_extent(&object);
-        self.queue_write(
-            Box::new(move |db: &M| db.with_inserted(object).map(|next| (next, vec![region]))),
-            wal,
-        )
-    }
-
-    /// Queue a remove on the write-coalescing lane; see
-    /// [`queue_insert`](Self::queue_insert).
-    pub fn queue_remove(&self, id: ObjectId) -> Ticket<UpdateOutcome> {
-        let wal = self
-            .storage_attached()
-            .then(|| storage::encode_remove_op(id));
-        self.queue_write(
-            Box::new(move |db: &M| {
-                let (next, removed) = db.with_removed(id);
-                Ok((
-                    next,
-                    removed.as_ref().map(M::object_extent).into_iter().collect(),
-                ))
-            }),
-            wal,
-        )
-    }
-
-    fn queue_write(&self, apply: ApplyWrite<M>, wal: Option<Vec<u8>>) -> Ticket<UpdateOutcome> {
-        let (reply, ticket) = mpsc::channel();
-        self.queued
-            .lock()
-            .expect("write queue unpoisoned")
-            .push(QueuedWrite { apply, reply, wal });
-        Ticket(ticket)
     }
 }
 
@@ -891,9 +744,8 @@ where
     loop {
         // Take the queue lock only for the dequeue itself, never across
         // query evaluation.
-        let job = match rx.lock().expect("queue lock unpoisoned").recv() {
-            Ok(job) => job,
-            Err(_) => return, // queue closed and drained: shutdown
+        let Ok(Job { q, spec, reply }) = rx.lock().expect("queue lock unpoisoned").recv() else {
+            return; // queue closed and drained: shutdown
         };
         if shared.version.load(Ordering::Acquire) != pinned.version {
             let old = pinned.version;
@@ -901,44 +753,25 @@ where
             // Pin the evaluated version on the scratch *before* evaluating:
             // no response is ever served from state computed against a
             // version other than the one it cites. When the journal knows
-            // the full region footprint of every crossed version, the
-            // worker's verification cache is invalidated *incrementally* —
-            // only entries whose candidate horizon intersects an updated
-            // region drop; otherwise (journal gap or an untracked update)
-            // the cache clears entirely.
+            // every crossed version, the worker's verification cache is
+            // invalidated *incrementally* — only entries whose candidate
+            // horizon intersects an updated region drop; otherwise (a
+            // journal gap) the cache clears entirely.
             let regions = shared.regions_between(old, pinned.version);
             scratch.advance_snapshot(pinned.version, regions.as_deref());
         } else {
             scratch.set_snapshot_version(pinned.version);
         }
-        match job {
-            Job::One { q, spec, reply } => {
-                let result = cpnn_with(&*pinned.model, &q, &spec, cfg, &mut scratch);
-                shared.served.fetch_add(1, Ordering::Relaxed);
-                // Counters flush *before* the reply: once a ticket
-                // resolves, `stats()` already covers its query.
-                flush_cache_counters(shared, &scratch, &mut flushed);
-                // A dropped ticket (fire-and-forget caller) is fine.
-                let _ = reply.send(Served {
-                    result,
-                    snapshot_version: pinned.version,
-                });
-            }
-            Job::Batch { jobs, reply } => {
-                let served: Vec<Served> = jobs
-                    .into_iter()
-                    .map(|(q, spec)| Served {
-                        result: cpnn_with(&*pinned.model, &q, &spec, cfg, &mut scratch),
-                        snapshot_version: pinned.version,
-                    })
-                    .collect();
-                shared
-                    .served
-                    .fetch_add(served.len() as u64, Ordering::Relaxed);
-                flush_cache_counters(shared, &scratch, &mut flushed);
-                let _ = reply.send(served);
-            }
-        }
+        let result = cpnn_with(&*pinned.model, &q, &spec, cfg, &mut scratch);
+        shared.served.fetch_add(1, Ordering::Relaxed);
+        // Counters flush *before* the reply: once a ticket resolves,
+        // `stats()` already covers its query.
+        flush_cache_counters(shared, &scratch, &mut flushed);
+        // A dropped ticket (fire-and-forget caller) is fine.
+        let _ = reply.send(Served {
+            result,
+            snapshot_version: pinned.version,
+        });
     }
 }
 
@@ -1019,23 +852,6 @@ mod tests {
             assert_eq!(stats.served, points.len() as u64);
             assert_eq!(stats.updates, 0);
         }
-    }
-
-    #[test]
-    fn micro_batch_pins_one_snapshot_and_preserves_order() {
-        let server = QueryServer::start(db(25), 4, PipelineConfig::default());
-        let jobs: Vec<(f64, QuerySpec)> = (0..10).map(|i| (i as f64 * 9.0, spec())).collect();
-        let ticket = server.submit_batch(jobs.clone());
-        server
-            .insert(UncertainObject::uniform(ObjectId(900), 0.0, 1.0).unwrap())
-            .unwrap();
-        let served = ticket.wait();
-        assert_eq!(served.len(), jobs.len());
-        let v = served[0].snapshot_version;
-        assert!(served.iter().all(|s| s.snapshot_version == v));
-        // Order inside the batch is submission order.
-        let snap = server.snapshot();
-        assert_eq!(snap.version, 1);
     }
 
     #[test]

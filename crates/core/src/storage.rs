@@ -19,10 +19,10 @@
 //! journal file : magic "CPWL" | journal version u32 (= 1) | records
 //! record       : payload length u32 | payload | FNV-1a(payload) u64
 //! payload      : snapshot version u64 | op count u32 | ops
-//! op           : tag u8 (0 insert, 1 remove)
-//!                | insert: one object record (the snapshot codec)
-//!                | remove: id u64
 //! ```
+//!
+//! A record is framed by [`persist::write_frame`] (the wire protocol's
+//! frame layout too), and each op is one [`UpdateOp`] in its own codec.
 //!
 //! # Torn-tail contract
 //!
@@ -58,15 +58,12 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::object::ObjectId;
-use crate::persist::{self, PersistentModel, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::persist::{self, PersistentModel, SnapshotError, SnapshotReader};
+use crate::update::UpdateOp;
 
 const WAL_MAGIC: &[u8; 4] = b"CPWL";
 const WAL_VERSION: u32 = 1;
 const WAL_HEADER_LEN: usize = 8;
-
-const OP_INSERT: u8 = 0;
-const OP_REMOVE: u8 = 1;
 
 /// Errors raised by the durable-storage layer.
 #[derive(Debug)]
@@ -113,49 +110,27 @@ pub type StorageResult<T> = std::result::Result<T, StorageError>;
 /// corresponding snapshot is published (write-ahead: durable, then
 /// visible).
 ///
-/// The trait is deliberately object-safe and unbounded in `M`'s object
-/// type: ops arrive pre-encoded (see [`encode_insert_op`] /
-/// [`encode_remove_op`]), so a `Box<dyn StorageBackend<M>>` can live
-/// inside a [`crate::server::QueryServer`] whose `M` is only known to be
-/// a query model.
+/// The trait is deliberately object-safe: ops arrive encoded (by
+/// [`UpdateOp::write_op`]), so a `Box<dyn StorageBackend<M>>` can live
+/// inside a [`crate::server::QueryServer`].
 pub trait StorageBackend<M>: Send {
-    /// Append one journal record covering a published burst: the ops (in
-    /// application order) that produced snapshot `version`. Must be
-    /// durable when it returns.
-    fn append_burst(&mut self, version: u64, ops: &[Vec<u8>]) -> StorageResult<()>;
+    /// Append one journal record covering a published burst: the `count`
+    /// encoded ops in `ops` (in application order) produced snapshot
+    /// `version`. Must be durable when it returns.
+    fn append_burst(&mut self, version: u64, count: u32, ops: &[u8]) -> StorageResult<()>;
     /// Write a full checkpoint of `model` at snapshot `version` and
     /// truncate the journal it supersedes.
     fn checkpoint(&mut self, model: &M, version: u64) -> StorageResult<()>;
 }
 
-/// Encode a journal insert op for `object` (tag + one snapshot object
-/// record).
-pub fn encode_insert_op<M: PersistentModel>(object: &M::Object) -> Vec<u8> {
-    let mut w = SnapshotWriter::new(vec![OP_INSERT]);
-    M::write_object(object, &mut w).expect("write to Vec<u8> is infallible");
-    w.into_inner()
-}
-
-/// Encode a journal remove op for `id`.
-pub fn encode_remove_op(id: ObjectId) -> Vec<u8> {
-    let mut out = vec![OP_REMOVE];
-    out.extend_from_slice(&id.0.to_le_bytes());
-    out
-}
-
-/// Assemble one length-prefixed, checksummed journal record from
-/// pre-encoded ops.
-pub fn encode_record(version: u64, ops: &[Vec<u8>]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(12 + ops.iter().map(Vec::len).sum::<usize>());
+/// Assemble one framed journal record from `count` encoded ops.
+pub fn encode_record(version: u64, count: u32, ops: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(12 + ops.len());
     payload.extend_from_slice(&version.to_le_bytes());
-    payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        payload.extend_from_slice(op);
-    }
+    payload.extend_from_slice(&count.to_le_bytes());
+    payload.extend_from_slice(ops);
     let mut record = Vec::with_capacity(payload.len() + 12);
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&payload);
-    record.extend_from_slice(&persist::fnv1a(&payload).to_le_bytes());
+    persist::write_frame(&mut record, &payload).expect("write to Vec<u8> is infallible");
     record
 }
 
@@ -281,23 +256,8 @@ fn apply_record<M: PersistentModel>(mut model: M, payload: &[u8]) -> StorageResu
     let mut r = SnapshotReader::new(&payload[8..]);
     let count = r.take_u32().map_err(corrupt("journal record op count"))?;
     for _ in 0..count {
-        match r.take_u8().map_err(corrupt("journal op tag"))? {
-            OP_INSERT => {
-                let object = M::read_object(&mut r).map_err(corrupt("journal insert op"))?;
-                model = model
-                    .with_inserted(object)
-                    .map_err(corrupt("journal insert replay"))?;
-            }
-            OP_REMOVE => {
-                let id = ObjectId(r.take_u64().map_err(corrupt("journal remove op"))?);
-                model = model.with_removed(id).0;
-            }
-            tag => {
-                return Err(StorageError::Corrupt(format!(
-                    "unknown journal op tag {tag}"
-                )));
-            }
-        }
+        let op = UpdateOp::<M>::read_op(&mut r).map_err(corrupt("journal op"))?;
+        model = op.apply(&model).map_err(corrupt("journal op replay"))?.0;
     }
     if !r.into_inner().is_empty() {
         return Err(StorageError::Corrupt(
@@ -305,20 +265,6 @@ fn apply_record<M: PersistentModel>(mut model: M, payload: &[u8]) -> StorageResu
         ));
     }
     Ok(model)
-}
-
-/// A backend that drops everything — serving without durability, through
-/// the same code path as serving with it.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullBackend;
-
-impl<M> StorageBackend<M> for NullBackend {
-    fn append_burst(&mut self, _version: u64, _ops: &[Vec<u8>]) -> StorageResult<()> {
-        Ok(())
-    }
-    fn checkpoint(&mut self, _model: &M, _version: u64) -> StorageResult<()> {
-        Ok(())
-    }
 }
 
 #[derive(Debug, Default)]
@@ -375,8 +321,8 @@ impl MemoryBackend {
 }
 
 impl<M: PersistentModel> StorageBackend<M> for MemoryBackend {
-    fn append_burst(&mut self, version: u64, ops: &[Vec<u8>]) -> StorageResult<()> {
-        let record = encode_record(version, ops);
+    fn append_burst(&mut self, version: u64, count: u32, ops: &[u8]) -> StorageResult<()> {
+        let record = encode_record(version, count, ops);
         let mut state = self.state.lock().expect("storage state lock");
         if state.wal.is_empty() {
             state.wal.extend_from_slice(&wal_header());
@@ -472,8 +418,8 @@ impl FileBackend {
 }
 
 impl<M: PersistentModel> StorageBackend<M> for FileBackend {
-    fn append_burst(&mut self, version: u64, ops: &[Vec<u8>]) -> StorageResult<()> {
-        let record = encode_record(version, ops);
+    fn append_burst(&mut self, version: u64, count: u32, ops: &[u8]) -> StorageResult<()> {
+        let record = encode_record(version, count, ops);
         let file = self.wal_file()?;
         file.write_all(&record)?;
         file.sync_data()?;
@@ -543,10 +489,28 @@ impl<W: Write> Write for CrashWriter<W> {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, UncertainDb};
-    use crate::object::UncertainObject;
+    use crate::object::{ObjectId, UncertainObject};
+    use crate::persist::SnapshotWriter;
 
     fn obj(id: u64, lo: f64, hi: f64) -> UncertainObject {
         UncertainObject::uniform(ObjectId(id), lo, hi).unwrap()
+    }
+
+    fn insert(object: UncertainObject) -> UpdateOp<UncertainDb> {
+        UpdateOp::Insert(object)
+    }
+
+    /// The ops' bytes, each written by [`UpdateOp::write_op`].
+    fn op_bytes(ops: &[UpdateOp<UncertainDb>]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(Vec::new());
+        for op in ops {
+            op.write_op(&mut w).unwrap();
+        }
+        w.into_inner()
+    }
+
+    fn record(version: u64, ops: &[UpdateOp<UncertainDb>]) -> Vec<u8> {
+        encode_record(version, ops.len() as u32, &op_bytes(ops))
     }
 
     fn base_db() -> UncertainDb {
@@ -556,12 +520,9 @@ mod tests {
     #[test]
     fn record_round_trip_replays() {
         let db = base_db();
-        let ops = vec![
-            encode_insert_op::<UncertainDb>(&obj(100, 8.0, 9.0)),
-            encode_remove_op(ObjectId(1)),
-        ];
+        let ops = [insert(obj(100, 8.0, 9.0)), UpdateOp::Remove(ObjectId(1))];
         let mut wal = wal_header().to_vec();
-        wal.extend_from_slice(&encode_record(1, &ops));
+        wal.extend_from_slice(&record(1, &ops));
         let rec = replay_wal(&wal, db.clone(), 0).unwrap();
         assert_eq!(rec.version, 1);
         assert_eq!(rec.records, 1);
@@ -574,9 +535,9 @@ mod tests {
     #[test]
     fn stale_records_are_skipped_idempotently() {
         let db = base_db();
-        let ops = vec![encode_insert_op::<UncertainDb>(&obj(100, 8.0, 9.0))];
+        let ops = [insert(obj(100, 8.0, 9.0))];
         let mut wal = wal_header().to_vec();
-        wal.extend_from_slice(&encode_record(1, &ops));
+        wal.extend_from_slice(&record(1, &ops));
         // Base already at version 1: the record must be skipped, so the
         // duplicate insert never replays.
         let rec = replay_wal(&wal, db.clone(), 1).unwrap();
@@ -589,12 +550,9 @@ mod tests {
     fn every_torn_prefix_recovers_the_durable_prefix() {
         let db = base_db();
         let mut wal = wal_header().to_vec();
-        wal.extend_from_slice(&encode_record(
-            1,
-            &[encode_insert_op::<UncertainDb>(&obj(100, 8.0, 9.0))],
-        ));
+        wal.extend_from_slice(&record(1, &[insert(obj(100, 8.0, 9.0))]));
         let first_burst_end = wal.len();
-        wal.extend_from_slice(&encode_record(2, &[encode_remove_op(ObjectId(0))]));
+        wal.extend_from_slice(&record(2, &[UpdateOp::Remove(ObjectId(0))]));
         for cut in 0..wal.len() {
             let rec = replay_wal(&wal[..cut], db.clone(), 0).unwrap();
             if cut < first_burst_end {
@@ -617,7 +575,7 @@ mod tests {
     #[test]
     fn bad_magic_is_corrupt_not_torn() {
         let mut wal = b"XXXX\x01\x00\x00\x00".to_vec();
-        wal.extend_from_slice(&encode_record(1, &[]));
+        wal.extend_from_slice(&encode_record(1, 0, &[]));
         let err = replay_wal(&wal, base_db(), 0).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
@@ -625,7 +583,7 @@ mod tests {
     #[test]
     fn unknown_op_tag_is_corrupt() {
         let mut wal = wal_header().to_vec();
-        wal.extend_from_slice(&encode_record(1, &[vec![9u8]]));
+        wal.extend_from_slice(&encode_record(1, 1, &[9u8]));
         let err = replay_wal(&wal, base_db(), 0).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
@@ -638,7 +596,8 @@ mod tests {
         StorageBackend::<UncertainDb>::append_burst(
             &mut backend,
             1,
-            &[encode_insert_op::<UncertainDb>(&obj(100, 8.0, 9.0))],
+            1,
+            &op_bytes(&[insert(obj(100, 8.0, 9.0))]),
         )
         .unwrap();
         let rec = backend
@@ -667,13 +626,15 @@ mod tests {
             StorageBackend::<UncertainDb>::append_burst(
                 &mut backend,
                 1,
-                &[encode_insert_op::<UncertainDb>(&obj(100, 8.0, 9.0))],
+                1,
+                &op_bytes(&[insert(obj(100, 8.0, 9.0))]),
             )
             .unwrap();
             StorageBackend::<UncertainDb>::append_burst(
                 &mut backend,
                 2,
-                &[encode_remove_op(ObjectId(2))],
+                1,
+                &op_bytes(&[UpdateOp::Remove(ObjectId(2))]),
             )
             .unwrap();
         }

@@ -8,9 +8,7 @@
 //!    version (the one its worker pinned at dequeue time): re-evaluating
 //!    the query sequentially against that recorded version reproduces the
 //!    response bit-for-bit, so no response ever observes a half-applied
-//!    (torn) update;
-//! 3. **micro-batch atomicity** — all members of a `submit_batch` share
-//!    one snapshot version even while updates race the batch.
+//!    (torn) update.
 
 use std::sync::Arc;
 
@@ -149,46 +147,6 @@ proptest! {
             let want = cpnn(&*versions[v].model, &q, &spec(), &cfg).unwrap();
             let got = served.result.unwrap();
             assert_same(&got, &want, &format!("query {i} at v{v}, T = {threads}"))?;
-        }
-    }
-
-    /// Property 3: a micro-batch is a consistent read — one snapshot
-    /// version for all members, even while updates race it.
-    #[test]
-    fn micro_batches_are_atomic_under_updates(
-        objs in objects(10),
-        points in prop::collection::vec(-60.0f64..60.0, 2..12),
-        threads in 1usize..5,
-    ) {
-        let base = objs.len() as u64;
-        let db = UncertainDb::build(objs).unwrap();
-        let cfg = PipelineConfig::default();
-        let server = QueryServer::start(db, threads, cfg);
-        let mut versions: Vec<Snapshot<UncertainDb>> = vec![server.snapshot()];
-
-        let jobs: Vec<(f64, QuerySpec)> = points.iter().map(|&q| (q, spec())).collect();
-        let ticket = server.submit_batch(jobs);
-        versions.push(
-            server
-                .insert(UncertainObject::uniform(ObjectId(base + 1), 0.0, 1.0).unwrap())
-                .unwrap(),
-        );
-        versions.push(server.remove(ObjectId(base + 1)).unwrap());
-
-        let served = ticket.wait();
-        prop_assert_eq!(served.len(), points.len());
-        let v = served[0].snapshot_version;
-        for (i, s) in served.iter().enumerate() {
-            prop_assert_eq!(
-                s.snapshot_version, v,
-                "batch member {} saw v{}, batch pinned v{}",
-                i, s.snapshot_version, v
-            );
-        }
-        let pinned = &versions[v as usize];
-        for (q, s) in points.iter().zip(&served) {
-            let want = cpnn(&*pinned.model, q, &spec(), &cfg).unwrap();
-            prop_assert_eq!(&s.result.as_ref().unwrap().answers, &want.answers);
         }
     }
 }

@@ -10,9 +10,12 @@
 //! the generator is deterministic, so a regeneration that changes any
 //! byte is itself a format-compatibility alarm.
 
-use cpnn_core::persist::{self, SnapshotError};
+use cpnn_core::persist::{self, SnapshotError, SnapshotWriter};
 use cpnn_core::storage::{self, replay_wal, StorageError};
-use cpnn_core::{EngineConfig, ObjectId, UncertainDb, UncertainObject};
+use cpnn_core::{
+    EngineConfig, MemoryBackend, ObjectId, PipelineConfig, QueryServer, UncertainDb,
+    UncertainObject, UpdateOp,
+};
 
 fn base_objects() -> Vec<UncertainObject> {
     (0..4)
@@ -26,28 +29,43 @@ fn base_model() -> UncertainDb {
     UncertainDb::build(base_objects()).unwrap()
 }
 
+/// The canonical bursts: v1 = insert 100; v2 = insert 101 + remove 1.
+fn canonical_bursts() -> [Vec<UpdateOp<UncertainDb>>; 2] {
+    [
+        vec![UpdateOp::Insert(
+            UncertainObject::uniform(ObjectId(100), 5.0, 7.0).unwrap(),
+        )],
+        vec![
+            UpdateOp::Insert(UncertainObject::uniform(ObjectId(101), 17.0, 21.0).unwrap()),
+            UpdateOp::Remove(ObjectId(1)),
+        ],
+    ]
+}
+
+/// One journal record holding `ops`, each in the op codec.
+fn record(version: u64, ops: &[UpdateOp<UncertainDb>]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(Vec::new());
+    for op in ops {
+        op.write_op(&mut w).unwrap();
+    }
+    storage::encode_record(version, ops.len() as u32, &w.into_inner())
+}
+
 /// The corpus source of truth: checkpoint bytes (at snapshot version 0)
-/// plus two well-formed journal records (v1: insert 100; v2: insert 101
-/// + remove 1).
+/// plus two well-formed journal records, one per canonical burst.
 fn canonical_bytes() -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let mut checkpoint = Vec::new();
     persist::write_model(&base_model(), 0, &mut checkpoint).unwrap();
-    let rec1 = storage::encode_record(
-        1,
-        &[storage::encode_insert_op::<UncertainDb>(
-            &UncertainObject::uniform(ObjectId(100), 5.0, 7.0).unwrap(),
-        )],
-    );
-    let rec2 = storage::encode_record(
-        2,
-        &[
-            storage::encode_insert_op::<UncertainDb>(
-                &UncertainObject::uniform(ObjectId(101), 17.0, 21.0).unwrap(),
-            ),
-            storage::encode_remove_op(ObjectId(1)),
-        ],
-    );
-    (checkpoint, rec1, rec2)
+    let [burst1, burst2] = canonical_bursts();
+    (checkpoint, record(1, &burst1), record(2, &burst2))
+}
+
+/// A model's checkpoint image at `version` — equal images mean equal
+/// contents, bit for bit.
+fn image(model: &UncertainDb, version: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    persist::write_model(model, version, &mut bytes).unwrap();
+    bytes
 }
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -75,6 +93,59 @@ fn encoders_reproduce_the_fixture_bytes() {
     clean.extend_from_slice(&rec1);
     clean.extend_from_slice(&rec2);
     assert_eq!(clean, fixture("wal_clean.cpwl"));
+}
+
+/// The write path end to end: the canonical bursts, queued on a server's
+/// write lane and flushed into an attached backend, leave exactly the
+/// checked-in checkpoint and journal bytes.
+#[test]
+fn server_write_path_reproduces_the_fixture_bytes() {
+    let server = QueryServer::start(base_model(), 1, PipelineConfig::default());
+    let backend = MemoryBackend::new();
+    server.attach_storage(Box::new(backend.clone()));
+    server.checkpoint_now().unwrap();
+    for burst in canonical_bursts() {
+        let tickets: Vec<_> = burst
+            .into_iter()
+            .map(|op| server.queue_update(op))
+            .collect();
+        server.flush_writes();
+        assert!(tickets.into_iter().all(|t| t.wait().result.is_ok()));
+    }
+    assert_eq!(
+        backend.checkpoint_bytes().unwrap(),
+        fixture("checkpoint_base.cpnn")
+    );
+    assert_eq!(backend.wal_bytes(), fixture("wal_clean.cpwl"));
+    server.shutdown();
+}
+
+/// Ops queued before a backend is attached are journaled when they
+/// flush: one record, and no checkpoint beyond the explicit one.
+#[test]
+fn ops_queued_before_attach_are_journaled() {
+    let server = QueryServer::start(base_model(), 1, PipelineConfig::default());
+    let insert = server.queue_insert(UncertainObject::uniform(ObjectId(101), 17.0, 21.0).unwrap());
+    let remove = server.queue_remove(ObjectId(1));
+    let backend = MemoryBackend::new();
+    server.attach_storage(Box::new(backend.clone()));
+    server.checkpoint_now().unwrap();
+    assert_eq!(server.flush_writes().published, Some(1));
+    assert!(insert.wait().result.is_ok() && remove.wait().result.is_ok());
+    let stats = server.stats();
+    assert_eq!(stats.wal_records, 1);
+    assert_eq!(stats.checkpoints, 1, "only the explicit checkpoint");
+    let rec = backend
+        .recover::<UncertainDb>(&EngineConfig::default())
+        .unwrap()
+        .unwrap();
+    assert_eq!((rec.version, rec.records), (1, 1));
+    let live = server.snapshot();
+    assert_eq!(
+        image(&rec.model, rec.version),
+        image(&live.model, live.version)
+    );
+    server.shutdown();
 }
 
 #[test]

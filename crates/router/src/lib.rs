@@ -49,6 +49,7 @@ pub mod router;
 pub mod serve;
 pub mod wire;
 
+pub use cpnn_core::UpdateOp;
 pub use map::ShardMap;
 pub use net::{ShardAddr, ShardListener, ShardStream};
 pub use router::{
@@ -56,7 +57,7 @@ pub use router::{
     UpdateReport,
 };
 pub use serve::{ShardServeConfig, ShardServerHandle};
-pub use wire::{Request, Response, ShardStatus, UpdateOp, WireError};
+pub use wire::{Request, Response, ShardStatus, WireError};
 
 /// A model a shard process can host and a router can fan out over: a
 /// [`ShardableModel`] (per-shard builds, exact extents, copy-on-write

@@ -54,13 +54,14 @@ use cpnn_core::candidate::CandidateSet;
 use cpnn_core::pipeline::{self, CpnnResult, Filtered, Horizon, QueryStats};
 use cpnn_core::shard::{select_overlapping, slab_of, Extent};
 use cpnn_core::{
-    CoreError, DistanceDistribution, ObjectId, PipelineConfig, QueryScratch, QuerySpec, ServerStats,
+    CoreError, DistanceDistribution, ObjectId, PipelineConfig, QueryScratch, QuerySpec,
+    ServerStats, UpdateOp,
 };
 
 use crate::map::ShardMap;
 use crate::net::ShardStream;
 use crate::wire::{
-    read_frame, write_frame, Request, Response, ShardProcessStats, ShardStatus, UpdateOp, WireError,
+    read_frame, write_frame, Request, Response, ShardProcessStats, ShardStatus, WireError,
 };
 use crate::RoutedModel;
 
@@ -150,7 +151,7 @@ impl From<CoreError> for RouterError {
 /// Router-side counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterStats {
-    /// Queries answered.
+    /// Queries answered (a query that failed typed is not counted).
     pub queries: u64,
     /// Filter requests fanned out: one per shard a query asked — the
     /// bound groups fetched before the horizon stopped the walk.
@@ -194,7 +195,9 @@ pub struct ClusterStats {
     pub objects: u64,
     /// Wire filter requests served, summed over shards.
     pub shard_filters: u64,
-    /// Hosted-server counters, summed over shards.
+    /// Hosted-server counters, summed over shards — except `served`,
+    /// which is the router's own answered-query count (shards answer
+    /// filter requests, never whole queries).
     pub server: ServerStats,
     /// The router's own counters.
     pub router: RouterStats,
@@ -454,7 +457,6 @@ impl<M: RoutedModel> QueryRouter<M> {
         // single-process pipeline's pre-filter validation.
         cpnn_core::Classifier::new(spec.threshold, spec.tolerance).map_err(RouterError::Query)?;
         let k = spec.k.max(1);
-        self.stats.queries += 1;
         let start = Instant::now();
         let summaries: Vec<(Option<Extent>, usize)> = self
             .shards
@@ -507,8 +509,10 @@ impl<M: RoutedModel> QueryRouter<M> {
         let cands = CandidateSet::from_distances(filtered.items, k);
         stats.candidates = cands.len();
         stats.init_time = init_from_filter + assemble.elapsed();
-        pipeline::evaluate_candidates(&cands, spec, &self.pipeline, &mut self.scratch, stats)
-            .map_err(RouterError::Query)
+        let result =
+            pipeline::evaluate_candidates(&cands, spec, &self.pipeline, &mut self.scratch, stats);
+        self.stats.queries += u64::from(result.is_ok());
+        result.map_err(RouterError::Query)
     }
 
     /// Ask every shard of one bound group for its filter output: write
@@ -599,6 +603,7 @@ impl<M: RoutedModel> QueryRouter<M> {
     /// unavailable; Update requests are never resent (not idempotent).
     pub fn update(&mut self, ops: Vec<UpdateOp<M>>) -> Result<UpdateReport, RouterError> {
         let batch = ops.len();
+        let base = self.version;
         let mut outcomes: Vec<Option<Result<(), String>>> = Vec::with_capacity(batch);
         outcomes.resize_with(batch, || None);
         // Simulate placement against the id map, exactly as a sequential
@@ -701,10 +706,13 @@ impl<M: RoutedModel> QueryRouter<M> {
             .into_iter()
             .map(|o| o.expect("every op resolved locally or by a shard reply"))
             .collect();
-        if outcomes.iter().any(|o| o.is_ok()) && batch > 0 {
+        if outcomes.iter().any(|o| o.is_ok()) {
             // Publish: one version bump per burst with at least one
-            // applied op, mirroring `flush_writes`.
-            self.version += 1;
+            // applied op, mirroring `flush_writes`. Each shard publishes
+            // at most once per burst, from a version no later than `base`,
+            // so the post-burst versions folded in above are at most
+            // `base + 1` and must not add a second bump.
+            self.version = self.version.max(base + 1);
         }
         Ok(UpdateReport {
             version: self.version,
@@ -731,7 +739,6 @@ impl<M: RoutedModel> QueryRouter<M> {
                 }
             };
             shard_filters += filters;
-            server.served += s.served;
             server.updates += s.updates;
             server.coalesced_batches += s.coalesced_batches;
             server.applied_updates += s.applied_updates;
@@ -742,6 +749,7 @@ impl<M: RoutedModel> QueryRouter<M> {
             server.wal_records += s.wal_records;
             server.checkpoints += s.checkpoints;
         }
+        server.served = self.stats.queries;
         Ok(ClusterStats {
             version: self.version,
             objects: self.objects(),

@@ -8,9 +8,9 @@
 //! candidate set, which is what makes the routed answer provably
 //! identical to the single-process one (see the crate docs).
 //!
-//! Update bursts ride the hosted server's coalesced write lane
-//! ([`QueryServer::queue_insert`] / [`queue_remove`](QueryServer::queue_remove),
-//! then one [`flush_writes`](QueryServer::flush_writes) per burst frame),
+//! Update bursts ride the hosted server's coalesced write lane (each
+//! decoded op through [`QueryServer::queue_update`], then one
+//! [`flush_writes`](QueryServer::flush_writes) per burst frame),
 //! so a burst of `n` ops publishes one snapshot swap, mirroring the
 //! single-process serve loop. When a storage backend is attached the
 //! same flush appends the burst to the shard's own write-ahead journal,
@@ -301,13 +301,7 @@ fn respond<M: RoutedModel>(shared: &ServeShared<M>, req: Request<M>) -> Response
             }
         }
         Request::Update(ops) => {
-            let tickets: Vec<_> = ops
-                .into_iter()
-                .map(|op| match op {
-                    crate::wire::UpdateOp::Insert(object) => server.queue_insert(object),
-                    crate::wire::UpdateOp::Remove(id) => server.queue_remove(id),
-                })
-                .collect();
+            let tickets: Vec<_> = ops.into_iter().map(|op| server.queue_update(op)).collect();
             server.flush_writes();
             let outcomes = tickets
                 .into_iter()

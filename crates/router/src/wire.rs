@@ -1,6 +1,8 @@
 //! The shard-serving wire protocol: length-prefixed, FNV-checksummed
-//! frames in the `storage.rs` record idiom, carrying a small set of
-//! tagged messages.
+//! frames — the write-ahead journal's record layout, written by the same
+//! [`cpnn_core::persist::write_frame`] — carrying a small set of tagged
+//! messages. An `Update` message's ops are [`UpdateOp`]s in the journal's
+//! op codec.
 //!
 //! ## Frame layout
 //!
@@ -30,9 +32,9 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use cpnn_core::persist::{fnv1a, SnapshotReader, SnapshotWriter};
+use cpnn_core::persist::{self, fnv1a, SnapshotReader, SnapshotWriter};
 use cpnn_core::shard::Extent;
-use cpnn_core::{DistanceDistribution, ObjectId, ServerStats};
+use cpnn_core::{DistanceDistribution, ObjectId, ServerStats, UpdateOp};
 use cpnn_pdf::HistogramPdf;
 
 use crate::RoutedModel;
@@ -137,9 +139,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
         !payload.is_empty() && payload.len() <= MAX_FRAME as usize,
         "frame payloads are bounded by construction"
     );
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
+    persist::write_frame(w, payload)?;
     w.flush()
 }
 
@@ -186,24 +186,6 @@ fn read_exact_frame<R: Read>(
             WireError::Io(e)
         }
     })
-}
-
-/// One element of an update burst — the wire twin of the server's
-/// `queue_insert` / `queue_remove` lane.
-pub enum UpdateOp<M: RoutedModel> {
-    /// Insert one object.
-    Insert(M::Object),
-    /// Remove one object by id.
-    Remove(ObjectId),
-}
-
-impl<M: RoutedModel> fmt::Debug for UpdateOp<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Insert(object) => write!(f, "Insert({:?})", M::object_id(object)),
-            Self::Remove(id) => write!(f, "Remove({id:?})"),
-        }
-    }
 }
 
 /// A request frame, router → shard.
@@ -354,19 +336,7 @@ impl<M: RoutedModel> Request<M> {
                 Self::Update(ops) => {
                     w.put_u8(tag::UPDATE)?;
                     w.put_u32(ops.len() as u32)?;
-                    for op in ops {
-                        match op {
-                            UpdateOp::Insert(object) => {
-                                w.put_u8(0)?;
-                                M::write_object(object, w)?;
-                            }
-                            UpdateOp::Remove(id) => {
-                                w.put_u8(1)?;
-                                w.put_u64(id.0)?;
-                            }
-                        }
-                    }
-                    Ok(())
+                    ops.iter().try_for_each(|op| op.write_op(w))
                 }
                 Self::Stats => w.put_u8(tag::STATS),
                 Self::Ids => w.put_u8(tag::IDS),
@@ -411,15 +381,9 @@ impl<M: RoutedModel> Request<M> {
                 let n = take_count(&mut r, MAX_ITEMS, "update ops")?;
                 let mut ops = Vec::with_capacity(n.min(PREALLOC as u32) as usize);
                 for _ in 0..n {
-                    match take_u8(&mut r)? {
-                        0 => {
-                            let object = M::read_object(&mut r)
-                                .map_err(|e| WireError::Corrupt(format!("bad object: {e}")))?;
-                            ops.push(UpdateOp::Insert(object));
-                        }
-                        1 => ops.push(UpdateOp::Remove(ObjectId(take_u64(&mut r)?))),
-                        k => return Err(WireError::Corrupt(format!("unknown update op kind {k}"))),
-                    }
+                    let op = UpdateOp::read_op(&mut r)
+                        .map_err(|e| WireError::Corrupt(format!("bad update op: {e}")))?;
+                    ops.push(op);
                 }
                 Self::Update(ops)
             }

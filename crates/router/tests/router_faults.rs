@@ -181,6 +181,29 @@ fn horizon_stops_the_fan_out_after_the_first_group() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A burst bumps the router's version exactly once, like `flush_writes`:
+/// the owning shard's own post-burst version must not add a second bump.
+#[test]
+fn one_burst_bumps_the_router_version_once() {
+    let dir = std::env::temp_dir().join(format!("cpnn-router-version-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let local =
+        ShardedDb::<UncertainDb>::from_model(&UncertainDb::build(clustered_objects()).unwrap(), 2)
+            .unwrap();
+    let (handles, mut router) = spawn_fleet(&local, &dir);
+    assert_eq!(router.version(), 0);
+    let inserted = UncertainObject::uniform(ObjectId(100), 102.0, 103.5).unwrap();
+    let report = router.update(vec![UpdateOp::Insert(inserted)]).unwrap();
+    assert!(report.outcomes.iter().all(Result::is_ok));
+    assert_eq!(report.version, 1);
+    assert_eq!(router.version(), 1);
+    for h in handles {
+        h.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A dead shard that selection keeps but the first group's horizon
 /// excludes is never asked, so the query still answers, bit for bit.
 #[test]

@@ -16,7 +16,9 @@ use std::sync::Arc;
 use cpnn_core::persist::fnv1a;
 use cpnn_core::{DistanceModel, ObjectId, QueryServer, UncertainDb, UncertainObject};
 use cpnn_router::wire::{read_frame, tag, write_frame, Request, Response, WireError, MAX_FRAME};
-use cpnn_router::{ShardAddr, ShardListener, ShardServeConfig, ShardServerHandle, ShardStream};
+use cpnn_router::{
+    ShardAddr, ShardListener, ShardServeConfig, ShardServerHandle, ShardStream, UpdateOp,
+};
 
 fn base_model() -> UncertainDb {
     let objects = (0..4)
@@ -38,6 +40,16 @@ fn canonical_payloads() -> (Vec<u8>, Vec<u8>) {
     let items = base_model().filter(&2.5, 2).unwrap().items;
     let resp = Response::Candidates { version: 7, items }.encode();
     (req, resp)
+}
+
+/// The canonical update burst: insert object 100, remove object 1 — the
+/// journal fixtures' second burst's shape, in the wire's `Update` message.
+fn canonical_update() -> Vec<u8> {
+    Request::<UncertainDb>::Update(vec![
+        UpdateOp::Insert(UncertainObject::uniform(ObjectId(100), 5.0, 7.0).unwrap()),
+        UpdateOp::Remove(ObjectId(1)),
+    ])
+    .encode()
 }
 
 /// Wrap a payload in the length-prefix + FNV-trailer framing by hand (the
@@ -81,6 +93,25 @@ fn canonical_frames_round_trip() {
             assert_eq!(items, base_model().filter(&2.5, 2).unwrap().items);
         }
         other => panic!("expected Candidates, got {other:?}"),
+    }
+}
+
+/// The `Update` message's ops are the journal's op codec; its bytes are
+/// pinned by a fixture written before the wire and the journal shared it.
+#[test]
+fn update_frame_round_trips() {
+    let got = read_fixture_frame("msg_update.bin").unwrap().unwrap();
+    assert_eq!(got, canonical_update(), "framed update payload drifted");
+    match Request::<UncertainDb>::decode(&got).unwrap() {
+        Request::Update(ops) => match ops.as_slice() {
+            [UpdateOp::Insert(object), UpdateOp::Remove(removed)] => {
+                assert_eq!(object.id(), ObjectId(100));
+                assert_eq!(object.region(), (5.0, 7.0));
+                assert_eq!(*removed, ObjectId(1));
+            }
+            other => panic!("expected [Insert, Remove], got {other:?}"),
+        },
+        other => panic!("expected Update, got {other:?}"),
     }
 }
 
@@ -217,6 +248,7 @@ fn no_fixture_prefix_panics() {
         "msg_hello_wrong_dim.bin",
         "msg_filter_trailing.bin",
         "msg_update_bad_kind.bin",
+        "msg_update.bin",
         "msg_candidates_bad_hist.bin",
     ] {
         let bytes = fixture(name);
@@ -230,7 +262,7 @@ fn no_fixture_prefix_panics() {
     // And every prefix of the canonical *payloads* (framing intact, body
     // cut) decodes or fails typed on both endpoints.
     let (req, resp) = canonical_payloads();
-    for payload in [req, resp] {
+    for payload in [req, resp, canonical_update()] {
         for cut in 0..=payload.len() {
             let _ = Request::<UncertainDb>::decode(&payload[..cut]);
             let _ = Response::decode(&payload[..cut]);
@@ -352,6 +384,8 @@ fn regenerate_fixtures() {
     bad_kind.extend_from_slice(&1u32.to_le_bytes());
     bad_kind.push(9);
     write("msg_update_bad_kind.bin", &frame(&bad_kind));
+
+    write("msg_update.bin", &frame(&canonical_update()));
 
     // Candidates body with non-monotone histogram edges (1 bar, hi < lo).
     let mut bad_hist = Vec::new();

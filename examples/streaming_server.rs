@@ -58,24 +58,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
 
-    // Phase 3: a micro-batch is a consistent multi-query read — all of its
-    // members are answered from one pinned snapshot, even if an update
-    // lands mid-batch.
-    let batch = server.submit_batch((0..5).map(|i| (20.0 * i as f64, spec)).collect());
-    server.remove(ObjectId(99))?;
-    let served = batch.wait();
-    let v = served[0].snapshot_version;
-    println!("-- micro-batch (all answered from snapshot v{v}) --");
-    for (i, s) in served.into_iter().enumerate() {
-        assert_eq!(s.snapshot_version, v, "micro-batches never tear");
-        let res = s.result?;
-        println!(
-            "q = {:>4}: answers = {:?}",
-            20.0 * i as f64,
-            res.answers.iter().map(|id| id.0).collect::<Vec<_>>()
-        );
-    }
-
     let stats = server.shutdown();
     println!(
         "-- served {} queries across {} snapshot update(s) --",
