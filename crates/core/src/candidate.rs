@@ -8,14 +8,17 @@ use crate::object::{ObjectId, UncertainObject};
 
 /// The k-NN pruning horizon: the `k`-th smallest far point (`fmin` for
 /// `k = 1`) — objects whose near point exceeds it cannot be among the `k`
-/// nearest. Sorts `fars` in place; `INFINITY` when empty. Shared by the
-/// candidate set and every [`crate::pipeline::DistanceModel`] filter that
-/// pre-prunes with exact region distances.
+/// nearest (the largest far point when fewer than `k`). Reorders `fars`
+/// in place — a selection, not a sort: only the order statistic is
+/// placed — and returns `INFINITY` when empty. Shared by the candidate set
+/// and every [`crate::pipeline::DistanceModel`] filter that pre-prunes with
+/// exact region distances.
 pub fn k_horizon(fars: &mut [f64], k: usize) -> f64 {
-    fars.sort_by(f64::total_cmp);
-    fars.get(k.max(1).min(fars.len().max(1)) - 1)
-        .copied()
-        .unwrap_or(f64::INFINITY)
+    if fars.is_empty() {
+        return f64::INFINITY;
+    }
+    let rank = k.max(1).min(fars.len()) - 1;
+    *fars.select_nth_unstable_by(rank, f64::total_cmp).1
 }
 
 /// One candidate: an object id plus its distance distribution w.r.t. the
@@ -85,9 +88,16 @@ impl CandidateSet {
     }
 
     fn assemble(q: f64, mut members: Vec<CandidateMember>, k: usize) -> Self {
-        let mut fars: Vec<f64> = members.iter().map(|m| m.dist.far()).collect();
+        // Far points are finite and positive, so `f64::min` picks what a
+        // `total_cmp` sort would have put first.
+        let mut fmin = f64::INFINITY;
+        let mut fars = Vec::with_capacity(members.len());
+        for m in &members {
+            let far = m.dist.far();
+            fmin = fmin.min(far);
+            fars.push(far);
+        }
         let horizon = k_horizon(&mut fars, k);
-        let fmin = fars.first().copied().unwrap_or(f64::INFINITY);
         members.retain(|m| m.dist.near() <= horizon);
         let fmax = members
             .iter()

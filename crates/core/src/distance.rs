@@ -25,6 +25,13 @@ impl DistanceDistribution {
     ///
     /// The fold is exact: every returned histogram bin has constant density,
     /// with bin edges at the folded images of the source bin edges.
+    ///
+    /// It builds the histogram in one allocation: the folded breakpoints
+    /// are merged straight into a buffer sized for the largest possible
+    /// result (one breakpoint per source edge, plus 0 when `q` lies inside
+    /// the support), the densities are appended behind them, and
+    /// [`HistogramPdf::from_packed_densities`] normalizes them and appends
+    /// the cdf in place.
     pub fn from_pdf(pdf: &HistogramPdf, q: f64) -> Result<Self> {
         let (lo, hi) = pdf.support();
         let edges = pdf.edges();
@@ -42,14 +49,18 @@ impl DistanceDistribution {
             .abs()
             .max((edges[n_edges - 1] - q).abs())
             .max(1.0);
-        let mut merged: Vec<f64> = Vec::with_capacity(n_edges + 1);
-        let push = |merged: &mut Vec<f64>, v: f64| match merged.last() {
+        // At most `m = n_edges + inside` breakpoints, so at most `m − 1`
+        // bars and `3m − 1` values in the finished histogram (exactly that
+        // for a uniform object unless two breakpoints coincide).
+        let most = n_edges + usize::from(inside);
+        let mut buf: Vec<f64> = Vec::with_capacity(3 * most - 1);
+        let push = |buf: &mut Vec<f64>, v: f64| match buf.last() {
             Some(&last) if v - last <= 1e-12 * scale => {}
-            _ => merged.push(v),
+            _ => buf.push(v),
         };
         if inside {
             // 0 is the global minimum of `|e − q|`, so it merges in first.
-            push(&mut merged, 0.0);
+            push(&mut buf, 0.0);
         }
         // `a` walks edges[..split] top-down (values ascending), `b` walks
         // edges[split..] bottom-up (values ascending).
@@ -66,23 +77,21 @@ impl DistanceDistribution {
                 f64::INFINITY
             };
             if va <= vb {
-                push(&mut merged, va);
+                push(&mut buf, va);
                 a -= 1;
             } else {
-                push(&mut merged, vb);
+                push(&mut buf, vb);
                 b += 1;
             }
         }
-        debug_assert!(merged.len() >= 2, "degenerate distance support");
-        let densities: Vec<f64> = merged
-            .windows(2)
-            .map(|w| {
-                let m = 0.5 * (w[0] + w[1]);
-                pdf.density(q + m) + pdf.density(q - m)
-            })
-            .collect();
+        debug_assert!(buf.len() >= 2, "degenerate distance support");
+        let breaks = buf.len();
+        for i in 1..breaks {
+            let m = 0.5 * (buf[i - 1] + buf[i]);
+            buf.push(pdf.density(q + m) + pdf.density(q - m));
+        }
         Ok(Self {
-            hist: HistogramPdf::from_densities(merged, densities)?,
+            hist: HistogramPdf::from_packed_densities(buf)?,
         })
     }
 

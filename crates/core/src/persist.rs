@@ -63,6 +63,9 @@ const MAGIC: &[u8; 4] = b"CPNN";
 pub const VERSION: u32 = 2;
 /// The original 1-D-only layout (no dim/kind/snapshot-version fields).
 const LEGACY_VERSION: u32 = 1;
+/// Largest buffer (in values) a record reserves from a length it read,
+/// before the values themselves arrive.
+const PREALLOC: usize = 1 << 16;
 
 /// `kind` header tag for flat (single-model) bodies.
 pub const KIND_FLAT: u8 = 0;
@@ -417,16 +420,6 @@ pub fn write_model_to_path<M: PersistentModel>(
     write_model(model, snapshot_version, io::BufWriter::new(file))
 }
 
-/// Deserialize any [`PersistentModel`] from a file path (see
-/// [`read_model`]).
-pub fn read_model_from_path<M: PersistentModel>(
-    path: &std::path::Path,
-    ctx: &M::Context,
-) -> SnapshotResult<(M, u64)> {
-    let file = std::fs::File::open(path)?;
-    read_model(io::BufReader::new(file), ctx)
-}
-
 fn read_magic_and_version<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<u32> {
     let magic = r.take::<4>()?;
     if &magic != MAGIC {
@@ -471,16 +464,15 @@ fn read_object_1d<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<Uncertai
     if bars == 0 || bars > 1 << 24 {
         return Err(SnapshotError::BadHeader);
     }
-    let mut edges = Vec::with_capacity(bars + 1);
-    for _ in 0..=bars {
-        edges.push(r.take_f64()?);
-    }
-    let mut masses = Vec::with_capacity(bars);
-    for _ in 0..bars {
-        masses.push(r.take_f64()?);
+    // Edges then masses, read into the histogram's own buffer (room for
+    // its cdf too). The header's bar count is not trusted for the reserve:
+    // a corrupt count grows the buffer only as far as values arrive.
+    let mut buf = Vec::with_capacity((3 * bars + 2).min(PREALLOC));
+    for _ in 0..2 * bars + 1 {
+        buf.push(r.take_f64()?);
     }
     let pdf =
-        HistogramPdf::from_masses(edges, masses).map_err(|e| SnapshotError::Invalid(e.into()))?;
+        HistogramPdf::from_packed_masses(buf).map_err(|e| SnapshotError::Invalid(e.into()))?;
     Ok(UncertainObject::from_histogram(ObjectId(id), pdf))
 }
 
@@ -818,6 +810,27 @@ mod tests {
         let loaded = load_snapshot(payload.as_slice()).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded.objects()[0].id(), ObjectId(7));
+    }
+
+    #[test]
+    fn huge_bar_count_with_truncated_body_is_typed() {
+        // A v1 record claiming the largest accepted bar count (2^24) but
+        // holding three edges: the reader must fail typed at the end of
+        // the data, having reserved a bounded buffer, not ≈ 256 MiB.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(MAGIC);
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes()); // count
+        payload.extend_from_slice(&7u64.to_le_bytes()); // id
+        payload.extend_from_slice(&(1u32 << 24).to_le_bytes()); // bars
+        for e in [2.0f64, 3.0, 4.0] {
+            payload.extend_from_slice(&e.to_le_bytes());
+        }
+        let err = load_snapshot(payload.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -327,11 +327,6 @@ impl<M: ShardableModel> ShardedDb<M> {
         Self::build(model.shard_objects(), model.shard_config(), shards)
     }
 
-    /// Re-shard with an explicit balancing scheme.
-    pub fn from_model_with(model: &M, shards: usize, balance: ShardBalance) -> Result<Self> {
-        Self::build_with(model.shard_objects(), model.shard_config(), shards, balance)
-    }
-
     /// Number of shards (always at least 1; empty shards are kept so slab
     /// routing stays stable).
     pub fn num_shards(&self) -> usize {

@@ -91,7 +91,8 @@ impl SubregionTable {
             }
         }
         pts.push(fmin);
-        pts.sort_by(f64::total_cmp);
+        // Unstable is exact here: `total_cmp`-equal keys are bit-equal.
+        pts.sort_unstable_by(f64::total_cmp);
         let scale = fmin.abs().max(1.0);
         let mut endpoints: Vec<f64> = Vec::with_capacity(pts.len());
         for p in pts {

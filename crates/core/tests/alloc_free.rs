@@ -7,6 +7,12 @@
 //! must allocate only its `RefineReport::per_object` vector (one allocation
 //! per *query*, independent of |C| and M).
 //!
+//! The construction side has a contract of its own: a histogram is **one
+//! heap block** (`edges | densities | cdf`), so building a stored object,
+//! folding a distance pdf or discretising a 2-D distance is one
+//! allocation, and a warm 1-D filter allocates about one block per
+//! candidate.
+//!
 //! This file contains a single test so no concurrent test can perturb the
 //! global allocation counter.
 
@@ -19,7 +25,11 @@ use cpnn_core::framework::{
 };
 use cpnn_core::refine::{incremental_refine_with, RefinementOrder};
 use cpnn_core::verifiers::{kernels, VerificationState};
-use cpnn_core::{CandidateSet, ObjectId, SubregionTable, UncertainObject};
+use cpnn_core::{
+    CandidateSet, CircleObject, DistanceDistribution, DistanceModel, ObjectId, SubregionTable,
+    UncertainDb, UncertainObject,
+};
+use cpnn_pdf::HistogramPdf;
 
 struct CountingAlloc;
 
@@ -58,6 +68,65 @@ fn crowded_candidates() -> CandidateSet {
         })
         .collect();
     CandidateSet::build(&objects, 0.0, 0).expect("valid candidate set")
+}
+
+/// Heap allocations `f` performs.
+fn count<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = allocations();
+    let out = f();
+    (out, allocations() - before)
+}
+
+/// Every histogram constructor on the query and load paths is one
+/// allocation, and a warm 1-D filter pays about one per candidate.
+fn histograms_are_one_block_each() {
+    let (uniform, n) = count(|| HistogramPdf::uniform(2.0, 6.0).unwrap());
+    assert_eq!(n, 1, "HistogramPdf::uniform: {n} allocations");
+
+    let (edges, masses) = (vec![1.0, 3.0, 7.0, 8.0], vec![0.3, 0.5, 0.2]);
+    let (three_bar, n) = count(|| HistogramPdf::from_masses(edges, masses).unwrap());
+    assert_eq!(n, 1, "HistogramPdf::from_masses (3 bars): {n} allocations");
+
+    for (name, pdf, q) in [
+        ("uniform, q inside", &uniform, 3.0),
+        ("uniform, q outside", &uniform, 9.0),
+        ("3 bars, q inside", &three_bar, 4.0),
+        ("3 bars, q outside", &three_bar, 0.0),
+    ] {
+        let (dist, n) = count(|| DistanceDistribution::from_pdf(pdf, q).unwrap());
+        assert!(dist.histogram().bar_count() >= 1);
+        assert_eq!(n, 1, "fold of {name}: {n} allocations");
+    }
+
+    let disk = CircleObject::new(ObjectId(0), [0.0, 0.0], 2.0).unwrap();
+    let radial = disk.radial([5.0, 1.0]);
+    let (dist, n) = count(|| radial.distribution(48).unwrap());
+    assert_eq!(dist.histogram().bar_count(), 48);
+    assert_eq!(n, 1, "RadialCdf::distribution: {n} allocations");
+
+    // 20 mutually overlapping objects, mixed uniform and 3-bar.
+    let objects: Vec<UncertainObject> = (0..20u64)
+        .map(|i| {
+            let lo = 0.5 * i as f64;
+            if i % 2 == 0 {
+                UncertainObject::uniform(ObjectId(i), lo, lo + 30.0).unwrap()
+            } else {
+                let edges = vec![lo, lo + 10.0, lo + 20.0, lo + 30.0];
+                let pdf = HistogramPdf::from_masses(edges, vec![0.2, 0.5, 0.3]).unwrap();
+                UncertainObject::from_histogram(ObjectId(i), pdf)
+            }
+        })
+        .collect();
+    let db = UncertainDb::build(objects).unwrap();
+    let q = 12.0;
+    db.filter(&q, 1).unwrap();
+    let (filtered, n) = count(|| db.filter(&q, 1).unwrap());
+    let candidates = filtered.items.len();
+    assert_eq!(candidates, 20, "every object overlaps q");
+    assert!(
+        n <= candidates + 16,
+        "warm UncertainDb::filter: {n} allocations for {candidates} candidates"
+    );
 }
 
 #[test]
@@ -110,6 +179,9 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
         RefinementOrder::DescendingMass,
         |i, j, scr| kernels::nn_qualification(&table, i, j, scr),
     );
+
+    // ---- Measured: one block per histogram (see the helper). ----
+    histograms_are_one_block_each();
 
     // ---- Measured: 1-NN verification must allocate nothing at all, through
     // the paper's chain and the extended one (both build and read the

@@ -6,6 +6,23 @@
 //! the subregion machinery relies on ("We represent a distance pdf of each
 //! object as a histogram. The corresponding distance cdf is then a piecewise
 //! linear function", Sec. IV-A).
+//!
+//! **Layout.** A histogram of `n` bars is one heap block of `3n + 2` values:
+//! `edges (n + 1) | densities (n) | cdf (n + 1)`. Every stored object, every
+//! candidate's folded distance pdf, every cache entry and every routed reply
+//! item is one of these, so one block instead of three vectors is two fewer
+//! allocations per histogram built, and a 24-byte struct instead of a
+//! 72-byte one per histogram kept. The order is the one the wire's
+//! `Candidates` item already uses, so a decoder reads an item straight into
+//! the buffer ([`from_raw_parts`](HistogramPdf::from_raw_parts)) and an
+//! encoder writes [`raw_parts`](HistogramPdf::raw_parts) as it stands.
+//! Constructors size the block up front and append the cdf in place; the
+//! [`from_packed_densities`](HistogramPdf::from_packed_densities) and
+//! [`from_packed_masses`](HistogramPdf::from_packed_masses) forms take a
+//! caller-filled `edges | densities` (or `| masses`) prefix, which is how
+//! the distance fold and the snapshot reader build without side vectors.
+
+use std::fmt;
 
 use crate::error::PdfError;
 use crate::integrate::{gauss_legendre, GlOrder};
@@ -14,14 +31,26 @@ use crate::Result;
 
 /// An arbitrary pdf stored as a histogram: `n` bars over strictly increasing
 /// edges, normalized to total mass one.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// One buffer holds `edges (n + 1) | densities (n) | cdf (n + 1)`; the
+/// accessors ([`edges`](Self::edges), [`densities`](Self::densities),
+/// [`cdf_at_edges`](Self::cdf_at_edges)) are sub-slices of it. The cdf
+/// knots satisfy `cdf[0] = 0` and `cdf[n] = 1`.
+#[derive(Clone, PartialEq)]
 pub struct HistogramPdf {
-    /// `n + 1` strictly increasing bin edges.
-    edges: Vec<f64>,
-    /// `n` non-negative densities (bar heights).
-    density: Vec<f64>,
-    /// `n + 1` cumulative masses; `cdf[0] = 0`, `cdf[n] = 1`.
-    cdf: Vec<f64>,
+    /// `edges (n + 1) | densities (n) | cdf (n + 1)`: `3n + 2` values.
+    buf: Vec<f64>,
+}
+
+impl fmt::Debug for HistogramPdf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (edges, density, cdf) = self.parts();
+        f.debug_struct("HistogramPdf")
+            .field("edges", &edges)
+            .field("density", &density)
+            .field("cdf", &cdf)
+            .finish()
+    }
 }
 
 impl HistogramPdf {
@@ -30,101 +59,90 @@ impl HistogramPdf {
     /// Heights are rescaled so the total mass is one.
     pub fn from_densities(edges: Vec<f64>, density: Vec<f64>) -> Result<Self> {
         Self::validate_edges(&edges)?;
-        if density.len() + 1 != edges.len() {
-            return Err(PdfError::LengthMismatch {
-                expected: edges.len() - 1,
-                actual: density.len(),
-            });
-        }
-        for (i, &d) in density.iter().enumerate() {
-            if !(d >= 0.0) || !d.is_finite() {
-                return Err(PdfError::InvalidDensity { index: i, value: d });
-            }
-        }
-        let mut mass = 0.0;
-        for (i, &d) in density.iter().enumerate() {
-            mass += d * (edges[i + 1] - edges[i]);
-        }
-        if !(mass > 0.0) {
-            return Err(PdfError::ZeroMass);
-        }
-        let density: Vec<f64> = density.into_iter().map(|d| d / mass).collect();
-        let cdf = Self::accumulate(&edges, &density);
-        Ok(Self {
-            edges,
-            density,
-            cdf,
-        })
+        Self::check_bar_count(&edges, density.len())?;
+        let mut buf = Vec::with_capacity(3 * density.len() + 2);
+        buf.extend_from_slice(&edges);
+        buf.extend_from_slice(&density);
+        Self::normalize(buf)
     }
 
     /// Build from explicit bin edges and per-bin probability masses.
     pub fn from_masses(edges: Vec<f64>, masses: Vec<f64>) -> Result<Self> {
         Self::validate_edges(&edges)?;
-        if masses.len() + 1 != edges.len() {
-            return Err(PdfError::LengthMismatch {
-                expected: edges.len() - 1,
-                actual: masses.len(),
-            });
-        }
-        let density: Vec<f64> = masses
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| m / (edges[i + 1] - edges[i]))
-            .collect();
-        Self::from_densities(edges, density)
+        Self::check_bar_count(&edges, masses.len())?;
+        let mut buf = Vec::with_capacity(3 * masses.len() + 2);
+        buf.extend_from_slice(&edges);
+        buf.extend_from_slice(&masses);
+        Self::masses_to_densities(&mut buf);
+        Self::normalize(buf)
+    }
+
+    /// Build from one buffer holding `n + 1` bin edges followed by `n`
+    /// (unnormalized) bar heights — [`from_densities`](Self::from_densities)
+    /// without the two input vectors. The heights are normalized in place
+    /// and the cdf is appended, so a buffer allocated with capacity
+    /// `3n + 2` becomes the histogram without reallocating.
+    pub fn from_packed_densities(buf: Vec<f64>) -> Result<Self> {
+        Self::validate_packed(&buf)?;
+        Self::normalize(buf)
+    }
+
+    /// Build from one buffer holding `n + 1` bin edges followed by `n`
+    /// per-bin probability masses — [`from_masses`](Self::from_masses)
+    /// without the two input vectors (same arithmetic, same errors). Size
+    /// the buffer's capacity `3n + 2` to build without reallocating.
+    pub fn from_packed_masses(mut buf: Vec<f64>) -> Result<Self> {
+        Self::validate_packed(&buf)?;
+        Self::masses_to_densities(&mut buf);
+        Self::normalize(buf)
     }
 
     /// Single-bar histogram — the exact representation of a uniform pdf.
     pub fn uniform(lo: f64, hi: f64) -> Result<Self> {
-        Self::from_densities(vec![lo, hi], vec![1.0])
+        let mut buf = Vec::with_capacity(5);
+        buf.extend_from_slice(&[lo, hi, 1.0]);
+        Self::from_packed_densities(buf)
     }
 
-    /// Reassemble a histogram from the exact parts a previous instance
-    /// exposed through [`edges`](Self::edges), [`densities`](Self::densities),
-    /// and [`cdf_at_edges`](Self::cdf_at_edges) — the transport codec for
-    /// shipping an already-normalized histogram across a process boundary
-    /// **bit for bit**.
+    /// Reassemble a histogram from the exact buffer a previous instance
+    /// exposed through [`raw_parts`](Self::raw_parts) —
+    /// `edges (n + 1) | densities (n) | cdf (n + 1)` — the transport codec
+    /// for shipping an already-normalized histogram across a process
+    /// boundary **bit for bit**.
     ///
     /// Unlike [`from_densities`](Self::from_densities) this constructor
     /// never renormalizes (renormalizing divides every density by the
     /// computed mass, which is not an identity in floating point even for
     /// an already-normalized histogram) and never re-accumulates the cdf;
-    /// every invariant is *checked* instead: edges strictly increasing and
-    /// finite, densities non-negative and finite, cdf knots a monotone
-    /// sequence in `[0, 1]` starting at 0, ending at exactly 1, and
-    /// consistent with the bar masses to within accumulation rounding.
-    /// `parts → from_raw_parts → accessors` is the identity, so a decoded
-    /// distribution compares equal (`PartialEq` on the raw `f64` vectors)
-    /// to the one encoded.
-    pub fn from_raw_parts(edges: Vec<f64>, density: Vec<f64>, cdf: Vec<f64>) -> Result<Self> {
-        Self::validate_edges(&edges)?;
-        if density.len() + 1 != edges.len() {
+    /// every invariant is *checked* instead: a length of the form `3n + 2`
+    /// with `n ≥ 1`, edges strictly increasing and finite, densities
+    /// non-negative and finite, cdf knots a monotone sequence in `[0, 1]`
+    /// starting at 0, ending at exactly 1, and consistent with the bar
+    /// masses to within accumulation rounding. `raw_parts → from_raw_parts
+    /// → accessors` is the identity, so a decoded distribution compares
+    /// equal (`PartialEq` on the raw `f64`s) to the one encoded.
+    pub fn from_raw_parts(buf: Vec<f64>) -> Result<Self> {
+        let n = buf.len().saturating_sub(2) / 3;
+        Self::validate_edges(&buf[..(n + 1).min(buf.len())])?;
+        if buf.len() != 3 * n + 2 {
             return Err(PdfError::LengthMismatch {
-                expected: edges.len() - 1,
-                actual: density.len(),
+                expected: 3 * n + 2,
+                actual: buf.len(),
             });
         }
-        for (i, &d) in density.iter().enumerate() {
-            if !(d >= 0.0) || !d.is_finite() {
-                return Err(PdfError::InvalidDensity { index: i, value: d });
-            }
-        }
-        if cdf.len() != edges.len() {
-            return Err(PdfError::LengthMismatch {
-                expected: edges.len(),
-                actual: cdf.len(),
-            });
-        }
+        let (edges, rest) = buf.split_at(n + 1);
+        let (density, cdf) = rest.split_at(n);
+        Self::check_densities(density)?;
         if cdf[0] != 0.0 {
             return Err(PdfError::InvalidCdf {
                 index: 0,
                 value: cdf[0],
             });
         }
-        if *cdf.last().expect("cdf has >= 2 knots") != 1.0 {
+        if cdf[n] != 1.0 {
             return Err(PdfError::InvalidCdf {
-                index: cdf.len() - 1,
-                value: *cdf.last().expect("cdf has >= 2 knots"),
+                index: n,
+                value: cdf[n],
             });
         }
         for (i, w) in cdf.windows(2).enumerate() {
@@ -135,7 +153,7 @@ impl HistogramPdf {
                 });
             }
             // The step must match the bar mass up to accumulation rounding
-            // (`accumulate` sums `d·width` in order; a foreign cdf that
+            // (`normalize` sums `d·width` in order; a foreign cdf that
             // disagrees beyond rounding is not this histogram's cdf).
             let mass = density[i] * (edges[i + 1] - edges[i]);
             if (w[1] - w[0] - mass).abs() > 1e-9 + 1e-9 * mass.abs() {
@@ -145,11 +163,7 @@ impl HistogramPdf {
                 });
             }
         }
-        Ok(Self {
-            edges,
-            density,
-            cdf,
-        })
+        Ok(Self { buf })
     }
 
     /// Equi-width histogram over `[lo, hi]` whose bar masses are the
@@ -170,11 +184,12 @@ impl HistogramPdf {
         if !(lo.is_finite() && hi.is_finite()) || lo >= hi {
             return Err(PdfError::EmptyRegion { lo, hi });
         }
-        let edges = Self::equi_width_edges(lo, hi, bars);
-        let masses: Vec<f64> = (0..bars)
-            .map(|i| gauss_legendre(&mut f, edges[i], edges[i + 1], GlOrder::Eight).max(0.0))
-            .collect();
-        Self::from_masses(edges, masses)
+        let mut buf = Self::equi_width_edges(lo, hi, bars);
+        for i in 0..bars {
+            let (a, b) = (buf[i], buf[i + 1]);
+            buf.push(gauss_legendre(&mut f, a, b, GlOrder::Eight).max(0.0));
+        }
+        Self::from_packed_masses(buf)
     }
 
     /// Equi-width histogram over `[lo, hi]` whose bar masses are the
@@ -184,7 +199,7 @@ impl HistogramPdf {
         lo: f64,
         hi: f64,
         bars: usize,
-        cdf: F,
+        mut cdf: F,
     ) -> Result<Self> {
         if bars == 0 {
             return Err(PdfError::NonPositiveParameter {
@@ -192,17 +207,23 @@ impl HistogramPdf {
                 value: 0.0,
             });
         }
-        let edges = Self::equi_width_edges(lo, hi, bars);
-        let knots: Vec<f64> = edges.iter().copied().map(cdf).collect();
-        let masses = knots.windows(2).map(|c| (c[1] - c[0]).max(0.0)).collect();
-        Self::from_masses(edges, masses)
+        let mut buf = Self::equi_width_edges(lo, hi, bars);
+        let mut prev = cdf(buf[0]);
+        for i in 1..=bars {
+            let knot = cdf(buf[i]);
+            buf.push((knot - prev).max(0.0));
+            prev = knot;
+        }
+        Self::from_packed_masses(buf)
     }
 
+    /// The `bars + 1` equi-width edges, in a buffer with room for the
+    /// whole histogram.
     fn equi_width_edges(lo: f64, hi: f64, bars: usize) -> Vec<f64> {
         let w = (hi - lo) / bars as f64;
-        (0..=bars)
-            .map(|i| if i == bars { hi } else { lo + i as f64 * w })
-            .collect()
+        let mut buf = Vec::with_capacity(3 * bars + 2);
+        buf.extend((0..=bars).map(|i| if i == bars { hi } else { lo + i as f64 * w }));
+        buf
     }
 
     fn validate_edges(edges: &[f64]) -> Result<()> {
@@ -220,43 +241,117 @@ impl HistogramPdf {
         Ok(())
     }
 
-    fn accumulate(edges: &[f64], density: &[f64]) -> Vec<f64> {
-        let mut cdf = Vec::with_capacity(edges.len());
-        cdf.push(0.0);
-        let mut acc = 0.0;
+    fn check_bar_count(edges: &[f64], bars: usize) -> Result<()> {
+        if bars + 1 != edges.len() {
+            return Err(PdfError::LengthMismatch {
+                expected: edges.len() - 1,
+                actual: bars,
+            });
+        }
+        Ok(())
+    }
+
+    /// Validate a packed `edges (n + 1) | values (n)` buffer: the first
+    /// `n + 1 = ⌊len / 2⌋ + 1` values are the edges.
+    fn validate_packed(buf: &[f64]) -> Result<()> {
+        let edges = &buf[..(buf.len() / 2 + 1).min(buf.len())];
+        Self::validate_edges(edges)?;
+        Self::check_bar_count(edges, buf.len() - edges.len())
+    }
+
+    fn check_densities(density: &[f64]) -> Result<()> {
         for (i, &d) in density.iter().enumerate() {
-            acc += d * (edges[i + 1] - edges[i]);
-            cdf.push(acc);
+            if !(d >= 0.0) || !d.is_finite() {
+                return Err(PdfError::InvalidDensity { index: i, value: d });
+            }
+        }
+        Ok(())
+    }
+
+    /// Divide each mass of a validated packed buffer by its bin width.
+    fn masses_to_densities(buf: &mut [f64]) {
+        let n = buf.len() / 2;
+        let (edges, masses) = buf.split_at_mut(n + 1);
+        for (i, m) in masses.iter_mut().enumerate() {
+            *m /= edges[i + 1] - edges[i];
+        }
+    }
+
+    /// Finish a validated packed `edges | densities` buffer: check the
+    /// densities, rescale them to unit mass and append the cdf knots.
+    fn normalize(mut buf: Vec<f64>) -> Result<Self> {
+        let n = buf.len() / 2;
+        let (edges, density) = buf.split_at_mut(n + 1);
+        Self::check_densities(density)?;
+        let mut mass = 0.0;
+        for (i, &d) in density.iter().enumerate() {
+            mass += d * (edges[i + 1] - edges[i]);
+        }
+        if !(mass > 0.0) {
+            return Err(PdfError::ZeroMass);
+        }
+        for d in density.iter_mut() {
+            *d /= mass;
+        }
+        buf.reserve_exact(n + 1);
+        buf.push(0.0);
+        let mut acc = 0.0;
+        for i in 0..n {
+            acc += buf[n + 1 + i] * (buf[i + 1] - buf[i]);
+            buf.push(acc);
         }
         // Guard against tiny rounding drift on the last knot.
-        let n = cdf.len();
-        cdf[n - 1] = 1.0;
-        cdf
+        buf[3 * n + 1] = 1.0;
+        Ok(Self { buf })
+    }
+
+    /// `(edges, densities, cdf knots)`.
+    #[inline]
+    fn parts(&self) -> (&[f64], &[f64], &[f64]) {
+        let n = self.bar_count();
+        let (edges, rest) = self.buf.split_at(n + 1);
+        let (density, cdf) = rest.split_at(n);
+        (edges, density, cdf)
     }
 
     /// Number of bars.
+    #[inline]
     pub fn bar_count(&self) -> usize {
-        self.density.len()
+        (self.buf.len() - 2) / 3
     }
 
     /// Bin edges (length `bar_count() + 1`).
+    #[inline]
     pub fn edges(&self) -> &[f64] {
-        &self.edges
+        &self.buf[..self.bar_count() + 1]
     }
 
     /// Bar heights (length `bar_count()`), normalized.
+    #[inline]
     pub fn densities(&self) -> &[f64] {
-        &self.density
+        self.parts().1
     }
 
     /// Cumulative masses at each edge (length `bar_count() + 1`).
+    #[inline]
     pub fn cdf_at_edges(&self) -> &[f64] {
-        &self.cdf
+        &self.buf[2 * self.bar_count() + 1..]
+    }
+
+    /// The whole buffer, `edges | densities | cdf` (length
+    /// `3 · bar_count() + 2`) — what [`from_raw_parts`](Self::from_raw_parts)
+    /// takes back.
+    pub fn raw_parts(&self) -> &[f64] {
+        &self.buf
     }
 
     /// Iterate over `(bin_lo, bin_hi, density)` triples.
     pub fn bars(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
-        (0..self.density.len()).map(|i| (self.edges[i], self.edges[i + 1], self.density[i]))
+        let (edges, density, _) = self.parts();
+        density
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| (edges[i], edges[i + 1], d))
     }
 
     /// Bulk cdf evaluation over an **ascending** slice of points: one merge
@@ -277,9 +372,10 @@ impl HistogramPdf {
             "cdf_many requires ascending inputs"
         );
         debug_assert_eq!(xs.len(), out.len());
-        let n = self.density.len();
-        let lo = self.edges[0];
-        let hi = self.edges[n];
+        let (edges, density, cdf) = self.parts();
+        let n = density.len();
+        let lo = edges[0];
+        let hi = edges[n];
         // Leading out-of-support run: cdf = 0 at or below the left edge.
         let mut i = 0usize;
         while i < xs.len() && xs[i] <= lo {
@@ -297,12 +393,12 @@ impl HistogramPdf {
         let mut b = 0usize;
         while i < end {
             let x0 = xs[i];
-            while self.edges[b + 1] <= x0 {
+            while edges[b + 1] <= x0 {
                 b += 1;
             }
             // The run of points that stay inside bin b (x0 always does).
-            let (c, d, e) = (self.cdf[b], self.density[b], self.edges[b]);
-            let next = self.edges[b + 1];
+            let (c, d, e) = (cdf[b], density[b], edges[b]);
+            let next = edges[b + 1];
             loop {
                 out[i] = (c + d * (xs[i] - e)).clamp(0.0, 1.0);
                 i += 1;
@@ -317,15 +413,16 @@ impl HistogramPdf {
     /// final bin closed on the right). Returns `None` outside the support.
     #[inline]
     pub fn bin_of(&self, x: f64) -> Option<usize> {
-        let n = self.density.len();
-        if x < self.edges[0] || x > self.edges[n] {
+        let edges = self.edges();
+        let n = edges.len() - 1;
+        if x < edges[0] || x > edges[n] {
             return None;
         }
-        if x == self.edges[n] {
+        if x == edges[n] {
             return Some(n - 1);
         }
         // partition_point returns the first index whose edge is > x.
-        let idx = self.edges.partition_point(|&e| e <= x);
+        let idx = edges.partition_point(|&e| e <= x);
         Some(idx - 1)
     }
 }
@@ -333,48 +430,52 @@ impl HistogramPdf {
 impl Pdf for HistogramPdf {
     #[inline]
     fn support(&self) -> (f64, f64) {
-        (self.edges[0], *self.edges.last().expect("non-empty edges"))
+        let edges = self.edges();
+        (edges[0], edges[edges.len() - 1])
     }
 
     #[inline]
     fn density(&self, x: f64) -> f64 {
         match self.bin_of(x) {
-            Some(i) => self.density[i],
+            Some(i) => self.densities()[i],
             None => 0.0,
         }
     }
 
     #[inline]
     fn cdf(&self, x: f64) -> f64 {
-        let n = self.density.len();
-        if x <= self.edges[0] {
+        let (edges, density, cdf) = self.parts();
+        let n = density.len();
+        if x <= edges[0] {
             return 0.0;
         }
-        if x >= self.edges[n] {
+        if x >= edges[n] {
             return 1.0;
         }
-        let i = self.bin_of(x).expect("x inside support");
-        (self.cdf[i] + self.density[i] * (x - self.edges[i])).clamp(0.0, 1.0)
+        // x is strictly inside the support, so this is `bin_of(x)`.
+        let i = edges.partition_point(|&e| e <= x) - 1;
+        (cdf[i] + density[i] * (x - edges[i])).clamp(0.0, 1.0)
     }
 
     fn quantile(&self, p: f64) -> f64 {
+        let (edges, density, cdf) = self.parts();
         let p = p.clamp(0.0, 1.0);
-        let n = self.density.len();
+        let n = density.len();
         if p <= 0.0 {
-            return self.edges[0];
+            return edges[0];
         }
         if p >= 1.0 {
-            return self.edges[n];
+            return edges[n];
         }
         // First knot with cumulative mass >= p.
-        let j = self.cdf.partition_point(|&c| c < p);
+        let j = cdf.partition_point(|&c| c < p);
         let i = j.saturating_sub(1).min(n - 1);
-        let d = self.density[i];
+        let d = density[i];
         if d <= 0.0 {
             // Zero-density bin: jump to its right edge.
-            return self.edges[i + 1];
+            return edges[i + 1];
         }
-        self.edges[i] + (p - self.cdf[i]) / d
+        edges[i] + (p - cdf[i]) / d
     }
 
     fn mean(&self) -> f64 {

@@ -22,8 +22,9 @@
 //! ## Bit-exact candidate transport
 //!
 //! `Candidates` replies ship each surviving object's distance histogram
-//! as its **raw parts** (edges, densities, cdf knots, every `f64` bit
-//! preserved) and the router reassembles them through
+//! as its **raw parts** (its one buffer: edges, densities, cdf knots,
+//! every `f64` bit preserved) and the router reads each item back into
+//! one buffer and reassembles it through
 //! [`HistogramPdf::from_raw_parts`] — validation without
 //! renormalization — so a routed candidate set compares equal to the one
 //! an in-process [`ShardedDb`](cpnn_core::ShardedDb) builds. That is the
@@ -414,14 +415,8 @@ impl Response {
                         w.put_u64(id.0)?;
                         let hist = dist.histogram();
                         w.put_u32(hist.bar_count() as u32)?;
-                        for &e in hist.edges() {
-                            w.put_f64(e)?;
-                        }
-                        for &d in hist.densities() {
-                            w.put_f64(d)?;
-                        }
-                        for &c in hist.cdf_at_edges() {
-                            w.put_f64(c)?;
+                        for &v in hist.raw_parts() {
+                            w.put_f64(v)?;
                         }
                     }
                     Ok(())
@@ -493,10 +488,9 @@ impl Response {
                 for _ in 0..n {
                     let id = ObjectId(take_u64(&mut r)?);
                     let bars = take_count(&mut r, MAX_BARS, "histogram bars")?;
-                    let edges = take_f64s(&mut r, bars + 1)?;
-                    let density = take_f64s(&mut r, bars)?;
-                    let cdf = take_f64s(&mut r, bars + 1)?;
-                    let hist = HistogramPdf::from_raw_parts(edges, density, cdf)
+                    // `edges | densities | cdf`: the histogram's own layout.
+                    let parts = take_f64s(&mut r, 3 * bars + 2)?;
+                    let hist = HistogramPdf::from_raw_parts(parts)
                         .map_err(|e| WireError::Corrupt(format!("bad distance histogram: {e}")))?;
                     items.push((id, DistanceDistribution::from_histogram(hist)));
                 }
