@@ -9,7 +9,10 @@
 //! table) does the heavy lifting; the resolution-rate column is the 2-D
 //! analogue of Fig. 13, and the per-stage columns — the share of queries
 //! whose last object each stage decided, with the Poisson-binomial tails a
-//! query costs — are the k-NN analogue of Fig. 12.
+//! query costs — are the k-NN analogue of Fig. 12. The last column counts
+//! the closed-form distance-cdf knots a query evaluates: each candidate's
+//! knots are computed on demand, and never past the first grid edge beyond
+//! the horizon.
 
 use cpnn_core::{BatchExecutor, PipelineConfig, QuerySpec, Strategy, UncertainDb2d};
 use cpnn_datagen::{objects_2d, query_points_2d, Synthetic2dConfig};
@@ -20,7 +23,8 @@ use crate::report::Table;
 
 /// Run the experiment. Columns: k, wall ms, throughput, average
 /// candidates/subregions, queries resolved by verification alone, the
-/// share each chain position decided, and SR-k tails per query.
+/// share each chain position decided, SR-k tails and cdf knots evaluated
+/// per query.
 pub fn run(quick: bool) -> Table {
     let cfg2d = Synthetic2dConfig {
         count: if quick { 2_000 } else { 10_000 },
@@ -50,6 +54,7 @@ pub fn run(quick: bool) -> Table {
             "by coarse SR-k %",
             "by fine SR-k %",
             "tails/query",
+            "cdf evals/query",
         ],
     );
     table.note(format!(
@@ -78,6 +83,7 @@ pub fn run(quick: bool) -> Table {
         };
         let subregions: usize = stats().map(|st| st.subregions).sum();
         let tails: usize = stats().map(|st| st.pb_tails).sum();
+        let cdf_evals: usize = stats().map(|st| st.cdf_evals).sum();
         let per_query = |count: usize| count as f64 / s.queries.max(1) as f64;
         let decided_by = |pos: usize| {
             let count = stats()
@@ -96,6 +102,7 @@ pub fn run(quick: bool) -> Table {
             decided_by(1),
             decided_by(2),
             format!("{:.1}", per_query(tails)),
+            format!("{:.1}", per_query(cdf_evals)),
         ]);
     }
     table

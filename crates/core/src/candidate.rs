@@ -2,6 +2,8 @@
 //! distance distributions, sorted by near point (paper Sec. IV-A: "sort
 //! these objects in the ascending order of their near points").
 
+use std::borrow::Cow;
+
 use crate::distance::DistanceDistribution;
 use crate::error::Result;
 use crate::object::{ObjectId, UncertainObject};
@@ -119,6 +121,23 @@ impl CandidateSet {
             fmax,
             horizon,
         }
+    }
+
+    /// The set with every knot grid materialised as its histogram (the
+    /// same cdf, bit for bit) — for evaluators that read the distributions
+    /// at arbitrary radii. Borrowed when every member is a histogram
+    /// already.
+    pub fn with_histograms(&self) -> Cow<'_, CandidateSet> {
+        if self.members.iter().all(|m| m.dist.is_histogram()) {
+            return Cow::Borrowed(self);
+        }
+        let mut owned = self.clone();
+        for m in &mut owned.members {
+            if !m.dist.is_histogram() {
+                m.dist = DistanceDistribution::from_histogram(m.dist.histogram().into_owned());
+            }
+        }
+        Cow::Owned(owned)
     }
 
     /// The query point.

@@ -8,16 +8,40 @@
 //! when `q` lies inside the region). The result is again a histogram, whose
 //! cdf is piecewise linear — exactly the representation the subregion
 //! machinery requires (Sec. IV-A).
+//!
+//! A 2-D region's distance cdf is a closed form instead, read on an
+//! equi-width grid of knots that are computed only when first read
+//! ([`crate::distance2d::KnotGrid`]). A [`DistanceDistribution`] is one of
+//! the two; both are piecewise linear with their breakpoints known up
+//! front, and the grid materialises as the histogram with the same knots
+//! and the same reads ([`DistanceDistribution::histogram`]).
+
+use std::borrow::Cow;
 
 use cpnn_pdf::{discretize, HistogramPdf, Pdf};
 
+use crate::distance2d::KnotGrid;
 use crate::error::Result;
 
-/// The distribution of `Ri = |Xi − q|`, stored as a histogram on
-/// `[near, far]` (paper Definition 3: near point `ni`, far point `fi`).
+/// The distribution of `Ri = |Xi − q|` on `[near, far]` (paper
+/// Definition 3: near point `ni`, far point `fi`): a histogram, or a
+/// closed-form cdf on a knot grid.
+///
+/// Holds no memo: knots read through a grid go into a buffer the caller
+/// owns ([`Self::cdf_many`]), so a distribution shared between threads (a
+/// cached candidate set) is never written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceDistribution {
-    hist: HistogramPdf,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Repr {
+    /// A folded 1-D distance pdf, or a materialised grid (a decoded shard
+    /// reply).
+    Histogram(HistogramPdf),
+    /// A 2-D distance cdf whose knots are computed when read.
+    Knots(Box<KnotGrid>),
 }
 
 impl DistanceDistribution {
@@ -90,26 +114,36 @@ impl DistanceDistribution {
             let m = 0.5 * (buf[i - 1] + buf[i]);
             buf.push(pdf.density(q + m) + pdf.density(q - m));
         }
-        Ok(Self {
-            hist: HistogramPdf::from_packed_densities(buf)?,
-        })
+        Ok(Self::from_histogram(HistogramPdf::from_packed_densities(
+            buf,
+        )?))
     }
 
     /// Wrap an already-folded distance histogram — the decode half of the
     /// distributed-serving wire codec.
     ///
-    /// A shard process folds its objects' pdfs locally
-    /// ([`from_pdf`](Self::from_pdf)) and ships the resulting histogram's
-    /// raw parts; the router reassembles it through
-    /// [`HistogramPdf::from_raw_parts`] (which validates every histogram
-    /// invariant without renormalizing) and wraps it here. Because the
-    /// round trip preserves every `f64` bit, a routed candidate's
-    /// distribution compares equal to the one a single-process
-    /// [`ShardedDb`](crate::shard::ShardedDb) would have built, which is
+    /// A shard process builds its objects' distance distributions locally
+    /// and ships each one's [`histogram`](Self::histogram) as raw parts;
+    /// the router reassembles it through [`HistogramPdf::from_raw_parts`]
+    /// (which validates every histogram invariant without renormalizing)
+    /// and wraps it here. Because the round trip preserves every `f64` bit,
+    /// and a knot grid reads exactly as its histogram, a routed
+    /// candidate's cdf values are bitwise the ones a single-process
+    /// [`ShardedDb`](crate::shard::ShardedDb) would have read, which is
     /// what makes routed answers bit-identical to local ones
     /// (property-tested in `crates/router/tests/proptest_router.rs`).
     pub fn from_histogram(hist: HistogramPdf) -> Self {
-        Self { hist }
+        Self {
+            repr: Repr::Histogram(hist),
+        }
+    }
+
+    /// A closed-form cdf on a knot grid (built by
+    /// [`crate::distance2d::RadialCdf::distribution`]).
+    pub(crate) fn from_knots(grid: KnotGrid) -> Self {
+        Self {
+            repr: Repr::Knots(Box::new(grid)),
+        }
     }
 
     /// Re-bin onto at most `max_bins` equal-width bins (mass-preserving at
@@ -118,61 +152,100 @@ impl DistanceDistribution {
     /// resolution for verifier cost. Folds of uniform objects (≤ 3 bins) are
     /// returned unchanged.
     pub fn with_max_bins(self, max_bins: usize) -> Result<Self> {
-        if max_bins == 0 || self.hist.bar_count() <= max_bins {
+        if max_bins == 0 || self.breakpoints().len() - 1 <= max_bins {
             return Ok(self);
         }
-        Ok(Self {
-            hist: discretize(&self.hist, max_bins)?,
-        })
+        Ok(Self::from_histogram(discretize(
+            self.histogram().as_ref(),
+            max_bins,
+        )?))
     }
 
     /// Near point `ni`: the minimum possible distance.
     pub fn near(&self) -> f64 {
-        self.hist.support().0
+        match &self.repr {
+            Repr::Histogram(hist) => hist.support().0,
+            Repr::Knots(grid) => grid.edge(0),
+        }
     }
 
     /// Far point `fi`: the maximum possible distance.
     pub fn far(&self) -> f64 {
-        self.hist.support().1
+        match &self.repr {
+            Repr::Histogram(hist) => hist.support().1,
+            Repr::Knots(grid) => grid.edge(grid.bins()),
+        }
     }
 
     /// Distance cdf `Di(r)` (piecewise linear, clamped to `[0, 1]`).
+    ///
+    /// This and the other pointwise reads below go through
+    /// [`Self::histogram`], which materialises a knot grid on every call;
+    /// the subregion table reads grids through [`Self::cdf_many`].
     pub fn cdf(&self, r: f64) -> f64 {
-        self.hist.cdf(r)
+        self.histogram().cdf(r)
     }
 
     /// Bulk cdf evaluation over an **ascending** slice of radii into
-    /// `out[..rs.len()]`: a single merge pass over the histogram edges,
-    /// bit-identical to calling [`Self::cdf`] per point — see
-    /// [`HistogramPdf::cdf_many`].
-    pub fn cdf_many(&self, rs: &[f64], out: &mut [f64]) {
-        self.hist.cdf_many(rs, out);
+    /// `out[..rs.len()]`, bit-identical to calling [`Self::cdf`] per point:
+    /// a single merge pass over the histogram edges
+    /// ([`HistogramPdf::cdf_many`]), or over a knot grid's bins reading the
+    /// knots `k_0 …` already in `knots` (empty at first) and extending them
+    /// as far as it reads, counting closed-form evaluations in `evals`. A
+    /// histogram leaves both alone. The caller owns the knots, so a
+    /// distribution shared between threads is never written.
+    pub fn cdf_many(&self, rs: &[f64], out: &mut [f64], knots: &mut Vec<f64>, evals: &mut usize) {
+        match &self.repr {
+            Repr::Histogram(hist) => hist.cdf_many(rs, out),
+            Repr::Knots(grid) => grid.cdf_many(rs, out, knots, evals),
+        }
     }
 
     /// Distance pdf `di(r)`.
     pub fn density(&self, r: f64) -> f64 {
-        self.hist.density(r)
+        self.histogram().density(r)
     }
 
     /// `Pr[a ≤ Ri ≤ b]`.
     pub fn mass_between(&self, a: f64, b: f64) -> f64 {
-        self.hist.mass_between(a, b)
+        self.histogram().mass_between(a, b)
     }
 
     /// Inverse cdf (inverse-transform sampling of a distance).
     pub fn quantile(&self, p: f64) -> f64 {
-        self.hist.quantile(p)
+        self.histogram().quantile(p)
     }
 
-    /// Bin edges of the distance histogram — the "points at which the
-    /// distance pdf changes" that must become subregion endpoints.
-    pub fn breakpoints(&self) -> &[f64] {
-        self.hist.edges()
+    /// Bin edges of the distance histogram, ascending — the "points at
+    /// which the distance pdf changes" that must become subregion
+    /// endpoints. A knot grid computes them without evaluating its cdf.
+    pub fn breakpoints(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let edges = match &self.repr {
+            Repr::Histogram(hist) => hist.edges().len(),
+            Repr::Knots(grid) => grid.bins() + 1,
+        };
+        (0..edges).map(|m| self.edge(m))
     }
 
-    /// The underlying histogram.
-    pub fn histogram(&self) -> &HistogramPdf {
-        &self.hist
+    /// The distribution as a histogram: the stored one, or a knot grid
+    /// materialised (one allocation, every knot computed).
+    pub fn histogram(&self) -> Cow<'_, HistogramPdf> {
+        match &self.repr {
+            Repr::Histogram(hist) => Cow::Borrowed(hist),
+            Repr::Knots(grid) => Cow::Owned(grid.histogram()),
+        }
+    }
+
+    /// Is this a histogram already (rather than a knot grid)?
+    pub fn is_histogram(&self) -> bool {
+        matches!(self.repr, Repr::Histogram(_))
+    }
+
+    fn edge(&self, m: usize) -> f64 {
+        match &self.repr {
+            Repr::Histogram(hist) => hist.edges()[m],
+            Repr::Knots(grid) => grid.edge(m),
+        }
     }
 }
 
@@ -270,7 +343,7 @@ mod tests {
         let d = DistanceDistribution::from_pdf(&pdf, 4.0).unwrap();
         let rs = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.0, 3.7, 4.0, 9.0];
         let mut out = [f64::NAN; 9];
-        d.cdf_many(&rs, &mut out);
+        d.cdf_many(&rs, &mut out, &mut Vec::new(), &mut 0);
         for (&r, &v) in rs.iter().zip(&out) {
             assert_eq!(v.to_bits(), d.cdf(r).to_bits(), "r = {r}");
         }

@@ -12,18 +12,37 @@
 //! D(r) = area( disk(q, r) ∩ disk(c, R) ) / (π R²)
 //! ```
 //!
-//! which has a closed form. The cdf is discretized (mass-preserving) into a
-//! distance histogram ([`RadialCdf`], shared with rectangles), after which
-//! the entire 1-D verifier machinery — subregions, RS/L-SR/U-SR,
+//! which has a closed form — as has the rectangle's ([`crate::geometry2d`]).
+//! The verifiers only ever read a distance cdf at subregion end-points, so a
+//! 2-D distance distribution is not a histogram built up front but a
+//! [`KnotGrid`]: the piecewise-linear cdf through *knots* of the closed form
+//! on `bins` equi-width edges of `[near, far]`,
+//!
+//! ```text
+//! k_0 = 0,   k_m = max(k_{m−1}, clamp(D(e_m), 0, 1)),   k_bins = 1,
+//! ```
+//!
+//! read as `(k_m + d_m·(r − e_m)).clamp(0, 1)` on bin `m`, with
+//! `d_m = (k_{m+1} − k_m)/(e_{m+1} − e_m)`. The edges are known before any
+//! cdf is evaluated, and the knots are computed in edge order only as far
+//! as a read needs them — for the subregion table, never past the first
+//! edge beyond the candidate set's horizon (the knots live in the table,
+//! which is per-query scratch). The knots are not renormalised: the closed
+//! forms already are, and renormalising would need every knot before any
+//! one could be read. [`DistanceDistribution::histogram`] materialises the
+//! same knots, densities and reads as a [`HistogramPdf`] — what a shard
+//! reply ships and what the Basic strategy integrates — bit for bit. After
+//! that the entire 1-D verifier machinery — subregions, RS/L-SR/U-SR,
 //! refinement — applies unchanged through
-//! [`crate::candidate::CandidateSet::from_distances`]. This module holds the
-//! geometry only; queries over disks and rectangles run through
+//! [`crate::candidate::CandidateSet::from_distances`]. This module holds
+//! the geometry only; queries over disks and rectangles run through
 //! [`crate::engine2d::UncertainDb2d`].
 
-use cpnn_pdf::HistogramPdf;
+use cpnn_pdf::{HistogramPdf, PdfError};
 
 use crate::distance::DistanceDistribution;
 use crate::error::{CoreError, Result};
+use crate::geometry2d::{disk_rect_intersection_area, Rect2};
 use crate::object::ObjectId;
 
 /// A 2-D uncertain object: uniform pdf over a disk.
@@ -69,14 +88,13 @@ impl CircleObject {
     }
 
     /// Distance cdf from `q`, `D(r) = lens(d, r, R)/(πR²)`, with the center
-    /// distance and the disk area computed once.
-    pub fn radial(&self, q: [f64; 2]) -> RadialCdf<impl Fn(f64) -> f64> {
+    /// distance computed once.
+    pub fn radial(&self, q: [f64; 2]) -> RadialCdf {
         let (d, radius) = (self.center_dist(q), self.radius);
-        let total = std::f64::consts::PI * radius * radius;
         RadialCdf {
             near: (d - radius).max(0.0),
             far: d + radius,
-            cdf: move |r| (lens_area(d, r, radius) / total).clamp(0.0, 1.0),
+            shape: Shape::Disk { d, radius },
         }
     }
 }
@@ -90,25 +108,205 @@ pub(crate) fn check_finite_point(p: [f64; 2]) -> Result<()> {
 }
 
 /// The distance from a fixed query point to a uniform 2-D region: its
-/// support `[near, far]` and its cdf. Both region shapes reduce to this, and
-/// [`RadialCdf::distribution`] is the one place a cdf becomes a histogram.
-pub struct RadialCdf<F> {
+/// support `[near, far]` and its closed-form cdf ([`Self::cdf`]). Both
+/// region shapes reduce to this, and [`RadialCdf::distribution`] is the one
+/// place a cdf becomes a distance distribution.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RadialCdf {
     /// Minimum possible distance.
     pub near: f64,
     /// Maximum possible distance.
     pub far: f64,
-    /// `Pr[distance ≤ r]`.
-    pub cdf: F,
+    shape: Shape,
 }
 
-impl<F: Fn(f64) -> f64> RadialCdf<F> {
-    /// Mass-preserving discretization onto `bins` equal-width bins, the cdf
-    /// evaluated once per edge: already a histogram on the distance domain,
-    /// so no fold is needed.
+/// The region a [`RadialCdf`] measures, as its closed form needs it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// A disk of `radius` whose center lies `d` from the query point.
+    Disk { d: f64, radius: f64 },
+    /// A rectangle seen from `q`.
+    Rect { q: [f64; 2], rect: Rect2 },
+}
+
+impl RadialCdf {
+    /// The distance cdf of `rect` from `q`.
+    pub(crate) fn rect(q: [f64; 2], rect: Rect2) -> Self {
+        Self {
+            near: rect.near(q),
+            far: rect.far(q),
+            shape: Shape::Rect { q, rect },
+        }
+    }
+
+    /// `Pr[distance ≤ r]`, clamped to `[0, 1]`.
+    pub fn cdf(&self, r: f64) -> f64 {
+        let area = match self.shape {
+            Shape::Disk { d, radius } => {
+                lens_area(d, r, radius) / (std::f64::consts::PI * radius * radius)
+            }
+            Shape::Rect { q, rect } => disk_rect_intersection_area(q, r, &rect) / rect.area(),
+        };
+        area.clamp(0.0, 1.0)
+    }
+
+    /// The distance distribution on `bins` equi-width bins of
+    /// `[near, far]` (at least 2): a [`KnotGrid`], whose knots are computed
+    /// when first read. Fails where a histogram on those edges could not
+    /// exist (edges that do not strictly increase).
     pub fn distribution(&self, bins: usize) -> Result<DistanceDistribution> {
-        let (near, far) = (self.near, self.far);
-        let hist = HistogramPdf::equi_width_from_cdf(near, far, bins.max(2), &self.cdf)?;
-        Ok(DistanceDistribution::from_histogram(hist))
+        Ok(DistanceDistribution::from_knots(KnotGrid::new(
+            *self, bins,
+        )?))
+    }
+}
+
+/// A closed-form distance cdf on `bins` equi-width edges of `[near, far]`
+/// (see the module docs): the edges are computed with the arithmetic of
+/// [`HistogramPdf`]'s equi-width constructors, the knots only when read,
+/// into a buffer the caller keeps ([`DistanceDistribution::cdf_many`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct KnotGrid {
+    radial: RadialCdf,
+    bins: usize,
+    /// `(far − near) / bins`.
+    width: f64,
+}
+
+impl KnotGrid {
+    /// Grid of `bins.max(2)` bins, rejecting edges a histogram would reject
+    /// — not strictly increasing, not finite, or so close that a bar's
+    /// density overflows — so [`Self::histogram`] cannot fail.
+    fn new(radial: RadialCdf, bins: usize) -> Result<Self> {
+        let bins = bins.max(2);
+        let width = (radial.far - radial.near) / bins as f64;
+        let grid = Self {
+            radial,
+            bins,
+            width,
+        };
+        // Rounding moves an edge by at most a few ulps of the larger end
+        // point, so edges this far apart increase without checking each.
+        let scale = radial.near.abs().max(radial.far.abs());
+        let spaced = width > 16.0 * f64::EPSILON * scale && (2.0 / width).is_finite();
+        if !spaced {
+            for m in 0..bins {
+                let (e, next) = (grid.edge(m), grid.edge(m + 1));
+                if !(e < next
+                    && e.is_finite()
+                    && next.is_finite()
+                    && (2.0 / (next - e)).is_finite())
+                {
+                    return Err(CoreError::Pdf(PdfError::UnsortedEdges { index: m }));
+                }
+            }
+        }
+        Ok(grid)
+    }
+
+    /// Number of bins.
+    pub(crate) fn bins(&self) -> usize {
+        self.bins
+    }
+
+    /// Edge `e_m`, `m ∈ 0..=bins`: `near + m·width`, and exactly `far` at
+    /// `m = bins`.
+    #[inline]
+    pub(crate) fn edge(&self, m: usize) -> f64 {
+        if m == self.bins {
+            self.radial.far
+        } else {
+            self.radial.near + m as f64 * self.width
+        }
+    }
+
+    /// Knot `k_at`, given `k_{at−1}` (`None` at `at = 0`), counting a
+    /// closed-form evaluation in `evals`.
+    #[inline]
+    fn knot(&self, at: usize, prev: Option<f64>, evals: &mut usize) -> f64 {
+        match prev {
+            None => 0.0,
+            Some(_) if at == self.bins => 1.0,
+            Some(prev) => {
+                *evals += 1;
+                prev.max(self.radial.cdf(self.edge(at)))
+            }
+        }
+    }
+
+    /// Extend `knots` (the knots `k_0 …` computed so far) through `k_m`.
+    #[inline]
+    fn extend(&self, knots: &mut Vec<f64>, m: usize, evals: &mut usize) {
+        while knots.len() <= m {
+            let knot = self.knot(knots.len(), knots.last().copied(), evals);
+            knots.push(knot);
+        }
+    }
+
+    /// The cdf over an **ascending** slice of radii into `out`, reading
+    /// (and extending) the knots already in `knots`: `0` at or below
+    /// `near`, `1` at or beyond `far`, and on bin `m` (the last whose left
+    /// edge is `≤ r`) the read of the module docs — exactly the cdf of
+    /// [`Self::histogram`]. A read on bin `m` needs `k_{m+1}`, so the knots
+    /// end at the first edge past the largest radius read.
+    pub(crate) fn cdf_many(
+        &self,
+        rs: &[f64],
+        out: &mut [f64],
+        knots: &mut Vec<f64>,
+        evals: &mut usize,
+    ) {
+        debug_assert!(rs.windows(2).all(|w| w[0] <= w[1]), "ascending radii");
+        debug_assert_eq!(rs.len(), out.len());
+        let (lo, hi) = (self.radial.near, self.radial.far);
+        // The runs outside the support, then one run per bin with the bin's
+        // constants hoisted — the shape of `HistogramPdf::cdf_many`.
+        let mut i = 0;
+        while i < rs.len() && rs[i] <= lo {
+            out[i] = 0.0;
+            i += 1;
+        }
+        let mut end = rs.len();
+        while end > i && rs[end - 1] >= hi {
+            end -= 1;
+            out[end] = 1.0;
+        }
+        let mut m = 0;
+        while i < end {
+            while self.edge(m + 1) <= rs[i] {
+                m += 1;
+            }
+            self.extend(knots, m + 1, evals);
+            let (e, next) = (self.edge(m), self.edge(m + 1));
+            let (c, d) = (knots[m], (knots[m + 1] - knots[m]) / (next - e));
+            loop {
+                out[i] = (c + d * (rs[i] - e)).clamp(0.0, 1.0);
+                i += 1;
+                if i == end || rs[i] >= next {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Materialise every knot as a histogram — one allocation, laid out
+    /// `edges | densities | knots` and checked by
+    /// [`HistogramPdf::from_raw_parts`], never renormalised.
+    pub(crate) fn histogram(&self) -> HistogramPdf {
+        let n = self.bins;
+        let mut buf = Vec::with_capacity(3 * n + 2);
+        buf.extend((0..=n).map(|m| self.edge(m)));
+        buf.resize(2 * n + 1, 0.0);
+        for at in 0..=n {
+            let prev = (at > 0).then(|| buf[buf.len() - 1]);
+            let knot = self.knot(at, prev, &mut 0);
+            buf.push(knot);
+        }
+        let (head, knots) = buf.split_at_mut(2 * n + 1);
+        for m in 0..n {
+            head[n + 1 + m] = (knots[m + 1] - knots[m]) / (head[m + 1] - head[m]);
+        }
+        HistogramPdf::from_raw_parts(buf).expect("a validated knot grid is a histogram")
     }
 }
 
@@ -136,6 +334,8 @@ pub fn lens_area(d: f64, r1: f64, r2: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpnn_pdf::Pdf;
+
     use crate::engine2d::{Object2d, UncertainDb2d};
     use crate::geometry2d::Rect2;
     use crate::pipeline::DistanceModel;
@@ -161,7 +361,7 @@ mod tests {
         let o = CircleObject::new(ObjectId(0), [0.0, 0.0], 2.0).unwrap();
         for r in [0.0, 0.5, 1.0, 1.5, 2.0] {
             let want = (r / 2.0) * (r / 2.0);
-            let got = (o.radial([0.0, 0.0]).cdf)(r);
+            let got = o.radial([0.0, 0.0]).cdf(r);
             assert!((got - want).abs() < 1e-12, "r = {r}: {got} vs {want}");
         }
     }
@@ -293,13 +493,50 @@ mod tests {
         assert_eq!(db.check_query(&[3.0, -4.0]), Ok(()));
     }
 
+    /// Reads through the knot memo — at every edge, mid-bin and outside
+    /// the support, in one ascending sweep and one radius at a time — are
+    /// bit-equal to the materialised histogram's cdf, and a sweep stops
+    /// computing knots at the first edge past the largest radius it reads.
+    fn lazy_reads_match_histogram(grid: &KnotGrid, what: &str) {
+        let hist = grid.histogram();
+        let n = grid.bins();
+        let mut rs = vec![grid.edge(0) - 1.0, grid.edge(n) + 1.0];
+        for m in 0..=n {
+            rs.push(grid.edge(m));
+            if m < n {
+                rs.push(0.5 * (grid.edge(m) + grid.edge(m + 1)));
+            }
+        }
+        rs.sort_by(f64::total_cmp);
+        let mut out = vec![f64::NAN; rs.len()];
+        let (mut knots, mut evals) = (Vec::new(), 0);
+        grid.cdf_many(&rs, &mut out, &mut knots, &mut evals);
+        assert_eq!(&knots[..], hist.cdf_at_edges(), "{what}: knots");
+        assert_eq!(evals, n - 1, "{what}: k_0 and k_n are not evaluated");
+        for (&r, &v) in rs.iter().zip(&out) {
+            assert_eq!(v.to_bits(), hist.cdf(r).to_bits(), "{what}: r = {r}");
+            let (mut one, mut knots) = ([f64::NAN], Vec::new());
+            grid.cdf_many(&[r], &mut one, &mut knots, &mut 0);
+            assert_eq!(one[0].to_bits(), v.to_bits(), "{what}: alone, r = {r}");
+            let needed = (0..=n).find(|&m| grid.edge(m) > r).unwrap_or(0);
+            let past = if r > grid.edge(0) && r < grid.edge(n) {
+                needed + 1
+            } else {
+                0
+            };
+            assert_eq!(knots.len(), past, "{what}: knots for r = {r}");
+        }
+    }
+
     /// Both shapes through the shared builder: the cdf is 0 at the near
-    /// point, 1 at the far point, monotone in between, and the raw bin
-    /// masses already sum to one before the histogram normalizes them.
+    /// point, 1 at the far point, monotone in between, and the closed form's
+    /// bin masses sum to one on every grid — which is why the knots need no
+    /// renormalising.
     #[test]
     fn radial_cdfs_are_proper_for_both_shapes() {
-        fn check<F: Fn(f64) -> f64>(radial: RadialCdf<F>, what: &str) {
-            let RadialCdf { near, far, ref cdf } = radial;
+        fn check(radial: RadialCdf, what: &str) {
+            let RadialCdf { near, far, .. } = radial;
+            let cdf = |r: f64| radial.cdf(r);
             assert!(
                 cdf(near).abs() <= 1e-12,
                 "{what}: cdf(near) = {}",
@@ -318,16 +555,16 @@ mod tests {
             }
             for bins in [2, 48, 97] {
                 let dist = radial.distribution(bins).unwrap();
-                let edges = dist.breakpoints();
+                let edges: Vec<f64> = dist.breakpoints().collect();
                 assert_eq!(edges.len(), bins + 1);
                 assert_eq!((edges[0], edges[bins]), (near, far));
-                // The masses the builder saw, before the histogram
-                // normalized them.
+                assert_eq!(dist.histogram().edges(), &edges[..]);
                 let raw: f64 = edges
                     .windows(2)
                     .map(|e| (cdf(e[1]) - cdf(e[0])).max(0.0))
                     .sum();
                 assert!((raw - 1.0).abs() <= 1e-9, "{what}: raw mass {raw}");
+                lazy_reads_match_histogram(&KnotGrid::new(radial, bins).unwrap(), what);
             }
         }
         let queries = [

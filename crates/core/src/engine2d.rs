@@ -90,7 +90,8 @@ impl Object2d {
         }
     }
 
-    /// Distance distribution from `q`, discretized onto `bins` bars.
+    /// Distance distribution from `q` on `bins` equi-width bins, its knots
+    /// computed when first read ([`crate::distance2d::KnotGrid`]).
     pub fn distance_distribution(&self, q: [f64; 2], bins: usize) -> Result<DistanceDistribution> {
         match self {
             Object2d::Circle(c) => c.radial(q).distribution(bins),

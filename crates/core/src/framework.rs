@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use crate::classify::{Classifier, Label};
-use crate::subregion::SubregionTable;
+use crate::subregion::{SubregionTable, TableSource};
 use crate::verifiers::{
     LowerSubregion, RightmostSubregion, UpperSubregion, VerificationState, Verifier,
 };
@@ -98,16 +98,23 @@ pub fn run_verification(
 
 /// [`run_verification`] writing into caller-owned state and stage buffers —
 /// the allocation-free form the batch executor drives with per-thread
-/// scratch. `state` must already be [`VerificationState::reset`] for
-/// `table`; `stages` is appended to.
+/// scratch. `state` must already be [`VerificationState::reset`] for the
+/// table; `stages` is appended to.
+///
+/// `table` is a filled `&SubregionTable`, or a
+/// [`FillOnDemand`](crate::subregion::FillOnDemand) that fills the columns
+/// each stage reads ([`Verifier::columns`]) just before the stage runs —
+/// so a chain that stops at RS or at the coarse SR-k stage never fills the
+/// rest. A stage's reported duration excludes its fill.
 pub fn run_verification_into(
-    table: &SubregionTable,
+    mut table: impl TableSource,
     classifier: &Classifier,
     verifiers: &[Box<dyn Verifier>],
     state: &mut VerificationState,
     stages: &mut Vec<StageReport>,
 ) {
     for v in verifiers {
+        let table = table.for_stage(v.as_ref());
         let start = Instant::now();
         v.apply(table, state);
         classify_all(classifier, state);

@@ -74,13 +74,8 @@ impl Rect2 {
     }
 
     /// Distance cdf from `q`: `area(disk(q, r) ∩ rect) / area(rect)`.
-    pub fn radial(&self, q: [f64; 2]) -> RadialCdf<impl Fn(f64) -> f64 + '_> {
-        let area = self.area();
-        RadialCdf {
-            near: self.near(q),
-            far: self.far(q),
-            cdf: move |r| (disk_rect_intersection_area(q, r, self) / area).clamp(0.0, 1.0),
-        }
+    pub fn radial(&self, q: [f64; 2]) -> RadialCdf {
+        RadialCdf::rect(q, *self)
     }
 }
 
@@ -237,7 +232,9 @@ mod tests {
     fn cdf_monotone_and_normalized() {
         let rect = rect([2.0, 3.0], [5.0, 4.0]);
         let q = [0.0, 0.0];
-        let RadialCdf { near, far, cdf } = rect.radial(q);
+        let radial = rect.radial(q);
+        let (near, far) = (radial.near, radial.far);
+        let cdf = |r: f64| radial.cdf(r);
         let mut prev = 0.0;
         for i in 0..=30 {
             let r = far * i as f64 / 30.0;

@@ -34,7 +34,7 @@ use crate::bounds::ProbBound;
 use crate::classify::{Classifier, Label};
 use crate::framework::{knn_verifiers, run_verification_into};
 use crate::refine::{incremental_refine_with, RefinementOrder};
-use crate::subregion::{SubregionTable, MASS_EPS};
+use crate::subregion::{Columns, SubregionTable, MASS_EPS};
 use crate::verifiers::{kernels, VerificationState, Verifier};
 
 use cpnn_pdf::integrate::{gauss_legendre, GlOrder};
@@ -135,6 +135,12 @@ pub fn knn_upper_bounds(table: &SubregionTable) -> Vec<f64> {
 /// Table III's `O(|C|·M)`. The fine stage's per-subregion `q_ij` bounds land
 /// in the [`VerificationState`], where incremental refinement reuses them;
 /// the coarse stage moves the object bounds only.
+///
+/// The coarse stage reads only the cdf columns it visits
+/// ([`Columns::Coarse`], see [`Verifier::columns`]), so on a table the
+/// pipeline fills on demand ([`crate::subregion::FillOnDemand`]) it runs
+/// before the rest of the table exists, and a query it settles never
+/// builds the fine table.
 #[derive(Debug, Clone, Copy)]
 pub struct KnnSubregion {
     k: usize,
@@ -170,11 +176,7 @@ impl Verifier for KnnSubregion {
 
     fn apply(&self, table: &SubregionTable, state: &mut VerificationState) {
         let stride = if self.coarse {
-            // `⌈√L⌉` groups of `⌈√L⌉` columns. Fewer groups leave more
-            // objects to the fine stage, more groups cost more tails; the
-            // sum is flat from about half to twice this stride (sweep in
-            // CHANGES.md, PR 16), so it needs no tuning.
-            (table.left_regions() as f64).sqrt().ceil() as usize
+            table.coarse_stride()
         } else {
             1
         };
@@ -182,6 +184,17 @@ impl Verifier for KnnSubregion {
             return;
         }
         kernels::sr_k_pass(table, state, self.k, stride);
+    }
+
+    /// The coarse stage reads the [`Columns::Coarse`] columns — unless there
+    /// are fewer competitors than slots, when the pass sums whole mass rows
+    /// (`kernels::sr_k_pass`).
+    fn columns(&self, table: &SubregionTable) -> Columns {
+        if self.coarse && self.k < table.n_objects() {
+            Columns::Coarse
+        } else {
+            Columns::All
+        }
     }
 }
 

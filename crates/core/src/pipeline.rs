@@ -49,7 +49,7 @@ use crate::framework::{
 use crate::knn::knn_probabilities;
 use crate::object::ObjectId;
 use crate::refine::{incremental_refine_with, RefinementOrder};
-use crate::subregion::{SubregionTable, MASS_EPS};
+use crate::subregion::{Columns, FillOnDemand, SubregionTable, MASS_EPS};
 use crate::verifiers::{kernels, VerificationState};
 
 /// Evaluation strategy — the three methods compared throughout Sec. V.
@@ -129,6 +129,10 @@ pub struct QueryStats {
     /// object and visited end-point — see
     /// [`crate::knn::KnnSubregion`]).
     pub pb_tails: usize,
+    /// Closed-form cdf knots the subregion table evaluated (2-D; 0 in 1-D,
+    /// whose distance histograms are folds — see
+    /// [`crate::distance2d::KnotGrid`]).
+    pub cdf_evals: usize,
     /// Did verification alone resolve the query (Fig. 13's metric)?
     pub resolved_by_verification: bool,
 }
@@ -311,10 +315,11 @@ pub trait DistanceModel {
     }
 }
 
-/// Reusable per-query state: the verification buffers and the per-thread
-/// [`VerifyCache`] (with the shared tier attached to it, if any). One
-/// scratch per worker thread lets a batch run recycle these across the
-/// queries it executes instead of reallocating them per query.
+/// Reusable per-query state: the subregion table (with its knot memo), the
+/// verification buffers and the per-thread [`VerifyCache`] (with the
+/// shared tier attached to it, if any). One scratch per worker thread lets
+/// a batch run recycle these across the queries it executes instead of
+/// reallocating them per query.
 ///
 /// The cache follows each query's [`PipelineConfig`]: its `cache` field
 /// sizes the per-thread segment on every call (capacity 0 bypasses it),
@@ -333,6 +338,7 @@ pub trait DistanceModel {
 /// ```
 #[derive(Debug, Default)]
 pub struct QueryScratch {
+    table: SubregionTable,
     state: VerificationState,
     stages: Vec<StageReport>,
     cache: VerifyCache,
@@ -566,16 +572,18 @@ pub fn evaluate_candidates(
 
     match (spec.strategy, k) {
         (Strategy::Basic, 1) => {
+            let cands = cands.with_histograms();
             stats.init_time = init_time + init_start.elapsed();
             let start = Instant::now();
-            let (probs, evals) = basic_probabilities(cands);
+            let (probs, evals) = basic_probabilities(&cands);
             stats.refine_time = start.elapsed();
             stats.integrations = evals;
-            Ok(finish_exact(cands, &classifier, &probs, stats))
+            Ok(finish_exact(&cands, &classifier, &probs, stats))
         }
         (Strategy::Basic, k) => {
             let table = SubregionTable::build(cands);
             stats.subregions = table.subregion_count();
+            stats.cdf_evals = table.cdf_evals();
             stats.init_time = init_time + init_start.elapsed();
             let start = Instant::now();
             let probs = knn_probabilities(&table, k);
@@ -584,55 +592,67 @@ pub fn evaluate_candidates(
             Ok(finish_exact(cands, &classifier, &probs, stats))
         }
         (strategy, k) => {
-            // Verify → refine (or refine alone), over the subregion table.
-            let table = SubregionTable::build(cands);
+            // Verify → refine (or refine alone), over the subregion table,
+            // filled only as far as the stages that run read it.
+            let QueryScratch {
+                table,
+                state,
+                stages,
+                ..
+            } = scratch;
+            table.layout(cands);
             stats.subregions = table.subregion_count();
             stats.init_time = init_time + init_start.elapsed();
-            scratch.state.reset(&table);
-            scratch.stages.clear();
+            state.reset(table);
+            stages.clear();
+            let mut table = FillOnDemand::new(table, cands);
             if strategy == Strategy::Verified {
                 let verify_start = Instant::now();
-                let tails_before = scratch.state.kernel.pb_tails;
+                let tails_before = state.kernel.pb_tails;
                 let chain = match (k, cfg.extended_verifiers) {
                     (1, false) => default_verifiers(),
                     (1, true) => extended_verifiers(),
                     (k, _) => knn_verifiers(k),
                 };
-                run_verification_into(
-                    &table,
-                    &classifier,
-                    &chain,
-                    &mut scratch.state,
-                    &mut scratch.stages,
-                );
-                stats.verify_time = verify_start.elapsed();
-                stats.pb_tails = scratch.state.kernel.pb_tails - tails_before;
-                stats.resolved_by_verification = scratch.state.unknown_count() == 0;
-                stats.stages = scratch.stages.clone();
+                run_verification_into(&mut table, &classifier, &chain, state, stages);
+                stats.verify_time = verify_start.elapsed().saturating_sub(table.fill_time());
+                stats.pb_tails = state.kernel.pb_tails - tails_before;
+                stats.resolved_by_verification = state.unknown_count() == 0;
+                stats.stages = stages.clone();
             }
+            // Refinement reads the whole table, and only rows still
+            // `Unknown`: a resolved query never fills it.
+            let need = if state.unknown_count() > 0 {
+                Columns::All
+            } else {
+                Columns::Horizon
+            };
+            let table_ref = table.filled(need);
             let refine_start = Instant::now();
             let report = if k == 1 {
                 incremental_refine_with(
-                    &table,
+                    table_ref,
                     &classifier,
-                    &mut scratch.state,
+                    state,
                     cfg.refinement_order,
-                    |i, j, scr| kernels::nn_qualification(&table, i, j, scr),
+                    |i, j, scr| kernels::nn_qualification(table_ref, i, j, scr),
                 )
             } else {
                 incremental_refine_with(
-                    &table,
+                    table_ref,
                     &classifier,
-                    &mut scratch.state,
+                    state,
                     cfg.refinement_order,
-                    |i, j, scr| kernels::knn_qualification(&table, i, j, k, scr),
+                    |i, j, scr| kernels::knn_qualification(table_ref, i, j, k, scr),
                 )
             };
             stats.refine_time = refine_start.elapsed();
+            stats.cdf_evals = table_ref.cdf_evals();
+            stats.init_time += table.fill_time();
             stats.refined_objects = report.refined_objects;
             stats.integrations = report.integrations;
             stats.column_passes = report.column_passes;
-            Ok(finish_state(cands, &scratch.state, stats))
+            Ok(finish_state(cands, state, stats))
         }
     }
 }
@@ -650,6 +670,7 @@ pub fn pnn<M: DistanceModel + ?Sized>(model: &M, q: &M::Query, k: usize) -> Resu
     let init_start = Instant::now();
     let table = SubregionTable::build(&cands);
     stats.subregions = table.subregion_count();
+    stats.cdf_evals = table.cdf_evals();
     stats.init_time = init_time + init_start.elapsed();
     let start = Instant::now();
     let probs = if k == 1 {

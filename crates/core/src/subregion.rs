@@ -18,12 +18,44 @@
 //! these per-subregion lists in a hash table; this implementation stores
 //! them as dense flat arrays indexed by `(object, subregion)`, which is the
 //! in-memory equivalent (space `O(|C|·M)`, as in the paper).
+//!
+//! **Filled in phases.** Not every verifier reads every cell: RS reads the
+//! horizon column, the coarse SR-k stage every `⌈√L⌉`-th column, and the
+//! stride-1 stages (L-SR, U-SR, fine SR-k) and refinement the whole table.
+//! [`SubregionTable::layout`] computes the end-points (no cdf value is
+//! needed for them) and the horizon column; [`SubregionTable::fill`] adds
+//! the coarse columns or the rest ([`Columns`]) when the first stage that
+//! reads them runs, so a query the cheap stages settle never builds the
+//! fine table. Every cell is the same value whenever it is filled. A 2-D
+//! candidate's cdf is read through its knot grid, whose knots the table
+//! keeps per member for the query ([`DistanceDistribution::cdf_many`]):
+//! each knot is computed once, and none past the first edge beyond `fmin`.
+
+use std::time::{Duration, Instant};
 
 use crate::candidate::CandidateSet;
+#[cfg(doc)]
+use crate::distance::DistanceDistribution;
+use crate::verifiers::Verifier;
 
 /// Mass below this threshold is treated as "no mass in the subregion"
 /// (the paper's `U_k ∩ S_j ≠ ∅` membership test).
 pub const MASS_EPS: f64 = 1e-12;
+
+/// How much of a [`SubregionTable`] is filled; each level includes the
+/// ones before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum Columns {
+    /// The end-points, the horizon column `D_i(fmin)` and the rightmost
+    /// masses — what RS reads.
+    #[default]
+    Horizon,
+    /// Also every [`coarse_stride`](SubregionTable::coarse_stride)-th cdf
+    /// column — what the coarse SR-k stage reads.
+    Coarse,
+    /// Every cdf column, every `s_ij` and every `c_j`.
+    All,
+}
 
 /// The subregion table: end-points plus the `(s_ij, D_i(e_j))` pairs of
 /// Fig. 7(b).
@@ -35,7 +67,12 @@ pub const MASS_EPS: f64 = 1e-12;
 /// `D_i(e_·)` / `s_i·` is a contiguous slice ([`Self::cdf_row`] /
 /// [`Self::mass_row`]). Readers that need an end-point column gather it
 /// through [`Self::cdf_at`] / [`Self::mass`].
-#[derive(Debug, Clone)]
+///
+/// [`Self::build`] fills the whole table; a table kept in per-query
+/// scratch is re-laid out per query ([`Self::layout`]) and filled as far as
+/// its readers need ([`Self::fill`]), reusing its buffers. Reading a cell
+/// that is not filled is a logic error (checked in debug builds).
+#[derive(Debug, Clone, Default)]
 pub struct SubregionTable {
     /// End-points `e_1 … e_{M}`; the last entry equals `fmin`. The *left*
     /// subregions are `S_j = [endpoints[j], endpoints[j+1]]` for
@@ -44,6 +81,8 @@ pub struct SubregionTable {
     endpoints: Vec<f64>,
     fmax: f64,
     n: usize,
+    /// How much is filled.
+    filled: Columns,
     /// `mass[i·L + j] = s_ij` (row-major by object).
     mass: Vec<f64>,
     /// `cdf[i·(L+1) + j] = D_i(e_j)` (row-major by object).
@@ -52,88 +91,176 @@ pub struct SubregionTable {
     rightmost: Vec<f64>,
     /// `counts[j] = c_j`, the number of objects with `s_ij > MASS_EPS`.
     counts: Vec<usize>,
+    /// Per member, the knots of its grid computed so far (empty for a
+    /// histogram).
+    knots: Vec<Vec<f64>>,
+    /// Closed-form cdf evaluations since the last layout.
+    cdf_evals: usize,
+    /// Work buffers: the sorted breakpoints of a layout, the radii of a
+    /// coarse fill, and a member's cdf values there.
+    radii: Vec<f64>,
+    values: Vec<f64>,
 }
 
 impl SubregionTable {
-    /// Build the table for a candidate set (the "initialization" box of the
-    /// verification framework, Fig. 5).
+    /// Build the whole table for a candidate set (the "initialization" box
+    /// of the verification framework, Fig. 5).
     pub fn build(candidates: &CandidateSet) -> Self {
+        let mut table = Self::default();
+        table.layout(candidates);
+        table.fill(candidates, Columns::All);
+        table
+    }
+
+    /// Lay the table out for `candidates`, reusing its buffers: the
+    /// end-points and the horizon column ([`Columns::Horizon`]). Forgets
+    /// every value and knot of the previous layout.
+    pub fn layout(&mut self, candidates: &CandidateSet) {
         let n = candidates.len();
         // The last end-point is the candidate set's pruning horizon: fmin
         // for 1-NN, fmin_k for the k-NN extension. All formulas below are
         // stated in terms of it.
         let fmin = candidates.horizon();
-        let fmax = candidates.fmax();
+        self.fmax = candidates.fmax();
+        self.n = n;
+        self.filled = Columns::Horizon;
+        self.cdf_evals = 0;
+        self.endpoints.clear();
+        self.rightmost.clear();
         if n == 0 {
-            return Self {
-                endpoints: Vec::new(),
-                fmax,
-                n,
-                mass: Vec::new(),
-                cdf: Vec::new(),
-                rightmost: Vec::new(),
-                counts: Vec::new(),
-            };
+            return;
         }
 
         // Collect end-points: near points and pdf breakpoints below fmin.
-        let upper: usize = candidates
-            .members()
-            .iter()
-            .map(|m| m.dist.breakpoints().len())
-            .sum();
-        let mut pts: Vec<f64> = Vec::with_capacity(upper + 1);
+        let pts = &mut self.radii;
+        pts.clear();
         for m in candidates.members() {
-            for &b in m.dist.breakpoints() {
-                if b < fmin {
-                    pts.push(b);
-                }
-            }
+            pts.extend(m.dist.breakpoints().take_while(|&b| b < fmin));
         }
         pts.push(fmin);
-        // Unstable is exact here: `total_cmp`-equal keys are bit-equal.
-        pts.sort_unstable_by(f64::total_cmp);
+        // Each member's breakpoints are an ascending run, and a stable sort
+        // merges runs; `total_cmp`-equal keys are bit-equal, so any sort
+        // gives these values in this order.
+        pts.sort_by(f64::total_cmp);
         let scale = fmin.abs().max(1.0);
-        let mut endpoints: Vec<f64> = Vec::with_capacity(pts.len());
-        for p in pts {
-            match endpoints.last() {
+        for &p in pts.iter() {
+            match self.endpoints.last() {
                 Some(&last) if p - last <= 1e-9 * scale => {}
-                _ => endpoints.push(p),
+                _ => self.endpoints.push(p),
             }
         }
         // Snap the final endpoint to exactly fmin (the merge above may have
         // absorbed it into a close neighbour).
-        if let Some(last) = endpoints.last_mut() {
+        if let Some(last) = self.endpoints.last_mut() {
             *last = fmin;
         }
-        let l = endpoints.len() - 1;
+        let l = self.endpoints.len() - 1;
         let cols = l + 1;
 
-        let mut mass = vec![0.0; n * l];
-        let mut cdf = vec![0.0; n * cols];
-        let mut rightmost = Vec::with_capacity(n);
-        let mut counts = vec![0usize; l];
-        // One contiguous sweep over the end-points per member fills its cdf
-        // row; its mass row is the clamped differences of that row.
-        for (i, member) in candidates.members().iter().enumerate() {
-            let row = &mut cdf[i * cols..(i + 1) * cols];
-            member.dist.cdf_many(&endpoints, row);
-            let masses = mass[i * l..(i + 1) * l].iter_mut();
-            for ((s, pair), c) in masses.zip(row.windows(2)).zip(&mut counts) {
-                *s = (pair[1] - pair[0]).max(0.0);
-                *c += usize::from(*s > MASS_EPS);
-            }
-            rightmost.push((1.0 - row[l]).max(0.0));
+        // Cells are written before they are read (`filled` guards), so the
+        // buffer keeps whatever it held.
+        self.cdf.resize(n * cols, 0.0);
+        if self.knots.len() < n {
+            self.knots.resize_with(n, Vec::new);
         }
+        let mut value = [0.0];
+        for (i, member) in candidates.members().iter().enumerate() {
+            let knots = &mut self.knots[i];
+            knots.clear();
+            member
+                .dist
+                .cdf_many(&[fmin], &mut value, knots, &mut self.cdf_evals);
+            self.cdf[i * cols + l] = value[0];
+            self.rightmost.push((1.0 - value[0]).max(0.0));
+        }
+    }
 
-        Self {
+    /// Fill the table for `candidates` — the set it was laid out for — up
+    /// to `need`; a level already filled costs nothing.
+    pub fn fill(&mut self, candidates: &CandidateSet, need: Columns) {
+        debug_assert_eq!(candidates.len(), self.n, "fill for another set");
+        if self.n == 0 || need <= self.filled {
+            self.filled = self.filled.max(need);
+            return;
+        }
+        let (n, l) = (self.n, self.left_regions());
+        let cols = l + 1;
+        let Self {
             endpoints,
-            fmax,
-            n,
             mass,
             cdf,
-            rightmost,
             counts,
+            knots,
+            cdf_evals,
+            radii,
+            values,
+            ..
+        } = self;
+        let members = candidates.members();
+        if need == Columns::Coarse {
+            // Columns 0, s, 2s, … and L — the end-points the coarse SR-k
+            // sweep visits — gathered into one ascending list.
+            let stride = coarse_stride(l);
+            radii.clear();
+            radii.extend(endpoints.iter().step_by(stride).copied());
+            if !l.is_multiple_of(stride) {
+                radii.push(endpoints[l]);
+            }
+            values.resize(radii.len(), 0.0);
+            for (i, member) in members.iter().enumerate() {
+                member
+                    .dist
+                    .cdf_many(radii, values, &mut knots[i], cdf_evals);
+                let row = &mut cdf[i * cols..(i + 1) * cols];
+                for (t, &v) in values.iter().enumerate() {
+                    row[(t * stride).min(l)] = v;
+                }
+            }
+        } else {
+            mass.resize(n * l, 0.0);
+            counts.clear();
+            counts.resize(l, 0);
+            // One contiguous sweep over the end-points per member fills its
+            // cdf row; its mass row is the clamped differences of that row.
+            for (i, member) in members.iter().enumerate() {
+                let row = &mut cdf[i * cols..(i + 1) * cols];
+                member
+                    .dist
+                    .cdf_many(endpoints, row, &mut knots[i], cdf_evals);
+                let masses = mass[i * l..(i + 1) * l].iter_mut();
+                for ((s, pair), c) in masses.zip(row.windows(2)).zip(counts.iter_mut()) {
+                    *s = (pair[1] - pair[0]).max(0.0);
+                    *c += usize::from(*s > MASS_EPS);
+                }
+            }
+        }
+        self.filled = need;
+    }
+
+    /// How much of the table is filled.
+    pub fn filled(&self) -> Columns {
+        self.filled
+    }
+
+    /// Closed-form cdf evaluations (2-D knots) the table made since it was
+    /// laid out; 0 for histogram members.
+    pub fn cdf_evals(&self) -> usize {
+        self.cdf_evals
+    }
+
+    /// The coarse SR-k stage's stride `⌈√L⌉`: it visits end-points
+    /// `0, s, 2s, …` and `L`, the [`Columns::Coarse`] columns.
+    pub fn coarse_stride(&self) -> usize {
+        coarse_stride(self.left_regions())
+    }
+
+    /// Is cdf column `j` filled?
+    fn has_column(&self, j: usize) -> bool {
+        let l = self.left_regions();
+        match self.filled {
+            Columns::All => true,
+            Columns::Coarse => j.is_multiple_of(coarse_stride(l)) || j == l,
+            Columns::Horizon => j == l,
         }
     }
 
@@ -169,17 +296,20 @@ impl SubregionTable {
 
     /// Subregion probability `s_ij` for left region `j`.
     pub fn mass(&self, i: usize, j: usize) -> f64 {
+        debug_assert_eq!(self.filled, Columns::All, "mass of a partial table");
         self.mass[i * self.left_regions() + j]
     }
 
     /// Distance cdf `D_i(e_j)` at end-point `j ∈ 0..=L`.
     pub fn cdf_at(&self, i: usize, j: usize) -> f64 {
+        debug_assert!(self.has_column(j), "cdf column {j} is not filled");
         self.cdf[i * self.endpoints.len() + j]
     }
 
     /// Contiguous cdf row `D_i(e_·)` of object `i`: element `j ∈ 0..=L` is
     /// `D_i(e_j)`.
     pub fn cdf_row(&self, i: usize) -> &[f64] {
+        debug_assert_eq!(self.filled, Columns::All, "cdf row of a partial table");
         let cols = self.endpoints.len();
         &self.cdf[i * cols..(i + 1) * cols]
     }
@@ -187,6 +317,7 @@ impl SubregionTable {
     /// Contiguous mass row `s_i·` of object `i`: element `j ∈ 0..L` is
     /// `s_ij`.
     pub fn mass_row(&self, i: usize) -> &[f64] {
+        debug_assert_eq!(self.filled, Columns::All, "mass row of a partial table");
         let l = self.left_regions();
         &self.mass[i * l..(i + 1) * l]
     }
@@ -198,6 +329,7 @@ impl SubregionTable {
 
     /// `c_j`: number of objects with non-zero mass in left region `j`.
     pub fn count(&self, j: usize) -> usize {
+        debug_assert_eq!(self.filled, Columns::All, "count of a partial table");
         self.counts[j]
     }
 
@@ -219,6 +351,86 @@ impl SubregionTable {
     pub fn cdf_interp(&self, i: usize, j: usize, t: f64) -> f64 {
         let a = self.cdf_at(i, j);
         a + t * self.mass(i, j)
+    }
+}
+
+/// `⌈√L⌉`: groups of this many columns make about as many groups as a
+/// group has columns. Fewer groups leave more objects to the fine stage,
+/// more groups cost more tails; the sum is flat from about half to twice
+/// this stride (the stride sweep recorded in CHANGES.md), so it needs no
+/// tuning.
+fn coarse_stride(left_regions: usize) -> usize {
+    ((left_regions as f64).sqrt().ceil() as usize).max(1)
+}
+
+/// Where a verifier chain reads its table from
+/// ([`crate::framework::run_verification_into`]): a table filled already
+/// (`&SubregionTable`, checked in debug builds), or one filled as the
+/// stages need it ([`FillOnDemand`]).
+pub trait TableSource {
+    /// The table with at least the columns `stage` reads
+    /// ([`Verifier::columns`]) filled.
+    fn for_stage(&mut self, stage: &dyn Verifier) -> &SubregionTable;
+}
+
+impl TableSource for &SubregionTable {
+    fn for_stage(&mut self, stage: &dyn Verifier) -> &SubregionTable {
+        debug_assert!(
+            self.filled() >= stage.columns(self),
+            "{} reads columns the table does not have",
+            stage.name()
+        );
+        self
+    }
+}
+
+impl<S: TableSource + ?Sized> TableSource for &mut S {
+    fn for_stage(&mut self, stage: &dyn Verifier) -> &SubregionTable {
+        (**self).for_stage(stage)
+    }
+}
+
+/// A laid-out table and its candidate set, filled on demand — what the
+/// pipeline hands the verifier chain, and then refinement
+/// ([`Self::filled`]).
+#[derive(Debug)]
+pub struct FillOnDemand<'a> {
+    table: &'a mut SubregionTable,
+    candidates: &'a CandidateSet,
+    /// Time spent filling so far.
+    fill_time: Duration,
+}
+
+impl<'a> FillOnDemand<'a> {
+    /// `table` must be laid out for `candidates` ([`SubregionTable::layout`]).
+    pub fn new(table: &'a mut SubregionTable, candidates: &'a CandidateSet) -> Self {
+        Self {
+            table,
+            candidates,
+            fill_time: Duration::ZERO,
+        }
+    }
+
+    /// The table, filled at least to `need`.
+    pub fn filled(&mut self, need: Columns) -> &SubregionTable {
+        if need > self.table.filled() {
+            let start = Instant::now();
+            self.table.fill(self.candidates, need);
+            self.fill_time += start.elapsed();
+        }
+        self.table
+    }
+
+    /// Time the fills took so far.
+    pub fn fill_time(&self) -> Duration {
+        self.fill_time
+    }
+}
+
+impl TableSource for FillOnDemand<'_> {
+    fn for_stage(&mut self, stage: &dyn Verifier) -> &SubregionTable {
+        let need = stage.columns(self.table);
+        self.filled(need)
     }
 }
 

@@ -37,7 +37,7 @@ pub use usr::UpperSubregion;
 
 use crate::bounds::ProbBound;
 use crate::classify::Label;
-use crate::subregion::SubregionTable;
+use crate::subregion::{Columns, SubregionTable};
 
 /// Mutable state threaded through the verification pipeline: object-level
 /// probability bounds, labels, and per-subregion qualification bounds.
@@ -127,4 +127,11 @@ pub trait Verifier {
 
     /// Tighten bounds of `Unknown` objects in `state`.
     fn apply(&self, table: &SubregionTable, state: &mut VerificationState);
+
+    /// The columns of `table` (laid out, perhaps not filled) that
+    /// [`apply`](Self::apply) reads. The default is the whole table.
+    fn columns(&self, table: &SubregionTable) -> Columns {
+        let _ = table;
+        Columns::All
+    }
 }

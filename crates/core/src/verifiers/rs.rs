@@ -6,7 +6,7 @@
 //! object's mass in the rightmost subregion. Cost: `O(|C|)`.
 
 use crate::classify::Label;
-use crate::subregion::SubregionTable;
+use crate::subregion::{Columns, SubregionTable};
 use crate::verifiers::{VerificationState, Verifier};
 
 /// The RS verifier. Stateless; construct freely.
@@ -25,6 +25,10 @@ impl Verifier for RightmostSubregion {
             }
             state.bounds[i].lower_hi(1.0 - table.rightmost(i));
         }
+    }
+
+    fn columns(&self, _table: &SubregionTable) -> Columns {
+        Columns::Horizon
     }
 }
 

@@ -9,40 +9,54 @@
 //!
 //! The construction side has a contract of its own: a histogram is **one
 //! heap block** (`edges | densities | cdf`), so building a stored object,
-//! folding a distance pdf or discretising a 2-D distance is one
+//! folding a distance pdf or materialising a 2-D distance is one
 //! allocation, and a warm 1-D filter allocates about one block per
-//! candidate.
+//! candidate. A whole warm 2-D k-NN query allocates no more than it did
+//! when every candidate's histogram was built up front.
 //!
-//! This file contains a single test so no concurrent test can perturb the
-//! global allocation counter.
+//! The counter is per thread, so allocations by other threads of the test
+//! binary never land in a measured section.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use cpnn_core::classify::Classifier;
 use cpnn_core::framework::{
     default_verifiers, extended_verifiers, knn_verifiers, run_verification_into,
 };
+use cpnn_core::pipeline::cpnn_with;
 use cpnn_core::refine::{incremental_refine_with, RefinementOrder};
 use cpnn_core::verifiers::{kernels, VerificationState};
 use cpnn_core::{
-    CandidateSet, CircleObject, DistanceDistribution, DistanceModel, ObjectId, SubregionTable,
-    UncertainDb, UncertainObject,
+    CandidateSet, CircleObject, DistanceDistribution, DistanceModel, Object2d, ObjectId,
+    PipelineConfig, QueryScratch, QuerySpec, Strategy, SubregionTable, UncertainDb, UncertainDb2d,
+    UncertainObject,
 };
 use cpnn_pdf::HistogramPdf;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. Const-initialised
+    /// and without a destructor, so bumping it never allocates and never
+    /// touches a torn-down slot.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,8 +68,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations this thread has made so far.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A crowded candidate set: 40 mutually overlapping uniforms, ~40 left
@@ -101,8 +116,10 @@ fn histograms_are_one_block_each() {
     let disk = CircleObject::new(ObjectId(0), [0.0, 0.0], 2.0).unwrap();
     let radial = disk.radial([5.0, 1.0]);
     let (dist, n) = count(|| radial.distribution(48).unwrap());
-    assert_eq!(dist.histogram().bar_count(), 48);
     assert_eq!(n, 1, "RadialCdf::distribution: {n} allocations");
+    let (hist, n) = count(|| dist.histogram().into_owned());
+    assert_eq!(hist.bar_count(), 48);
+    assert_eq!(n, 1, "materialising a 2-D distance: {n} allocations");
 
     // 20 mutually overlapping objects, mixed uniform and 3-bar.
     let objects: Vec<UncertainObject> = (0..20u64)
@@ -127,6 +144,38 @@ fn histograms_are_one_block_each() {
         n <= candidates + 16,
         "warm UncertainDb::filter: {n} allocations for {candidates} candidates"
     );
+}
+
+/// Allocations of three warm 2-D k = 4 queries through `cpnn_with`, end to
+/// end: filter, candidate assembly, subregion table, verification,
+/// refinement and the result.
+fn warm_2d_knn_allocations() -> usize {
+    let mut rng = StdRng::seed_from_u64(0x2d4);
+    let objects: Vec<Object2d> = (0..400u64)
+        .map(|i| {
+            let x = rng.gen_range(5.0..95.0);
+            let y = rng.gen_range(5.0..95.0);
+            let r = rng.gen_range(0.5..4.0);
+            let id = ObjectId(i);
+            if i % 2 == 0 {
+                Object2d::circle(id, [x, y], r).unwrap()
+            } else {
+                Object2d::rectangle(id, [x - r, y - 0.6 * r], [x + r, y + 0.6 * r]).unwrap()
+            }
+        })
+        .collect();
+    let db = UncertainDb2d::build(objects).unwrap();
+    let spec = QuerySpec::knn(4, 0.3, 0.01, Strategy::Verified);
+    let cfg = PipelineConfig::default();
+    let mut scratch = QueryScratch::new();
+    let points = [[50.0, 50.0], [20.0, 70.0], [81.5, 12.25]];
+    let mut run = || {
+        for q in &points {
+            cpnn_with(&db, q, &spec, &cfg, &mut scratch).unwrap();
+        }
+    };
+    run();
+    count(run).1
 }
 
 #[test]
@@ -182,6 +231,13 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
 
     // ---- Measured: one block per histogram (see the helper). ----
     histograms_are_one_block_each();
+
+    // ---- Measured: three warm 2-D k = 4 queries, end to end. 129 is what
+    // they allocated when the filter built every candidate's 48-bar
+    // histogram and each query built its subregion table from fresh
+    // vectors. ----
+    let n = warm_2d_knn_allocations();
+    assert!(n <= 129, "three warm 2-D k = 4 queries: {n} allocations");
 
     // ---- Measured: 1-NN verification must allocate nothing at all, through
     // the paper's chain and the extended one (both build and read the

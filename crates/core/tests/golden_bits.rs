@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 const NN_VERIFY: u64 = 0x3cfa_5cb6_13c7_1261;
 const NN_REFINE: u64 = 0xdb44_06ef_ce50_80c2;
 const KNN3_1D: u64 = 0xd89e_5a2c_945d_f688;
-const KNN4_2D: u64 = 0xd537_6e6e_eb8b_fd36;
+const KNN4_2D: u64 = 0x8113_120a_d0c0_71ff;
 
 const QUERIES: usize = 300;
 

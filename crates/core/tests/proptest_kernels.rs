@@ -36,15 +36,23 @@
 //! All of it holds through eviction-forcing cache configurations and
 //! sharded execution (mode ≡ mode stays bit-for-bit; `proptest_cache`,
 //! `proptest_shard` and friends pin that).
+//!
+//! The pipeline fills its subregion table on demand (the end-points and
+//! the horizon column first, the coarse SR-k columns next, the rest only
+//! for a stage or a refinement that reads it), and reads 2-D distance cdfs
+//! through knots computed when first read. Two more properties pin that it
+//! changes no bit: every cell read on demand equals the materialised
+//! histogram's cdf at that end-point (and a full build's cell), and the
+//! pipeline's reports equal those of the same chain run over a full table.
 
 use cpnn_core::cache::CacheConfig;
 use cpnn_core::classify::{Classifier, Label};
 use cpnn_core::exact::{exact_probabilities, subregion_qualification};
-use cpnn_core::framework::{knn_verifiers, run_verification_into};
+use cpnn_core::framework::{default_verifiers, knn_verifiers, run_verification_into, StageReport};
 use cpnn_core::knn::{knn_probabilities, knn_subregion_qualification, KnnSubregion};
 use cpnn_core::pipeline::{cpnn, cpnn_with, CpnnResult, DistanceModel};
 use cpnn_core::refine::incremental_refine_with;
-use cpnn_core::subregion::MASS_EPS;
+use cpnn_core::subregion::{Columns, MASS_EPS};
 use cpnn_core::verifiers::reference::{
     reference_extended_verifiers, reference_knn_verifiers, reference_verifiers,
 };
@@ -54,6 +62,7 @@ use cpnn_core::{
     BatchExecutor, CandidateSet, Object2d, ObjectId, PipelineConfig, QueryScratch, QuerySpec,
     RefinementOrder, SubregionTable, UncertainDb, UncertainDb2d, UncertainObject,
 };
+use cpnn_pdf::Pdf;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
@@ -397,6 +406,168 @@ fn assert_sound<M: DistanceModel + ?Sized>(
     Ok(())
 }
 
+/// A table laid out and filled level by level against the materialised
+/// histograms: after each fill every filled cdf cell is bit-equal to
+/// `histogram().cdf(e_j)`, the finished table is bit-equal to a full
+/// build, and no knot past the first edge beyond the horizon was computed.
+fn assert_on_demand_table_matches_histograms(
+    cands: &CandidateSet,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    let hists: Vec<_> = cands
+        .members()
+        .iter()
+        .map(|m| m.dist.histogram().into_owned())
+        .collect();
+    let mut table = SubregionTable::default();
+    table.layout(cands);
+    let (n, l) = (table.n_objects(), table.left_regions());
+    let stride = table.coarse_stride();
+    let bits = |v: f64| v.to_bits();
+    for need in [Columns::Horizon, Columns::Coarse, Columns::All] {
+        table.fill(cands, need);
+        let columns: Vec<usize> = (0..=l)
+            .filter(|&j| match need {
+                Columns::Horizon => j == l,
+                Columns::Coarse => j.is_multiple_of(stride) || j == l,
+                Columns::All => true,
+            })
+            .collect();
+        for (i, hist) in hists.iter().enumerate() {
+            for &j in &columns {
+                let want = hist.cdf(table.endpoint(j));
+                prop_assert_eq!(
+                    bits(table.cdf_at(i, j)),
+                    bits(want),
+                    "{:?} cell ({}, {}): {}",
+                    need,
+                    i,
+                    j,
+                    ctx
+                );
+            }
+            let want = (1.0 - hist.cdf(table.fmin())).max(0.0);
+            prop_assert_eq!(
+                bits(table.rightmost(i)),
+                bits(want),
+                "rightmost {}: {}",
+                i,
+                ctx
+            );
+        }
+    }
+    let full = SubregionTable::build(cands);
+    prop_assert_eq!(table.endpoints(), full.endpoints(), "end-points: {}", ctx);
+    for i in 0..n {
+        prop_assert!(
+            table
+                .cdf_row(i)
+                .iter()
+                .map(|&v| bits(v))
+                .eq(full.cdf_row(i).iter().map(|&v| bits(v))),
+            "cdf row {}: {}",
+            i,
+            ctx
+        );
+        prop_assert!(
+            table
+                .mass_row(i)
+                .iter()
+                .map(|&v| bits(v))
+                .eq(full.mass_row(i).iter().map(|&v| bits(v))),
+            "mass row {}: {}",
+            i,
+            ctx
+        );
+    }
+    for j in 0..l {
+        prop_assert_eq!(table.count(j), full.count(j), "count {}: {}", j, ctx);
+    }
+    // Knot `k_m` (0 < m < bins) is the one closed-form evaluation; a
+    // member computes them only through the first edge past the horizon.
+    let horizon = cands.horizon();
+    let most: usize = cands
+        .members()
+        .iter()
+        .filter(|m| !m.dist.is_histogram())
+        .map(|m| {
+            let bins = m.dist.breakpoints().len() - 1;
+            let past = m.dist.breakpoints().position(|e| e > horizon);
+            past.map_or(bins, |p| p).min(bins - 1)
+        })
+        .sum();
+    prop_assert_eq!(table.cdf_evals(), full.cdf_evals(), "knots: {}", ctx);
+    prop_assert!(
+        table.cdf_evals() <= most,
+        "{} knots evaluated, at most {} lie at or before the first edge past the horizon: {}",
+        table.cdf_evals(),
+        most,
+        ctx
+    );
+    Ok(())
+}
+
+/// The pipeline's reports (on-demand table, coarse stage first) against
+/// the same chain and refinement run over a table built in full, bit for
+/// bit.
+fn assert_matches_full_table_chain<M: DistanceModel + ?Sized>(
+    model: &M,
+    q: &M::Query,
+    spec: &QuerySpec,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    let k = spec.k.max(1);
+    let got = cpnn(model, q, spec, &PipelineConfig::default()).unwrap();
+    let cands = CandidateSet::from_distances(model.filter(q, k).expect("filter").items, k);
+    let table = SubregionTable::build(&cands);
+    let classifier = Classifier::new(spec.threshold, spec.tolerance).expect("spec");
+    let mut state = VerificationState::new(&table);
+    let mut stages = Vec::new();
+    let chain = if k == 1 {
+        default_verifiers()
+    } else {
+        knn_verifiers(k)
+    };
+    run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
+    if k == 1 {
+        incremental_refine_with(
+            &table,
+            &classifier,
+            &mut state,
+            RefinementOrder::DescendingMass,
+            |i, j, scr| kernels::nn_qualification(&table, i, j, scr),
+        );
+    } else {
+        incremental_refine_with(
+            &table,
+            &classifier,
+            &mut state,
+            RefinementOrder::DescendingMass,
+            |i, j, scr| kernels::knn_qualification(&table, i, j, k, scr),
+        );
+    }
+    prop_assert_eq!(got.reports.len(), cands.len(), "candidate count: {}", ctx);
+    let trace = |stages: &[StageReport]| -> Vec<(&'static str, usize)> {
+        stages.iter().map(|s| (s.name, s.unknown_after)).collect()
+    };
+    prop_assert_eq!(trace(&got.stats.stages), trace(&stages), "stages: {}", ctx);
+    for (i, (r, m)) in got.reports.iter().zip(cands.members()).enumerate() {
+        prop_assert_eq!(r.id, m.id, "candidate order: {}", ctx);
+        prop_assert_eq!(
+            (r.bound.lo().to_bits(), r.bound.hi().to_bits(), r.label),
+            (
+                state.bounds[i].lo().to_bits(),
+                state.bounds[i].hi().to_bits(),
+                state.labels[i]
+            ),
+            "{:?}, on demand vs full table: {}",
+            r.id,
+            ctx
+        );
+    }
+    Ok(())
+}
+
 /// Random uniform-pdf objects with ids `0..n` on a bounded domain.
 fn objects_1d(max: usize) -> impl Strategy<Value = Vec<UncertainObject>> {
     prop::collection::vec((-40.0f64..40.0, 0.5f64..12.0), 3..max).prop_map(|specs| {
@@ -664,6 +835,53 @@ proptest! {
             let filtered = DistanceModel::filter(&db2, &[q, -q], k).expect("filter");
             let table = SubregionTable::build(&CandidateSet::from_distances(filtered.items, k));
             assert_knn_stages_monotone(&table, k, &format!("2-D q = [{q}, {}], k = {k}", -q))?;
+        }
+    }
+
+    /// On-demand tables, 1-D and 2-D, k ∈ {1, 2, 4}: every cell equals the
+    /// materialised histogram's cdf whenever it is filled, and the knots
+    /// stop at the first edge past the horizon.
+    #[test]
+    fn on_demand_columns_match_the_materialised_histograms(
+        objs1 in objects_1d(14),
+        objs2 in objects_2d(10),
+        q in -40.0f64..40.0,
+    ) {
+        let db1 = UncertainDb::build(objs1).unwrap();
+        let db2 = UncertainDb2d::build(objs2).unwrap();
+        for k in [1usize, 2, 4] {
+            let filtered = DistanceModel::filter(&db1, &q, k).expect("filter");
+            let cands = CandidateSet::from_distances(filtered.items, k);
+            assert_on_demand_table_matches_histograms(&cands, &format!("1-D q = {q}, k = {k}"))?;
+            let filtered = DistanceModel::filter(&db2, &[q, 0.5 * q], k).expect("filter");
+            let cands = CandidateSet::from_distances(filtered.items, k);
+            assert_on_demand_table_matches_histograms(
+                &cands,
+                &format!("2-D q = [{q}, {}], k = {k}", 0.5 * q),
+            )?;
+        }
+    }
+
+    /// The coarse-first chain on an on-demand table gives the bits of the
+    /// same chain over a full table: 1-D k-NN (and 1-NN, and 2-D k-NN),
+    /// verifier-heavy and refine-heavy specs.
+    #[test]
+    fn coarse_first_chain_matches_the_full_table_chain(
+        objs1 in objects_1d(14),
+        objs2 in objects_2d(10),
+        queries in prop::collection::vec(-40.0f64..40.0, 2..4),
+    ) {
+        let db1 = UncertainDb::build(objs1).unwrap();
+        let db2 = UncertainDb2d::build(objs2).unwrap();
+        for k in [1usize, 2, 3, 4] {
+            for (threshold, tolerance) in [(0.3, 0.01), (0.05, 0.0)] {
+                let spec = QuerySpec::knn(k, threshold, tolerance, EvalStrategy::Verified);
+                for &q in &queries {
+                    assert_matches_full_table_chain(&db1, &q, &spec, &format!("1-D q = {q}, {spec:?}"))?;
+                    let q2 = [q, -0.5 * q];
+                    assert_matches_full_table_chain(&db2, &q2, &spec, &format!("2-D q = {q2:?}, {spec:?}"))?;
+                }
+            }
         }
     }
 }

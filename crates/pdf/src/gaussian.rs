@@ -108,8 +108,6 @@ impl Pdf for TruncatedGaussian {
 mod tests {
     use super::*;
     use crate::integrate::adaptive_simpson;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn construction_validates() {
@@ -169,21 +167,7 @@ mod tests {
         let g = TruncatedGaussian::new(0.0, 1.0, 1.0, 3.0).unwrap();
         let total = adaptive_simpson(|x| g.density(x), 1.0, 3.0, 1e-12);
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(g.mean() > 1.0 && g.mean() < 3.0);
-    }
-
-    #[test]
-    fn sampling_matches_moments() {
-        let g = TruncatedGaussian::paper_default(0.0, 6.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(42);
-        const N: usize = 20_000;
-        let mut mean = 0.0;
-        for _ in 0..N {
-            let x = g.sample(&mut rng);
-            assert!((0.0..=6.0).contains(&x));
-            mean += x;
-        }
-        mean /= N as f64;
-        assert!((mean - 3.0).abs() < 0.05, "sample mean {mean}");
+        let median = g.quantile(0.5);
+        assert!(median > 1.0 && median < 3.0);
     }
 }

@@ -477,21 +477,6 @@ impl Pdf for HistogramPdf {
         }
         edges[i] + (p - cdf[i]) / d
     }
-
-    fn mean(&self) -> f64 {
-        self.bars()
-            .map(|(lo, hi, d)| d * 0.5 * (hi * hi - lo * lo))
-            .sum()
-    }
-
-    fn variance(&self) -> f64 {
-        let mu = self.mean();
-        let e2: f64 = self
-            .bars()
-            .map(|(lo, hi, d)| d * (hi * hi * hi - lo * lo * lo) / 3.0)
-            .sum();
-        (e2 - mu * mu).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -585,24 +570,7 @@ mod tests {
         let h = HistogramPdf::equi_width_from_fn(0.0, 2.0, 400, |x| 1.0 - (x - 1.0).abs()).unwrap();
         assert!((h.cdf(1.0) - 0.5).abs() < 1e-6);
         assert!((h.cdf(0.5) - 0.125).abs() < 1e-4);
-        assert!((h.mean() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn moments_closed_form() {
-        let h = HistogramPdf::uniform(0.0, 12.0).unwrap();
-        assert!((h.mean() - 6.0).abs() < 1e-12);
-        assert!((h.variance() - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampling_is_inside_support() {
-        let h = example();
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..5_000 {
-            let x = h.sample(&mut rng);
-            assert!((10.0..=20.0).contains(&x));
-        }
+        assert!((h.quantile(0.5) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! distributions on closed intervals (the *attribute uncertainty* model):
 //!
 //! * [`Pdf`] — the trait describing a probability density function bounded
-//!   inside a closed *uncertainty region*, with density, cdf, quantile,
-//!   sampling and moments.
+//!   inside a closed *uncertainty region*, with density, cdf and quantile.
 //! * [`UniformPdf`] — the uniform distribution used for the Long Beach
 //!   experiments (Sec. V-A of the paper).
 //! * [`TruncatedGaussian`] — the Gaussian uncertainty pdf of Sec. V-B.5
@@ -21,8 +20,8 @@
 //!   `N`-bar histogram (the paper approximates each Gaussian with a 300-bar
 //!   histogram).
 //!
-//! Everything in this crate is deterministic given a seeded RNG, which is
-//! what makes the experiment harness reproducible.
+//! Everything in this crate is deterministic: no randomness is drawn here,
+//! which is what makes the experiment harness reproducible.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

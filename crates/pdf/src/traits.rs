@@ -1,9 +1,5 @@
 //! The [`Pdf`] trait: the paper's attribute-uncertainty model.
 
-use rand::RngCore;
-
-use crate::integrate::{adaptive_simpson, gauss_legendre, GlOrder};
-
 /// A probability density function bounded inside a closed uncertainty region.
 ///
 /// This is the paper's uncertainty model (Sec. I): "the actual data value is
@@ -58,32 +54,6 @@ pub trait Pdf {
             }
         }
         0.5 * (a + b)
-    }
-
-    /// Draw a sample by inverse-transform sampling.
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        use rand::Rng as _;
-        let u: f64 = rng.gen();
-        self.quantile(u)
-    }
-
-    /// Expected value (default: numeric integration of `x·f(x)`).
-    fn mean(&self) -> f64 {
-        let (lo, hi) = self.support();
-        adaptive_simpson(|x| x * self.density(x), lo, hi, 1e-12)
-    }
-
-    /// Variance (default: numeric integration of the second central moment).
-    fn variance(&self) -> f64 {
-        let (lo, hi) = self.support();
-        let mu = self.mean();
-        gauss_legendre(
-            |x| (x - mu) * (x - mu) * self.density(x),
-            lo,
-            hi,
-            GlOrder::Sixteen,
-        )
-        .max(0.0)
     }
 
     /// Width of the uncertainty region.

@@ -2,7 +2,7 @@
 //! behave like a distribution, for arbitrary parameters.
 
 use cpnn_pdf::integrate::{adaptive_simpson, gauss_legendre, GlOrder};
-use cpnn_pdf::{discretize, HistogramPdf, Pdf, TruncatedGaussian, UniformPdf};
+use cpnn_pdf::{discretize, HistogramPdf, Pdf, TruncatedGaussian};
 use proptest::prelude::*;
 
 fn histogram_strategy() -> impl Strategy<Value = HistogramPdf> {
@@ -87,13 +87,6 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-7);
         // Symmetric around the (centered) mean.
         prop_assert!((g.cdf(lo + width / 2.0) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_mean_variance(lo in -50.0f64..50.0, width in 0.1f64..30.0) {
-        let u = UniformPdf::new(lo, lo + width).unwrap();
-        prop_assert!((u.mean() - (lo + width / 2.0)).abs() < 1e-9);
-        prop_assert!((u.variance() - width * width / 12.0).abs() < 1e-9);
     }
 
     #[test]
