@@ -1,44 +1,64 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation,
 //! plus the 2-D k-NN, cache, update, verifier-kernel and recovery
-//! experiments, and emit a machine-readable timing file (the current series file,
-//! `BENCH_pr<N>.json` derived from [`CURRENT_PR`]) so later changes have a
-//! perf trajectory to regress against.
+//! experiments.
 //!
 //! Usage:
 //! ```text
-//! repro [--quick] [--out DIR] [--bench-json FILE] [EXPERIMENT ...]
+//! repro [--quick] [--out DIR] [EXPERIMENT ...]
 //! ```
 //! where `EXPERIMENT` is any of `fig9 fig10 fig11 fig12 fig13 fig14 table3
 //! ablations knn2d cache update verify recovery` or `all` (default).
-//! `--quick` uses a reduced workload (same shapes, faster); `--out` selects the results
-//! directory (default `results/`); `--bench-json` overrides the
-//! timing-file path (default: the current series file, empty string
-//! disables) — so one-off runs can land anywhere without touching source.
+//! `--quick` uses a reduced workload (same shapes, faster); `--out` selects
+//! the results directory (default `results/`).
+//!
+//! Into `DIR` go each table as `<id>.md` and `<id>.csv`, every table with
+//! all its columns as `tables.json`, and the work those tables record as
+//! `paper_work.json`: key and work columns only, no timings and no notes,
+//! so equal code writes equal bytes on any host. A quick run of every
+//! experiment must reproduce the committed `crates/bench/paper_work.json`.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
-use std::time::Instant;
 
-use cpnn_bench::experiments;
+use cpnn_bench::experiments::{self, ablations};
 use cpnn_bench::report::Table;
 
-/// The PR this tree's timings belong to. The default timing file is
-/// derived from it, so each PR's trajectory lands in its own
-/// `BENCH_pr<N>.json` (override any single run with `--bench-json PATH`).
-const CURRENT_PR: u32 = 29;
+/// An experiment's command-line name and its table for a quick or full run.
+type Experiment = (&'static str, fn(bool) -> Table);
 
-/// The current series file: `BENCH_pr<CURRENT_PR>.json`.
-fn current_series() -> String {
-    format!("BENCH_pr{CURRENT_PR}.json")
-}
+/// Every experiment, in output order. The `ablations` name runs four
+/// tables.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig9", experiments::fig09::run),
+    ("fig10", experiments::fig10::run),
+    ("fig11", experiments::fig11::run),
+    ("fig12", experiments::fig12::run),
+    ("fig13", experiments::fig13::run),
+    ("fig14", experiments::fig14::run),
+    ("table3", experiments::table3::run),
+    ("ablations", ablations::verifier_chain),
+    ("ablations", ablations::refinement_order),
+    ("ablations", ablations::distance_bins),
+    ("ablations", ablations::extended_chain),
+    ("knn2d", experiments::knn2d::run),
+    ("cache", experiments::cache::run),
+    ("update", experiments::update::run),
+    ("verify", experiments::verify::run),
+    ("recovery", experiments::recovery::run),
+];
 
 fn main() {
     let mut quick = false;
     let mut out_dir = PathBuf::from("results");
-    let mut bench_json = PathBuf::from(current_series());
     let mut wanted: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
+    let names = || {
+        let mut names = vec!["all"];
+        names.extend(EXPERIMENTS.iter().map(|(name, _)| *name));
+        names.dedup();
+        names.join("|")
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
@@ -48,19 +68,8 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--bench-json" => {
-                bench_json = PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--bench-json requires a file argument");
-                    std::process::exit(2);
-                }));
-            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--quick] [--out DIR] [--bench-json FILE (default {})] \
-                     [fig9|fig10|fig11|fig12|fig13|fig14|table3|ablations|knn2d|cache|update|\
-                     verify|recovery|all ...]",
-                    current_series()
-                );
+                eprintln!("usage: repro [--quick] [--out DIR] [{} ...]", names());
                 return;
             }
             other => wanted.push(other.to_string()),
@@ -69,127 +78,47 @@ fn main() {
     if wanted.is_empty() {
         wanted.push("all".to_string());
     }
-    const KNOWN: &[&str] = &[
-        "all",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "table3",
-        "ablations",
-        "knn2d",
-        "cache",
-        "update",
-        "verify",
-        "recovery",
-    ];
-    if let Some(unknown) = wanted.iter().find(|w| !KNOWN.contains(&w.as_str())) {
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| *w != "all" && !EXPERIMENTS.iter().any(|(name, _)| name == w))
+    {
         eprintln!(
             "unknown experiment `{unknown}` (expected one of: {})",
-            KNOWN.join(", ")
+            names()
         );
         std::process::exit(2);
     }
     let all = wanted.iter().any(|w| w == "all");
-    let want = |name: &str| all || wanted.iter().any(|w| w == name);
 
     fs::create_dir_all(&out_dir).expect("can create results directory");
-    // (table, wall-clock seconds the experiment took to regenerate)
-    let mut produced: Vec<(Table, f64)> = Vec::new();
-
-    let run = |name: &str, f: &dyn Fn(bool) -> Table, produced: &mut Vec<(Table, f64)>| {
-        eprintln!(
-            ">> running {name} ({}) ...",
-            if quick { "quick" } else { "full" }
-        );
-        let start = Instant::now();
-        let t = f(quick);
-        let wall = start.elapsed().as_secs_f64();
-        println!("{}", t.to_text());
-        produced.push((t, wall));
-    };
-
-    if want("fig9") {
-        run("fig9", &experiments::fig09::run, &mut produced);
-    }
-    if want("fig10") {
-        run("fig10", &experiments::fig10::run, &mut produced);
-    }
-    if want("fig11") {
-        run("fig11", &experiments::fig11::run, &mut produced);
-    }
-    if want("fig12") {
-        run("fig12", &experiments::fig12::run, &mut produced);
-    }
-    if want("fig13") {
-        run("fig13", &experiments::fig13::run, &mut produced);
-    }
-    if want("fig14") {
-        run("fig14", &experiments::fig14::run, &mut produced);
-    }
-    if want("table3") {
-        run("table3", &experiments::table3::run, &mut produced);
-    }
-    if want("ablations") {
-        run(
-            "ablation-a",
-            &experiments::ablations::verifier_chain,
-            &mut produced,
-        );
-        run(
-            "ablation-b",
-            &experiments::ablations::refinement_order,
-            &mut produced,
-        );
-        run(
-            "ablation-c",
-            &experiments::ablations::distance_bins,
-            &mut produced,
-        );
-        run(
-            "ablation-d",
-            &experiments::ablations::extended_chain,
-            &mut produced,
-        );
-    }
-    if want("knn2d") {
-        run("knn2d", &experiments::knn2d::run, &mut produced);
-    }
-    if want("cache") {
-        run("cache", &experiments::cache::run, &mut produced);
-    }
-    if want("update") {
-        run("update", &experiments::update::run, &mut produced);
-    }
-    if want("verify") {
-        run("verify", &experiments::verify::run, &mut produced);
-    }
-    if want("recovery") {
-        run("recovery", &experiments::recovery::run, &mut produced);
+    let mut produced: Vec<Table> = Vec::new();
+    for (name, run) in EXPERIMENTS {
+        if all || wanted.iter().any(|w| w == name) {
+            eprintln!(
+                ">> running {name} ({}) ...",
+                if quick { "quick" } else { "full" }
+            );
+            let t = run(quick);
+            println!("{}", t.to_text());
+            produced.push(t);
+        }
     }
 
-    for (t, _) in &produced {
+    for t in &produced {
         let stem = file_stem(&t.id);
         fs::write(out_dir.join(format!("{stem}.md")), t.to_markdown())
             .expect("can write markdown result");
         fs::write(out_dir.join(format!("{stem}.csv")), t.to_csv()).expect("can write csv result");
     }
-    if bench_json.as_os_str().is_empty() {
-        eprintln!(
-            ">> wrote {} result table(s) to {}",
-            produced.len(),
-            out_dir.display()
-        );
-        return;
-    }
-    fs::write(&bench_json, bench_json_text(quick, &produced)).expect("can write bench json");
+    fs::write(out_dir.join("tables.json"), tables_json(quick, &produced))
+        .expect("can write tables json");
+    let work: Vec<Table> = produced.iter().map(Table::work).collect();
+    fs::write(out_dir.join("paper_work.json"), tables_json(quick, &work))
+        .expect("can write work json");
     eprintln!(
-        ">> wrote {} result table(s) to {} and timings to {}",
+        ">> wrote {} result table(s), tables.json and paper_work.json to {}",
         produced.len(),
-        out_dir.display(),
-        bench_json.display()
+        out_dir.display()
     );
 }
 
@@ -202,22 +131,18 @@ fn file_stem(id: &str) -> String {
         .replace("__", "_")
 }
 
-/// Hand-rolled JSON (no serde in the build environment): every experiment's
-/// wall time plus its full table, so future PRs can diff both the timings
-/// and the numbers themselves.
-fn bench_json_text(quick: bool, produced: &[(Table, f64)]) -> String {
+/// Hand-rolled JSON (no serde in the build environment): each table's id,
+/// title, column headers and rows. Notes stay in the Markdown and CSV.
+fn tables_json(quick: bool, tables: &[Table]) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"pr\": {CURRENT_PR},");
-    let _ = writeln!(out, "  \"tool\": \"repro\",");
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(out, "  \"experiments\": [");
-    for (i, (t, wall)) in produced.iter().enumerate() {
-        let comma = if i + 1 < produced.len() { "," } else { "" };
+    for (i, t) in tables.iter().enumerate() {
+        let comma = if i + 1 < tables.len() { "," } else { "" };
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"id\": {},", json_str(&t.id));
         let _ = writeln!(out, "      \"title\": {},", json_str(&t.title));
-        let _ = writeln!(out, "      \"wall_s\": {wall:.3},");
-        let _ = writeln!(out, "      \"columns\": {},", json_str_array(&t.columns));
+        let _ = writeln!(out, "      \"columns\": {},", json_str_array(&t.headers()));
         let _ = writeln!(out, "      \"rows\": [");
         for (j, row) in t.rows.iter().enumerate() {
             let rc = if j + 1 < t.rows.len() { "," } else { "" };
@@ -251,45 +176,58 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn json_str_array(items: &[String]) -> String {
-    let inner: Vec<String> = items.iter().map(|s| json_str(s)).collect();
+fn json_str_array<S: AsRef<str>>(items: &[S]) -> String {
+    let inner: Vec<String> = items.iter().map(|s| json_str(s.as_ref())).collect();
     format!("[{}]", inner.join(", "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpnn_bench::report::{key, measured, work};
+
+    fn sample() -> Table {
+        let mut t = Table::new(
+            "Fig. 9",
+            "title",
+            &[key("P"), measured("wall (ms)"), work("integ.")],
+        );
+        t.push_row(vec!["0.3".into(), "1.25".into(), "7.5".into()]);
+        t.note("a note on this host");
+        t
+    }
 
     #[test]
     fn json_strings_escape_specials() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(
-            json_str_array(&["x".into(), "y\"z".into()]),
-            "[\"x\", \"y\\\"z\"]"
-        );
+        assert_eq!(json_str_array(&["x", "y\"z"]), "[\"x\", \"y\\\"z\"]");
     }
 
     #[test]
     fn bench_json_shape_is_valid_enough() {
-        let mut t = Table::new("Fig. 9", "title", &["a", "b"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        let s = bench_json_text(true, &[(t, 0.5)]);
-        assert!(s.starts_with("{\n"));
+        let s = tables_json(true, &[sample()]);
+        assert!(s.starts_with("{\n  \"quick\": true,\n"));
         assert!(s.contains("\"id\": \"Fig. 9\""));
-        assert!(s.contains("\"wall_s\": 0.500"));
+        assert!(s.contains("\"columns\": [\"P\", \"wall (ms)\", \"integ.\"]"));
+        assert!(s.contains("[\"0.3\", \"1.25\", \"7.5\"]"));
         assert!(s.ends_with("}\n"));
+    }
+
+    #[test]
+    fn work_json_has_no_run_or_host_fields() {
+        let s = tables_json(true, &[sample().work()]);
+        assert!(s.contains("\"columns\": [\"P\", \"integ.\"]"));
+        assert!(s.contains("[\"0.3\", \"7.5\"]"));
+        for absent in ["\"pr\"", "wall_s", "wall (ms)", "1.25", "a note"] {
+            assert!(!s.contains(absent), "work json holds {absent}: {s}");
+        }
+        // Equal tables write equal bytes.
+        assert_eq!(s, tables_json(true, &[sample().work()]));
     }
 
     #[test]
     fn file_stems_are_fs_safe() {
         assert_eq!(file_stem("Fig. 9"), "fig_9");
         assert_eq!(file_stem("Batch"), "batch");
-    }
-
-    #[test]
-    fn bench_json_defaults_to_current_series() {
-        assert_eq!(current_series(), format!("BENCH_pr{CURRENT_PR}.json"));
-        let s = bench_json_text(true, &[]);
-        assert!(s.contains(&format!("\"pr\": {CURRENT_PR},")));
     }
 }

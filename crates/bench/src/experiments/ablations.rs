@@ -9,11 +9,13 @@
 //!   trades verification cost for bound tightness on Gaussian data.
 
 use cpnn_core::{EngineConfig, RefinementOrder, Strategy, UncertainDb};
-use cpnn_datagen::{gaussian_variant, longbeach::longbeach_with, LongBeachConfig};
+use cpnn_datagen::gaussian_variant;
 
-use crate::experiments::{longbeach_db, workload_queries, DEFAULT_DELTA, DEFAULT_P};
+use crate::experiments::{
+    longbeach_db, longbeach_objects, workload_queries, DEFAULT_DELTA, DEFAULT_P,
+};
 use crate::harness::run_queries;
-use crate::report::{frac, ms, Table};
+use crate::report::{frac, key, measured, ms, work, Table};
 
 /// Ablation A: alternative verifier chains.
 ///
@@ -28,12 +30,12 @@ pub fn verifier_chain(quick: bool) -> Table {
         "Ablation A",
         "does verification pay for itself? (VR vs Refine-only)",
         &[
-            "P",
-            "VR (ms)",
-            "Refine (ms)",
-            "VR integ.",
-            "Refine integ.",
-            "resolved by verif.",
+            key("P"),
+            measured("VR (ms)"),
+            measured("Refine (ms)"),
+            work("VR integ."),
+            work("Refine integ."),
+            work("resolved by verif."),
         ],
     );
     table.note("verification is profitable whenever its integ. saving outweighs its pass cost");
@@ -54,23 +56,17 @@ pub fn verifier_chain(quick: bool) -> Table {
 
 /// Ablation B: refinement subregion-visiting order.
 pub fn refinement_order(quick: bool) -> Table {
-    let data = longbeach_with(
-        0xC0FFEE,
-        LongBeachConfig {
-            count: if quick { 8_000 } else { 53_144 },
-            ..LongBeachConfig::default()
-        },
-    );
+    let data = longbeach_objects(if quick { 8_000 } else { 53_144 });
     let queries = workload_queries(quick);
     let mut table = Table::new(
         "Ablation B",
         "refinement order: largest-mass-first vs left-to-right",
         &[
-            "P",
-            "desc-mass integ.",
-            "left-right integ.",
-            "desc (ms)",
-            "ltr (ms)",
+            key("P"),
+            work("desc-mass integ."),
+            work("left-right integ."),
+            measured("desc (ms)"),
+            measured("ltr (ms)"),
         ],
     );
     table.note("fewer integrations per refined object = earlier classification");
@@ -107,23 +103,17 @@ pub fn refinement_order(quick: bool) -> Table {
 /// Ablation D: the FL-SR extra verifier (beyond the paper) — does adding a
 /// second lower-bound pass pay off on this workload?
 pub fn extended_chain(quick: bool) -> Table {
-    let data = longbeach_with(
-        0xC0FFEE,
-        LongBeachConfig {
-            count: if quick { 8_000 } else { 53_144 },
-            ..LongBeachConfig::default()
-        },
-    );
+    let data = longbeach_objects(if quick { 8_000 } else { 53_144 });
     let queries = workload_queries(quick);
     let mut table = Table::new(
         "Ablation D",
         "paper chain (RS,L-SR,U-SR) vs extended (+FL-SR)",
         &[
-            "P",
-            "paper (ms)",
-            "+FL-SR (ms)",
-            "paper integ.",
-            "+FL-SR integ.",
+            key("P"),
+            measured("paper (ms)"),
+            measured("+FL-SR (ms)"),
+            work("paper integ."),
+            work("+FL-SR integ."),
         ],
     );
     table.note("FL-SR adds one O(|C|·M) pass; it pays off when it saves refinement integrations");
@@ -156,19 +146,18 @@ pub fn extended_chain(quick: bool) -> Table {
 
 /// Ablation C: distance-histogram resolution on Gaussian data.
 pub fn distance_bins(quick: bool) -> Table {
-    let base = longbeach_with(
-        0xC0FFEE,
-        LongBeachConfig {
-            count: if quick { 3_000 } else { 10_000 },
-            ..LongBeachConfig::default()
-        },
-    );
+    let base = longbeach_objects(if quick { 3_000 } else { 10_000 });
     let gauss = gaussian_variant(&base, 300);
     let queries = workload_queries(quick);
     let mut table = Table::new(
         "Ablation C",
         "distance-histogram resolution (Gaussian pdfs)",
-        &["max bins", "VR (ms)", "avg M", "resolved by verif."],
+        &[
+            key("max bins"),
+            measured("VR (ms)"),
+            work("avg M"),
+            work("resolved by verif."),
+        ],
     );
     table.note("coarser distance histograms = smaller M = cheaper verifiers, looser bounds");
     for bins in [16usize, 32, 64, 128] {

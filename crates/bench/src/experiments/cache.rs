@@ -20,17 +20,20 @@
 //! snaps with `quantum` wider than the jitter, showing nearby-point
 //! traffic collapsing onto shared entries.
 //!
-//! The thread sweep is the PR 8 headline: per-thread caches *divide* the
-//! hot set across T workers (each worker must re-miss every hot point),
-//! while the shared tier lets one worker's miss warm all of them — so
-//! the effective hit rate holds (and outcome memoization compounds) as
-//! T grows.
+//! The hot-spot and quantization rows run on one worker, so their hit and
+//! miss counts are work: equal on every run and host. The thread sweep
+//! compares per-thread caches, which *divide* the hot set across T
+//! workers (each worker must re-miss every hot point), with the shared
+//! tier, which lets one worker's miss warm all of them — so the effective
+//! hit rate holds (and outcome memoization compounds) as T grows. Which
+//! worker takes which query is up to the scheduler, so the sweep's
+//! counters are measured, not work.
 
 use cpnn_core::{BatchExecutor, CacheConfig, CpnnQuery, SharedCacheConfig, Strategy};
 use cpnn_datagen::zipfian_query_points;
 
 use crate::experiments::{longbeach_db, DEFAULT_DELTA, DEFAULT_P};
-use crate::report::Table;
+use crate::report::{key, measured, work, Table};
 
 /// Hot-spot counts to sweep (fewer hot spots → higher hit rate).
 const HOT_SPOT_SWEEP: [usize; 3] = [8, 64, 512];
@@ -103,15 +106,13 @@ fn measure(
 }
 
 /// Run the experiment. Columns: hot-spot count, quantum, worker threads,
-/// uncached / per-thread-cached / shared-cached throughput, the effective
-/// hit rates of both cached modes, and the outcome-memo short-circuits of
-/// the shared mode ("—" where a mode is not measured on that row).
+/// the single-worker rows' cache hits and misses, uncached /
+/// per-thread-cached / shared-cached throughput, the effective hit rates
+/// of both cached modes, and the outcome-memo short-circuits of the
+/// shared mode ("—" where a mode is not measured on that row).
 pub fn run(quick: bool) -> Table {
     let db = longbeach_db(quick);
     let n_queries = if quick { 2_000 } else { 10_000 };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut table = Table::new(
         "Cache",
         &format!(
@@ -120,15 +121,17 @@ pub fn run(quick: bool) -> Table {
              queries"
         ),
         &[
-            "hot spots",
-            "quantum",
-            "threads",
-            "uncached q/s",
-            "cached q/s",
-            "shared q/s",
-            "hit rate",
-            "shared hit rate",
-            "memo hits",
+            key("hot spots"),
+            key("quantum"),
+            key("threads"),
+            work("hits"),
+            work("misses"),
+            measured("uncached q/s"),
+            measured("cached q/s"),
+            measured("shared q/s"),
+            measured("hit rate"),
+            measured("shared hit rate"),
+            measured("memo hits"),
         ],
     );
     table.note(format!(
@@ -153,11 +156,11 @@ pub fn run(quick: bool) -> Table {
         let off = measure(
             &db,
             &queries,
-            threads,
+            1,
             CacheConfig::disabled(),
             SharedCacheConfig::disabled(),
         );
-        let on = measure(&db, &queries, threads, l1, SharedCacheConfig::disabled());
+        let on = measure(&db, &queries, 1, l1, SharedCacheConfig::disabled());
         assert_eq!(
             off.answers, on.answers,
             "cached answers must equal uncached at quantum 0"
@@ -165,7 +168,9 @@ pub fn run(quick: bool) -> Table {
         table.push_row(vec![
             hot_spots.to_string(),
             "0".into(),
-            threads.to_string(),
+            "1".into(),
+            on.hits.to_string(),
+            on.misses.to_string(),
             format!("{:.0}", off.qps),
             format!("{:.0}", on.qps),
             "—".into(),
@@ -186,21 +191,21 @@ pub fn run(quick: bool) -> Table {
     let off = measure(
         &db,
         &jittered,
-        threads,
+        1,
         CacheConfig::disabled(),
         SharedCacheConfig::disabled(),
     );
     let snapped_run = measure(
         &db,
         &snapped,
-        threads,
+        1,
         CacheConfig::disabled(),
         SharedCacheConfig::disabled(),
     );
     let on = measure(
         &db,
         &jittered,
-        threads,
+        1,
         CacheConfig::new(CAPACITY, quantum),
         SharedCacheConfig::disabled(),
     );
@@ -211,7 +216,9 @@ pub fn run(quick: bool) -> Table {
     table.push_row(vec![
         "64±2".into(),
         format!("{quantum}"),
-        threads.to_string(),
+        "1".into(),
+        on.hits.to_string(),
+        on.misses.to_string(),
         format!("{:.0}", off.qps),
         format!("{:.0}", on.qps),
         "—".into(),
@@ -219,7 +226,7 @@ pub fn run(quick: bool) -> Table {
         "—".into(),
         "—".into(),
     ]);
-    // Thread sweep (the PR 8 headline): one Zipf trace, T ∈ {1, 2, 4, 8}.
+    // Thread sweep: one Zipf trace, T ∈ {1, 2, 4, 8}.
     // Per-thread caches split the hot set T ways (every worker re-misses
     // every hot point), so their hit rate *decays* with T; the shared tier
     // restores it — one worker's miss warms all — and its outcome memo
@@ -269,6 +276,8 @@ pub fn run(quick: bool) -> Table {
             "64".into(),
             "0".into(),
             t.to_string(),
+            "—".into(),
+            "—".into(),
             format!("{:.0}", off.qps),
             format!("{:.0}", local.qps),
             format!("{:.0}", shared.qps),

@@ -3,11 +3,10 @@
 //! filtering time (crossover near |T| ≈ 5,000 in the paper).
 
 use cpnn_core::Strategy;
-use cpnn_datagen::{longbeach::longbeach_with, LongBeachConfig};
 
-use crate::experiments::{workload_queries, DEFAULT_DELTA, DEFAULT_P};
+use crate::experiments::{longbeach_db_sized, workload_queries, DEFAULT_DELTA, DEFAULT_P};
 use crate::harness::run_queries;
-use crate::report::{frac, ms, Table};
+use crate::report::{frac, key, measured, ms, work, Table};
 
 /// Run the experiment. Columns: dataset size, filtering ms, Basic ms, and
 /// the fraction of total time spent in Basic (the paper's y-axis).
@@ -22,21 +21,16 @@ pub fn run(quick: bool) -> Table {
         "Fig. 9",
         "Basic vs. Filtering time as |T| grows",
         &[
-            "|T|",
-            "filter (ms)",
-            "basic eval (ms)",
-            "basic share",
-            "avg |C|",
+            key("|T|"),
+            measured("filter (ms)"),
+            measured("basic eval (ms)"),
+            measured("basic share"),
+            work("avg |C|"),
         ],
     );
     table.note("paper: Basic starts to dominate filtering beyond |T| ≈ 5,000");
     for &size in &sizes {
-        let cfg = LongBeachConfig {
-            count: size,
-            ..LongBeachConfig::default()
-        };
-        let db = cpnn_core::UncertainDb::build(longbeach_with(0xC0FFEE, cfg))
-            .expect("valid generated data");
+        let db = longbeach_db_sized(size);
         let s = run_queries(&db, &queries, DEFAULT_P, DEFAULT_DELTA, Strategy::Basic);
         let basic = s.avg_refine; // Basic's evaluation is booked as "refine"
         let share = basic.as_secs_f64() / (basic + s.avg_filter).as_secs_f64().max(1e-12);

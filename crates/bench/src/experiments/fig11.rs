@@ -9,7 +9,7 @@ use cpnn_core::Strategy;
 
 use crate::experiments::{longbeach_db, workload_queries, DEFAULT_DELTA};
 use crate::harness::run_queries;
-use crate::report::{ms, Table};
+use crate::report::{key, measured, ms, work, Table};
 
 /// Run the experiment. Verification is reported as init + verifier passes
 /// (the paper's Fig. 5 counts initialization as part of verification).
@@ -20,12 +20,12 @@ pub fn run(quick: bool) -> Table {
         "Fig. 11",
         "VR phase breakdown vs. threshold",
         &[
-            "P",
-            "filter (ms)",
-            "verify (ms)",
-            "refine (ms)",
-            "refined integ.",
-            "resolved by verif.",
+            key("P"),
+            measured("filter (ms)"),
+            measured("verify (ms)"),
+            measured("refine (ms)"),
+            work("refined integ."),
+            work("resolved by verif."),
         ],
     );
     table.note("paper: verification ≈ 1 ms; refinement → 0 for P > 0.3");

@@ -12,7 +12,7 @@ use cpnn_core::Strategy;
 
 use crate::experiments::{longbeach_db, workload_queries, DEFAULT_DELTA};
 use crate::harness::run_queries;
-use crate::report::{frac, Table};
+use crate::report::{frac, key, work, Table};
 
 /// Run the experiment. One row per threshold; one column per verifier
 /// stage, each the average fraction of candidates still unknown after it.
@@ -22,7 +22,12 @@ pub fn run(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 12",
         "fraction of objects unknown after each verifier",
-        &["P", "after RS", "after L-SR", "after U-SR"],
+        &[
+            key("P"),
+            work("after RS"),
+            work("after L-SR"),
+            work("after U-SR"),
+        ],
     );
     table.note("paper: ~0.75 after RS at P=0.1; U-SR strongest overall; L-SR matters at small P");
     for p in [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4] {

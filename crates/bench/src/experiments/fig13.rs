@@ -8,7 +8,7 @@ use cpnn_core::Strategy;
 
 use crate::experiments::{longbeach_db, workload_queries};
 use crate::harness::run_queries;
-use crate::report::{frac, ms, Table};
+use crate::report::{frac, key, measured, ms, work, Table};
 
 /// Threshold for the tolerance sweep.
 ///
@@ -28,10 +28,10 @@ pub fn run(quick: bool) -> Table {
         "Fig. 13",
         "queries finished after verification vs. tolerance Δ",
         &[
-            "Δ",
-            "finished fraction",
-            "VR time (ms)",
-            "avg refine integ.",
+            key("Δ"),
+            work("finished fraction"),
+            measured("VR time (ms)"),
+            work("avg refine integ."),
         ],
     );
     table.note("paper: ≈10% more queries complete at Δ = 0.16 than at Δ = 0");

@@ -6,21 +6,20 @@
 //! (Gaussian probability evaluation is pricier, and the verifiers avoid
 //! it); at P = 1 all methods are cheap because at most one candidate can
 //! satisfy the query.
+//!
+//! Like Fig. 10, the figure is about time; the integrations each strategy
+//! ran are the work behind it.
 
 use cpnn_core::{Strategy, UncertainDb};
-use cpnn_datagen::{gaussian_variant, longbeach::longbeach_with, LongBeachConfig};
+use cpnn_datagen::gaussian_variant;
 
-use crate::experiments::{workload_queries, DEFAULT_DELTA};
+use crate::experiments::{longbeach_objects, workload_queries, DEFAULT_DELTA};
 use crate::harness::run_queries;
-use crate::report::{ms, Table};
+use crate::report::{key, measured, ms, work, Table};
 
 /// Build the Gaussian variant of the Long Beach analog.
 pub fn gaussian_db(quick: bool, bars: usize) -> UncertainDb {
-    let cfg = LongBeachConfig {
-        count: if quick { 4_000 } else { 20_000 },
-        ..LongBeachConfig::default()
-    };
-    let base = longbeach_with(0xC0FFEE, cfg);
+    let base = longbeach_objects(if quick { 4_000 } else { 20_000 });
     UncertainDb::build(gaussian_variant(&base, bars)).expect("valid generated data")
 }
 
@@ -31,7 +30,16 @@ pub fn run(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 14",
         "Gaussian pdfs: time vs. threshold (log-scale shape)",
-        &["P", "Basic (ms)", "Refine (ms)", "VR (ms)", "VR/Basic"],
+        &[
+            key("P"),
+            measured("Basic (ms)"),
+            measured("Refine (ms)"),
+            measured("VR (ms)"),
+            measured("VR/Basic"),
+            work("Basic integ."),
+            work("Refine integ."),
+            work("VR integ."),
+        ],
     );
     table.note("paper: VR's saving is larger than with uniform pdfs; all methods cheap at P = 1");
     let sweep = if quick {
@@ -50,6 +58,9 @@ pub fn run(quick: bool) -> Table {
             ms(refine.avg_total),
             ms(vr.avg_total),
             format!("{ratio:.3}"),
+            format!("{:.1}", basic.avg_integrations),
+            format!("{:.1}", refine.avg_integrations),
+            format!("{:.1}", vr.avg_integrations),
         ]);
     }
     table

@@ -13,18 +13,23 @@
 //! the closed-form distance-cdf knots a query evaluates: each candidate's
 //! knots are computed on demand, and never past the first grid edge beyond
 //! the horizon.
+//!
+//! Stage columns are positional: `by stage i %` is the share of queries
+//! whose last object the i-th verifier of the chain decided, and the
+//! `chain` column names those verifiers as the queries reported them
+//! (RS → L-SR → U-SR at k = 1, RS → SR-k → SR-k above).
 
 use cpnn_core::{BatchExecutor, PipelineConfig, QuerySpec, Strategy, UncertainDb2d};
 use cpnn_datagen::{objects_2d, query_points_2d, Synthetic2dConfig};
 
 use crate::experiments::{DEFAULT_DELTA, DEFAULT_P};
 use crate::harness::deciding_stage;
-use crate::report::Table;
+use crate::report::{key, measured, work, Table};
 
 /// Run the experiment. Columns: k, wall ms, throughput, average
 /// candidates/subregions, queries resolved by verification alone, the
-/// share each chain position decided, SR-k tails and cdf knots evaluated
-/// per query.
+/// verifier chain, the share each chain position decided, SR-k tails and
+/// cdf knots evaluated per query.
 pub fn run(quick: bool) -> Table {
     let cfg2d = Synthetic2dConfig {
         count: if quick { 2_000 } else { 10_000 },
@@ -44,27 +49,24 @@ pub fn run(quick: bool) -> Table {
             db.len()
         ),
         &[
-            "k",
-            "wall (ms)",
-            "queries/s",
-            "avg cands",
-            "avg subregions",
-            "resolved by verify %",
-            "by RS %",
-            "by coarse SR-k %",
-            "by fine SR-k %",
-            "tails/query",
-            "cdf evals/query",
+            key("k"),
+            measured("wall (ms)"),
+            measured("queries/s"),
+            work("avg cands"),
+            work("avg subregions"),
+            work("resolved by verify %"),
+            work("chain"),
+            work("by stage 1 %"),
+            work("by stage 2 %"),
+            work("by stage 3 %"),
+            work("tails/query"),
+            work("cdf evals/query"),
         ],
     );
     table.note(format!(
         "P = {DEFAULT_P}, Δ = {DEFAULT_DELTA}, strategy VR, domain {}², {} thread(s)",
         cfg2d.domain, threads
     ));
-    table.note(
-        "by <stage> %: queries whose last object that chain position decided; \
-         k = 1 runs RS → L-SR → U-SR, so its two SR-k columns read L-SR and U-SR",
-    );
     for k in [1usize, 2, 4, 8] {
         let spec = QuerySpec::knn(k, DEFAULT_P, DEFAULT_DELTA, Strategy::Verified);
         let out = BatchExecutor::new(threads).run_uniform(
@@ -84,6 +86,17 @@ pub fn run(quick: bool) -> Table {
         let subregions: usize = stats().map(|st| st.subregions).sum();
         let tails: usize = stats().map(|st| st.pb_tails).sum();
         let cdf_evals: usize = stats().map(|st| st.cdf_evals).sum();
+        // The chain as the queries ran it: a query stops reporting at the
+        // stage that decided it, so the longest report names every stage.
+        let mut chain: Vec<&str> = Vec::new();
+        for st in stats() {
+            for (pos, stage) in st.stages.iter().enumerate() {
+                match chain.get(pos) {
+                    Some(name) => assert_eq!(*name, stage.name, "one chain per k"),
+                    None => chain.push(stage.name),
+                }
+            }
+        }
         let per_query = |count: usize| count as f64 / s.queries.max(1) as f64;
         let decided_by = |pos: usize| {
             let count = stats()
@@ -98,6 +111,7 @@ pub fn run(quick: bool) -> Table {
             format!("{:.1}", per_query(s.candidates)),
             format!("{:.1}", per_query(subregions)),
             format!("{:.1}", 100.0 * per_query(s.resolved_by_verification)),
+            chain.join(" → "),
             decided_by(0),
             decided_by(1),
             decided_by(2),

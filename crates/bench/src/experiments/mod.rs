@@ -16,7 +16,7 @@ pub mod table3;
 pub mod update;
 pub mod verify;
 
-use cpnn_core::UncertainDb;
+use cpnn_core::{UncertainDb, UncertainObject};
 use cpnn_datagen::{longbeach::longbeach_with, query_points, LongBeachConfig};
 
 /// The paper's threshold default.
@@ -33,11 +33,17 @@ pub fn longbeach_db(quick: bool) -> UncertainDb {
 
 /// Long Beach analog database at an explicit cardinality (for |T| sweeps).
 pub fn longbeach_db_sized(count: usize) -> UncertainDb {
+    UncertainDb::build(longbeach_objects(count)).expect("valid generated data")
+}
+
+/// The Long Beach analog's objects at an explicit cardinality: one seed
+/// for every experiment.
+pub fn longbeach_objects(count: usize) -> Vec<UncertainObject> {
     let cfg = LongBeachConfig {
         count,
         ..LongBeachConfig::default()
     };
-    UncertainDb::build(longbeach_with(0xC0FFEE, cfg)).expect("valid generated data")
+    longbeach_with(0xC0FFEE, cfg)
 }
 
 /// Query workload ("Each point in the graph is an average of the results

@@ -19,17 +19,9 @@
 use std::time::{Duration, Instant};
 
 use cpnn_core::{FileBackend, ObjectId, QueryServer, UncertainDb, UncertainObject};
-use cpnn_datagen::{longbeach::longbeach_with, LongBeachConfig};
 
-use crate::report::Table;
-
-fn db_of(count: usize) -> UncertainDb {
-    let cfg = LongBeachConfig {
-        count,
-        ..LongBeachConfig::default()
-    };
-    UncertainDb::build(longbeach_with(0xC0FFEE, cfg)).expect("valid generated data")
-}
+use crate::experiments::longbeach_db_sized;
+use crate::report::{key, measured, work, Table};
 
 fn update_object(i: usize) -> UncertainObject {
     let lo = (i as f64 * 37.3) % 9_000.0;
@@ -89,14 +81,14 @@ pub fn run(quick: bool) -> Table {
         "Durability tax and recovery cost: volatile vs. journaled \
          coalesced bursts, checkpoint and cold-recovery wall time",
         &[
-            "|T|",
-            "burst",
-            "volatile (µs/op)",
-            "durable (µs/op)",
-            "tax",
-            "checkpoint (ms)",
-            "recover (ms)",
-            "replayed",
+            key("|T|"),
+            key("burst"),
+            measured("volatile (µs/op)"),
+            measured("durable (µs/op)"),
+            measured("tax"),
+            measured("checkpoint (ms)"),
+            measured("recover (ms)"),
+            work("replayed"),
         ],
     );
     table.note(format!(
@@ -108,7 +100,7 @@ pub fn run(quick: bool) -> Table {
     ));
     let tmp = std::env::temp_dir().join(format!("cpnn-bench-recovery-{}", std::process::id()));
     for &size in sizes {
-        let db = db_of(size);
+        let db = longbeach_db_sized(size);
         for &burst in &bursts {
             let volatile = burst_latency(&db, burst, rounds, None);
             let _ = std::fs::remove_dir_all(&tmp);

@@ -27,21 +27,13 @@ use cpnn_core::{
     ObjectId, QueryServer, QuerySpec, ShardableModel, ShardedDb, Strategy, UncertainDb,
     UncertainObject,
 };
-use cpnn_datagen::{longbeach::longbeach_with, query_points, LongBeachConfig};
+use cpnn_datagen::query_points;
 
-use crate::experiments::{DEFAULT_DELTA, DEFAULT_P};
-use crate::report::Table;
+use crate::experiments::{longbeach_objects, DEFAULT_DELTA, DEFAULT_P};
+use crate::report::{key, measured, work, Table};
 
 /// Size of one coalesced burst.
 const BURST: usize = 16;
-
-fn db_of(count: usize) -> Vec<UncertainObject> {
-    let cfg = LongBeachConfig {
-        count,
-        ..LongBeachConfig::default()
-    };
-    longbeach_with(0xC0FFEE, cfg)
-}
 
 /// A fresh update object far from collision with generated ids.
 fn update_object(i: usize) -> UncertainObject {
@@ -213,15 +205,15 @@ pub fn run(quick: bool) -> Table {
         "Per-update latency and mixed read/write throughput: full-rebuild \
          baseline vs. persistent path-copy vs. coalesced bursts",
         &[
-            "|T|",
-            "shards",
-            "rebuild (µs)",
-            "path-copy (µs)",
-            "speedup",
-            "coalesced (µs/op)",
-            "mixed q/s",
-            "rtree nodes",
-            "leaf fill",
+            key("|T|"),
+            key("shards"),
+            measured("rebuild (µs)"),
+            measured("path-copy (µs)"),
+            measured("speedup"),
+            measured("coalesced (µs/op)"),
+            measured("mixed q/s"),
+            work("rtree nodes"),
+            work("leaf fill"),
         ],
     );
     table.note(format!(
@@ -236,7 +228,7 @@ pub fn run(quick: bool) -> Table {
          snapshot's shard indexes (avg leaf entries over leaf capacity)"
     ));
     for &size in sizes {
-        let objects = db_of(size);
+        let objects = longbeach_objects(size);
         for shards in shard_sweep {
             let db = ShardedDb::<UncertainDb>::build(objects.clone(), Default::default(), shards)
                 .expect("valid generated data");

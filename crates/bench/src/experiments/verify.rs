@@ -27,7 +27,7 @@ use cpnn_core::verifiers::reference::reference_verifiers;
 use cpnn_core::verifiers::{kernels, VerificationState, Verifier};
 use cpnn_core::{CandidateSet, ObjectId, RefinementOrder, SubregionTable, UncertainObject};
 
-use crate::report::{ms, Table};
+use crate::report::{key, measured, ms, work, Table};
 
 /// `c` mutually overlapping uniforms; near points repeat in groups of `g`,
 /// shrinking M (the subregion count) without changing |C|.
@@ -94,14 +94,14 @@ pub fn run(quick: bool) -> Table {
         "Verify",
         "verification-kernel vs legacy-path time per query (build / verify + refine)",
         &[
-            "|C|",
-            "M",
-            "build (ms)",
-            "legacy (ms)",
-            "kernel (ms)",
-            "speedup",
-            "integrations",
-            "column passes",
+            key("|C|"),
+            work("M"),
+            measured("build (ms)"),
+            measured("legacy (ms)"),
+            measured("kernel (ms)"),
+            measured("speedup"),
+            work("integrations"),
+            work("column passes"),
         ],
     );
     table.note(format!(

@@ -1,12 +1,13 @@
-//! Query-set runner: executes a batch of queries under one strategy and
+//! Query-set runner: executes a set of queries under one strategy and
 //! aggregates the per-phase statistics the figures plot. [`run_queries`]
-//! routes through a single-worker [`BatchExecutor`], so per-query timings
-//! are the paper's undisturbed measurements.
+//! evaluates them one after another over one [`QueryScratch`], so
+//! per-query timings are the paper's undisturbed measurements.
 
 use std::time::Duration;
 
 use cpnn_core::framework::StageReport;
-use cpnn_core::{BatchExecutor, CpnnQuery, Strategy, UncertainDb};
+use cpnn_core::pipeline::cpnn_with;
+use cpnn_core::{QueryScratch, QuerySpec, Strategy, UncertainDb};
 
 /// Aggregated statistics over a query set (each paper graph point "is an
 /// average of the results for 100 queries").
@@ -71,11 +72,9 @@ pub fn run_queries(
     tolerance: f64,
     strategy: Strategy,
 ) -> RunSummary {
-    let batch: Vec<CpnnQuery> = queries
-        .iter()
-        .map(|&q| CpnnQuery::new(q, threshold, tolerance))
-        .collect();
-    let out = BatchExecutor::new(1).run_cpnn(db, &batch, strategy, &db.config().pipeline());
+    let spec = QuerySpec::nn(threshold, tolerance, strategy);
+    let cfg = db.config().pipeline();
+    let mut scratch = QueryScratch::new();
 
     let mut sum = RunSummary {
         queries: queries.len(),
@@ -91,8 +90,8 @@ pub fn run_queries(
     let mut resolved = 0usize;
     let mut stage_acc: Vec<(&'static str, f64)> = Vec::new();
 
-    for res in &out.results {
-        let res = res.as_ref().expect("query evaluation succeeds");
+    for q in queries {
+        let res = cpnn_with(db, q, &spec, &cfg, &mut scratch).expect("query evaluation succeeds");
         let s = &res.stats;
         total += s.total_time();
         filter += s.filter_time;
