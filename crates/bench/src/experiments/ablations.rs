@@ -166,22 +166,11 @@ pub fn distance_bins(quick: bool) -> Table {
             ..EngineConfig::default()
         };
         let db = UncertainDb::with_config(gauss.clone(), config).expect("valid data");
-        // Average M over a few queries (M is per-query).
-        let mut m_total = 0usize;
-        for &q in queries.iter().take(5) {
-            let res = db
-                .cpnn(
-                    &cpnn_core::CpnnQuery::new(q, DEFAULT_P, DEFAULT_DELTA),
-                    Strategy::Verified,
-                )
-                .expect("query succeeds");
-            m_total += res.stats.subregions;
-        }
         let s = run_queries(&db, &queries, DEFAULT_P, DEFAULT_DELTA, Strategy::Verified);
         table.push_row(vec![
             bins.to_string(),
             ms(s.avg_total),
-            format!("{:.0}", m_total as f64 / 5.0),
+            format!("{:.0}", s.avg_subregions),
             frac(s.resolved_fraction),
         ]);
     }

@@ -27,7 +27,9 @@ pub struct RunSummary {
     pub avg_refine: Duration,
     /// Mean candidate-set size.
     pub avg_candidates: f64,
-    /// Mean work counter (integrations / integrand evals).
+    /// Mean subregion count `M`.
+    pub avg_subregions: f64,
+    /// Mean subregion integrations.
     pub avg_integrations: f64,
     /// Fraction of queries fully resolved by verification alone.
     pub resolved_fraction: f64,
@@ -86,6 +88,7 @@ pub fn run_queries(
     let mut verify = Duration::ZERO;
     let mut refine = Duration::ZERO;
     let mut candidates = 0usize;
+    let mut subregions = 0usize;
     let mut integrations = 0usize;
     let mut resolved = 0usize;
     let mut stage_acc: Vec<(&'static str, f64)> = Vec::new();
@@ -99,6 +102,7 @@ pub fn run_queries(
         verify += s.verify_time;
         refine += s.refine_time;
         candidates += s.candidates;
+        subregions += s.subregions;
         integrations += s.integrations;
         if s.resolved_by_verification {
             resolved += 1;
@@ -113,6 +117,7 @@ pub fn run_queries(
     sum.avg_verify = verify / n;
     sum.avg_refine = refine / n;
     sum.avg_candidates = candidates as f64 / n as f64;
+    sum.avg_subregions = subregions as f64 / n as f64;
     sum.avg_integrations = integrations as f64 / n as f64;
     sum.resolved_fraction = resolved as f64 / n as f64;
     sum.unknown_fraction_after = stage_acc

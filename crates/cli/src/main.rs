@@ -9,7 +9,6 @@
 //! cpnn cpnn data.cpnn --batch 10000 --threads 8 --p 0.3    # parallel batch over
 //!                                                          # random query points
 //! cpnn knn data.cpnn --q 4200 --k 3 --p 0.5                # constrained k-NN
-//! cpnn range data.cpnn --lo 100 --hi 200 --p 0.5           # probabilistic range
 //! cpnn serve data.cpnn --threads 8                         # long-lived query server
 //!                                                          # (streams queries from stdin)
 //! ```
@@ -61,7 +60,6 @@ fn run(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "cpnn" => cpnn(&mut bag),
         "knn" => knn(&mut bag),
         "knn2d" => knn2d(&mut bag),
-        "range" => range(&mut bag),
         "serve" => serve(&mut bag),
         "shard-split" => distributed::shard_split(&mut bag),
         "shard-serve" => distributed::shard_serve(&mut bag),
@@ -98,7 +96,6 @@ fn print_usage() {
          \x20       [--domain D] [--cache N] [--cache-quantum EPS] [--shared-cache N]\n\
          \x20                                              constrained 2-D k-NN over a synthetic\n\
          \x20                                              disk/rectangle dataset on [0, D]²\n\
-         \x20 range FILE --lo A --hi B --p P               probabilistic range query\n\
          \x20 serve FILE [--threads T] [--queries FILE] [--shards N] [--shard-balance B]\n\
          \x20       [--cache N] [--cache-quantum EPS]      long-lived query server: stream\n\
          \x20       [--shared-cache N]\n\
@@ -942,21 +939,4 @@ fn print_served(
         ),
         Err(e) => writeln!(out, "#{seq} v{} error: {e}", served.snapshot_version),
     }
-}
-
-fn range(bag: &mut ArgBag) -> Result<(), Box<dyn std::error::Error>> {
-    let db = load(bag)?;
-    let lo: f64 = bag.required("lo")?;
-    let hi: f64 = bag.required("hi")?;
-    let p: f64 = bag.required("p")?;
-    bag.finish()?;
-    let res = db.range_query(lo, hi, p)?;
-    println!(
-        "{} object(s) in [{lo}, {hi}] with probability >= {p}:",
-        res.len()
-    );
-    for a in res.iter().take(20) {
-        println!("  {}: {:.4}", a.id, a.probability);
-    }
-    Ok(())
 }

@@ -80,11 +80,6 @@ impl BatchExecutor {
         Self { threads }
     }
 
-    /// The resolved worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Evaluate `(query point, spec)` pairs against `model`. Results are in
     /// input order; per-query errors surface in their slot.
     pub fn run<M>(
@@ -239,7 +234,7 @@ pub struct BatchSummary {
     pub wall_time: Duration,
     /// Summed per-query time across all phases (CPU-time proxy; exceeds
     /// `wall_time` when scaling across cores).
-    pub query_time: Duration,
+    pub(crate) query_time: Duration,
     /// Summed filtering time.
     pub filter_time: Duration,
     /// Summed initialization time.
@@ -250,10 +245,6 @@ pub struct BatchSummary {
     pub refine_time: Duration,
     /// Summed candidate-set sizes.
     pub candidates: usize,
-    /// Summed work counters (integrations / integrand evals).
-    pub integrations: usize,
-    /// Summed refined-object counts.
-    pub refined_objects: usize,
     /// Queries fully resolved by verification alone.
     pub resolved_by_verification: usize,
     /// Total answers returned.
@@ -292,8 +283,6 @@ impl BatchSummary {
                     s.verify_time += st.verify_time;
                     s.refine_time += st.refine_time;
                     s.candidates += st.candidates;
-                    s.integrations += st.integrations;
-                    s.refined_objects += st.refined_objects;
                     if st.resolved_by_verification {
                         s.resolved_by_verification += 1;
                     }
@@ -398,7 +387,7 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
         let ex = BatchExecutor::new(0);
-        assert!(ex.threads() >= 1);
+        assert!(ex.threads >= 1);
     }
 
     #[test]

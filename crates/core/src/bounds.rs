@@ -10,19 +10,19 @@ pub struct ProbBound {
 
 impl ProbBound {
     /// The vacuous bound `[0, 1]` every candidate starts with.
-    pub fn vacuous() -> Self {
+    pub(crate) fn vacuous() -> Self {
         Self { lo: 0.0, hi: 1.0 }
     }
 
     /// An exact (collapsed) bound `[p, p]`.
-    pub fn exact(p: f64) -> Self {
+    pub(crate) fn exact(p: f64) -> Self {
         let p = p.clamp(0.0, 1.0);
         Self { lo: p, hi: p }
     }
 
     /// Construct from raw endpoints, clamping to `[0, 1]` and repairing
     /// inversions smaller than numerical noise.
-    pub fn new(lo: f64, hi: f64) -> Self {
+    pub(crate) fn new(lo: f64, hi: f64) -> Self {
         let lo = lo.clamp(0.0, 1.0);
         let hi = hi.clamp(0.0, 1.0);
         if lo > hi {
@@ -48,21 +48,21 @@ impl ProbBound {
     }
 
     /// Bound width `p.u − p.l` (the estimation error of Sec. III-A).
-    pub fn width(&self) -> f64 {
+    pub(crate) fn width(&self) -> f64 {
         self.hi - self.lo
     }
 
     /// Tighten the lower bound if `lo` improves it (the framework "only
     /// adjusts the probability bound … if this new bound is smaller than
     /// the one previously computed").
-    pub fn raise_lo(&mut self, lo: f64) {
+    pub(crate) fn raise_lo(&mut self, lo: f64) {
         if lo > self.lo {
             *self = Self::new(lo, self.hi.max(lo.min(1.0)));
         }
     }
 
     /// Tighten the upper bound if `hi` improves it.
-    pub fn lower_hi(&mut self, hi: f64) {
+    pub(crate) fn lower_hi(&mut self, hi: f64) {
         if hi < self.hi {
             *self = Self::new(self.lo.min(hi.max(0.0)), hi);
         }

@@ -14,7 +14,7 @@
 //!   survivor's distance distribution (the product of phases 1–2,
 //!   dominated by pdf folding / 2-D cdf integration);
 //! * the **outcomes** — the reports of every (spec, config) band already
-//!   evaluated at that point ([`OutcomeKey`]), replayed on a repeat.
+//!   evaluated at that point (keyed by `OutcomeKey`), replayed on a repeat.
 //!
 //! The subregion table is *not* memoized: at ≈ 4× the size of the
 //! candidate set it would dominate the cache's footprint, and a repeat
@@ -112,7 +112,7 @@ use crate::shard::Extent;
 pub struct CacheConfig {
     /// Maximum memoized query points per thread; `0` disables caching
     /// entirely (the default).
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Quantization grid width ε. `0.0` reuses exact repeats only;
     /// `ε > 0` snaps every query coordinate to the nearest multiple of ε
     /// **before** evaluation, so nearby points share one entry (see the
@@ -207,7 +207,7 @@ impl CacheStats {
 
     /// Fold another counter set into this one (batch workers aggregate
     /// their per-thread caches, the shared tier its segments, this way).
-    pub fn accumulate(&mut self, other: &CacheStats) {
+    pub(crate) fn accumulate(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.shared_hits += other.shared_hits;
@@ -234,12 +234,12 @@ pub fn quantize_coord(c: f64, quantum: f64) -> f64 {
 }
 
 /// Bit-exact key of a 1-D query point (already snapped).
-pub fn point_key_1d(q: f64) -> u128 {
+pub(crate) fn point_key_1d(q: f64) -> u128 {
     q.to_bits() as u128
 }
 
 /// Bit-exact key of a 2-D query point (already snapped).
-pub fn point_key_2d(q: [f64; 2]) -> u128 {
+pub(crate) fn point_key_2d(q: [f64; 2]) -> u128 {
     ((q[0].to_bits() as u128) << 64) | q[1].to_bits() as u128
 }
 
@@ -257,7 +257,7 @@ pub fn point_key_2d(q: [f64; 2]) -> u128 {
 /// re-running verify/refine would produce (property-tested in
 /// `tests/proptest_cache.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OutcomeKey {
+pub(crate) struct OutcomeKey {
     threshold: u64,
     tolerance: u64,
     strategy: Strategy,
@@ -267,7 +267,7 @@ pub struct OutcomeKey {
 
 impl OutcomeKey {
     /// The outcome key for evaluating `spec` under `cfg`.
-    pub fn new(spec: &QuerySpec, cfg: &PipelineConfig) -> Self {
+    pub(crate) fn new(spec: &QuerySpec, cfg: &PipelineConfig) -> Self {
         Self {
             threshold: spec.threshold.to_bits(),
             tolerance: spec.tolerance.to_bits(),
@@ -620,7 +620,7 @@ impl VerifyCache {
     }
 
     /// Cumulative counters (not reset by invalidation or reconfiguration).
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.local.stats
     }
 
@@ -695,7 +695,7 @@ impl VerifyCache {
 pub struct SharedCacheConfig {
     /// Total memoized query points across all segments; `0` disables the
     /// tier entirely (the default).
-    pub capacity: usize,
+    pub(crate) capacity: usize,
 }
 
 impl SharedCacheConfig {

@@ -2,8 +2,6 @@
 //! distance distributions, sorted by near point (paper Sec. IV-A: "sort
 //! these objects in the ascending order of their near points").
 
-use std::borrow::Cow;
-
 use crate::distance::DistanceDistribution;
 use crate::error::Result;
 use crate::object::{ObjectId, UncertainObject};
@@ -15,7 +13,7 @@ use crate::object::{ObjectId, UncertainObject};
 /// placed — and returns `INFINITY` when empty. Shared by the candidate set
 /// and every [`crate::pipeline::DistanceModel`] filter that pre-prunes with
 /// exact region distances.
-pub fn k_horizon(fars: &mut [f64], k: usize) -> f64 {
+pub(crate) fn k_horizon(fars: &mut [f64], k: usize) -> f64 {
     if fars.is_empty() {
         return f64::INFINITY;
     }
@@ -36,10 +34,7 @@ pub struct CandidateMember {
 /// The candidate set `C` for a query point `q`, ordered by near point.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
-    q: f64,
     members: Vec<CandidateMember>,
-    fmin: f64,
-    fmax: f64,
     /// Pruning horizon: `fmin` for 1-NN, the `k`-th smallest far point for
     /// the k-NN extension.
     horizon: f64,
@@ -53,7 +48,7 @@ impl CandidateSet {
     /// rule is identical, so this is a no-op after filtering).
     ///
     /// `max_distance_bins`, when non-zero, re-bins each distance pdf onto at
-    /// most that many bars (see [`DistanceDistribution::with_max_bins`]).
+    /// most that many bars (see `DistanceDistribution::with_max_bins`).
     pub fn build<'a, I>(objects: I, q: f64, max_distance_bins: usize) -> Result<Self>
     where
         I: IntoIterator<Item = &'a UncertainObject>,
@@ -74,7 +69,7 @@ impl CandidateSet {
                 DistanceDistribution::from_pdf(obj.pdf(), q)?.with_max_bins(max_distance_bins)?;
             members.push(CandidateMember { id: obj.id(), dist });
         }
-        Ok(Self::assemble(q, members, k))
+        Ok(Self::assemble(members, k))
     }
 
     /// Assemble a candidate set directly from distance distributions —
@@ -86,25 +81,13 @@ impl CandidateSet {
             .into_iter()
             .map(|(id, dist)| CandidateMember { id, dist })
             .collect();
-        Self::assemble(f64::NAN, members, k)
+        Self::assemble(members, k)
     }
 
-    fn assemble(q: f64, mut members: Vec<CandidateMember>, k: usize) -> Self {
-        // Far points are finite and positive, so `f64::min` picks what a
-        // `total_cmp` sort would have put first.
-        let mut fmin = f64::INFINITY;
-        let mut fars = Vec::with_capacity(members.len());
-        for m in &members {
-            let far = m.dist.far();
-            fmin = fmin.min(far);
-            fars.push(far);
-        }
+    fn assemble(mut members: Vec<CandidateMember>, k: usize) -> Self {
+        let mut fars: Vec<f64> = members.iter().map(|m| m.dist.far()).collect();
         let horizon = k_horizon(&mut fars, k);
         members.retain(|m| m.dist.near() <= horizon);
-        let fmax = members
-            .iter()
-            .map(|m| m.dist.far())
-            .fold(f64::NEG_INFINITY, f64::max);
         // Tie-break equal near points by id: candidate order (and with it
         // report order) is then independent of how the survivors arrived —
         // R-tree emission order and sharded merge order give the same set.
@@ -114,35 +97,7 @@ impl CandidateSet {
                 .total_cmp(&b.dist.near())
                 .then(a.id.cmp(&b.id))
         });
-        Self {
-            q,
-            members,
-            fmin,
-            fmax,
-            horizon,
-        }
-    }
-
-    /// The set with every knot grid materialised as its histogram (the
-    /// same cdf, bit for bit) — for evaluators that read the distributions
-    /// at arbitrary radii. Borrowed when every member is a histogram
-    /// already.
-    pub fn with_histograms(&self) -> Cow<'_, CandidateSet> {
-        if self.members.iter().all(|m| m.dist.is_histogram()) {
-            return Cow::Borrowed(self);
-        }
-        let mut owned = self.clone();
-        for m in &mut owned.members {
-            if !m.dist.is_histogram() {
-                m.dist = DistanceDistribution::from_histogram(m.dist.histogram().into_owned());
-            }
-        }
-        Cow::Owned(owned)
-    }
-
-    /// The query point.
-    pub fn query(&self) -> f64 {
-        self.q
+        Self { members, horizon }
     }
 
     /// Candidates in ascending near-point order.
@@ -158,17 +113,6 @@ impl CandidateSet {
     /// Is the candidate set empty?
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Minimum far point `fmin` — beyond this distance every object has zero
-    /// qualification probability (for 1-NN).
-    pub fn fmin(&self) -> f64 {
-        self.fmin
-    }
-
-    /// Maximum far point `fmax`.
-    pub fn fmax(&self) -> f64 {
-        self.fmax
     }
 
     /// The pruning horizon: `fmin` for 1-NN candidate sets, `fmin_k` for
@@ -202,8 +146,13 @@ mod tests {
     fn fmin_and_fmax_are_extremes_of_far_points() {
         let objects = vec![obj(0, 0.0, 2.0), obj(1, 1.0, 5.0)];
         let c = CandidateSet::build(&objects, 0.0, 0).unwrap();
-        assert_eq!(c.fmin(), 2.0);
-        assert_eq!(c.fmax(), 5.0);
+        assert_eq!(c.horizon(), 2.0);
+        let fmax = c
+            .members()
+            .iter()
+            .map(|m| m.dist.far())
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(fmax, 5.0);
     }
 
     #[test]

@@ -44,18 +44,8 @@ impl Classifier {
         })
     }
 
-    /// The threshold `P`.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// The tolerance `Δ`.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
     /// Apply Definition 1 to a probability bound.
-    pub fn classify(&self, bound: &ProbBound) -> Label {
+    pub(crate) fn classify(&self, bound: &ProbBound) -> Label {
         if bound.hi() < self.threshold {
             Label::Fail
         } else if bound.lo() >= self.threshold || bound.width() <= self.tolerance {

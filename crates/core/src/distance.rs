@@ -28,7 +28,7 @@ use crate::error::Result;
 /// closed-form cdf on a knot grid.
 ///
 /// Holds no memo: knots read through a grid go into a buffer the caller
-/// owns ([`Self::cdf_many`]), so a distribution shared between threads (a
+/// owns (`cdf_many`), so a distribution shared between threads (a
 /// cached candidate set) is never written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceDistribution {
@@ -151,7 +151,7 @@ impl DistanceDistribution {
     /// histogram" step: it bounds the number of subregion endpoints, trading
     /// resolution for verifier cost. Folds of uniform objects (≤ 3 bins) are
     /// returned unchanged.
-    pub fn with_max_bins(self, max_bins: usize) -> Result<Self> {
+    pub(crate) fn with_max_bins(self, max_bins: usize) -> Result<Self> {
         if max_bins == 0 || self.breakpoints().len() - 1 <= max_bins {
             return Ok(self);
         }
@@ -162,7 +162,7 @@ impl DistanceDistribution {
     }
 
     /// Near point `ni`: the minimum possible distance.
-    pub fn near(&self) -> f64 {
+    pub(crate) fn near(&self) -> f64 {
         match &self.repr {
             Repr::Histogram(hist) => hist.support().0,
             Repr::Knots(grid) => grid.edge(0),
@@ -177,43 +177,25 @@ impl DistanceDistribution {
         }
     }
 
-    /// Distance cdf `Di(r)` (piecewise linear, clamped to `[0, 1]`).
-    ///
-    /// This and the other pointwise reads below go through
-    /// [`Self::histogram`], which materialises a knot grid on every call;
-    /// the subregion table reads grids through [`Self::cdf_many`].
-    pub fn cdf(&self, r: f64) -> f64 {
-        self.histogram().cdf(r)
-    }
-
     /// Bulk cdf evaluation over an **ascending** slice of radii into
-    /// `out[..rs.len()]`, bit-identical to calling [`Self::cdf`] per point:
+    /// `out[..rs.len()]`, bit-identical to the histogram's pointwise cdf:
     /// a single merge pass over the histogram edges
     /// ([`HistogramPdf::cdf_many`]), or over a knot grid's bins reading the
     /// knots `k_0 …` already in `knots` (empty at first) and extending them
     /// as far as it reads, counting closed-form evaluations in `evals`. A
     /// histogram leaves both alone. The caller owns the knots, so a
     /// distribution shared between threads is never written.
-    pub fn cdf_many(&self, rs: &[f64], out: &mut [f64], knots: &mut Vec<f64>, evals: &mut usize) {
+    pub(crate) fn cdf_many(
+        &self,
+        rs: &[f64],
+        out: &mut [f64],
+        knots: &mut Vec<f64>,
+        evals: &mut usize,
+    ) {
         match &self.repr {
             Repr::Histogram(hist) => hist.cdf_many(rs, out),
             Repr::Knots(grid) => grid.cdf_many(rs, out, knots, evals),
         }
-    }
-
-    /// Distance pdf `di(r)`.
-    pub fn density(&self, r: f64) -> f64 {
-        self.histogram().density(r)
-    }
-
-    /// `Pr[a ≤ Ri ≤ b]`.
-    pub fn mass_between(&self, a: f64, b: f64) -> f64 {
-        self.histogram().mass_between(a, b)
-    }
-
-    /// Inverse cdf (inverse-transform sampling of a distance).
-    pub fn quantile(&self, p: f64) -> f64 {
-        self.histogram().quantile(p)
     }
 
     /// Bin edges of the distance histogram, ascending — the "points at
@@ -261,12 +243,12 @@ mod tests {
         let d = DistanceDistribution::from_pdf(&pdf, 3.0).unwrap();
         assert_eq!(d.near(), 0.0);
         assert_eq!(d.far(), 7.0);
-        assert!((d.density(1.0) - 0.2).abs() < 1e-12);
-        assert!((d.density(5.0) - 0.1).abs() < 1e-12);
-        assert!((d.cdf(3.0) - 0.6).abs() < 1e-12);
-        assert!((d.cdf(7.0) - 1.0).abs() < 1e-12);
+        assert!((d.histogram().density(1.0) - 0.2).abs() < 1e-12);
+        assert!((d.histogram().density(5.0) - 0.1).abs() < 1e-12);
+        assert!((d.histogram().cdf(3.0) - 0.6).abs() < 1e-12);
+        assert!((d.histogram().cdf(7.0) - 1.0).abs() < 1e-12);
         // cdf is piecewise linear: halfway along [3,7] adds half of 0.4.
-        assert!((d.cdf(5.0) - 0.8).abs() < 1e-12);
+        assert!((d.histogram().cdf(5.0) - 0.8).abs() < 1e-12);
     }
 
     /// Paper Fig. 6(c): query outside the region — the distance pdf is a
@@ -277,9 +259,9 @@ mod tests {
         let d = DistanceDistribution::from_pdf(&pdf, 1.0).unwrap();
         assert_eq!(d.near(), 3.0);
         assert_eq!(d.far(), 8.0);
-        assert!((d.density(5.0) - 0.2).abs() < 1e-12);
-        assert_eq!(d.density(2.0), 0.0);
-        assert!((d.cdf(5.5) - 0.5).abs() < 1e-12);
+        assert!((d.histogram().density(5.0) - 0.2).abs() < 1e-12);
+        assert_eq!(d.histogram().density(2.0), 0.0);
+        assert!((d.histogram().cdf(5.5) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -289,8 +271,8 @@ mod tests {
         assert_eq!(d.near(), 0.0);
         assert_eq!(d.far(), 5.0);
         // All mass folds symmetrically: density 2·(1/10).
-        assert!((d.density(2.0) - 0.2).abs() < 1e-12);
-        assert!((d.cdf(5.0) - 1.0).abs() < 1e-12);
+        assert!((d.histogram().density(2.0) - 0.2).abs() < 1e-12);
+        assert!((d.histogram().cdf(5.0) - 1.0).abs() < 1e-12);
         assert_eq!(d.histogram().bar_count(), 1);
     }
 
@@ -303,13 +285,13 @@ mod tests {
         assert_eq!(d.far(), 4.0);
         // For r in [0, 2): density = f(4+r) + f(4-r) = 0.1875 + 0.1875 (both in bar 2,
         // height 0.75/4) except 4+r leaves support at r=2.
-        assert!((d.density(1.0) - 0.375).abs() < 1e-12);
+        assert!((d.histogram().density(1.0) - 0.375).abs() < 1e-12);
         // For r in (2, 4): 4+r outside; 4-r in bar 1 (height 0.125).
-        assert!((d.density(3.0) - 0.125).abs() < 1e-12);
+        assert!((d.histogram().density(3.0) - 0.125).abs() < 1e-12);
         // Total mass must be 1.
-        assert!((d.cdf(4.0) - 1.0).abs() < 1e-12);
+        assert!((d.histogram().cdf(4.0) - 1.0).abs() < 1e-12);
         // Cross-check masses: Pr[R ≤ 2] = mass of [2,6] = 0.75.
-        assert!((d.cdf(2.0) - 0.75).abs() < 1e-12);
+        assert!((d.histogram().cdf(2.0) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -322,10 +304,13 @@ mod tests {
         assert_eq!(coarse.histogram().bar_count(), 16);
         assert!((coarse.near() - near).abs() < 1e-12);
         assert!((coarse.far() - far).abs() < 1e-12);
-        assert!((coarse.cdf(far) - 1.0).abs() < 1e-12);
+        assert!((coarse.histogram().cdf(far) - 1.0).abs() < 1e-12);
         // Coarse cdf approximates the fine cdf.
         for r in [5.0, 20.0, 40.0, 70.0] {
-            assert!((coarse.cdf(r) - d.cdf(r)).abs() < 0.08, "r = {r}");
+            assert!(
+                (coarse.histogram().cdf(r) - d.histogram().cdf(r)).abs() < 0.08,
+                "r = {r}"
+            );
         }
     }
 
@@ -345,7 +330,7 @@ mod tests {
         let mut out = [f64::NAN; 9];
         d.cdf_many(&rs, &mut out, &mut Vec::new(), &mut 0);
         for (&r, &v) in rs.iter().zip(&out) {
-            assert_eq!(v.to_bits(), d.cdf(r).to_bits(), "r = {r}");
+            assert_eq!(v.to_bits(), d.histogram().cdf(r).to_bits(), "r = {r}");
         }
     }
 
@@ -354,8 +339,8 @@ mod tests {
         let pdf = HistogramPdf::from_masses(vec![0.0, 1.0, 5.0], vec![0.5, 0.5]).unwrap();
         let d = DistanceDistribution::from_pdf(&pdf, 2.0).unwrap();
         for p in [0.1, 0.5, 0.9] {
-            let r = d.quantile(p);
-            assert!((d.cdf(r) - p).abs() < 1e-9);
+            let r = d.histogram().quantile(p);
+            assert!((d.histogram().cdf(r) - p).abs() < 1e-9);
         }
     }
 }

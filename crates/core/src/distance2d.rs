@@ -49,7 +49,7 @@ use crate::object::ObjectId;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircleObject {
     /// Object identifier.
-    pub id: ObjectId,
+    pub(crate) id: ObjectId,
     /// Disk center.
     pub center: [f64; 2],
     /// Disk radius (must be positive).
@@ -72,12 +72,12 @@ impl CircleObject {
     }
 
     /// Minimum possible distance from `q` (the near point).
-    pub fn near(&self, q: [f64; 2]) -> f64 {
+    pub(crate) fn near(&self, q: [f64; 2]) -> f64 {
         (self.center_dist(q) - self.radius).max(0.0)
     }
 
     /// Maximum possible distance from `q` (the far point).
-    pub fn far(&self, q: [f64; 2]) -> f64 {
+    pub(crate) fn far(&self, q: [f64; 2]) -> f64 {
         self.center_dist(q) + self.radius
     }
 
@@ -114,9 +114,9 @@ pub(crate) fn check_finite_point(p: [f64; 2]) -> Result<()> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadialCdf {
     /// Minimum possible distance.
-    pub near: f64,
+    pub(crate) near: f64,
     /// Maximum possible distance.
-    pub far: f64,
+    pub(crate) far: f64,
     shape: Shape,
 }
 
@@ -140,7 +140,7 @@ impl RadialCdf {
     }
 
     /// `Pr[distance ≤ r]`, clamped to `[0, 1]`.
-    pub fn cdf(&self, r: f64) -> f64 {
+    pub(crate) fn cdf(&self, r: f64) -> f64 {
         let area = match self.shape {
             Shape::Disk { d, radius } => {
                 lens_area(d, r, radius) / (std::f64::consts::PI * radius * radius)
@@ -166,7 +166,7 @@ impl RadialCdf {
 /// [`HistogramPdf`]'s equi-width constructors, the knots only when read,
 /// into a buffer the caller keeps ([`DistanceDistribution::cdf_many`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct KnotGrid {
+pub(crate) struct KnotGrid {
     radial: RadialCdf,
     bins: usize,
     /// `(far − near) / bins`.
@@ -312,7 +312,7 @@ impl KnotGrid {
 
 /// Area of the intersection of two disks with radii `r1`, `r2` and center
 /// distance `d` (the circular lens).
-pub fn lens_area(d: f64, r1: f64, r2: f64) -> f64 {
+pub(crate) fn lens_area(d: f64, r1: f64, r2: f64) -> f64 {
     if r1 <= 0.0 || r2 <= 0.0 {
         return 0.0;
     }
@@ -373,13 +373,13 @@ mod tests {
         let d = o.radial(q).distribution(64).unwrap();
         assert!((d.near() - 3.5).abs() < 1e-12); // |q−c| = 5, R = 1.5
         assert!((d.far() - 6.5).abs() < 1e-12);
-        assert!((d.cdf(6.5) - 1.0).abs() < 1e-12);
-        assert!(d.cdf(3.5) < 1e-12);
+        assert!((d.histogram().cdf(6.5) - 1.0).abs() < 1e-12);
+        assert!(d.histogram().cdf(3.5) < 1e-12);
         // Monotone cdf.
         let mut prev = 0.0;
         for i in 0..=20 {
             let r = 3.5 + 3.0 * i as f64 / 20.0;
-            let c = d.cdf(r);
+            let c = d.histogram().cdf(r);
             assert!(c >= prev - 1e-12);
             prev = c;
         }

@@ -243,7 +243,7 @@ impl UncertainDb {
 
     /// Is the database empty?
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.store.len() == 0
     }
 
     /// Materialize the stored objects (deterministic order; O(n) — the
@@ -255,12 +255,6 @@ impl UncertainDb {
     /// Engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The underlying persistent store (crate-internal: used by the
-    /// range-query module).
-    pub(crate) fn store(&self) -> &IndexedStore<UncertainObject, 1> {
-        &self.store
     }
 
     /// Insert a new object in place (path-copies the root-to-leaf path;

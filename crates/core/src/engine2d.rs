@@ -47,7 +47,9 @@ impl Object2d {
         Ok(Object2d::Circle(CircleObject::new(id, center, radius)?))
     }
 
-    /// Uniform rectangle constructor (validation is [`Rect2::new`]'s).
+    /// Uniform rectangle constructor: every coordinate finite and
+    /// `min < max` on both axes, else [`crate::CoreError::InvalidRectangle`]
+    /// naming the first axis that fails.
     pub fn rectangle(id: ObjectId, min: [f64; 2], max: [f64; 2]) -> Result<Self> {
         Ok(Object2d::Rectangle {
             id,
@@ -64,7 +66,7 @@ impl Object2d {
     }
 
     /// Minimum possible distance from `q`.
-    pub fn near(&self, q: [f64; 2]) -> f64 {
+    pub(crate) fn near(&self, q: [f64; 2]) -> f64 {
         match self {
             Object2d::Circle(c) => c.near(q),
             Object2d::Rectangle { rect, .. } => rect.near(q),
@@ -72,7 +74,7 @@ impl Object2d {
     }
 
     /// Maximum possible distance from `q`.
-    pub fn far(&self, q: [f64; 2]) -> f64 {
+    pub(crate) fn far(&self, q: [f64; 2]) -> f64 {
         match self {
             Object2d::Circle(c) => c.far(q),
             Object2d::Rectangle { rect, .. } => rect.far(q),
@@ -92,7 +94,11 @@ impl Object2d {
 
     /// Distance distribution from `q` on `bins` equi-width bins, its knots
     /// computed when first read ([`crate::distance2d::KnotGrid`]).
-    pub fn distance_distribution(&self, q: [f64; 2], bins: usize) -> Result<DistanceDistribution> {
+    pub(crate) fn distance_distribution(
+        &self,
+        q: [f64; 2],
+        bins: usize,
+    ) -> Result<DistanceDistribution> {
         match self {
             Object2d::Circle(c) => c.radial(q).distribution(bins),
             Object2d::Rectangle { rect, .. } => rect.radial(q).distribution(bins),
@@ -100,18 +106,8 @@ impl Object2d {
     }
 }
 
-/// Engine knobs for the 2-D database.
-#[derive(Debug, Clone, Copy)]
-pub struct Engine2dConfig {
-    /// Distance-histogram resolution per object.
-    pub distance_bins: usize,
-}
-
-impl Default for Engine2dConfig {
-    fn default() -> Self {
-        Self { distance_bins: 48 }
-    }
-}
+/// Distance-histogram resolution per 2-D object.
+const DISTANCE_BINS: usize = 48;
 
 /// A 2-D object is stored under its conservative bounding box.
 impl StoredObject<2> for Object2d {
@@ -131,20 +127,13 @@ impl StoredObject<2> for Object2d {
 #[derive(Debug, Clone)]
 pub struct UncertainDb2d {
     store: IndexedStore<Object2d, 2>,
-    config: Engine2dConfig,
 }
 
 impl UncertainDb2d {
-    /// Build with default configuration. Fails on duplicate ids.
+    /// Build the database. Fails on duplicate ids.
     pub fn build(objects: Vec<Object2d>) -> Result<Self> {
-        Self::with_config(objects, Engine2dConfig::default())
-    }
-
-    /// Build with explicit configuration.
-    pub fn with_config(objects: Vec<Object2d>, config: Engine2dConfig) -> Result<Self> {
         Ok(Self {
             store: IndexedStore::build(objects, Params::default())?,
-            config,
         })
     }
 
@@ -155,17 +144,12 @@ impl UncertainDb2d {
 
     /// Is the database empty?
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.store.len() == 0
     }
 
     /// Materialize the stored objects (deterministic order; O(n)).
-    pub fn objects(&self) -> Vec<Object2d> {
+    pub(crate) fn objects(&self) -> Vec<Object2d> {
         self.store.objects()
-    }
-
-    /// Engine configuration.
-    pub fn config(&self) -> &Engine2dConfig {
-        &self.config
     }
 
     /// Insert a new object in place (O(log n) path copy). Fails on a
@@ -214,12 +198,6 @@ impl UncertainDb2d {
     pub fn pnn(&self, q: [f64; 2]) -> Result<PnnResult> {
         pipeline::pnn(self, &q, 1)
     }
-
-    /// Exact 2-D probabilistic k-NN probabilities, descending (sum to
-    /// `min(k, |C|)`).
-    pub fn pknn(&self, q: [f64; 2], k: usize) -> Result<PnnResult> {
-        pipeline::pnn(self, &q, k)
-    }
 }
 
 /// Copy-on-write successors via the persistent store — the seam that
@@ -245,19 +223,12 @@ impl CowModel for UncertainDb2d {
     fn with_inserted(&self, object: Object2d) -> Result<Self> {
         Ok(Self {
             store: self.store.with_inserted(object)?,
-            config: self.config,
         })
     }
 
     fn with_removed(&self, id: ObjectId) -> (Self, Option<Object2d>) {
         let (store, removed) = self.store.with_removed(id);
-        (
-            Self {
-                store,
-                config: self.config,
-            },
-            removed,
-        )
+        (Self { store }, removed)
     }
 }
 
@@ -265,18 +236,16 @@ impl CowModel for UncertainDb2d {
 /// [`ShardedDb`](crate::shard::ShardedDb) of these tiles the plane along
 /// the widest axis.
 impl ShardableModel for UncertainDb2d {
-    type Config = Engine2dConfig;
+    type Config = ();
 
-    fn shard_config(&self) -> Engine2dConfig {
-        self.config
-    }
+    fn shard_config(&self) {}
 
     fn shard_objects(&self) -> Vec<Object2d> {
         self.store.objects()
     }
 
-    fn build_shard(objects: Vec<Object2d>, config: &Engine2dConfig) -> Result<Self> {
-        Self::with_config(objects, *config)
+    fn build_shard(objects: Vec<Object2d>, _: &()) -> Result<Self> {
+        Self::build(objects)
     }
 
     fn model_extent(&self) -> Option<Extent> {
@@ -310,10 +279,7 @@ impl DistanceModel for UncertainDb2d {
 
         let mut items: Vec<(ObjectId, DistanceDistribution)> = Vec::with_capacity(survivors.len());
         for o in survivors {
-            items.push((
-                o.id(),
-                o.distance_distribution(*q, self.config.distance_bins)?,
-            ));
+            items.push((o.id(), o.distance_distribution(*q, DISTANCE_BINS)?));
         }
         Ok(Filtered { items, filter_time })
     }
@@ -338,6 +304,7 @@ impl DistanceModel for UncertainDb2d {
 mod tests {
     use super::*;
     use crate::error::CoreError;
+    use cpnn_pdf::Pdf as _;
 
     fn mixed_db() -> UncertainDb2d {
         let objects = vec![
@@ -443,14 +410,14 @@ mod tests {
         assert_eq!(o.near([1.0, 1.0]), 0.0);
         assert!((o.far([1.0, 1.0]) - 2f64.sqrt()).abs() < 1e-12);
         let d = o.distance_distribution([1.0, 1.0], 32).unwrap();
-        assert!((d.cdf(d.far()) - 1.0).abs() < 1e-9);
+        assert!((d.histogram().cdf(d.far()) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn cknn_2d_matches_exact_pknn_thresholding() {
         let db = mixed_db();
         let q = [0.0, 0.5];
-        let exact = db.pknn(q, 2).unwrap();
+        let exact = pipeline::pnn(&db, &q, 2).unwrap();
         let total: f64 = exact.probabilities.iter().map(|(_, p)| p).sum();
         assert!((total - 2.0).abs() < 1e-6, "sum = {total}");
         for threshold in [0.3, 0.6, 0.95] {

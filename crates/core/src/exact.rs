@@ -1,22 +1,15 @@
-//! Exact qualification probabilities.
+//! Exact 1-NN qualification probabilities.
 //!
-//! Two evaluators:
-//!
-//! * [`basic_probabilities`] — the paper's **Basic** baseline (\[5\]):
-//!   `p_i = ∫ d_i(r) · Π_{k≠i} (1 − D_k(r)) dr` evaluated by adaptive
-//!   numerical integration straight over the distance distributions. This is
-//!   deliberately the expensive path the paper benchmarks against.
-//! * [`subregion_qualification`] / [`exact_probabilities`] — the
-//!   subregion-decomposed form `p_i = Σ_j s_ij · q_ij` (paper Eq. 4), where
-//!   each `q_ij` integrates a *polynomial* (every distance cdf is linear
-//!   inside a subregion), evaluated with composite Gauss–Legendre panels.
-//!   Incremental refinement (Sec. IV-D) reuses `subregion_qualification`.
+//! [`subregion_qualification`] / [`exact_probabilities`] evaluate the
+//! subregion-decomposed form `p_i = Σ_j s_ij · q_ij` (paper Eq. 4), where
+//! each `q_ij` integrates a *polynomial* (every distance cdf is linear
+//! inside a subregion) with composite Gauss–Legendre panels. They are the
+//! 1-NN test oracle, and the pipeline's exact evaluation (Basic and `pnn`)
+//! at `k = 1`; refinement evaluates the same integrals through the
+//! kernels.
 
-use std::cell::Cell;
+use cpnn_pdf::integrate::{gauss_legendre, GlOrder};
 
-use cpnn_pdf::integrate::{adaptive_simpson, gauss_legendre, GlOrder};
-
-use crate::candidate::CandidateSet;
 use crate::subregion::{SubregionTable, MASS_EPS};
 
 /// Exact subregion qualification probability `q_ij`: the chance `X_i` is the
@@ -89,65 +82,11 @@ pub fn exact_probabilities(table: &SubregionTable) -> (Vec<f64>, usize) {
     (probs, integrations)
 }
 
-/// Adaptive-Simpson tolerance of [`basic_probabilities`], split evenly
-/// across its fixed panels.
-pub const BASIC_TOLERANCE: f64 = 1e-6;
-
-/// The **Basic** method (\[5\]): per object, adaptive Simpson over
-/// `[n_i, fmin]` of `d_i(r) · Π_{k≠i}(1 − D_k(r))` to within
-/// [`BASIC_TOLERANCE`], evaluating the distance pdfs/cdfs directly (binary
-/// search per evaluation — this is the cost the verifiers avoid). Returns
-/// the probabilities and the total number of integrand evaluations.
-pub fn basic_probabilities(cands: &CandidateSet) -> (Vec<f64>, usize) {
-    let members = cands.members();
-    let n = members.len();
-    let fmin = cands.fmin();
-    let evals = Cell::new(0usize);
-    let mut probs = vec![0.0; n];
-    for (i, m) in members.iter().enumerate() {
-        let lo = m.dist.near();
-        let hi = fmin.min(m.dist.far());
-        if hi <= lo {
-            // Degenerate: all mass beyond fmin except a point.
-            probs[i] = 0.0;
-            continue;
-        }
-        let integrand = |r: f64| {
-            evals.set(evals.get() + 1);
-            let mut v = m.dist.density(r);
-            if v == 0.0 {
-                return 0.0;
-            }
-            for (k, other) in members.iter().enumerate() {
-                if k != i {
-                    v *= 1.0 - other.dist.cdf(r);
-                    if v == 0.0 {
-                        return 0.0;
-                    }
-                }
-            }
-            v
-        };
-        // The integrand has jump discontinuities at histogram bin edges;
-        // integrating over a handful of fixed panels (adaptive within each)
-        // prevents the error estimator from terminating early across a jump.
-        const PANELS: usize = 8;
-        let w = (hi - lo) / PANELS as f64;
-        let mut p = 0.0;
-        for k in 0..PANELS {
-            let a = lo + k as f64 * w;
-            let b = if k + 1 == PANELS { hi } else { a + w };
-            p += adaptive_simpson(integrand, a, b, BASIC_TOLERANCE / PANELS as f64);
-        }
-        probs[i] = p.clamp(0.0, 1.0);
-    }
-    (probs, evals.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidate::CandidateSet;
+    use crate::knn::knn_probabilities;
     use crate::object::{ObjectId, UncertainObject};
     use crate::testutil::{fig7_exact, fig7_scenario};
 
@@ -172,15 +111,16 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
     }
 
+    /// Basic evaluates every k, k = 1 included, with
+    /// [`knn_probabilities`]: it must agree with this oracle.
     #[test]
     fn basic_agrees_with_subregion_exact() {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let (want, _) = exact_probabilities(&table);
-        let (got, evals) = basic_probabilities(&cands);
-        assert!(evals > 0);
+        let got = knn_probabilities(&table, 1);
         for (g, w) in got.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-6, "{g} vs {w}");
+            assert!((g - w).abs() < 1e-12, "{g} vs {w}");
         }
     }
 
@@ -191,8 +131,8 @@ mod tests {
         let table = SubregionTable::build(&cands);
         let (probs, _) = exact_probabilities(&table);
         assert!((probs[0] - 1.0).abs() < 1e-12);
-        let (basic, _) = basic_probabilities(&cands);
-        assert!((basic[0] - 1.0).abs() < 1e-6);
+        let basic = knn_probabilities(&table, 1);
+        assert!((basic[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use crate::classify::{Classifier, Label};
-use crate::subregion::{SubregionTable, TableSource};
+use crate::subregion::TableSource;
 use crate::verifiers::{
     LowerSubregion, RightmostSubregion, UpperSubregion, VerificationState, Verifier,
 };
@@ -20,23 +20,6 @@ pub struct StageReport {
     pub duration: Duration,
 }
 
-/// Outcome of the whole verification phase.
-#[derive(Debug, Clone)]
-pub struct VerificationOutcome {
-    /// Final state (bounds, labels, per-subregion qualification bounds).
-    pub state: VerificationState,
-    /// Per-stage reports, in execution order.
-    pub stages: Vec<StageReport>,
-}
-
-impl VerificationOutcome {
-    /// True when no object is left `Unknown` (the query finished during
-    /// verification — Fig. 13 measures how often this happens).
-    pub fn resolved(&self) -> bool {
-        self.state.unknown_count() == 0
-    }
-}
-
 /// The paper's default verifier chain, in ascending running-cost order.
 pub fn default_verifiers() -> Vec<Box<dyn Verifier>> {
     vec![
@@ -46,10 +29,10 @@ pub fn default_verifiers() -> Vec<Box<dyn Verifier>> {
     ]
 }
 
-/// Extended chain including the [`crate::verifiers::FarLowerSubregion`]
-/// verifier (an extra
-/// lower-bound pass beyond the paper; see its module docs). Strictly at
-/// least as tight as [`default_verifiers`], one more `O(|C|·M)` pass.
+/// Extended chain including the FL-SR verifier (`FarLowerSubregion`, an
+/// extra lower-bound pass beyond the paper; see `verifiers/flsr.rs`).
+/// Strictly at least as tight as [`default_verifiers`], one more
+/// `O(|C|·M)` pass.
 pub fn extended_verifiers() -> Vec<Box<dyn Verifier>> {
     vec![
         Box::new(RightmostSubregion),
@@ -84,28 +67,15 @@ pub fn classify_all(classifier: &Classifier, state: &mut VerificationState) {
 }
 
 /// Run `verifiers` over the table, classifying after each; stops early once
-/// all objects are decided.
-pub fn run_verification(
-    table: &SubregionTable,
-    classifier: &Classifier,
-    verifiers: &[Box<dyn Verifier>],
-) -> VerificationOutcome {
-    let mut state = VerificationState::new(table);
-    let mut stages = Vec::with_capacity(verifiers.len());
-    run_verification_into(table, classifier, verifiers, &mut state, &mut stages);
-    VerificationOutcome { state, stages }
-}
-
-/// [`run_verification`] writing into caller-owned state and stage buffers —
-/// the allocation-free form the batch executor drives with per-thread
-/// scratch. `state` must already be [`VerificationState::reset`] for the
-/// table; `stages` is appended to.
+/// all objects are decided. Writes into caller-owned state and stage
+/// buffers — the allocation-free form the batch executor drives with
+/// per-thread scratch. `state` must already be [`VerificationState::reset`]
+/// for the table; `stages` is appended to.
 ///
-/// `table` is a filled `&SubregionTable`, or a
-/// [`FillOnDemand`](crate::subregion::FillOnDemand) that fills the columns
-/// each stage reads ([`Verifier::columns`]) just before the stage runs —
-/// so a chain that stops at RS or at the coarse SR-k stage never fills the
-/// rest. A stage's reported duration excludes its fill.
+/// `table` is a filled `&SubregionTable`, or a `FillOnDemand` that fills
+/// the columns each stage reads ([`Verifier::columns`]) just before the
+/// stage runs — so a chain that stops at RS or at the coarse SR-k stage
+/// never fills the rest. A stage's reported duration excludes its fill.
 pub fn run_verification_into(
     mut table: impl TableSource,
     classifier: &Classifier,
@@ -133,19 +103,19 @@ pub fn run_verification_into(
 mod tests {
     use super::*;
     use crate::subregion::SubregionTable;
-    use crate::testutil::{fig7_exact, fig7_scenario};
+    use crate::testutil::{fig7_exact, fig7_scenario, run_default_chain};
 
     #[test]
     fn pipeline_tightens_bounds_monotonically_and_contains_exact() {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.3, 0.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
+        let (state, _) = run_default_chain(&table, &classifier);
         for (i, p) in fig7_exact().iter().enumerate() {
             assert!(
-                outcome.state.bounds[i].contains(*p, 1e-9),
+                state.bounds[i].contains(*p, 1e-9),
                 "object {i}: {} vs {p}",
-                outcome.state.bounds[i]
+                state.bounds[i]
             );
         }
     }
@@ -156,9 +126,9 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.6, 0.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        assert!(outcome.resolved());
-        assert!(outcome.state.labels.iter().all(|&l| l == Label::Fail));
+        let (state, _) = run_default_chain(&table, &classifier);
+        assert!(state.unknown_count() == 0);
+        assert!(state.labels.iter().all(|&l| l == Label::Fail));
     }
 
     #[test]
@@ -168,11 +138,11 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.2, 0.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        assert!(outcome.resolved());
-        assert_eq!(outcome.state.labels[0], Label::Satisfy);
-        assert_eq!(outcome.state.labels[1], Label::Satisfy);
-        assert_eq!(outcome.state.labels[2], Label::Fail);
+        let (state, _) = run_default_chain(&table, &classifier);
+        assert!(state.unknown_count() == 0);
+        assert_eq!(state.labels[0], Label::Satisfy);
+        assert_eq!(state.labels[1], Label::Satisfy);
+        assert_eq!(state.labels[2], Label::Fail);
     }
 
     #[test]
@@ -181,13 +151,13 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.45, 0.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        assert!(!outcome.resolved());
-        assert_eq!(outcome.state.labels[2], Label::Fail);
-        assert_eq!(outcome.state.unknown_count(), 2);
+        let (state, stages) = run_default_chain(&table, &classifier);
+        assert!(state.unknown_count() > 0);
+        assert_eq!(state.labels[2], Label::Fail);
+        assert_eq!(state.unknown_count(), 2);
         // All three stages ran.
-        assert_eq!(outcome.stages.len(), 3);
-        let names: Vec<_> = outcome.stages.iter().map(|s| s.name).collect();
+        assert_eq!(stages.len(), 3);
+        let names: Vec<_> = stages.iter().map(|s| s.name).collect();
         assert_eq!(names, vec!["RS", "L-SR", "U-SR"]);
     }
 
@@ -196,8 +166,8 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.45, 0.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        let unknowns: Vec<usize> = outcome.stages.iter().map(|s| s.unknown_after).collect();
+        let (_, stages) = run_default_chain(&table, &classifier);
+        let unknowns: Vec<usize> = stages.iter().map(|s| s.unknown_after).collect();
         for w in unknowns.windows(2) {
             assert!(w[1] <= w[0]);
         }
@@ -210,9 +180,9 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.3, 1.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        assert!(outcome.resolved());
-        assert_eq!(outcome.stages.len(), 1);
-        assert_eq!(outcome.stages[0].name, "RS");
+        let (state, stages) = run_default_chain(&table, &classifier);
+        assert!(state.unknown_count() == 0);
+        assert_eq!(stages.len(), 1);
+        assert_eq!(stages[0].name, "RS");
     }
 }

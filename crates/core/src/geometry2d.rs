@@ -24,7 +24,7 @@ pub struct Rect2 {
 impl Rect2 {
     /// Validated constructor: every coordinate finite and `min < max` on
     /// both axes. The error names the first axis that fails.
-    pub fn new(min: [f64; 2], max: [f64; 2]) -> Result<Self> {
+    pub(crate) fn new(min: [f64; 2], max: [f64; 2]) -> Result<Self> {
         for axis in 0..2 {
             let (lo, hi) = (min[axis], max[axis]);
             if !(lo.is_finite() && hi.is_finite() && lo < hi) {
@@ -35,12 +35,12 @@ impl Rect2 {
     }
 
     /// Rectangle area.
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         (self.max[0] - self.min[0]) * (self.max[1] - self.min[1])
     }
 
     /// Minimum distance from `q` to the rectangle (0 inside).
-    pub fn near(&self, q: [f64; 2]) -> f64 {
+    pub(crate) fn near(&self, q: [f64; 2]) -> f64 {
         let mut s = 0.0;
         for (d, &x) in q.iter().enumerate() {
             let diff = if x < self.min[d] {
@@ -56,7 +56,7 @@ impl Rect2 {
     }
 
     /// Maximum distance from `q` to the rectangle (farthest corner).
-    pub fn far(&self, q: [f64; 2]) -> f64 {
+    pub(crate) fn far(&self, q: [f64; 2]) -> f64 {
         let mut s = 0.0;
         for (d, &x) in q.iter().enumerate() {
             let diff = (x - self.min[d]).abs().max((x - self.max[d]).abs());
@@ -65,22 +65,14 @@ impl Rect2 {
         s.sqrt()
     }
 
-    /// Center point.
-    pub fn center(&self) -> [f64; 2] {
-        [
-            0.5 * (self.min[0] + self.max[0]),
-            0.5 * (self.min[1] + self.max[1]),
-        ]
-    }
-
     /// Distance cdf from `q`: `area(disk(q, r) ∩ rect) / area(rect)`.
-    pub fn radial(&self, q: [f64; 2]) -> RadialCdf {
+    pub(crate) fn radial(&self, q: [f64; 2]) -> RadialCdf {
         RadialCdf::rect(q, *self)
     }
 }
 
 /// Area of `disk(q, r) ∩ rect`, in closed form (see the module docs).
-pub fn disk_rect_intersection_area(q: [f64; 2], r: f64, rect: &Rect2) -> f64 {
+pub(crate) fn disk_rect_intersection_area(q: [f64; 2], r: f64, rect: &Rect2) -> f64 {
     let (x_min, x_max) = (rect.min[0] - q[0], rect.max[0] - q[0]);
     let (y_lo, y_hi) = ((rect.min[1] - q[1]).max(-r), (rect.max[1] - q[1]).min(r));
     if r <= 0.0 || y_lo >= y_hi {

@@ -41,16 +41,14 @@ impl<V> MapNode<V> {
 /// A persistent sorted map `u64 → V` with O(log n) path-copying updates.
 /// `Clone` is O(1) (shares the root).
 #[derive(Debug)]
-pub struct IdMap<V> {
+pub(crate) struct IdMap<V> {
     root: Arc<MapNode<V>>,
-    len: usize,
 }
 
 impl<V> Clone for IdMap<V> {
     fn clone(&self) -> Self {
         Self {
             root: Arc::clone(&self.root),
-            len: self.len,
         }
     }
 }
@@ -63,30 +61,19 @@ impl<V> Default for IdMap<V> {
 
 impl<V> IdMap<V> {
     /// An empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             root: Arc::new(MapNode::Leaf(Vec::new())),
-            len: 0,
         }
     }
 
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the map empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Is `key` present?
-    pub fn contains(&self, key: u64) -> bool {
+    pub(crate) fn contains(&self, key: u64) -> bool {
         self.get(key).is_some()
     }
 
     /// Look up `key`.
-    pub fn get(&self, key: u64) -> Option<&V> {
+    pub(crate) fn get(&self, key: u64) -> Option<&V> {
         let mut node: &MapNode<V> = &self.root;
         loop {
             match node {
@@ -112,9 +99,8 @@ impl<V: Clone> IdMap<V> {
     /// Bulk-build from pairs **sorted ascending by key, without
     /// duplicates** (the caller checks — see
     /// [`crate::store::IndexedStore::build`]).
-    pub fn from_sorted(pairs: Vec<(u64, V)>) -> Self {
-        let len = pairs.len();
-        if len == 0 {
+    pub(crate) fn from_sorted(pairs: Vec<(u64, V)>) -> Self {
+        if pairs.is_empty() {
             return Self::new();
         }
         let mut level: Vec<Arc<MapNode<V>>> = pairs
@@ -140,13 +126,12 @@ impl<V: Clone> IdMap<V> {
         }
         Self {
             root: level.pop().expect("at least one node"),
-            len,
         }
     }
 
     /// Path-copying insert. `None` if the key is already present (`self`
     /// is never changed).
-    pub fn with_inserted(&self, key: u64, value: V) -> Option<Self> {
+    pub(crate) fn with_inserted(&self, key: u64, value: V) -> Option<Self> {
         let (new_root, sibling) = ins(&self.root, key, value)?;
         let root = match sibling {
             None => Arc::new(new_root),
@@ -156,15 +141,12 @@ impl<V: Clone> IdMap<V> {
                 Arc::new(MapNode::Internal(vec![left, right]))
             }
         };
-        Some(Self {
-            root,
-            len: self.len + 1,
-        })
+        Some(Self { root })
     }
 
     /// Path-copying remove. `None` if the key is absent (`self` is never
     /// changed); otherwise the new map and the removed value.
-    pub fn with_removed(&self, key: u64) -> Option<(Self, V)> {
+    pub(crate) fn with_removed(&self, key: u64) -> Option<(Self, V)> {
         let (replacement, value) = rem(&self.root, key)?;
         let mut root = match replacement {
             Some(node) => Arc::new(node),
@@ -177,13 +159,7 @@ impl<V: Clone> IdMap<V> {
             };
             root = collapsed;
         }
-        Some((
-            Self {
-                root,
-                len: self.len - 1,
-            },
-            value,
-        ))
+        Some((Self { root }, value))
     }
 }
 
@@ -270,10 +246,21 @@ fn rem<V: Clone>(node: &MapNode<V>, key: u64) -> Option<(Option<MapNode<V>>, V)>
 mod tests {
     use super::*;
 
+    /// Number of stored keys (a full walk).
+    fn len<V>(m: &IdMap<V>) -> usize {
+        fn walk<V>(node: &MapNode<V>) -> usize {
+            match node {
+                MapNode::Leaf(v) => v.len(),
+                MapNode::Internal(children) => children.iter().map(|(_, c)| walk(c)).sum(),
+            }
+        }
+        walk(&m.root)
+    }
+
     #[test]
     fn empty_map_behaviour() {
         let m: IdMap<u32> = IdMap::new();
-        assert!(m.is_empty());
+        assert!(len(&m) == 0);
         assert!(!m.contains(3));
         assert!(m.with_removed(3).is_none());
     }
@@ -284,7 +271,7 @@ mod tests {
         for k in (0..500u64).map(|i| (i * 37) % 1000) {
             m = m.with_inserted(k, k * 2).unwrap();
         }
-        assert_eq!(m.len(), 500);
+        assert_eq!(len(&m), 500);
         for k in (0..500u64).map(|i| (i * 37) % 1000) {
             assert_eq!(m.get(k), Some(&(k * 2)), "key {k}");
         }
@@ -305,7 +292,7 @@ mod tests {
         for &(k, v) in &pairs {
             incr = incr.with_inserted(k, v).unwrap();
         }
-        assert_eq!(bulk.len(), incr.len());
+        assert_eq!(len(&bulk), len(&incr));
         for &(k, v) in &pairs {
             assert_eq!(bulk.get(k), Some(&v));
             assert_eq!(incr.get(k), Some(&v));
@@ -318,7 +305,7 @@ mod tests {
         let v0 = IdMap::from_sorted((0..100).map(|k| (k, k)).collect());
         let v1 = v0.with_inserted(1000, 1).unwrap();
         let (v2, _) = v1.with_removed(50).unwrap();
-        assert_eq!(v0.len(), 100);
+        assert_eq!(len(&v0), 100);
         assert!(v0.contains(50));
         assert!(!v0.contains(1000));
         assert!(v1.contains(1000));
@@ -333,7 +320,7 @@ mod tests {
             let (next, ()) = m.with_removed(k).unwrap();
             m = next;
         }
-        assert!(m.is_empty());
+        assert!(len(&m) == 0);
         assert!(m.with_inserted(5, ()).is_some());
     }
 }

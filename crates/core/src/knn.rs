@@ -30,10 +30,6 @@
 //! refinement evaluate the constrained query (C-PkNN) through the same
 //! verify → refine pipeline as Fig. 3.
 
-use crate::bounds::ProbBound;
-use crate::classify::{Classifier, Label};
-use crate::framework::{knn_verifiers, run_verification_into};
-use crate::refine::{incremental_refine_with, RefinementOrder};
 use crate::subregion::{Columns, SubregionTable, MASS_EPS};
 use crate::verifiers::{kernels, VerificationState, Verifier};
 
@@ -43,7 +39,7 @@ use cpnn_pdf::integrate::{gauss_legendre, GlOrder};
 /// events with probabilities `probs` occur. `O(n·limit)` dynamic program;
 /// mass beyond `limit` successes is absorbed (dropped), so the sum of the
 /// state vector is exactly the tail probability.
-pub fn poisson_binomial_at_most(probs: impl Iterator<Item = f64>, limit: usize) -> f64 {
+pub(crate) fn poisson_binomial_at_most(probs: impl Iterator<Item = f64>, limit: usize) -> f64 {
     let mut dp = vec![0.0; limit + 1];
     dp[0] = 1.0;
     for p in probs {
@@ -138,7 +134,7 @@ pub fn knn_upper_bounds(table: &SubregionTable) -> Vec<f64> {
 ///
 /// The coarse stage reads only the cdf columns it visits
 /// ([`Columns::Coarse`], see [`Verifier::columns`]), so on a table the
-/// pipeline fills on demand ([`crate::subregion::FillOnDemand`]) it runs
+/// pipeline fills on demand (`FillOnDemand`) it runs
 /// before the rest of the table exists, and a query it settles never
 /// builds the fine table.
 #[derive(Debug, Clone, Copy)]
@@ -213,65 +209,22 @@ pub fn knn_verifier_bounds(table: &SubregionTable, k: usize) -> (Vec<f64>, Vec<f
     )
 }
 
-/// Outcome of the constrained k-NN evaluation for one candidate.
-#[derive(Debug, Clone, Copy)]
-pub struct KnnVerdict {
-    /// Final probability bound.
-    pub bound: ProbBound,
-    /// Final classification.
-    pub label: Label,
-    /// Subregion integrations spent on this object.
-    pub integrations: usize,
-}
-
-/// Evaluate a constrained k-NN query over a k-horizon table through the
-/// shared verification framework and refinement loop: the RS-k and
-/// [`KnnSubregion`] verifiers first (Fig. 5), then per-subregion exact
-/// refinement until each object classifies (Sec. IV-D). This is the same
-/// verify → refine machinery the 1-NN pipeline runs — only the verifier
-/// chain and the qualification integrand differ.
-pub fn constrained_knn(
-    table: &SubregionTable,
-    classifier: &Classifier,
-    k: usize,
-) -> Vec<KnnVerdict> {
-    let k = k.max(1);
-    let mut state = VerificationState::new(table);
-    let mut stages = Vec::new();
-    run_verification_into(
-        table,
-        classifier,
-        &knn_verifiers(k),
-        &mut state,
-        &mut stages,
-    );
-    let report = incremental_refine_with(
-        table,
-        classifier,
-        &mut state,
-        RefinementOrder::DescendingMass,
-        |i, j, scr| kernels::knn_qualification(table, i, j, k, scr),
-    );
-    state
-        .bounds
-        .iter()
-        .zip(&state.labels)
-        .enumerate()
-        .map(|(i, (&bound, &label))| KnnVerdict {
-            bound,
-            label,
-            integrations: report.per_object.get(i).copied().unwrap_or(0),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::ProbBound;
     use crate::candidate::CandidateSet;
+    use crate::classify::{Classifier, Label};
+    use crate::engine::UncertainDb;
     use crate::exact::exact_probabilities;
+    use crate::framework::{knn_verifiers, run_verification_into};
     use crate::object::{ObjectId, UncertainObject};
+    use crate::pipeline::{
+        cpnn_with, pnn, CpnnResult, PipelineConfig, QueryScratch, QuerySpec, Strategy,
+    };
+    use crate::refine::{incremental_refine_with, RefinementOrder};
     use crate::testutil::fig7_scenario;
+    use cpnn_pdf::Pdf as _;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -287,7 +240,7 @@ mod tests {
         for _ in 0..worlds {
             sampled.clear();
             for (i, m) in members.iter().enumerate() {
-                sampled.push((m.dist.quantile(rng.gen()), i));
+                sampled.push((m.dist.histogram().quantile(rng.gen()), i));
             }
             sampled.sort_by(|a, b| a.0.total_cmp(&b.0));
             for &(_, i) in sampled.iter().take(k) {
@@ -385,32 +338,48 @@ mod tests {
         }
     }
 
+    /// One C-PkNN query at `q = 0` over the Fig. 7 objects through the
+    /// pipeline, candidate order.
+    fn knn_query(k: usize, threshold: f64, tolerance: f64, strategy: Strategy) -> CpnnResult {
+        let (_, objects) = fig7_scenario();
+        let db = UncertainDb::build(objects).unwrap();
+        let spec = QuerySpec::knn(k, threshold, tolerance, strategy);
+        cpnn_with(
+            &db,
+            &0.0,
+            &spec,
+            &PipelineConfig::default(),
+            &mut QueryScratch::new(),
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn constrained_knn_agrees_with_exact_thresholding() {
-        let (_, table) = knn_setup(2);
-        let exact = knn_probabilities(&table, 2);
+    fn cpknn_agrees_with_exact_thresholding() {
+        let (_, objects) = fig7_scenario();
+        let db = UncertainDb::build(objects).unwrap();
+        let exact = pnn(&db, &0.0, 2).unwrap().probabilities;
         for threshold in [0.3, 0.6, 0.9] {
-            let classifier = Classifier::new(threshold, 0.0).unwrap();
-            let verdicts = constrained_knn(&table, &classifier, 2);
-            for (i, v) in verdicts.iter().enumerate() {
-                let want = if exact[i] >= threshold {
+            let res = knn_query(2, threshold, 0.0, Strategy::Verified);
+            assert_eq!(res.reports.len(), exact.len());
+            for r in &res.reports {
+                let p = exact.iter().find(|(id, _)| *id == r.id).unwrap().1;
+                let want = if p >= threshold {
                     Label::Satisfy
                 } else {
                     Label::Fail
                 };
-                assert_eq!(v.label, want, "object {i} at P = {threshold}");
-                assert!(v.bound.contains(exact[i], 1e-6));
+                assert_eq!(r.label, want, "object {} at P = {threshold}", r.id);
+                assert!(r.bound.contains(p, 1e-6));
             }
         }
     }
 
     #[test]
-    fn constrained_knn_with_generous_tolerance_skips_work() {
-        let (_, table) = knn_setup(2);
-        let tight = constrained_knn(&table, &Classifier::new(0.5, 0.0).unwrap(), 2);
-        let loose = constrained_knn(&table, &Classifier::new(0.5, 0.5).unwrap(), 2);
-        let sum = |v: &[KnnVerdict]| v.iter().map(|x| x.integrations).sum::<usize>();
-        assert!(sum(&loose) <= sum(&tight));
+    fn cpknn_with_generous_tolerance_skips_work() {
+        let tight = knn_query(2, 0.5, 0.0, Strategy::Verified);
+        let loose = knn_query(2, 0.5, 0.5, Strategy::Verified);
+        assert!(loose.stats.integrations <= tight.stats.integrations);
     }
 
     #[test]
@@ -655,11 +624,39 @@ mod tests {
         // With the subregion bounds in place, clear-cut objects classify
         // without any integration.
         let (_, table) = knn_setup(2);
-        let verdicts = constrained_knn(&table, &Classifier::new(0.98, 0.0).unwrap(), 2);
+        let classifier = Classifier::new(0.98, 0.0).unwrap();
+        let mut state = VerificationState::new(&table);
+        let mut stages = Vec::new();
+        run_verification_into(
+            &table,
+            &classifier,
+            &knn_verifiers(2),
+            &mut state,
+            &mut stages,
+        );
         // X1 and X2 are almost surely in the top 2 but not ≥ 0.98-certain…
         // X3 fails outright from its upper bound.
-        assert_eq!(verdicts[2].label, Label::Fail);
-        assert_eq!(verdicts[2].integrations, 0);
+        assert_eq!(state.labels[2], Label::Fail);
+        let mut integrations = vec![0usize; table.n_objects()];
+        incremental_refine_with(
+            &table,
+            &classifier,
+            &mut state,
+            RefinementOrder::default(),
+            |i, j, scr| {
+                integrations[i] += 1;
+                kernels::knn_qualification(&table, i, j, 2, scr)
+            },
+        );
+        assert_eq!(integrations[2], 0);
+        // The same holds end to end: VR refines at most X1 and X2, and does
+        // less work than refining every candidate.
+        let vr = knn_query(2, 0.98, 0.0, Strategy::Verified);
+        let refine = knn_query(2, 0.98, 0.0, Strategy::RefineOnly);
+        assert_eq!(vr.reports[2].id, ObjectId(3));
+        assert_eq!(vr.reports[2].label, Label::Fail);
+        assert!(vr.stats.refined_objects <= 2);
+        assert!(vr.stats.integrations < refine.stats.integrations);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! 1. **Filter** — an R-tree prunes objects that provably have zero
 //!    probability ([`cpnn_rtree`]).
 //! 2. **Verify** — the [`verifiers`] (RS, L-SR, U-SR) tighten per-object
-//!    probability bounds over the [`subregion::SubregionTable`]; the
+//!    probability bounds over the [`SubregionTable`]; the
 //!    [`classify::Classifier`] labels objects `Satisfy`/`Fail`/`Unknown`.
 //! 3. **Refine** — leftovers get exact per-subregion integration,
 //!    incrementally ([`refine`]).
@@ -42,7 +42,7 @@
 //!
 //! Storage is copy-on-write all the way down: objects live in the
 //! leaves of a persistent path-copying R-tree, with a persistent id map
-//! alongside ([`store::IndexedStore`] over [`cpnn_rtree::SpatialIndex`]).
+//! alongside (the crate's `IndexedStore`, over a [`cpnn_rtree::RTree`]).
 //! Any [`store::CowModel`] — the 1-D/2-D databases and [`ShardedDb`] —
 //! produces an O(log n) successor snapshot per update instead of a
 //! rebuild, and old handles keep answering for exactly their historical
@@ -52,14 +52,14 @@
 //!
 //! Snapshots can outlive the process: [`persist`] defines a versioned,
 //! dimension-tagged, checksummed snapshot format (1-D, 2-D, and sharded
-//! — [`persist::PersistentModel`]), and [`storage`] composes it with a
-//! CRC'd, fsync'd **write-ahead journal** behind the
-//! [`storage::StorageBackend`] seam. A [`server::QueryServer`] with a
-//! backend [attached](server::QueryServer::attach_storage) makes every
-//! publish durable *before* it becomes visible (one journal record per
-//! burst, holding the ops that applied in the [`update::UpdateOp`]
-//! codec the router's wire shares; checkpoints truncate the journal), and
-//! [`storage::FileBackend::recover`] replays checkpoint + journal tail
+//! — [`persist::PersistentModel`]), and the storage layer composes it
+//! with a CRC'd, fsync'd **write-ahead journal** behind the
+//! [`StorageBackend`] seam. A [`QueryServer`] with a backend
+//! [attached](QueryServer::attach_storage) makes every publish durable
+//! *before* it becomes visible (one journal record per burst, holding the
+//! ops that applied in the [`UpdateOp`] codec the router's wire shares;
+//! checkpoints truncate the journal), and [`FileBackend::recover`]
+//! replays checkpoint + journal tail
 //! — surviving a crash at **any** byte of the journal — into a live
 //! database that is bit-for-bit the pre-crash state (property-tested in
 //! `tests/proptest_recovery.rs`).
@@ -67,17 +67,17 @@
 //! ## Execution modes
 //!
 //! * **one-shot** — [`UncertainDb::cpnn`] / [`pipeline::cpnn`];
-//! * **batch** — [`batch::BatchExecutor`] evaluates an up-front batch
+//! * **batch** — [`BatchExecutor`] evaluates an up-front batch
 //!   concurrently across scoped worker threads;
-//! * **serving** — [`server::QueryServer`] keeps a persistent worker pool
+//! * **serving** — [`QueryServer`] keeps a persistent worker pool
 //!   behind a submission queue, streaming responses per request while
 //!   `insert`/`remove` swap immutable, path-copied database snapshots
 //!   underneath the stream (every response cites the snapshot version
-//!   that answered it). Every update is one [`update::UpdateOp`] — the
+//!   that answered it). Every update is one [`UpdateOp`] — the
 //!   value the serve loops parse, the journal records and the router
 //!   ships — queued on the server's single write lane
-//!   ([`server::QueryServer::queue_update`] +
-//!   [`server::QueryServer::flush_writes`]) and published a whole burst
+//!   ([`QueryServer::queue_update`] +
+//!   [`QueryServer::flush_writes`]) and published a whole burst
 //!   per swap.
 //!
 //! ## Caching
@@ -101,7 +101,7 @@
 //! local fills into, so one worker's miss warms every worker. Both tiers
 //! are the same LRU segment type, and the L1 → L2 policy lives in
 //! [`cache`]. Entries also memoize **verification outcomes** per exact
-//! (threshold, tolerance, strategy, config) band ([`cache::OutcomeKey`]) —
+//! (threshold, tolerance, strategy, config) band —
 //! a repeat query in a known band replays the memoized verdicts and
 //! bounds without touching verify or refine at all. Both layers are
 //! answer-invariant: cached, shared, and uncached evaluation agree
@@ -126,33 +126,33 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod batch;
-pub mod bounds;
+mod batch;
+mod bounds;
 pub mod cache;
 pub mod candidate;
 pub mod classify;
-pub mod distance;
-pub mod distance2d;
-pub mod engine;
-pub mod engine2d;
-pub mod error;
+mod distance;
+mod distance2d;
+mod engine;
+mod engine2d;
+mod error;
 pub mod exact;
 pub mod framework;
-pub mod geometry2d;
-pub mod idmap;
+mod geometry2d;
+mod idmap;
 pub mod knn;
-pub mod object;
+mod object;
 pub mod persist;
 pub mod pipeline;
-pub mod range;
 pub mod refine;
-pub mod server;
+mod server;
 pub mod shard;
-pub mod storage;
+mod storage;
 pub mod store;
-pub mod subregion;
-pub mod update;
+mod subregion;
+mod update;
 pub mod verifiers;
 
 #[cfg(test)]
@@ -160,9 +160,7 @@ pub(crate) mod testutil;
 
 pub use batch::{BatchExecutor, BatchOutcome, BatchSummary};
 pub use bounds::ProbBound;
-pub use cache::{
-    CacheConfig, CacheStats, OutcomeKey, SharedCacheConfig, SharedVerifyCache, VerifyCache,
-};
+pub use cache::{CacheConfig, CacheStats, SharedCacheConfig, SharedVerifyCache, VerifyCache};
 pub use candidate::{CandidateMember, CandidateSet};
 pub use classify::{Classifier, Label};
 pub use cpnn_rtree::TreeStats;
@@ -171,19 +169,19 @@ pub use distance2d::CircleObject;
 pub use engine::{
     CpnnQuery, CpnnResult, EngineConfig, ObjectReport, PnnResult, QueryStats, Strategy, UncertainDb,
 };
-pub use engine2d::{Engine2dConfig, Object2d, UncertainDb2d};
+pub use engine2d::{Object2d, UncertainDb2d};
 pub use error::{CoreError, Result};
 pub use geometry2d::Rect2;
 pub use object::{ObjectId, UncertainObject};
 pub use persist::{PersistentModel, SnapshotError};
 pub use pipeline::{DistanceModel, PipelineConfig, QueryScratch, QuerySpec};
-pub use range::RangeAnswer;
 pub use refine::RefinementOrder;
 pub use server::{FlushReport, QueryServer, Served, ServerStats, Snapshot, Ticket, UpdateOutcome};
 pub use shard::{Extent, ShardBalance, ShardPoint, ShardableModel, ShardedDb};
 pub use storage::{
-    CrashWriter, FileBackend, MemoryBackend, Recovered, StorageBackend, StorageError,
+    encode_record, replay_wal, wal_header, CrashWriter, FileBackend, MemoryBackend, Recovered,
+    StorageBackend, StorageError,
 };
-pub use store::{CowModel, IndexedStore, StoredObject};
-pub use subregion::SubregionTable;
+pub use store::CowModel;
+pub use subregion::{Columns, SubregionTable, TableSource, MASS_EPS};
 pub use update::UpdateOp;

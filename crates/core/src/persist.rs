@@ -30,7 +30,7 @@
 //! All integers and floats are little-endian. The `snapshot version`
 //! field carries the serving layer's published snapshot version through
 //! checkpoints, so a recovered server resumes the citation sequence its
-//! clients saw before the crash (see [`crate::storage`]).
+//! clients saw before the crash (see [`StorageBackend`](crate::StorageBackend)).
 //!
 //! Version-1 files (the original `magic | version | count | records`
 //! layout, implicitly 1-D flat) still load; files from a *future* format
@@ -52,7 +52,7 @@ use std::io::{self, Read, Write};
 use cpnn_pdf::HistogramPdf;
 
 use crate::engine::{EngineConfig, UncertainDb};
-use crate::engine2d::{Engine2dConfig, Object2d, UncertainDb2d};
+use crate::engine2d::{Object2d, UncertainDb2d};
 use crate::error::CoreError;
 use crate::object::{ObjectId, UncertainObject};
 use crate::shard::{ShardableModel, ShardedDb};
@@ -68,9 +68,9 @@ const LEGACY_VERSION: u32 = 1;
 const PREALLOC: usize = 1 << 16;
 
 /// `kind` header tag for flat (single-model) bodies.
-pub const KIND_FLAT: u8 = 0;
+pub(crate) const KIND_FLAT: u8 = 0;
 /// `kind` header tag for sharded bodies.
-pub const KIND_SHARDED: u8 = 1;
+pub(crate) const KIND_SHARDED: u8 = 1;
 
 /// Errors specific to snapshot encoding/decoding.
 #[derive(Debug)]
@@ -160,7 +160,7 @@ impl Fnv1a {
 
 /// One-shot FNV-1a (64-bit) over a byte slice — the same digest the
 /// snapshot trailer uses, exported for the checksums computed over a
-/// finished buffer: WAL records ([`crate::storage`]) and wire frames.
+/// finished buffer: WAL records ([`crate::encode_record`]) and wire frames.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::new();
     h.update(bytes);
@@ -333,7 +333,7 @@ impl<R: Read> SnapshotReader<R> {
 }
 
 /// A model that can be checkpointed to and recovered from the snapshot
-/// format — the persistence seam the [`crate::storage`] backends and the
+/// format — the persistence seam the [`StorageBackend`](crate::StorageBackend)s and the
 /// server's durability hooks are generic over.
 ///
 /// The split between object-level and body-level methods is deliberate:
@@ -348,7 +348,7 @@ pub trait PersistentModel: CowModel {
     type Context: Clone;
     /// Spatial dimension tag stamped into snapshot headers.
     const DIM: u32;
-    /// Layout kind tag ([`KIND_FLAT`] or [`KIND_SHARDED`]).
+    /// Layout kind tag (`KIND_FLAT` or `KIND_SHARDED`).
     const KIND: u8;
 
     /// Serialize one object record.
@@ -407,17 +407,6 @@ pub fn read_model<M: PersistentModel, R: Read>(r: R, ctx: &M::Context) -> Snapsh
     let model = M::read_body(&mut r, ctx)?;
     r.into_inner().verify_trailer()?;
     Ok((model, snapshot_version))
-}
-
-/// Serialize any [`PersistentModel`] to a file path (see
-/// [`write_model`]).
-pub fn write_model_to_path<M: PersistentModel>(
-    model: &M,
-    snapshot_version: u64,
-    path: &std::path::Path,
-) -> SnapshotResult<()> {
-    let file = std::fs::File::create(path)?;
-    write_model(model, snapshot_version, io::BufWriter::new(file))
 }
 
 fn read_magic_and_version<R: Read>(r: &mut SnapshotReader<R>) -> SnapshotResult<u32> {
@@ -568,7 +557,7 @@ impl PersistentModel for UncertainDb {
 }
 
 impl PersistentModel for UncertainDb2d {
-    type Context = Engine2dConfig;
+    type Context = ();
     const DIM: u32 = 2;
     const KIND: u8 = KIND_FLAT;
 
@@ -581,9 +570,9 @@ impl PersistentModel for UncertainDb2d {
     fn write_body<W: Write>(&self, w: &mut SnapshotWriter<W>) -> io::Result<()> {
         write_object_list::<Self, W>(&self.objects(), w)
     }
-    fn read_body<R: Read>(r: &mut SnapshotReader<R>, ctx: &Engine2dConfig) -> SnapshotResult<Self> {
+    fn read_body<R: Read>(r: &mut SnapshotReader<R>, _: &()) -> SnapshotResult<Self> {
         let objects = read_object_list::<Self, R>(r)?;
-        UncertainDb2d::with_config(objects, *ctx).map_err(SnapshotError::Invalid)
+        UncertainDb2d::build(objects).map_err(SnapshotError::Invalid)
     }
 }
 
@@ -655,7 +644,10 @@ pub fn load_snapshot<R: Read>(r: R) -> SnapshotResult<UncertainDb> {
 }
 
 /// Deserialize with an explicit engine configuration.
-pub fn load_snapshot_with<R: Read>(r: R, config: EngineConfig) -> SnapshotResult<UncertainDb> {
+pub(crate) fn load_snapshot_with<R: Read>(
+    r: R,
+    config: EngineConfig,
+) -> SnapshotResult<UncertainDb> {
     UncertainDb::with_config(load_objects(r)?, config).map_err(SnapshotError::Invalid)
 }
 
@@ -712,7 +704,8 @@ pub fn load_objects<R: Read>(r: R) -> SnapshotResult<Vec<UncertainObject>> {
 
 /// Round-trip helper used by the CLI: save to a file path.
 pub fn save_to_path(db: &UncertainDb, path: &std::path::Path) -> SnapshotResult<()> {
-    write_model_to_path(db, 0, path)
+    let file = std::fs::File::create(path)?;
+    write_model(db, 0, io::BufWriter::new(file))
 }
 
 /// Round-trip helper used by the CLI: load from a file path.

@@ -37,8 +37,6 @@ pub struct RefineReport {
     /// see [`kernels::nn_qualification`]), for k-NN one per integration;
     /// 0 when `qual` bypasses the kernels.
     pub column_passes: usize,
-    /// Integrations per candidate (index-aligned with the table).
-    pub per_object: Vec<usize>,
 }
 
 /// Refine every `Unknown` object in `state` until classified, using the
@@ -82,10 +80,7 @@ pub fn incremental_refine_with(
 ) -> RefineReport {
     let n = table.n_objects();
     let l = table.left_regions();
-    let mut report = RefineReport {
-        per_object: vec![0; n],
-        ..Default::default()
-    };
+    let mut report = RefineReport::default();
     let passes_before = state.kernel.quadrature_passes;
     // Take the visit-order buffer out of the scratch so the scratch itself
     // can still be handed to `qual` inside the loop; returned at the end.
@@ -121,7 +116,6 @@ pub fn incremental_refine_with(
         for &j in &regions {
             let q = qual(i, j, &mut state.kernel);
             report.integrations += 1;
-            report.per_object[i] += 1;
             let s = table.mass(i, j);
             let cell = i * l + j;
             lo += s * (q - state.qij_lo[cell]);
@@ -156,9 +150,8 @@ pub fn incremental_refine_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{default_verifiers, run_verification};
     use crate::subregion::SubregionTable;
-    use crate::testutil::{fig7_exact, fig7_scenario};
+    use crate::testutil::{fig7_exact, fig7_scenario, run_default_chain};
 
     fn run(
         threshold: f64,
@@ -168,8 +161,7 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(threshold, tolerance).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        let mut state = outcome.state;
+        let (mut state, _) = run_default_chain(&table, &classifier);
         let report = incremental_refine(&table, &classifier, &mut state, order);
         (state, report)
     }
@@ -238,8 +230,7 @@ mod tests {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.6, 0.0).unwrap();
-        let outcome = run_verification(&table, &classifier, &default_verifiers());
-        let mut state = outcome.state;
+        let (mut state, _) = run_default_chain(&table, &classifier);
         let report = incremental_refine(
             &table,
             &classifier,

@@ -67,7 +67,7 @@
 //! # Example
 //!
 //! ```
-//! use cpnn_core::server::QueryServer;
+//! use cpnn_core::QueryServer;
 //! use cpnn_core::{
 //!     CpnnQuery, ObjectId, PipelineConfig, QuerySpec, Strategy, UncertainDb, UncertainObject,
 //! };
@@ -369,7 +369,7 @@ struct QueuedWrite<M: PersistentModel> {
 }
 
 /// A long-lived query-serving worker pool over an immutable, swappable
-/// database snapshot. See the [module docs](self) for the full design.
+/// database snapshot; `server.rs`'s module docs describe the full design.
 ///
 /// Any [`PersistentModel`] can be served — the 1-D/2-D databases (O(log
 /// n) store path copies) and [`ShardedDb`] (path copy of the owning

@@ -49,7 +49,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::engine::{CpnnQuery, CpnnResult, PnnResult, Strategy};
+use crate::engine::{CpnnQuery, CpnnResult, Strategy};
 use crate::error::{CoreError, Result};
 use crate::object::ObjectId;
 use crate::pipeline::{self, DistanceModel, Filtered, PipelineConfig, QuerySpec};
@@ -78,7 +78,7 @@ impl Extent {
     }
 
     /// The smallest extent covering both `self` and `other`.
-    pub fn union(mut self, other: &Extent) -> Extent {
+    pub(crate) fn union(mut self, other: &Extent) -> Extent {
         for a in 0..self.lo.len() {
             self.lo[a] = self.lo[a].min(other.lo[a]);
             self.hi[a] = self.hi[a].max(other.hi[a]);
@@ -107,7 +107,7 @@ impl Extent {
 
     /// Euclidean distance from `p` to the farthest point of the extent —
     /// an upper bound on the far distance of every object it covers.
-    pub fn maxdist<P: ShardPoint>(&self, p: &P) -> f64 {
+    pub(crate) fn maxdist<P: ShardPoint>(&self, p: &P) -> f64 {
         (0..self.lo.len())
             .map(|a| {
                 let c = p.coord(a);
@@ -379,7 +379,7 @@ impl<M: ShardableModel> ShardedDb<M> {
     /// non-decreasing values), and each slab's objects in slab order.
     ///
     /// This is the recovery entry point ([`crate::persist`] /
-    /// [`crate::storage`]): the persisted boundaries are adopted **as
+    /// [`crate::FileBackend::recover`]): the persisted boundaries are adopted **as
     /// is**, rather than re-derived from the recovered objects, so slab
     /// routing after recovery is bit-identical to the pre-crash database
     /// even when serve-lane churn has drifted the contents away from the
@@ -426,15 +426,6 @@ impl<M: ShardableModel> ShardedDb<M> {
             bounds,
             config,
         })
-    }
-
-    /// Union of all shard extents (the database's domain MBR), `None`
-    /// when empty.
-    pub fn extent(&self) -> Option<Extent> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.model_extent())
-            .reduce(|a, b| a.union(&b))
     }
 
     /// Which slab an object with partition-key `center` belongs to.
@@ -636,21 +627,6 @@ where
             &self.pipeline_config(),
         )
     }
-
-    /// Exact qualification probabilities for every candidate, descending.
-    pub fn pnn(&self, q: f64) -> Result<PnnResult> {
-        pipeline::pnn(self, &q, 1)
-    }
-
-    /// Constrained probabilistic k-NN over the merged candidate set.
-    pub fn cknn(&self, q: f64, k: usize, threshold: f64, tolerance: f64) -> Result<CpnnResult> {
-        pipeline::cpnn(
-            self,
-            &q,
-            &QuerySpec::knn(k, threshold, tolerance, Strategy::Verified),
-            &self.pipeline_config(),
-        )
-    }
 }
 
 /// Index of the slab whose `[bounds[i], bounds[i+1])` interval holds
@@ -791,7 +767,13 @@ mod tests {
             for q in [0.0, 31.4, 77.7] {
                 for k in [2, 3] {
                     let a = flat.cknn(q, k, 0.4, 0.0).unwrap();
-                    let b = sharded.cknn(q, k, 0.4, 0.0).unwrap();
+                    let b = pipeline::cpnn(
+                        &sharded,
+                        &q,
+                        &QuerySpec::knn(k, 0.4, 0.0, Strategy::Verified),
+                        &sharded.pipeline_config(),
+                    )
+                    .unwrap();
                     assert_equivalent(&a, &b, &format!("q = {q}, k = {k}, {shards} shards"));
                 }
             }
@@ -813,9 +795,7 @@ mod tests {
             .collect();
         let flat = UncertainDb2d::build(objs.clone()).unwrap();
         for shards in [1, 3, 8] {
-            let sharded =
-                ShardedDb::<UncertainDb2d>::build(objs.clone(), Default::default(), shards)
-                    .unwrap();
+            let sharded = ShardedDb::<UncertainDb2d>::build(objs.clone(), (), shards).unwrap();
             for q in [[0.0, 0.0], [40.0, 30.0], [79.0, 59.0]] {
                 let a = pipeline::cpnn(
                     &flat,
@@ -859,7 +839,7 @@ mod tests {
         assert_eq!(changed, 1, "exactly one shard replaced");
         assert_eq!(db.len(), 41);
         // The inserted object is findable.
-        let res = db.pnn(1.5).unwrap();
+        let res = pipeline::pnn(&db, &1.5, 1).unwrap();
         assert_eq!(res.probabilities[0].0, ObjectId(1000));
     }
 
@@ -896,8 +876,8 @@ mod tests {
         assert!(db.remove(ObjectId(500)).is_none());
         let fresh = ShardedDb::<UncertainDb>::build(objs, Default::default(), 3).unwrap();
         for q in [0.0, 10.2, 55.0] {
-            let a = db.pnn(q).unwrap();
-            let b = fresh.pnn(q).unwrap();
+            let a = pipeline::pnn(&db, &q, 1).unwrap();
+            let b = pipeline::pnn(&fresh, &q, 1).unwrap();
             assert_eq!(a.probabilities.len(), b.probabilities.len());
             for ((ida, pa), (idb, pb)) in a.probabilities.iter().zip(&b.probabilities) {
                 assert_eq!(ida, idb);
@@ -915,8 +895,14 @@ mod tests {
         db.insert(UncertainObject::uniform(ObjectId(601), 900.0, 901.0).unwrap())
             .unwrap();
         assert_eq!(db.len(), 22);
-        assert_eq!(db.pnn(-499.5).unwrap().probabilities[0].0, ObjectId(600));
-        assert_eq!(db.pnn(900.5).unwrap().probabilities[0].0, ObjectId(601));
+        assert_eq!(
+            pipeline::pnn(&db, &-499.5, 1).unwrap().probabilities[0].0,
+            ObjectId(600)
+        );
+        assert_eq!(
+            pipeline::pnn(&db, &900.5, 1).unwrap().probabilities[0].0,
+            ObjectId(601)
+        );
     }
 
     #[test]
@@ -935,7 +921,7 @@ mod tests {
         assert_eq!(db.num_shards(), 16);
         let flat = UncertainDb::build(objects(3)).unwrap();
         let a = flat.pnn(5.0).unwrap();
-        let b = db.pnn(5.0).unwrap();
+        let b = pipeline::pnn(&db, &5.0, 1).unwrap();
         assert_eq!(a.probabilities.len(), b.probabilities.len());
     }
 

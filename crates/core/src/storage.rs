@@ -55,7 +55,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::persist::{self, PersistentModel, SnapshotError, SnapshotReader};
@@ -74,7 +74,7 @@ pub enum StorageError {
     Snapshot(SnapshotError),
     /// The journal is damaged in a way no crash timing explains (bad
     /// magic, undecodable checksum-valid record, ...). Torn tails are
-    /// *not* errors — see the [module docs](self).
+    /// *not* errors: replay stops at the last complete record.
     Corrupt(String),
 }
 
@@ -103,7 +103,7 @@ impl From<SnapshotError> for StorageError {
 }
 
 /// Result alias for the storage layer.
-pub type StorageResult<T> = std::result::Result<T, StorageError>;
+pub(crate) type StorageResult<T> = std::result::Result<T, StorageError>;
 
 /// The durability seam the server writes through. Implementations append
 /// journal records and write checkpoints; both are called **before** the
@@ -160,8 +160,9 @@ pub struct Recovered<M> {
 }
 
 /// Replay journal bytes on top of `base` (the checkpointed model at
-/// `base_version`), honoring the torn-tail contract in the [module
-/// docs](self).
+/// `base_version`). A torn tail (a record cut short, or failing its
+/// checksum) ends replay cleanly at [`Recovered::torn_at`]; damage no
+/// crash explains is [`StorageError::Corrupt`].
 pub fn replay_wal<M: PersistentModel>(
     wal: &[u8],
     base: M,
@@ -343,7 +344,7 @@ impl<M: PersistentModel> StorageBackend<M> for MemoryBackend {
 /// The file-backed backend: `checkpoint.cpnn` + `wal.cpwl` inside one
 /// data directory. Appends are fsync'd before they return; checkpoints
 /// go through a temp-file + atomic-rename + directory-fsync dance and
-/// only then truncate the journal (see the [module docs](self)).
+/// only then truncate the journal.
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
@@ -359,13 +360,8 @@ impl FileBackend {
         Ok(Self { dir, wal: None })
     }
 
-    /// The data directory this backend writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the checkpoint image.
-    pub fn checkpoint_path(&self) -> PathBuf {
+    pub(crate) fn checkpoint_path(&self) -> PathBuf {
         self.dir.join("checkpoint.cpnn")
     }
 

@@ -1,21 +1,21 @@
 //! The shared storage layer: one persistent, id-addressable object store
-//! over a [`SpatialIndex`], used by both the 1-D and 2-D databases.
+//! over a path-copying [`RTree`], used by both the 1-D and 2-D databases.
 //!
 //! Before this module existed, `engine.rs` and `engine2d.rs` each carried
 //! their own copy of the index plumbing — duplicate-id checks, bulk
-//! loading, dynamic insert/remove with index re-keying. [`IndexedStore`]
-//! is that plumbing written once, against the [`SpatialIndex`] seam, with
-//! two persistent structures per store:
+//! loading, dynamic insert/remove with index re-keying. `IndexedStore`
+//! is that plumbing written once, with two persistent structures per
+//! store:
 //!
-//! * the **spatial index** (a path-copying [`cpnn_rtree::RTree`] by
-//!   default) holds the objects themselves in its leaves — the filter
-//!   reads candidates straight out of the index, no side table;
-//! * a persistent **id map** ([`crate::idmap::IdMap`]) from object id to
+//! * the **spatial index** (a path-copying [`RTree`]) holds the objects
+//!   themselves in its leaves — the filter reads candidates straight out
+//!   of the index, no side table;
+//! * a persistent **id map** (`IdMap`) from object id to
 //!   stored rect — duplicate detection on insert and id → rect lookup on
 //!   remove, both O(log n) with path-copying updates.
 //!
-//! Because both structures are persistent, [`IndexedStore::with_inserted`]
-//! and [`IndexedStore::with_removed`] produce a full copy-on-write
+//! Because both structures are persistent, `IndexedStore::with_inserted`
+//! and `IndexedStore::with_removed` produce a full copy-on-write
 //! snapshot in **O(log n)** — this is what turns the serving layer's
 //! snapshot-swap updates from rebuilds into structural edits.
 //!
@@ -25,7 +25,7 @@
 //! path copies) implements it, and [`crate::server::QueryServer`] builds
 //! its update surface — including the write-coalescing lane — on top.
 
-use cpnn_rtree::{Candidate, FilterStats, Params, RTree, Rect, SpatialIndex};
+use cpnn_rtree::{Candidate, FilterStats, Params, RTree, Rect};
 
 use crate::error::{CoreError, Result};
 use crate::idmap::IdMap;
@@ -33,7 +33,7 @@ use crate::object::ObjectId;
 use crate::shard::Extent;
 
 /// A storable object: identified, rectangle-bounded, cloneable.
-pub trait StoredObject<const D: usize>: Clone {
+pub(crate) trait StoredObject<const D: usize>: Clone {
     /// The object's identifier.
     fn object_id(&self) -> ObjectId;
     /// The axis-aligned bounding rectangle indexed for this object (the
@@ -41,18 +41,18 @@ pub trait StoredObject<const D: usize>: Clone {
     fn bounding_rect(&self) -> Rect<D>;
 }
 
-/// A persistent, id-addressable object store over a spatial index `I`.
+/// A persistent, id-addressable object store over an [`RTree`].
 /// `Clone` is O(1); [`with_inserted`](Self::with_inserted) /
 /// [`with_removed`](Self::with_removed) are O(log n) path copies. See the
 /// [module docs](self).
 #[derive(Debug)]
-pub struct IndexedStore<O, const D: usize, I = RTree<O, D>> {
-    index: I,
+pub(crate) struct IndexedStore<O, const D: usize> {
+    index: RTree<O, D>,
     ids: IdMap<Rect<D>>,
     _marker: std::marker::PhantomData<O>,
 }
 
-impl<O, const D: usize, I: Clone> Clone for IndexedStore<O, D, I> {
+impl<O, const D: usize> Clone for IndexedStore<O, D> {
     fn clone(&self) -> Self {
         Self {
             index: self.index.clone(),
@@ -62,14 +62,10 @@ impl<O, const D: usize, I: Clone> Clone for IndexedStore<O, D, I> {
     }
 }
 
-impl<O, const D: usize, I> IndexedStore<O, D, I>
-where
-    O: StoredObject<D>,
-    I: SpatialIndex<O, D>,
-{
+impl<O: StoredObject<D>, const D: usize> IndexedStore<O, D> {
     /// Bulk-build the store (packed index + packed id map). Fails on
     /// duplicate object ids.
-    pub fn build(objects: Vec<O>, params: Params) -> Result<Self> {
+    pub(crate) fn build(objects: Vec<O>, params: Params) -> Result<Self> {
         let mut pairs: Vec<(u64, Rect<D>)> = objects
             .iter()
             .map(|o| (o.object_id().0, o.bounding_rect()))
@@ -79,7 +75,7 @@ where
             return Err(CoreError::DuplicateObjectId(w[0].0));
         }
         let ids = IdMap::from_sorted(pairs);
-        let index = I::build(
+        let index = RTree::bulk_load_with(
             objects
                 .into_iter()
                 .map(|o| (o.bounding_rect(), o))
@@ -94,42 +90,32 @@ where
     }
 
     /// Number of stored objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
     }
 
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
     /// Is an object with this id stored?
-    pub fn contains(&self, id: ObjectId) -> bool {
+    pub(crate) fn contains(&self, id: ObjectId) -> bool {
         self.ids.contains(id.0)
-    }
-
-    /// The indexed rect of the object with this id, if stored.
-    pub fn rect_of(&self, id: ObjectId) -> Option<Rect<D>> {
-        self.ids.get(id.0).copied()
     }
 
     /// Minimum bounding rectangle of every stored object (`None` when
     /// empty) — kept exact by the index across updates, so it doubles as
     /// the store's domain extent for shard routing.
-    pub fn mbr(&self) -> Option<Rect<D>> {
+    pub(crate) fn mbr(&self) -> Option<Rect<D>> {
         self.index.mbr()
     }
 
     /// The store's extent as a dimension-erased [`Extent`] (`None` when
     /// empty).
-    pub fn extent(&self) -> Option<Extent> {
+    pub(crate) fn extent(&self) -> Option<Extent> {
         self.mbr()
             .map(|r| Extent::new(r.min().to_vec(), r.max().to_vec()))
     }
 
     /// Copy-on-write insert: a new store sharing all untouched structure.
     /// O(log n). Fails on a duplicate id (`self` unchanged either way).
-    pub fn with_inserted(&self, object: O) -> Result<Self> {
+    pub(crate) fn with_inserted(&self, object: O) -> Result<Self> {
         let id = object.object_id();
         let rect = object.bounding_rect();
         let ids = self
@@ -146,13 +132,11 @@ where
     /// Copy-on-write remove by id: the new store plus the removed object
     /// (`None` if the id was absent — the returned store then shares
     /// everything with `self`). O(log n).
-    pub fn with_removed(&self, id: ObjectId) -> (Self, Option<O>) {
+    pub(crate) fn with_removed(&self, id: ObjectId) -> (Self, Option<O>) {
         let Some((ids, rect)) = self.ids.with_removed(id.0) else {
             return (self.clone(), None);
         };
-        let (index, removed) = self
-            .index
-            .with_removed(&rect, &mut |o: &O| o.object_id() == id);
+        let (index, removed) = self.index.with_removed(&rect, |o: &O| o.object_id() == id);
         debug_assert!(removed.is_some(), "id map and index agree on membership");
         (
             Self {
@@ -166,13 +150,13 @@ where
 
     /// In-place insert (replaces this handle with the path-copied
     /// successor; other clones are unaffected).
-    pub fn insert(&mut self, object: O) -> Result<()> {
+    pub(crate) fn insert(&mut self, object: O) -> Result<()> {
         *self = self.with_inserted(object)?;
         Ok(())
     }
 
     /// In-place remove by id, returning the object if present.
-    pub fn remove(&mut self, id: ObjectId) -> Option<O> {
+    pub(crate) fn remove(&mut self, id: ObjectId) -> Option<O> {
         let (next, removed) = self.with_removed(id);
         if removed.is_some() {
             *self = next;
@@ -181,31 +165,30 @@ where
     }
 
     /// The PNN filtering phase over the stored objects.
-    pub fn candidates_k(&self, q: &[f64; D], k: usize) -> (Vec<Candidate<'_, O, D>>, FilterStats) {
-        self.index.candidates_k(q, k)
-    }
-
-    /// Objects whose rects intersect `query`.
-    pub fn intersecting(&self, query: &Rect<D>) -> Vec<(&Rect<D>, &O)> {
-        self.index.intersecting(query)
+    pub(crate) fn candidates_k(
+        &self,
+        q: &[f64; D],
+        k: usize,
+    ) -> (Vec<Candidate<'_, O, D>>, FilterStats) {
+        self.index.pnn_candidates_k(q, k)
     }
 
     /// Visit every stored object (deterministic order).
-    pub fn for_each<F: FnMut(&O)>(&self, mut f: F) {
-        self.index.for_each_record(&mut |_, o| f(o));
+    pub(crate) fn for_each<F: FnMut(&O)>(&self, mut f: F) {
+        self.index.for_each(|_, o| f(o));
     }
 
     /// Materialize the stored objects (deterministic order). O(n) — used
     /// by persistence, re-sharding, and diagnostics, never by the query
     /// or update paths.
-    pub fn objects(&self) -> Vec<O> {
+    pub(crate) fn objects(&self) -> Vec<O> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each(|o| out.push(o.clone()));
         out
     }
 
     /// The underlying index.
-    pub fn index(&self) -> &I {
+    pub(crate) fn index(&self) -> &RTree<O, D> {
         &self.index
     }
 }
@@ -295,7 +278,7 @@ mod tests {
     #[test]
     fn rect_lookup_and_extent_track_updates() {
         let mut s = store(5);
-        assert_eq!(s.rect_of(ObjectId(2)), Some(Rect::interval(6.0, 7.0)));
+        assert_eq!(s.ids.get(2), Some(&Rect::interval(6.0, 7.0)));
         s.insert(obj(100, 1000.0)).unwrap();
         let e = s.extent().unwrap();
         assert_eq!(e.hi[0], 1001.0);

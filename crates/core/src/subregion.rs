@@ -79,7 +79,6 @@ pub struct SubregionTable {
     /// `j ∈ 0 .. L` with `L = endpoints.len() − 1`; the rightmost subregion
     /// `[fmin, fmax]` is implicit.
     endpoints: Vec<f64>,
-    fmax: f64,
     n: usize,
     /// How much is filled.
     filled: Columns,
@@ -121,7 +120,6 @@ impl SubregionTable {
         // for 1-NN, fmin_k for the k-NN extension. All formulas below are
         // stated in terms of it.
         let fmin = candidates.horizon();
-        self.fmax = candidates.fmax();
         self.n = n;
         self.filled = Columns::Horizon;
         self.cdf_evals = 0;
@@ -238,7 +236,7 @@ impl SubregionTable {
     }
 
     /// How much of the table is filled.
-    pub fn filled(&self) -> Columns {
+    pub(crate) fn filled(&self) -> Columns {
         self.filled
     }
 
@@ -289,11 +287,6 @@ impl SubregionTable {
         &self.endpoints
     }
 
-    /// Width of left subregion `j`.
-    pub fn width(&self, j: usize) -> f64 {
-        self.endpoints[j + 1] - self.endpoints[j]
-    }
-
     /// Subregion probability `s_ij` for left region `j`.
     pub fn mass(&self, i: usize, j: usize) -> f64 {
         debug_assert_eq!(self.filled, Columns::All, "mass of a partial table");
@@ -337,21 +330,6 @@ impl SubregionTable {
     pub fn fmin(&self) -> f64 {
         *self.endpoints.last().expect("non-empty table")
     }
-
-    /// `fmax` (right edge of the rightmost subregion).
-    pub fn fmax(&self) -> f64 {
-        self.fmax
-    }
-
-    /// Linear interpolation of `D_i(r)` inside left region `j`, with
-    /// `t ∈ [0, 1]` the relative position: `D_i(e_j + t·w_j)`.
-    ///
-    /// Exact because distance cdfs are piecewise linear with knots at
-    /// end-points.
-    pub fn cdf_interp(&self, i: usize, j: usize, t: f64) -> f64 {
-        let a = self.cdf_at(i, j);
-        a + t * self.mass(i, j)
-    }
 }
 
 /// `⌈√L⌉`: groups of this many columns make about as many groups as a
@@ -366,7 +344,7 @@ fn coarse_stride(left_regions: usize) -> usize {
 /// Where a verifier chain reads its table from
 /// ([`crate::framework::run_verification_into`]): a table filled already
 /// (`&SubregionTable`, checked in debug builds), or one filled as the
-/// stages need it ([`FillOnDemand`]).
+/// stages need it (`FillOnDemand`).
 pub trait TableSource {
     /// The table with at least the columns `stage` reads
     /// ([`Verifier::columns`]) filled.
@@ -394,7 +372,7 @@ impl<S: TableSource + ?Sized> TableSource for &mut S {
 /// pipeline hands the verifier chain, and then refinement
 /// ([`Self::filled`]).
 #[derive(Debug)]
-pub struct FillOnDemand<'a> {
+pub(crate) struct FillOnDemand<'a> {
     table: &'a mut SubregionTable,
     candidates: &'a CandidateSet,
     /// Time spent filling so far.
@@ -403,7 +381,7 @@ pub struct FillOnDemand<'a> {
 
 impl<'a> FillOnDemand<'a> {
     /// `table` must be laid out for `candidates` ([`SubregionTable::layout`]).
-    pub fn new(table: &'a mut SubregionTable, candidates: &'a CandidateSet) -> Self {
+    pub(crate) fn new(table: &'a mut SubregionTable, candidates: &'a CandidateSet) -> Self {
         Self {
             table,
             candidates,
@@ -412,7 +390,7 @@ impl<'a> FillOnDemand<'a> {
     }
 
     /// The table, filled at least to `need`.
-    pub fn filled(&mut self, need: Columns) -> &SubregionTable {
+    pub(crate) fn filled(&mut self, need: Columns) -> &SubregionTable {
         if need > self.table.filled() {
             let start = Instant::now();
             self.table.fill(self.candidates, need);
@@ -422,7 +400,7 @@ impl<'a> FillOnDemand<'a> {
     }
 
     /// Time the fills took so far.
-    pub fn fill_time(&self) -> Duration {
+    pub(crate) fn fill_time(&self) -> Duration {
         self.fill_time
     }
 }
@@ -438,6 +416,7 @@ impl TableSource for FillOnDemand<'_> {
 mod tests {
     use super::*;
     use crate::testutil::fig7_scenario;
+    use cpnn_pdf::Pdf as _;
 
     #[test]
     fn endpoints_match_hand_construction() {
@@ -448,7 +427,6 @@ mod tests {
         assert_eq!(t.left_regions(), 4);
         assert_eq!(t.subregion_count(), 5); // the paper's M
         assert_eq!(t.fmin(), 6.0);
-        assert_eq!(t.fmax(), 8.0);
     }
 
     #[test]
@@ -529,23 +507,33 @@ mod tests {
         }
     }
 
+    /// Inside a left region every distance cdf is linear, so the cell
+    /// pair `(D_i(e_j), s_ij)` determines it: `D_i(e_j + t·w_j) =
+    /// D_i(e_j) + t·s_ij` for every `t ∈ [0, 1]`.
     #[test]
     fn cdf_interp_is_linear_within_regions() {
         let (cands, _) = fig7_scenario();
         let t = SubregionTable::build(&cands);
+        let e = t.endpoints();
         // D2 halfway through S4 = [4, 6]: 0.5 + 0.5·0.5 = 0.75.
-        assert!((t.cdf_interp(1, 3, 0.5) - 0.75).abs() < 1e-12);
-        // Interp endpoints agree with stored cdf values.
-        for i in 0..3 {
+        assert!((t.cdf_at(1, 3) + 0.5 * t.mass(1, 3) - 0.75).abs() < 1e-12);
+        for (i, m) in cands.members().iter().enumerate() {
             for j in 0..4 {
-                assert!((t.cdf_interp(i, j, 0.0) - t.cdf_at(i, j)).abs() < 1e-12);
-                assert!((t.cdf_interp(i, j, 1.0) - t.cdf_at(i, j + 1)).abs() < 1e-12);
+                for step in 0..=4 {
+                    let frac = step as f64 / 4.0;
+                    let r = e[j] + frac * (e[j + 1] - e[j]);
+                    let linear = t.cdf_at(i, j) + frac * t.mass(i, j);
+                    assert!(
+                        (linear - m.dist.histogram().cdf(r)).abs() < 1e-12,
+                        "D{i}({r})"
+                    );
+                }
             }
         }
     }
 
     /// The row sweep against the scalar pdf: every cdf cell is bit-equal to
-    /// `dist.cdf(e_j)`, every mass cell to the clamped difference of those,
+    /// `dist.histogram().cdf(e_j)`, every mass cell to the clamped difference of those,
     /// the rightmost mass to `1 − D_i(fmin)` clamped, and `count(j)` to a
     /// scan of column `j`.
     fn assert_build_matches_pointwise_cdf(cands: &crate::candidate::CandidateSet) {
@@ -553,7 +541,7 @@ mod tests {
         let l = t.left_regions();
         let bits = |x: f64| x.to_bits();
         for (i, member) in cands.members().iter().enumerate() {
-            let cdf = |j: usize| member.dist.cdf(t.endpoint(j));
+            let cdf = |j: usize| member.dist.histogram().cdf(t.endpoint(j));
             for j in 0..=l {
                 assert_eq!(bits(t.cdf_at(i, j)), bits(cdf(j)), "cdf ({i},{j})");
             }

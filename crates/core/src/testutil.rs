@@ -9,7 +9,11 @@
 use cpnn_pdf::HistogramPdf;
 
 use crate::candidate::CandidateSet;
+use crate::classify::Classifier;
+use crate::framework::{default_verifiers, run_verification_into, StageReport};
 use crate::object::{ObjectId, UncertainObject};
+use crate::subregion::SubregionTable;
+use crate::verifiers::VerificationState;
 
 /// Hand-analyzed three-object scenario.
 ///
@@ -29,7 +33,7 @@ use crate::object::{ObjectId, UncertainObject};
 /// * L-SR lower bounds: `p.l = [0.3489583, 0.28125, 0.04375]`
 /// * U-SR upper bounds: `p.u = [0.478125, 0.5, 0.065625]`
 /// * exact probabilities: `[0.4635417, 0.4854167, 0.0510417]` (sum = 1)
-pub fn fig7_scenario() -> (CandidateSet, Vec<UncertainObject>) {
+pub(crate) fn fig7_scenario() -> (CandidateSet, Vec<UncertainObject>) {
     let x1 = UncertainObject::from_histogram(
         ObjectId(1),
         HistogramPdf::from_masses(vec![1.0, 3.0, 7.0], vec![0.3, 0.7]).unwrap(),
@@ -43,7 +47,7 @@ pub fn fig7_scenario() -> (CandidateSet, Vec<UncertainObject>) {
 
 /// Exact qualification probabilities of [`fig7_scenario`], computed
 /// analytically (piecewise-polynomial integration by hand).
-pub fn fig7_exact() -> [f64; 3] {
+pub(crate) fn fig7_exact() -> [f64; 3] {
     [
         0.463_541_666_666_666_7,
         0.485_416_666_666_666_7,
@@ -58,10 +62,28 @@ pub fn fig7_exact() -> [f64; 3] {
 /// regions starting at 1, `p_i = ∫ f_i Π_{k≠i}(1 − F_k)` evaluates to
 /// approximately (19%, 41%, 11%, 29%) for widths (7, 4, 11, 5) — matching
 /// the paper's rounded percentages.
-pub fn fig2_scenario() -> (Vec<UncertainObject>, f64) {
+pub(crate) fn fig2_scenario() -> (Vec<UncertainObject>, f64) {
     let a = UncertainObject::uniform(ObjectId(0), 1.0, 8.0).unwrap();
     let b = UncertainObject::uniform(ObjectId(1), 1.0, 5.0).unwrap();
     let c = UncertainObject::uniform(ObjectId(2), 1.0, 12.0).unwrap();
     let d = UncertainObject::uniform(ObjectId(3), 1.0, 6.0).unwrap();
     (vec![a, b, c, d], 0.0)
+}
+
+/// The paper's default chain (RS, L-SR, U-SR) over a filled table, from
+/// fresh state: the final state and the per-stage reports.
+pub(crate) fn run_default_chain(
+    table: &SubregionTable,
+    classifier: &Classifier,
+) -> (VerificationState, Vec<StageReport>) {
+    let mut state = VerificationState::new(table);
+    let mut stages = Vec::new();
+    run_verification_into(
+        table,
+        classifier,
+        &default_verifiers(),
+        &mut state,
+        &mut stages,
+    );
+    (state, stages)
 }

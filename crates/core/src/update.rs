@@ -41,7 +41,7 @@ impl<M: CowModel> UpdateOp<M> {
     /// Apply the op copy-on-write: `model`'s successor, plus the extent
     /// the op touched (`None` when a remove found nothing). `model` is
     /// unchanged either way; a duplicate-id insert fails.
-    pub fn apply(self, model: &M) -> Result<(M, Option<Extent>)> {
+    pub(crate) fn apply(self, model: &M) -> Result<(M, Option<Extent>)> {
         match self {
             Self::Insert(object) => {
                 let extent = M::object_extent(&object);

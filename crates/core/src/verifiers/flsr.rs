@@ -30,7 +30,7 @@ use crate::verifiers::{VerificationState, Verifier};
 
 /// The FL-SR verifier. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FarLowerSubregion;
+pub(crate) struct FarLowerSubregion;
 
 impl Verifier for FarLowerSubregion {
     fn name(&self) -> &'static str {

@@ -39,7 +39,7 @@
 //!   same bits) and *sound* against the naive
 //!   [`crate::knn::knn_probabilities`] (`p.l − 1e-9 ≤ p ≤ p.u + 1e-9`,
 //!   labels as Definition 1 allows). Against the naive fine-partition
-//!   verifier ([`crate::verifiers::reference::ReferenceKnnSubregion`]): an
+//!   verifier ([`crate::verifiers::reference::reference_knn_verifiers`]): an
 //!   object that reaches the fine stage ends within `1e-12` of its bounds
 //!   with the same label; one decided on the coarse partition has bounds
 //!   that contain them. And it is *monotone*: the fine stage never loosens a
@@ -961,8 +961,10 @@ mod tests {
             let mut fresh = VerificationState::new(&table);
             reused.reset(&table);
             let mut reports = Vec::new();
+            let mut refined = None;
             for state in [&mut reused, &mut fresh] {
                 run_verification_into(&table, &classifier, &chain, state, &mut stages);
+                refined = refined.or(state.labels.iter().position(|&l| l == Label::Unknown));
                 reports.push(incremental_refine(
                     &table,
                     &classifier,
@@ -978,8 +980,9 @@ mod tests {
             );
             // The pass is closed: a direct call through the same scratch
             // integrates on its own instead of loading the pass's memo.
-            // (`j`: the row's heaviest subregion, which the pass visited.)
-            let i = reports[0].per_object.iter().position(|&c| c > 0).unwrap();
+            // (`i`: a row the pass refined; `j`: its heaviest subregion,
+            // which the pass visited first.)
+            let i = refined.unwrap();
             let j = (0..table.left_regions())
                 .max_by(|&a, &b| table.mass(i, a).total_cmp(&table.mass(i, b)))
                 .unwrap();

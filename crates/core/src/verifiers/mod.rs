@@ -28,10 +28,10 @@ pub mod reference;
 mod rs;
 mod usr;
 
-pub use flsr::FarLowerSubregion;
+pub(crate) use flsr::FarLowerSubregion;
 pub use kernels::KernelScratch;
 pub use lsr::LowerSubregion;
-pub use products::ExcludeOneProduct;
+pub(crate) use products::ExcludeOneProduct;
 pub use rs::RightmostSubregion;
 pub use usr::UpperSubregion;
 
@@ -60,7 +60,7 @@ pub struct VerificationState {
     /// every path that reuses the state — the per-query scratch, the batch
     /// executor's per-thread states — gets allocation-free verify/refine
     /// loops for free.
-    pub kernel: KernelScratch,
+    pub(crate) kernel: KernelScratch,
 }
 
 impl VerificationState {
@@ -94,7 +94,7 @@ impl VerificationState {
 
     /// Recompute `p_i.l = Σ_j s_ij · q_ij.l` (paper Eq. 4) and raise the
     /// object's lower bound if it improved.
-    pub fn recompute_lower(&mut self, table: &SubregionTable, i: usize) {
+    pub(crate) fn recompute_lower(&mut self, table: &SubregionTable, i: usize) {
         let l = table.left_regions();
         let mut lo = 0.0;
         for (&s, &q) in table.mass_row(i).iter().zip(&self.qij_lo[i * l..]) {
@@ -105,7 +105,7 @@ impl VerificationState {
 
     /// Recompute `p_i.u = Σ_j s_ij · q_ij.u` (rightmost subregion
     /// contributes zero) and lower the object's upper bound if it improved.
-    pub fn recompute_upper(&mut self, table: &SubregionTable, i: usize) {
+    pub(crate) fn recompute_upper(&mut self, table: &SubregionTable, i: usize) {
         let l = table.left_regions();
         let mut hi = 0.0;
         for (&s, &q) in table.mass_row(i).iter().zip(&self.qij_hi[i * l..]) {

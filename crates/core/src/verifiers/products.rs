@@ -20,7 +20,7 @@
 /// The `Default` value is an *empty* table (no factors recorded yet); call
 /// [`Self::recompute`] before querying it.
 #[derive(Debug, Clone, Default)]
-pub struct ExcludeOneProduct {
+pub(crate) struct ExcludeOneProduct {
     /// `prefix[i] = Π_{k < i} f_k` (so `prefix[0] = 1`), length `n + 1`.
     prefix: Vec<f64>,
     /// `suffix[i] = Π_{k ≥ i} f_k` (so `suffix[n] = 1`), length `n + 1`.
@@ -29,7 +29,7 @@ pub struct ExcludeOneProduct {
 
 impl ExcludeOneProduct {
     /// Build from the factor sequence.
-    pub fn new(factors: &[f64]) -> Self {
+    pub(crate) fn new(factors: &[f64]) -> Self {
         let mut p = Self::default();
         p.recompute(factors);
         p
@@ -39,7 +39,7 @@ impl ExcludeOneProduct {
     /// allocations — the kernel-path replacement for constructing a fresh
     /// product per subregion. Multiplication order matches [`Self::new`]
     /// exactly, so the resulting products are bit-identical.
-    pub fn recompute(&mut self, factors: &[f64]) {
+    pub(crate) fn recompute(&mut self, factors: &[f64]) {
         let n = factors.len();
         self.prefix.clear();
         self.prefix.reserve(n + 1);
@@ -56,30 +56,25 @@ impl ExcludeOneProduct {
         }
     }
 
-    /// Product of all factors.
-    pub fn total(&self) -> f64 {
-        *self.prefix.last().expect("non-empty prefix")
-    }
-
     /// Product of all factors except index `i`.
-    pub fn excluding(&self, i: usize) -> f64 {
+    pub(crate) fn excluding(&self, i: usize) -> f64 {
         self.prefix[i] * self.suffix[i + 1]
-    }
-
-    /// Number of factors.
-    pub fn len(&self) -> usize {
-        self.prefix.len() - 1
-    }
-
-    /// Is the factor sequence empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Product of all factors.
+    fn total(p: &ExcludeOneProduct) -> f64 {
+        *p.prefix.last().expect("non-empty prefix")
+    }
+
+    /// Number of factors.
+    fn len(p: &ExcludeOneProduct) -> usize {
+        p.prefix.len() - 1
+    }
 
     #[test]
     fn excluding_matches_naive() {
@@ -98,7 +93,7 @@ mod tests {
                 p.excluding(i)
             );
         }
-        assert!((p.total() - factors.iter().product::<f64>()).abs() < 1e-15);
+        assert!((total(&p) - factors.iter().product::<f64>()).abs() < 1e-15);
     }
 
     #[test]
@@ -106,7 +101,7 @@ mod tests {
         // One zero: excluding it gives the nonzero product; excluding others gives 0.
         let factors = [0.5, 0.0, 0.25];
         let p = ExcludeOneProduct::new(&factors);
-        assert_eq!(p.total(), 0.0);
+        assert_eq!(total(&p), 0.0);
         assert!((p.excluding(1) - 0.125).abs() < 1e-15);
         assert_eq!(p.excluding(0), 0.0);
         assert_eq!(p.excluding(2), 0.0);
@@ -120,11 +115,11 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let p = ExcludeOneProduct::new(&[]);
-        assert!(p.is_empty());
-        assert_eq!(p.total(), 1.0);
+        assert!(len(&p) == 0);
+        assert_eq!(total(&p), 1.0);
         let p1 = ExcludeOneProduct::new(&[0.7]);
         assert_eq!(p1.excluding(0), 1.0);
-        assert_eq!(p1.total(), 0.7);
+        assert_eq!(total(&p1), 0.7);
     }
 
     #[test]
@@ -137,11 +132,11 @@ mod tests {
         for i in 0..a.len() {
             assert_eq!(p.excluding(i).to_bits(), fresh.excluding(i).to_bits());
         }
-        assert_eq!(p.total().to_bits(), fresh.total().to_bits());
+        assert_eq!(total(&p).to_bits(), total(&fresh).to_bits());
         // Shrinking reuse: shorter factor list after a longer one.
         p.recompute(&b);
         let fresh_b = ExcludeOneProduct::new(&b);
-        assert_eq!(p.len(), 2);
+        assert_eq!(len(&p), 2);
         for i in 0..b.len() {
             assert_eq!(p.excluding(i).to_bits(), fresh_b.excluding(i).to_bits());
         }

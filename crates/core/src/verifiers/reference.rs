@@ -2,7 +2,7 @@
 //!
 //! These are the pre-kernel scalar code paths: per-element
 //! `cdf_at`/`mass` accessor calls, a fresh factor `Vec` and
-//! [`ExcludeOneProduct::new`] (two more `Vec`s) per subregion, and for k-NN
+//! `ExcludeOneProduct::new` (two more `Vec`s) per subregion, and for k-NN
 //! a fresh Poisson-binomial tail per cell and end-point. They exist for two
 //! reasons:
 //!
@@ -26,7 +26,7 @@ use crate::verifiers::{ExcludeOneProduct, VerificationState, Verifier};
 /// Legacy L-SR: allocates a factor vector once per apply and a fresh
 /// exclude-one product per subregion.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceLowerSubregion;
+pub(crate) struct ReferenceLowerSubregion;
 
 impl Verifier for ReferenceLowerSubregion {
     fn name(&self) -> &'static str {
@@ -71,7 +71,7 @@ impl Verifier for ReferenceLowerSubregion {
 
 /// Legacy U-SR: collects a fresh factor vector and product per end-point.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceUpperSubregion;
+pub(crate) struct ReferenceUpperSubregion;
 
 impl Verifier for ReferenceUpperSubregion {
     fn name(&self) -> &'static str {
@@ -114,7 +114,7 @@ impl Verifier for ReferenceUpperSubregion {
 
 /// Legacy FL-SR.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceFarLowerSubregion;
+pub(crate) struct ReferenceFarLowerSubregion;
 
 impl Verifier for ReferenceFarLowerSubregion {
     fn name(&self) -> &'static str {
@@ -157,13 +157,13 @@ impl Verifier for ReferenceFarLowerSubregion {
 /// fresh [`poisson_binomial_at_most`] over the other rows' cdf values —
 /// `O(|C|²·M·k)`, no shared state, nothing divided back out.
 #[derive(Debug, Clone, Copy)]
-pub struct ReferenceKnnSubregion {
+pub(crate) struct ReferenceKnnSubregion {
     k: usize,
 }
 
 impl ReferenceKnnSubregion {
     /// Verifier for the `k`-nearest-neighbor qualification (`k ≥ 1`).
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         Self { k: k.max(1) }
     }
 }

@@ -7,7 +7,9 @@
 //!    agree with a from-scratch Monte-Carlo possible-worlds simulation
 //!    within sampling tolerance;
 //! 3. a batched run over N queries equals N sequential runs (answers and
-//!    classifications), for every thread count tried.
+//!    classifications), for every thread count tried;
+//! 4. on exact ties every strategy meets Definition 1 at Δ = 0 within
+//!    1e-9 of the tied probability (`ties`).
 
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
@@ -192,6 +194,43 @@ proptest! {
                 prop_assert_eq!(rs.label, rb.label);
                 prop_assert_eq!(rs.bound.lo(), rb.bound.lo());
                 prop_assert_eq!(rs.bound.hi(), rb.bound.hi());
+            }
+        }
+    }
+}
+
+/// `n` identical uniforms each hold probability exactly `1/n`: at Δ = 0
+/// every strategy must accept all of them just below `1/n` and none just
+/// above, down to 1e-9 of it (Definition 1 on ties).
+#[test]
+fn ties() {
+    for n in [4u64, 8, 16] {
+        let objects = (0..n)
+            .map(|i| UncertainObject::uniform(ObjectId(i), 0.1, 0.7).unwrap())
+            .collect();
+        let db = UncertainDb::build(objects).unwrap();
+        let p = 1.0 / n as f64;
+        let all: Vec<ObjectId> = (0..n).map(ObjectId).collect();
+        for strategy in [
+            EvalStrategy::Basic,
+            EvalStrategy::RefineOnly,
+            EvalStrategy::Verified,
+        ] {
+            for (threshold, want) in [
+                (p - 1e-7, &all[..]),
+                (p - 1e-9, &all[..]),
+                (p + 1e-9, &[][..]),
+                (p + 1e-7, &[][..]),
+            ] {
+                let res = db
+                    .cpnn(&CpnnQuery::new(0.33, threshold, 0.0), strategy)
+                    .unwrap();
+                assert_eq!(
+                    res.answers,
+                    want,
+                    "n = {n}, {strategy:?}, P = 1/n {:+e}",
+                    threshold - p
+                );
             }
         }
     }

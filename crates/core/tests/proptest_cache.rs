@@ -236,7 +236,7 @@ proptest! {
         threads in 1usize..5,
         update_stride in 1usize..4,
     ) {
-        use cpnn_core::server::QueryServer;
+        use cpnn_core::QueryServer;
         let base = objs.len() as u64;
         let db = UncertainDb::build(objs).unwrap();
         let cfg = PipelineConfig {
@@ -297,7 +297,7 @@ proptest! {
         threads in 1usize..4,
         burst in 1usize..4,
     ) {
-        use cpnn_core::server::QueryServer;
+        use cpnn_core::QueryServer;
         let base = objs.len() as u64;
         let db = UncertainDb::build(objs).unwrap();
         let cfg = PipelineConfig {
@@ -518,7 +518,7 @@ proptest! {
         threads in 2usize..5,
         burst in 1usize..4,
     ) {
-        use cpnn_core::server::QueryServer;
+        use cpnn_core::QueryServer;
         let base = objs.len() as u64;
         let db = UncertainDb::build(objs).unwrap();
         let cfg = PipelineConfig {
@@ -689,7 +689,7 @@ fn reused_scratch_follows_each_calls_cache_config() {
 /// answer is correct, never stale).
 #[test]
 fn incremental_invalidation_preserves_unaffected_entries() {
-    use cpnn_core::server::QueryServer;
+    use cpnn_core::QueryServer;
     // Tight cluster near 0; queries at 0 have a small candidate horizon.
     let objects: Vec<UncertainObject> = (0..8)
         .map(|i| {
@@ -874,7 +874,7 @@ fn second_sight_admission_counts_cross_scratch_hits_exactly() {
 /// served by the shared tier — bit-identical to uncached evaluation.
 #[test]
 fn alternating_points_hit_the_shared_tier_across_far_updates() {
-    use cpnn_core::server::QueryServer;
+    use cpnn_core::QueryServer;
     let objects: Vec<UncertainObject> = (0..10)
         .map(|i| {
             UncertainObject::uniform(ObjectId(i), i as f64 * 3.0, i as f64 * 3.0 + 2.0).unwrap()

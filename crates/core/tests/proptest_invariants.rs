@@ -6,17 +6,18 @@
 //! 2. qualification probabilities form a distribution (sum to one);
 //! 3. all evaluation strategies return the same C-PNN answer set when the
 //!    tolerance is zero;
-//! 4. Basic (whole-range adaptive integration) agrees with the subregion
-//!    decomposition;
+//! 4. Basic (per-subregion exact evaluation at every k) agrees with the
+//!    subregion-decomposed oracle to rounding;
 //! 5. verifier bounds only tighten as the pipeline progresses.
 
 use cpnn_core::classify::Label;
-use cpnn_core::exact::{basic_probabilities, exact_probabilities};
+use cpnn_core::exact::exact_probabilities;
 use cpnn_core::framework::{classify_all, default_verifiers};
 use cpnn_core::verifiers::VerificationState;
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
-    CandidateSet, Classifier, CpnnQuery, ObjectId, SubregionTable, UncertainDb, UncertainObject,
+    CandidateSet, Classifier, CpnnQuery, EngineConfig, ObjectId, SubregionTable, UncertainDb,
+    UncertainObject,
 };
 use proptest::prelude::*;
 
@@ -115,13 +116,19 @@ proptest! {
         prop_assume!(!cands.is_empty());
         let table = SubregionTable::build(&cands);
         let (subregion, _) = exact_probabilities(&table);
-        // Basic's accuracy is bounded by its integration tolerance on a
-        // discontinuous integrand — the paper's own caveat about [5]/[9]:
-        // "the accuracy of the answer probabilities depends on the precision
-        // of the integration or number of samples used".
-        let (basic, _) = basic_probabilities(&cands);
-        for (i, (a, b)) in basic.iter().zip(&subregion).enumerate() {
-            prop_assert!((a - b).abs() < 2e-4, "object {i}: basic {a} vs subregion {b}");
+        // The same exact folds as `cands` (no re-binning), so Basic's
+        // reports carry the probabilities of the same candidates.
+        let exact_folds = EngineConfig {
+            max_distance_bins: 0,
+            ..EngineConfig::default()
+        };
+        let db = UncertainDb::with_config(objects, exact_folds).unwrap();
+        let basic = db.cpnn(&CpnnQuery::new(q, 0.5, 0.0), EvalStrategy::Basic).unwrap();
+        prop_assert_eq!(basic.reports.len(), cands.len());
+        for (r, (m, b)) in basic.reports.iter().zip(cands.members().iter().zip(&subregion)) {
+            prop_assert_eq!(r.id, m.id);
+            let a = r.bound.lo();
+            prop_assert!((a - b).abs() < 1e-9, "object {}: basic {a} vs subregion {b}", r.id);
         }
     }
 

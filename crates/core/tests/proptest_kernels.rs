@@ -52,15 +52,15 @@ use cpnn_core::framework::{default_verifiers, knn_verifiers, run_verification_in
 use cpnn_core::knn::{knn_probabilities, knn_subregion_qualification, KnnSubregion};
 use cpnn_core::pipeline::{cpnn, cpnn_with, CpnnResult, DistanceModel};
 use cpnn_core::refine::incremental_refine_with;
-use cpnn_core::subregion::{Columns, MASS_EPS};
 use cpnn_core::verifiers::reference::{
     reference_extended_verifiers, reference_knn_verifiers, reference_verifiers,
 };
 use cpnn_core::verifiers::{kernels, VerificationState, Verifier};
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
-    BatchExecutor, CandidateSet, Object2d, ObjectId, PipelineConfig, QueryScratch, QuerySpec,
-    RefinementOrder, SubregionTable, UncertainDb, UncertainDb2d, UncertainObject,
+    BatchExecutor, CandidateSet, Columns, Object2d, ObjectId, PipelineConfig, QueryScratch,
+    QuerySpec, RefinementOrder, SubregionTable, UncertainDb, UncertainDb2d, UncertainObject,
+    MASS_EPS,
 };
 use cpnn_pdf::Pdf;
 use proptest::prelude::*;

@@ -278,7 +278,7 @@ proptest! {
         threads in 1usize..4,
         coalesce in prop::bool::ANY,
     ) {
-        use cpnn_core::server::QueryServer;
+        use cpnn_core::QueryServer;
         use cpnn_core::Snapshot;
         let initial = objects_1d(14);
         let mut live = initial.clone();
@@ -337,7 +337,7 @@ proptest! {
 /// fails alone.
 #[test]
 fn coalesced_burst_publishes_once_with_per_op_outcomes() {
-    use cpnn_core::server::QueryServer;
+    use cpnn_core::QueryServer;
     let db = UncertainDb::build(objects_1d(10)).unwrap();
     let server = QueryServer::start(db, 1, PipelineConfig::default());
     let t1 = server.queue_insert(UncertainObject::uniform(ObjectId(100), 0.0, 1.0).unwrap());
@@ -369,7 +369,7 @@ fn coalesced_burst_publishes_once_with_per_op_outcomes() {
 /// Non-proptest regression: an all-failed burst publishes nothing.
 #[test]
 fn all_failed_burst_does_not_bump_the_version() {
-    use cpnn_core::server::QueryServer;
+    use cpnn_core::QueryServer;
     let db = UncertainDb::build(objects_1d(5)).unwrap();
     let server = QueryServer::start(db, 1, PipelineConfig::default());
     let t = server.queue_insert(UncertainObject::uniform(ObjectId(2), 0.0, 1.0).unwrap());

@@ -20,12 +20,10 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 
 use cpnn_core::persist;
-use cpnn_core::server::QueryServer;
-use cpnn_core::storage::replay_wal;
 use cpnn_core::{
-    CpnnQuery, CpnnResult, CrashWriter, EngineConfig, MemoryBackend, Object2d, ObjectId,
-    PersistentModel, ShardBalance, ShardedDb, Strategy, UncertainDb, UncertainDb2d,
-    UncertainObject,
+    replay_wal, CpnnQuery, CpnnResult, CrashWriter, EngineConfig, MemoryBackend, Object2d,
+    ObjectId, PersistentModel, QueryServer, ShardBalance, ShardedDb, Strategy, UncertainDb,
+    UncertainDb2d, UncertainObject,
 };
 use proptest::prelude::*;
 use proptest::Strategy as _;
@@ -307,7 +305,7 @@ proptest! {
         let live = server.snapshot();
 
         let rec = backend
-            .recover::<UncertainDb2d>(&Default::default())
+            .recover::<UncertainDb2d>(&())
             .unwrap()
             .unwrap();
         prop_assert_eq!(rec.version, live.version);

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use cpnn_core::pipeline::cpnn;
-use cpnn_core::server::QueryServer;
+use cpnn_core::QueryServer;
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
     CpnnResult, ObjectId, PipelineConfig, QuerySpec, Snapshot, UncertainDb, UncertainObject,

@@ -11,10 +11,9 @@
 //! byte is itself a format-compatibility alarm.
 
 use cpnn_core::persist::{self, SnapshotError, SnapshotWriter};
-use cpnn_core::storage::{self, replay_wal, StorageError};
 use cpnn_core::{
-    EngineConfig, MemoryBackend, ObjectId, PipelineConfig, QueryServer, UncertainDb,
-    UncertainObject, UpdateOp,
+    encode_record, replay_wal, wal_header, EngineConfig, MemoryBackend, ObjectId, PipelineConfig,
+    QueryServer, Recovered, StorageError, UncertainDb, UncertainObject, UpdateOp,
 };
 
 fn base_objects() -> Vec<UncertainObject> {
@@ -48,7 +47,7 @@ fn record(version: u64, ops: &[UpdateOp<UncertainDb>]) -> Vec<u8> {
     for op in ops {
         op.write_op(&mut w).unwrap();
     }
-    storage::encode_record(version, ops.len() as u32, &w.into_inner())
+    encode_record(version, ops.len() as u32, &w.into_inner())
 }
 
 /// The corpus source of truth: checkpoint bytes (at snapshot version 0)
@@ -75,7 +74,7 @@ fn fixture(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"))
 }
 
-fn recover(wal: &[u8]) -> Result<storage::Recovered<UncertainDb>, StorageError> {
+fn recover(wal: &[u8]) -> Result<Recovered<UncertainDb>, StorageError> {
     let (model, version) = persist::read_model::<UncertainDb, _>(
         fixture("checkpoint_base.cpnn").as_slice(),
         &EngineConfig::default(),
@@ -89,7 +88,7 @@ fn recover(wal: &[u8]) -> Result<storage::Recovered<UncertainDb>, StorageError> 
 fn encoders_reproduce_the_fixture_bytes() {
     let (checkpoint, rec1, rec2) = canonical_bytes();
     assert_eq!(checkpoint, fixture("checkpoint_base.cpnn"));
-    let mut clean = storage::wal_header().to_vec();
+    let mut clean = wal_header().to_vec();
     clean.extend_from_slice(&rec1);
     clean.extend_from_slice(&rec2);
     assert_eq!(clean, fixture("wal_clean.cpwl"));
@@ -271,7 +270,7 @@ fn regenerate_fixtures() {
     let (checkpoint, rec1, rec2) = canonical_bytes();
     write("checkpoint_base.cpnn", &checkpoint);
 
-    let mut clean = storage::wal_header().to_vec();
+    let mut clean = wal_header().to_vec();
     clean.extend_from_slice(&rec1);
     clean.extend_from_slice(&rec2);
     write("wal_clean.cpwl", &clean);
@@ -281,7 +280,7 @@ fn regenerate_fixtures() {
 
     // Bit flip: corrupt one payload byte inside the second record.
     let mut flipped = clean.clone();
-    let rec2_payload_start = storage::wal_header().len() + rec1.len() + 4;
+    let rec2_payload_start = wal_header().len() + rec1.len() + 4;
     flipped[rec2_payload_start + 9] ^= 0x40;
     write("wal_bitflip.cpwl", &flipped);
 
@@ -297,14 +296,14 @@ fn regenerate_fixtures() {
     payload.extend_from_slice(&3u64.to_le_bytes());
     payload.extend_from_slice(&1u32.to_le_bytes());
     payload.push(0xAB); // no such op
-    let mut unknown = storage::wal_header().to_vec();
+    let mut unknown = wal_header().to_vec();
     unknown.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     unknown.extend_from_slice(&payload);
     unknown.extend_from_slice(&persist::fnv1a(&payload).to_le_bytes());
     write("wal_unknown_op.cpwl", &unknown);
 
     // Torn header: the file died before the 8-byte signature finished.
-    write("wal_torn_header.cpwl", &storage::wal_header()[..4]);
+    write("wal_torn_header.cpwl", &wal_header()[..4]);
 
     // Future checkpoint: version word bumped far past VERSION.
     let mut future = checkpoint.clone();

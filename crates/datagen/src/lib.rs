@@ -14,18 +14,20 @@
 //! shape of every experiment (the substitution rationale is recorded in
 //! [`longbeach`]'s module docs).
 //!
-//! [`synthetic`] provides the size sweeps of Fig. 9 and the Gaussian-pdf
-//! variants of Fig. 14; [`queries`] generates query workloads.
+//! [`uniform_intervals`] and [`gaussian_variant`] provide the size sweeps
+//! of Fig. 9 and the Gaussian-pdf variants of Fig. 14; [`query_points`]
+//! and its siblings generate query workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod longbeach;
-pub mod queries;
-pub mod synthetic;
-pub mod synthetic2d;
+mod queries;
+mod synthetic;
+mod synthetic2d;
 
-pub use longbeach::{longbeach_analog, LongBeachConfig};
+pub use longbeach::{longbeach_with, LongBeachConfig};
 pub use queries::{query_points, query_points_in, zipfian_query_points};
 pub use synthetic::{gaussian_variant, uniform_intervals, SyntheticConfig};
 pub use synthetic2d::{objects_2d, query_points_2d, Synthetic2dConfig};

@@ -44,11 +44,6 @@ fn normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Generate the analog dataset with the paper's defaults.
-pub fn longbeach_analog(seed: u64) -> Vec<UncertainObject> {
-    longbeach_with(seed, LongBeachConfig::default())
-}
-
 /// Generate with an explicit configuration (e.g. a different `count` for
 /// the Fig. 9 size sweep).
 pub fn longbeach_with(seed: u64, cfg: LongBeachConfig) -> Vec<UncertainObject> {
@@ -123,7 +118,7 @@ mod tests {
     /// experiments is insensitive to ±50%).
     #[test]
     fn candidate_set_size_is_calibrated() {
-        let data = longbeach_analog(42);
+        let data = longbeach_with(42, LongBeachConfig::default());
         let db = UncertainDb::build(data).unwrap();
         let mut rng = StdRng::seed_from_u64(1234);
         let mut total = 0usize;

@@ -63,16 +63,6 @@ impl TruncatedGaussian {
         let width = hi - lo;
         Self::new(0.5 * (lo + hi), width / 6.0, lo, hi)
     }
-
-    /// Mean of the *untruncated* parent Gaussian.
-    pub fn raw_mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation of the *untruncated* parent Gaussian.
-    pub fn raw_std(&self) -> f64 {
-        self.std
-    }
 }
 
 impl Pdf for TruncatedGaussian {
@@ -130,8 +120,8 @@ mod tests {
     #[test]
     fn paper_default_centers_mass() {
         let g = TruncatedGaussian::paper_default(0.0, 6.0).unwrap();
-        assert_eq!(g.raw_mean(), 3.0);
-        assert_eq!(g.raw_std(), 1.0);
+        assert_eq!(g.mean, 3.0);
+        assert_eq!(g.std, 1.0);
         assert!((g.cdf(3.0) - 0.5).abs() < 1e-12);
         // symmetric: cdf(3-d) + cdf(3+d) = 1
         for d in [0.5, 1.0, 2.0, 2.9] {

@@ -25,7 +25,6 @@
 use std::fmt;
 
 use crate::error::PdfError;
-use crate::integrate::{gauss_legendre, GlOrder};
 use crate::traits::Pdf;
 use crate::Result;
 
@@ -33,7 +32,7 @@ use crate::Result;
 /// edges, normalized to total mass one.
 ///
 /// One buffer holds `edges (n + 1) | densities (n) | cdf (n + 1)`; the
-/// accessors ([`edges`](Self::edges), [`densities`](Self::densities),
+/// accessors ([`edges`](Self::edges), `densities`,
 /// [`cdf_at_edges`](Self::cdf_at_edges)) are sub-slices of it. The cdf
 /// knots satisfy `cdf[0] = 0` and `cdf[n] = 1`.
 #[derive(Clone, PartialEq)]
@@ -167,35 +166,9 @@ impl HistogramPdf {
     }
 
     /// Equi-width histogram over `[lo, hi]` whose bar masses are the
-    /// integrals of `f` over each bin (Gauss–Legendre order 8 per bin),
-    /// normalized to total mass one.
-    pub fn equi_width_from_fn<F: FnMut(f64) -> f64>(
-        lo: f64,
-        hi: f64,
-        bars: usize,
-        mut f: F,
-    ) -> Result<Self> {
-        if bars == 0 {
-            return Err(PdfError::NonPositiveParameter {
-                name: "bars",
-                value: 0.0,
-            });
-        }
-        if !(lo.is_finite() && hi.is_finite()) || lo >= hi {
-            return Err(PdfError::EmptyRegion { lo, hi });
-        }
-        let mut buf = Self::equi_width_edges(lo, hi, bars);
-        for i in 0..bars {
-            let (a, b) = (buf[i], buf[i + 1]);
-            buf.push(gauss_legendre(&mut f, a, b, GlOrder::Eight).max(0.0));
-        }
-        Self::from_packed_masses(buf)
-    }
-
-    /// Equi-width histogram over `[lo, hi]` whose bar masses are the
     /// differences of `cdf` at the bin edges, normalized to total mass one.
     /// `cdf` is evaluated once per edge, in ascending order.
-    pub fn equi_width_from_cdf<F: FnMut(f64) -> f64>(
+    pub(crate) fn equi_width_from_cdf<F: FnMut(f64) -> f64>(
         lo: f64,
         hi: f64,
         bars: usize,
@@ -328,7 +301,7 @@ impl HistogramPdf {
 
     /// Bar heights (length `bar_count()`), normalized.
     #[inline]
-    pub fn densities(&self) -> &[f64] {
+    pub(crate) fn densities(&self) -> &[f64] {
         self.parts().1
     }
 
@@ -343,15 +316,6 @@ impl HistogramPdf {
     /// takes back.
     pub fn raw_parts(&self) -> &[f64] {
         &self.buf
-    }
-
-    /// Iterate over `(bin_lo, bin_hi, density)` triples.
-    pub fn bars(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
-        let (edges, density, _) = self.parts();
-        density
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (edges[i], edges[i + 1], d))
     }
 
     /// Bulk cdf evaluation over an **ascending** slice of points: one merge
@@ -412,7 +376,7 @@ impl HistogramPdf {
     /// Index of the bin containing `x` (bins are `[e_i, e_{i+1})`, with the
     /// final bin closed on the right). Returns `None` outside the support.
     #[inline]
-    pub fn bin_of(&self, x: f64) -> Option<usize> {
+    pub(crate) fn bin_of(&self, x: f64) -> Option<usize> {
         let edges = self.edges();
         let n = edges.len() - 1;
         if x < edges[0] || x > edges[n] {
@@ -562,15 +526,6 @@ mod tests {
             assert!((h.density(x) - u.density(x)).abs() < 1e-15);
             assert!((h.cdf(x) - u.cdf(x)).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn equi_width_from_fn_recovers_triangle() {
-        // Triangle density on [0,2] peaking at 1: f(x) = 1-|x-1|
-        let h = HistogramPdf::equi_width_from_fn(0.0, 2.0, 400, |x| 1.0 - (x - 1.0).abs()).unwrap();
-        assert!((h.cdf(1.0) - 0.5).abs() < 1e-6);
-        assert!((h.cdf(0.5) - 0.125).abs() < 1e-4);
-        assert!((h.quantile(0.5) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,30 +1,12 @@
 //! Numerical integration routines.
 //!
-//! These back the two expensive operations of the paper:
-//!
-//! * the **Basic** method's full qualification-probability integral
-//!   `pi = ∫ di(r) · Π_{k≠i}(1 − Dk(r)) dr` (paper Sec. I, \[5\]), and
-//! * **incremental refinement**'s per-subregion integrals (Sec. IV-D).
-//!
-//! The integrands are piecewise-smooth (products of piecewise-constant
-//! densities and piecewise-linear cdfs), so fixed-order Gauss–Legendre per
-//! smooth segment is exact up to polynomial degree `2n−1`; adaptive Simpson
-//! is provided for arbitrary integrands (e.g. raw Gaussian tails).
-
-/// Composite Simpson's rule with `n` subintervals (`n` is rounded up to even).
-pub fn simpson<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let n = if n < 2 { 2 } else { n + (n % 2) };
-    let h = (b - a) / n as f64;
-    let mut sum = f(a) + f(b);
-    for i in 1..n {
-        let x = a + i as f64 * h;
-        sum += if i % 2 == 0 { 2.0 * f(x) } else { 4.0 * f(x) };
-    }
-    sum * h / 3.0
-}
+//! Exact evaluation (Basic, the `pnn` oracle) and **incremental
+//! refinement** (Sec. IV-D) integrate the qualification probability one
+//! subregion at a time. Inside a subregion every distance cdf is linear, so
+//! the integrand is a polynomial and fixed-order Gauss–Legendre is exact up
+//! to degree `2n−1`. Adaptive Simpson integrates arbitrary integrands; the
+//! tests use it as an independent oracle (e.g. raw Gaussian tails, disk
+//! and rectangle distance cdfs).
 
 /// Adaptive Simpson quadrature with absolute tolerance `tol`.
 ///
@@ -73,12 +55,12 @@ fn adaptive_simpson_inner<F: FnMut(f64) -> f64>(
 /// Gauss–Legendre node/weight pairs on `[-1, 1]` (positive half; mirror for
 /// the negative nodes). Values are the standard tabulated constants.
 mod gl {
-    pub const N2: (&[f64], &[f64]) = (&[0.577_350_269_189_625_7], &[1.0]);
-    pub const N4: (&[f64], &[f64]) = (
+    pub(super) const N2: (&[f64], &[f64]) = (&[0.577_350_269_189_625_7], &[1.0]);
+    pub(super) const N4: (&[f64], &[f64]) = (
         &[0.339_981_043_584_856_3, 0.861_136_311_594_052_6],
         &[0.652_145_154_862_546_1, 0.347_854_845_137_453_9],
     );
-    pub const N8: (&[f64], &[f64]) = (
+    pub(super) const N8: (&[f64], &[f64]) = (
         &[
             0.183_434_642_495_649_8,
             0.525_532_409_916_329,
@@ -92,7 +74,7 @@ mod gl {
             0.101_228_536_290_376_3,
         ],
     );
-    pub const N16: (&[f64], &[f64]) = (
+    pub(super) const N16: (&[f64], &[f64]) = (
         &[
             0.095_012_509_837_637_44,
             0.281_603_550_779_258_9,
@@ -136,16 +118,6 @@ impl GlOrder {
             GlOrder::Four => gl::N4,
             GlOrder::Eight => gl::N8,
             GlOrder::Sixteen => gl::N16,
-        }
-    }
-
-    /// Number of function evaluations this order performs.
-    pub fn points(self) -> usize {
-        match self {
-            GlOrder::Two => 2,
-            GlOrder::Four => 4,
-            GlOrder::Eight => 8,
-            GlOrder::Sixteen => 16,
         }
     }
 }
@@ -207,29 +179,15 @@ impl Gl16 {
     }
 }
 
-/// Trapezoid rule with `n` subintervals — used only as a cheap cross-check in
-/// tests and for monotone cdf accumulation.
-pub fn trapezoid<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, n: usize) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let n = n.max(1);
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + i as f64 * h);
-    }
-    sum * h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn simpson_integrates_cubic_exactly() {
-        // Simpson is exact for cubics.
-        let got = simpson(|x| x * x * x - 2.0 * x + 1.0, 0.0, 2.0, 2);
+        // Simpson is exact for cubics: the first estimate already agrees
+        // with its refinement.
+        let got = adaptive_simpson(|x| x * x * x - 2.0 * x + 1.0, 0.0, 2.0, 1e-12);
         let want = 4.0 - 4.0 + 2.0; // x^4/4 - x^2 + x on [0,2]
         assert!((got - want).abs() < 1e-12);
     }
@@ -238,7 +196,7 @@ mod tests {
     fn adaptive_simpson_handles_peaked_integrand() {
         // ∫_{-5}^{5} e^{-x²} dx = √π · erf(5) ≈ √π
         let got = adaptive_simpson(|x| (-x * x).exp(), -5.0, 5.0, 1e-12);
-        let want = std::f64::consts::PI.sqrt() * crate::special::erf(5.0);
+        let want = std::f64::consts::PI.sqrt() * (1.0 - crate::special::erfc(5.0));
         assert!((got - want).abs() < 1e-10, "got {got}, want {want}");
     }
 
@@ -279,22 +237,14 @@ mod tests {
 
     #[test]
     fn empty_interval_is_zero() {
-        assert_eq!(simpson(|x| x, 1.0, 1.0, 10), 0.0);
         assert_eq!(adaptive_simpson(|x| x, 2.0, 2.0, 1e-9), 0.0);
         assert_eq!(gauss_legendre(|x| x, 3.0, 3.0, GlOrder::Four), 0.0);
-        assert_eq!(trapezoid(|x| x, 4.0, 4.0, 10), 0.0);
     }
 
     #[test]
     fn reversed_interval_negates() {
-        let fwd = simpson(|x| x * x, 0.0, 1.0, 64);
-        let bwd = simpson(|x| x * x, 1.0, 0.0, 64);
+        let fwd = adaptive_simpson(|x| x * x, 0.0, 1.0, 1e-12);
+        let bwd = adaptive_simpson(|x| x * x, 1.0, 0.0, 1e-12);
         assert!((fwd + bwd).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trapezoid_converges() {
-        let got = trapezoid(|x| x.sin(), 0.0, std::f64::consts::PI, 10_000);
-        assert!((got - 2.0).abs() < 1e-6);
     }
 }

@@ -12,10 +12,12 @@
 //! * [`HistogramPdf`] — the paper's canonical representation: an arbitrary
 //!   pdf stored as a piecewise-constant histogram ("We represent a distance
 //!   pdf of each object as a histogram", Sec. IV-A).
-//! * [`integrate`] — numerical integration (Simpson, adaptive Simpson,
-//!   Gauss–Legendre) used by the Basic method and refinement.
-//! * [`special`] — `erf`/`erfc` implemented from scratch (no external math
-//!   crates), accurate to ~1e-15.
+//! * [`integrate`] — numerical integration: Gauss–Legendre for the
+//!   per-subregion integrals of exact evaluation and refinement, adaptive
+//!   Simpson as the tests' independent oracle.
+//! * the normal cdf behind [`TruncatedGaussian`], from an `erfc`
+//!   implemented from scratch (no external math crates), accurate to
+//!   ~1e-15.
 //! * [`discretize()`] — mass-preserving conversion of any [`Pdf`] into an
 //!   `N`-bar histogram (the paper approximates each Gaussian with a 300-bar
 //!   histogram).
@@ -25,30 +27,27 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 // Validation code writes `!(x > 0.0)` deliberately: unlike `x <= 0.0`, the
 // negated form also rejects NaN.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-pub mod discretize;
-pub mod error;
-pub mod histogram;
 pub mod integrate;
-pub mod piecewise;
-pub mod samples;
-pub mod special;
-pub mod traits;
 
+mod discretize;
+mod error;
 mod gaussian;
+mod histogram;
+mod special;
+mod traits;
 mod uniform;
 
 pub use discretize::discretize;
 pub use error::PdfError;
 pub use gaussian::TruncatedGaussian;
 pub use histogram::HistogramPdf;
-pub use piecewise::PiecewiseLinear;
-pub use samples::{equi_depth_from_samples, histogram_from_samples};
 pub use traits::Pdf;
 pub use uniform::UniformPdf;
 
 /// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, PdfError>;
+pub(crate) type Result<T> = std::result::Result<T, PdfError>;

@@ -16,38 +16,18 @@
 //! iterations; the unit tests pin known reference values to 1e-14.
 
 /// `2/√π`, the prefactor of the error function.
-pub const FRAC_2_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
+pub(crate) const FRAC_2_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 
 /// `√(2π)`, used by the normal density.
-pub const SQRT_2PI: f64 = 2.506_628_274_631_000_5;
+pub(crate) const SQRT_2PI: f64 = 2.506_628_274_631_000_5;
 
-/// The error function `erf(x) = (2/√π) ∫₀ˣ e^{-t²} dt`.
-///
-/// Accurate to roughly 1e-15 over the whole real line; `erf(±∞) = ±1`.
-pub fn erf(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    let ax = x.abs();
-    if ax < 2.0 {
-        erf_series(x)
-    } else {
-        let tail = erfc_continued_fraction(ax);
-        let val = 1.0 - tail;
-        if x >= 0.0 {
-            val
-        } else {
-            -val
-        }
-    }
-}
-
-/// The complementary error function `erfc(x) = 1 - erf(x)`.
+/// The complementary error function `erfc(x) = 1 - erf(x)`, with
+/// `erf(x) = (2/√π) ∫₀ˣ e^{-t²} dt`.
 ///
 /// For large positive `x` this is evaluated directly from the continued
 /// fraction, so it does not underflow to `0` until `x ≈ 26` (where the true
 /// value drops below the smallest normal double).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
     }
@@ -62,18 +42,18 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Standard normal cumulative distribution function `Φ(z)`.
-pub fn std_normal_cdf(z: f64) -> f64 {
+pub(crate) fn std_normal_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)
 }
 
 /// Standard normal probability density function `φ(z)`.
-pub fn std_normal_pdf(z: f64) -> f64 {
+pub(crate) fn std_normal_pdf(z: f64) -> f64 {
     (-0.5 * z * z).exp() / SQRT_2PI
 }
 
 /// Inverse of the standard normal cdf (the probit function), via bisection
 /// refined with two Newton steps. Accurate to ~1e-12 for `p ∈ (1e-300, 1)`.
-pub fn std_normal_quantile(p: f64) -> f64 {
+pub(crate) fn std_normal_quantile(p: f64) -> f64 {
     assert!(
         (0.0..=1.0).contains(&p),
         "quantile argument must be a probability, got {p}"
@@ -163,6 +143,26 @@ fn erfc_continued_fraction(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The error function from the same two branches as [`erfc`]: the
+    /// library needs only `erfc`, the reference tables are for `erf`.
+    fn erf(x: f64) -> f64 {
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        let ax = x.abs();
+        if ax < 2.0 {
+            erf_series(x)
+        } else {
+            let tail = erfc_continued_fraction(ax);
+            let val = 1.0 - tail;
+            if x >= 0.0 {
+                val
+            } else {
+                -val
+            }
+        }
+    }
 
     /// Reference values from Abramowitz & Stegun / mpmath.
     const ERF_TABLE: &[(f64, f64)] = &[

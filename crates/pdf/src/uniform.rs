@@ -22,16 +22,6 @@ impl UniformPdf {
         }
         Ok(Self { lo, hi })
     }
-
-    /// Lower end of the region.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper end of the region.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
 }
 
 impl Pdf for UniformPdf {

@@ -5,16 +5,16 @@
 //! Every building block here is a thin lift of an existing in-process
 //! seam onto a wire:
 //!
-//! * **shard process** ([`serve`]) — one OS process hosts one slab's
+//! * **shard process** ([`ShardServerHandle`]) — one OS process hosts one slab's
 //!   flat model behind a [`QueryServer`](cpnn_core::QueryServer)
 //!   (coalesced write lane, write-ahead durability, per-shard
 //!   checkpoint + journal in its own `--data-dir`), and answers
 //!   *filter* requests against pinned snapshots over a Unix-domain or
 //!   TCP socket;
-//! * **wire protocol** ([`wire`]) — length-prefixed, FNV-checksummed
+//! * **wire protocol** ([`Request`] / [`Response`]) — length-prefixed, FNV-checksummed
 //!   frames in the `storage.rs` record idiom, with a torn/corrupt error
 //!   taxonomy instead of panics on any malformed input;
-//! * **router** ([`router`]) — owns the shard map (partition axis +
+//! * **router** ([`QueryRouter`]) — owns the shard map (partition axis +
 //!   slab boundaries), selects shards with the *same*
 //!   [`select_overlapping`](cpnn_core::shard::select_overlapping)
 //!   horizon argument the in-process database uses, asks them in
@@ -26,7 +26,7 @@
 //!   [`evaluate_candidates`](cpnn_core::pipeline::evaluate_candidates)
 //!   seam (verify/refine runs once, router-side), routes update bursts
 //!   to the owning shard by the *same* slab arithmetic, and degrades
-//!   with a typed [`RouterError::ShardUnavailable`](router::RouterError)
+//!   with a typed [`RouterError::ShardUnavailable`]
 //!   instead of a wrong answer when a shard the horizon needs dies.
 //!
 //! The headline property (see `tests/proptest_router.rs`): a routed
@@ -37,17 +37,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use cpnn_core::persist::PersistentModel;
 use cpnn_core::shard::{ShardPoint, ShardableModel};
 use cpnn_core::store::CowModel;
 use cpnn_core::{DistanceModel, UncertainDb, UncertainDb2d};
 
-pub mod map;
-pub mod net;
-pub mod router;
-pub mod serve;
-pub mod wire;
+mod map;
+mod net;
+mod router;
+mod serve;
+mod wire;
 
 pub use cpnn_core::UpdateOp;
 pub use map::ShardMap;
@@ -57,7 +58,9 @@ pub use router::{
     UpdateReport,
 };
 pub use serve::{ShardServeConfig, ShardServerHandle};
-pub use wire::{Request, Response, ShardStatus, WireError};
+pub use wire::{
+    read_frame, tag, write_frame, Request, Response, ShardStatus, WireError, MAX_FRAME,
+};
 
 /// A model a shard process can host and a router can fan out over: a
 /// [`ShardableModel`] (per-shard builds, exact extents, copy-on-write
@@ -100,6 +103,6 @@ impl RoutedModel for UncertainDb2d {
 }
 
 /// The wire coordinates of a query point (length [`PersistentModel::DIM`]).
-pub fn query_coords<M: RoutedModel>(q: &M::Query) -> Vec<f64> {
+pub(crate) fn query_coords<M: RoutedModel>(q: &M::Query) -> Vec<f64> {
     (0..M::DIM as usize).map(|a| q.coord(a)).collect()
 }

@@ -56,7 +56,7 @@ impl ShardMap {
     /// can produce duplicate boundaries — empty slabs — exactly as
     /// [`ShardedDb::from_parts`](cpnn_core::ShardedDb::from_parts)
     /// accepts).
-    pub fn validate(&self) -> SnapshotResult<()> {
+    pub(crate) fn validate(&self) -> SnapshotResult<()> {
         let ok = !self.addrs.is_empty()
             && self.bounds.len() == self.addrs.len() + 1
             && self.bounds.iter().all(|b| b.is_finite())
@@ -69,7 +69,7 @@ impl ShardMap {
     }
 
     /// Encode into `sink` (snapshot idiom: hashed body + FNV trailer).
-    pub fn write_to<W: Write>(&self, sink: W) -> SnapshotResult<()> {
+    pub(crate) fn write_to<W: Write>(&self, sink: W) -> SnapshotResult<()> {
         self.validate()?;
         let mut w = SnapshotWriter::new(ChecksumWriter::new(sink));
         w.put(MAGIC)?;
@@ -96,7 +96,7 @@ impl ShardMap {
     }
 
     /// Decode from `source`; the dual of [`write_to`](Self::write_to).
-    pub fn read_from<R: Read>(source: R) -> SnapshotResult<Self> {
+    pub(crate) fn read_from<R: Read>(source: R) -> SnapshotResult<Self> {
         let mut r = SnapshotReader::new(ChecksumReader::new(source));
         if &r.take::<4>()? != MAGIC {
             return Err(SnapshotError::BadHeader);

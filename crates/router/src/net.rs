@@ -66,7 +66,7 @@ impl ShardListener {
     }
 
     /// Accept one connection.
-    pub fn accept(&self) -> io::Result<ShardStream> {
+    pub(crate) fn accept(&self) -> io::Result<ShardStream> {
         match self {
             Self::Unix(l) => l.accept().map(|(s, _)| ShardStream::Unix(s)),
             Self::Tcp(l) => l.accept().map(|(s, _)| ShardStream::Tcp(s)),
@@ -75,7 +75,7 @@ impl ShardListener {
 
     /// The address the listener actually bound (resolves `tcp:...:0`
     /// ephemeral ports — tests bind port 0 and dial the result).
-    pub fn bound_addr(&self) -> io::Result<ShardAddr> {
+    pub(crate) fn bound_addr(&self) -> io::Result<ShardAddr> {
         match self {
             Self::Unix(l) => Ok(ShardAddr::Unix(
                 l.local_addr()?
@@ -109,7 +109,7 @@ impl ShardStream {
     /// Bound every read and write by `timeout` (`None` blocks forever) —
     /// the router's per-request watchdog, so a hung shard surfaces as a
     /// timed-out I/O error instead of a wedged router.
-    pub fn set_timeouts(&self, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_timeouts(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Self::Unix(s) => {
                 s.set_read_timeout(timeout)?;
@@ -124,7 +124,7 @@ impl ShardStream {
 
     /// An independently owned handle to the same connection (reader and
     /// writer halves).
-    pub fn try_clone(&self) -> io::Result<Self> {
+    pub(crate) fn try_clone(&self) -> io::Result<Self> {
         match self {
             Self::Unix(s) => s.try_clone().map(Self::Unix),
             Self::Tcp(s) => s.try_clone().map(Self::Tcp),
@@ -133,7 +133,7 @@ impl ShardStream {
 
     /// Sever both directions immediately (crash simulation and handle
     /// teardown; concurrent reads fail over to their error paths).
-    pub fn shutdown_both(&self) -> io::Result<()> {
+    pub(crate) fn shutdown_both(&self) -> io::Result<()> {
         match self {
             Self::Unix(s) => s.shutdown(Shutdown::Both),
             Self::Tcp(s) => s.shutdown(Shutdown::Both),

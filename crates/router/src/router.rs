@@ -189,8 +189,6 @@ pub struct UpdateReport {
 /// Fleet-wide counters: the router's own, plus every shard's, summed.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
-    /// The router's published version.
-    pub version: u64,
     /// Total objects across the fleet.
     pub objects: u64,
     /// Wire filter requests served, summed over shards.
@@ -312,11 +310,6 @@ impl<M: RoutedModel> QueryRouter<M> {
             router.ensure_connected(shard)?;
         }
         Ok(router)
-    }
-
-    /// The partition axis (from the shard map).
-    pub fn axis(&self) -> usize {
-        self.axis
     }
 
     /// The router's published version.
@@ -751,7 +744,6 @@ impl<M: RoutedModel> QueryRouter<M> {
         }
         server.served = self.stats.queries;
         Ok(ClusterStats {
-            version: self.version,
             objects: self.objects(),
             shard_filters,
             server,

@@ -118,20 +118,6 @@ impl<M: RoutedModel> ShardServerHandle<M> {
         &self.addr
     }
 
-    /// The hosted server (for attaching storage, checkpointing, or
-    /// inspecting state from tests).
-    pub fn server(&self) -> &Arc<QueryServer<M>> {
-        &self.shared.server
-    }
-
-    /// Counters: wire filters served plus the hosted server's own.
-    pub fn stats(&self) -> ShardProcessStats {
-        ShardProcessStats {
-            filters: self.shared.filters.load(Ordering::Relaxed),
-            server: self.shared.server.stats(),
-        }
-    }
-
     /// Simulate a crash: stop accepting and sever every live connection
     /// mid-read, with no farewell frames. Peers observe a torn stream /
     /// connection reset — exactly what a `kill -9` of a real shard

@@ -41,9 +41,9 @@ use cpnn_pdf::HistogramPdf;
 use crate::RoutedModel;
 
 /// Connection magic, sent inside every `Hello` request.
-pub const WIRE_MAGIC: [u8; 4] = *b"CPRT";
+pub(crate) const WIRE_MAGIC: [u8; 4] = *b"CPRT";
 /// Protocol version, checked at `Hello`.
-pub const WIRE_VERSION: u32 = 1;
+pub(crate) const WIRE_VERSION: u32 = 1;
 /// Maximum frame payload length (16 MiB) — anything larger is rejected
 /// as [`WireError::Oversized`] before any allocation happens.
 pub const MAX_FRAME: u32 = 1 << 24;
@@ -53,25 +53,25 @@ pub mod tag {
     /// Handshake: magic + protocol version + spatial dimension.
     pub const HELLO: u8 = 0x01;
     /// Filter phase for one query point.
-    pub const FILTER: u8 = 0x02;
+    pub(crate) const FILTER: u8 = 0x02;
     /// One coalesced update burst.
     pub const UPDATE: u8 = 0x03;
     /// Server counters.
-    pub const STATS: u8 = 0x04;
+    pub(crate) const STATS: u8 = 0x04;
     /// All stored object ids (router id-map seeding / resync).
-    pub const IDS: u8 = 0x05;
+    pub(crate) const IDS: u8 = 0x05;
     /// Reply: shard status after a handshake.
-    pub const HELLO_OK: u8 = 0x11;
+    pub(crate) const HELLO_OK: u8 = 0x11;
     /// Reply: filter survivors with their distance histograms.
     pub const CANDIDATES: u8 = 0x12;
     /// Reply: post-burst status plus per-op outcomes.
-    pub const UPDATE_OK: u8 = 0x13;
+    pub(crate) const UPDATE_OK: u8 = 0x13;
     /// Reply: counters.
-    pub const STATS_OK: u8 = 0x14;
+    pub(crate) const STATS_OK: u8 = 0x14;
     /// Reply: stored object ids.
-    pub const IDS_OK: u8 = 0x15;
+    pub(crate) const IDS_OK: u8 = 0x15;
     /// Reply: a typed remote error (never a closed socket mid-frame).
-    pub const ERROR: u8 = 0x1F;
+    pub(crate) const ERROR: u8 = 0x1F;
 }
 
 const MAX_ITEMS: u32 = 1 << 20;
@@ -129,7 +129,7 @@ impl WireError {
     /// torn streams are (the peer or network died); corrupt frames are
     /// not a transient condition but desynchronize the stream, so the
     /// caller should drop the connection either way.
-    pub fn is_disconnect(&self) -> bool {
+    pub(crate) fn is_disconnect(&self) -> bool {
         matches!(self, Self::Io(_) | Self::Torn(_))
     }
 }
@@ -229,11 +229,11 @@ impl<M: RoutedModel> fmt::Debug for Request<M> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStatus {
     /// The shard server's current snapshot version.
-    pub version: u64,
+    pub(crate) version: u64,
     /// Objects stored.
     pub objects: u64,
     /// Exact extent of the stored objects (`None` when empty).
-    pub extent: Option<Extent>,
+    pub(crate) extent: Option<Extent>,
 }
 
 /// A shard process's counters: wire-level filter requests served plus
@@ -241,9 +241,9 @@ pub struct ShardStatus {
 #[derive(Debug, Clone)]
 pub struct ShardProcessStats {
     /// Filter requests answered over the socket.
-    pub filters: u64,
+    pub(crate) filters: u64,
     /// The hosted server's counters (updates, WAL records, checkpoints…).
-    pub server: ServerStats,
+    pub(crate) server: ServerStats,
 }
 
 /// A response frame, shard → router.

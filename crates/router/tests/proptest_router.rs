@@ -24,10 +24,9 @@ use cpnn_core::{
     CpnnResult, DistanceModel, Object2d, ObjectId, QueryServer, ShardedDb,
     Strategy as EvalStrategy, UncertainDb, UncertainDb2d, UncertainObject,
 };
-use cpnn_router::wire::Response;
 use cpnn_router::{
-    merge_replies, QueryRouter, RoutedModel, RouterConfig, ShardAddr, ShardListener, ShardMap,
-    ShardReply, ShardServeConfig, ShardServerHandle, UpdateOp,
+    merge_replies, QueryRouter, Response, RoutedModel, RouterConfig, ShardAddr, ShardListener,
+    ShardMap, ShardReply, ShardServeConfig, ShardServerHandle, UpdateOp,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;

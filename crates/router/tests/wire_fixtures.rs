@@ -15,9 +15,9 @@ use std::sync::Arc;
 
 use cpnn_core::persist::fnv1a;
 use cpnn_core::{DistanceModel, ObjectId, QueryServer, UncertainDb, UncertainObject};
-use cpnn_router::wire::{read_frame, tag, write_frame, Request, Response, WireError, MAX_FRAME};
 use cpnn_router::{
-    ShardAddr, ShardListener, ShardServeConfig, ShardServerHandle, ShardStream, UpdateOp,
+    read_frame, tag, write_frame, Request, Response, ShardAddr, ShardListener, ShardServeConfig,
+    ShardServerHandle, ShardStream, UpdateOp, WireError, MAX_FRAME,
 };
 
 fn base_model() -> UncertainDb {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use crate::node::{Bounded, Child, LeafEntry, Node, Params};
 
 /// Build a packed tree from `records`, returning the root node.
-pub fn str_bulk_load<T, const D: usize>(
+pub(crate) fn str_bulk_load<T, const D: usize>(
     records: Vec<LeafEntry<T, D>>,
     params: &Params,
 ) -> Node<T, D> {

@@ -10,7 +10,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::geometry::Rect;
 use crate::node::Node;
 use crate::tree::RTree;
 
@@ -20,12 +19,8 @@ use crate::tree::RTree;
 pub struct Candidate<'a, T, const D: usize> {
     /// The stored item.
     pub item: &'a T,
-    /// The object's uncertainty region (as indexed).
-    pub rect: Rect<D>,
     /// Near point `ni = min_dist(q, Ui)`.
-    pub near: f64,
-    /// Far point `fi = max_dist(q, Ui)`.
-    pub far: f64,
+    pub(crate) near: f64,
 }
 
 /// Total-ordered f64 for use in heaps (distances are never NaN here).
@@ -146,9 +141,7 @@ impl<T, const D: usize> RTree<T, D> {
                             }
                             collected.push(Candidate {
                                 item: &e.item,
-                                rect: e.rect,
                                 near,
-                                far,
                             });
                         }
                     }
@@ -176,6 +169,7 @@ impl<T, const D: usize> RTree<T, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::Rect;
 
     fn build(ranges: &[(f64, f64)]) -> RTree<usize, 1> {
         RTree::bulk_load(
@@ -220,7 +214,6 @@ mod tests {
         let (c, s) = t.pnn_candidates(&[0.0]);
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].near, 5.0);
-        assert_eq!(c[0].far, 7.0);
         assert_eq!(s.fmin, 7.0);
     }
 
@@ -253,7 +246,8 @@ mod tests {
             assert!(stats.nodes_visited >= 1);
             // Candidate bounds must be consistent.
             for cand in &c {
-                assert!(cand.near <= cand.far);
+                let (lo, hi) = ranges[*cand.item];
+                assert!(cand.near <= (q - lo).abs().max((q - hi).abs()));
                 assert!(cand.near <= stats.fmin);
             }
         }

@@ -33,11 +33,6 @@ impl<const D: usize> Rect<D> {
         Self { min, max }
     }
 
-    /// A degenerate rectangle containing a single point.
-    pub fn point(p: [f64; D]) -> Self {
-        Self::new(p, p)
-    }
-
     /// Min corner.
     pub fn min(&self) -> &[f64; D] {
         &self.min
@@ -49,7 +44,7 @@ impl<const D: usize> Rect<D> {
     }
 
     /// Center point.
-    pub fn center(&self) -> [f64; D] {
+    pub(crate) fn center(&self) -> [f64; D] {
         let mut c = [0.0; D];
         for (d, v) in c.iter_mut().enumerate() {
             *v = 0.5 * (self.min[d] + self.max[d]);
@@ -58,22 +53,17 @@ impl<const D: usize> Rect<D> {
     }
 
     /// Extent along dimension `d`.
-    pub fn extent(&self, d: usize) -> f64 {
+    pub(crate) fn extent(&self, d: usize) -> f64 {
         self.max[d] - self.min[d]
     }
 
     /// Hyper-volume (length in 1-D, area in 2-D).
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         (0..D).map(|d| self.extent(d)).product()
     }
 
-    /// Sum of extents (the R*-tree "margin" criterion).
-    pub fn margin(&self) -> f64 {
-        (0..D).map(|d| self.extent(d)).sum()
-    }
-
     /// Smallest rectangle containing both `self` and `other`.
-    pub fn union(&self, other: &Self) -> Self {
+    pub(crate) fn union(&self, other: &Self) -> Self {
         let mut min = self.min;
         let mut max = self.max;
         for d in 0..D {
@@ -85,7 +75,7 @@ impl<const D: usize> Rect<D> {
 
     /// Area increase needed to absorb `other` (the Guttman insertion
     /// criterion).
-    pub fn enlargement(&self, other: &Self) -> f64 {
+    pub(crate) fn enlargement(&self, other: &Self) -> f64 {
         self.union(other).area() - self.area()
     }
 
@@ -95,13 +85,8 @@ impl<const D: usize> Rect<D> {
     }
 
     /// Does `self` fully contain `other`?
-    pub fn contains_rect(&self, other: &Self) -> bool {
+    pub(crate) fn contains_rect(&self, other: &Self) -> bool {
         (0..D).all(|d| self.min[d] <= other.min[d] && other.max[d] <= self.max[d])
-    }
-
-    /// Does `self` contain the point `p`?
-    pub fn contains_point(&self, p: &[f64; D]) -> bool {
-        (0..D).all(|d| self.min[d] <= p[d] && p[d] <= self.max[d])
     }
 
     /// Euclidean distance from `p` to the *nearest* point of the rectangle
@@ -162,7 +147,6 @@ mod tests {
     fn area_margin_center() {
         let r = Rect::new([0.0, 0.0], [2.0, 3.0]);
         assert_eq!(r.area(), 6.0);
-        assert_eq!(r.margin(), 5.0);
         assert_eq!(r.center(), [1.0, 1.5]);
         assert_eq!(r.extent(1), 3.0);
     }
@@ -186,8 +170,6 @@ mod tests {
         assert!(!a.intersects(&c));
         assert!(a.contains_rect(&Rect::interval(0.5, 1.5)));
         assert!(!a.contains_rect(&b));
-        assert!(a.contains_point(&[2.0]));
-        assert!(!a.contains_point(&[2.01]));
     }
 
     #[test]
@@ -225,7 +207,7 @@ mod tests {
 
     #[test]
     fn point_rect_is_degenerate() {
-        let p = Rect::point([1.0, 2.0]);
+        let p = Rect::new([1.0, 2.0], [1.0, 2.0]);
         assert_eq!(p.area(), 0.0);
         assert_eq!(p.min_dist(&[1.0, 2.0]), 0.0);
         assert_eq!(p.max_dist(&[1.0, 2.0]), 0.0);

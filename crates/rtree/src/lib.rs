@@ -14,31 +14,33 @@
 //!   snapshot, `Clone` is O(1), and [`RTree::with_inserted`] /
 //!   [`RTree::with_removed`] produce a new snapshot in O(log n) node
 //!   copies while readers pinned to the old handle are never torn;
-//! * range search, best-first nearest-neighbor / k-NN search;
-//! * [`RTree::pnn_candidates`] — the paper's filtering phase: a single
-//!   best-first traversal that returns the candidate set
-//!   `{ Xi : min_dist(q, Ui) ≤ fmin }` where `fmin = min_k max_dist(q, Uk)`;
-//! * [`SpatialIndex`] — the seam the storage layers program against
-//!   (bulk-load for the initial build, path-copying for incremental
-//!   change), with [`RTree`] as the canonical implementation.
+//! * [`RTree::search_intersecting`] — range search, the shard layer's and
+//!   the cache's region probe;
+//! * [`RTree::pnn_candidates`] / [`RTree::pnn_candidates_k`] — the paper's
+//!   filtering phase: a single best-first traversal that returns the
+//!   candidate set `{ Xi : min_dist(q, Ui) ≤ fmin }` where
+//!   `fmin = min_k max_dist(q, Uk)` (the `k`-th smallest far point for
+//!   k-NN).
+//!
+//! `cpnn-core`'s `IndexedStore` holds an [`RTree`] directly: bulk load for
+//! the initial build, path-copying insert/remove for updates, the filter
+//! for queries.
 //!
 //! The tree is generic over dimension; the paper's experiments are 1-D
 //! (intervals) and the 2-D extension indexes circles' bounding boxes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bulk;
 mod filter;
 mod geometry;
-mod index;
-mod nn;
 mod node;
 mod split;
 mod tree;
 
 pub use filter::{Candidate, FilterStats};
 pub use geometry::Rect;
-pub use index::SpatialIndex;
 pub use node::Params;
 pub use tree::{RTree, TreeStats};

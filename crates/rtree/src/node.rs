@@ -19,7 +19,7 @@ pub struct Params {
     pub max_entries: usize,
     /// Minimum entries per node (underflow threshold for deletion and the
     /// quadratic split's forced assignment).
-    pub min_entries: usize,
+    pub(crate) min_entries: usize,
 }
 
 impl Params {
@@ -48,11 +48,11 @@ impl Default for Params {
 
 /// A leaf-level record: a bounding rect and the stored item.
 #[derive(Debug, Clone)]
-pub struct LeafEntry<T, const D: usize> {
+pub(crate) struct LeafEntry<T, const D: usize> {
     /// Bounding rectangle (for uncertain objects: the uncertainty region).
-    pub rect: Rect<D>,
+    pub(crate) rect: Rect<D>,
     /// The stored payload.
-    pub item: T,
+    pub(crate) item: T,
 }
 
 /// An internal-node slot: the child subtree plus its cached MBR.
@@ -60,11 +60,11 @@ pub struct LeafEntry<T, const D: usize> {
 /// Cloning a `Child` never clones the subtree — it bumps the [`Arc`]
 /// refcount, which is what makes path-copying cheap.
 #[derive(Debug)]
-pub struct Child<T, const D: usize> {
+pub(crate) struct Child<T, const D: usize> {
     /// Cached minimum bounding rectangle of `node`.
-    pub rect: Rect<D>,
+    pub(crate) rect: Rect<D>,
     /// The (shared, immutable) child subtree.
-    pub node: Arc<Node<T, D>>,
+    pub(crate) node: Arc<Node<T, D>>,
 }
 
 impl<T, const D: usize> Clone for Child<T, D> {
@@ -78,7 +78,7 @@ impl<T, const D: usize> Clone for Child<T, D> {
 
 /// A tree node: either a leaf of records or an internal node of children.
 #[derive(Debug)]
-pub enum Node<T, const D: usize> {
+pub(crate) enum Node<T, const D: usize> {
     /// Leaf node holding data records.
     Leaf(Vec<LeafEntry<T, D>>),
     /// Internal node holding child subtrees.
@@ -98,7 +98,7 @@ impl<T: Clone, const D: usize> Clone for Node<T, D> {
 
 /// Anything with a bounding rectangle — lets the split and bulk-load
 /// algorithms work uniformly on leaf records and internal children.
-pub trait Bounded<const D: usize> {
+pub(crate) trait Bounded<const D: usize> {
     /// The bounding rectangle.
     fn bounds(&self) -> Rect<D>;
 }
@@ -117,12 +117,12 @@ impl<T, const D: usize> Bounded<D> for Child<T, D> {
 
 impl<T, const D: usize> Node<T, D> {
     /// An empty leaf (the initial root).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Node::Leaf(Vec::new())
     }
 
     /// Number of slots directly in this node.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         match self {
             Node::Leaf(v) => v.len(),
             Node::Internal(v) => v.len(),
@@ -130,7 +130,7 @@ impl<T, const D: usize> Node<T, D> {
     }
 
     /// Minimum bounding rectangle over this node's slots, or `None` if empty.
-    pub fn mbr(&self) -> Option<Rect<D>> {
+    pub(crate) fn mbr(&self) -> Option<Rect<D>> {
         match self {
             Node::Leaf(v) => v.iter().map(|e| e.rect).reduce(|a, b| a.union(&b)),
             Node::Internal(v) => v.iter().map(|c| c.rect).reduce(|a, b| a.union(&b)),
@@ -138,7 +138,8 @@ impl<T, const D: usize> Node<T, D> {
     }
 
     /// Height of the subtree (a leaf has height 1).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         match self {
             Node::Leaf(_) => 1,
             Node::Internal(v) => 1 + v.first().map_or(0, |c| c.node.height()),
@@ -146,7 +147,7 @@ impl<T, const D: usize> Node<T, D> {
     }
 
     /// Total number of leaf records in the subtree.
-    pub fn record_count(&self) -> usize {
+    pub(crate) fn record_count(&self) -> usize {
         match self {
             Node::Leaf(v) => v.len(),
             Node::Internal(v) => v.iter().map(|c| c.node.record_count()).sum(),
@@ -154,7 +155,8 @@ impl<T, const D: usize> Node<T, D> {
     }
 
     /// Total number of nodes in the subtree (including this one).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         match self {
             Node::Leaf(_) => 1,
             Node::Internal(v) => 1 + v.iter().map(|c| c.node.node_count()).sum::<usize>(),
@@ -166,7 +168,7 @@ impl<T: Clone, const D: usize> Node<T, D> {
     /// Copy every leaf record in the subtree into `out` (used by deletion's
     /// condense step to reinsert orphans — the subtree itself may still be
     /// shared with older snapshots, so records are cloned, never drained).
-    pub fn collect_records(&self, out: &mut Vec<LeafEntry<T, D>>) {
+    pub(crate) fn collect_records(&self, out: &mut Vec<LeafEntry<T, D>>) {
         match self {
             Node::Leaf(v) => out.extend(v.iter().cloned()),
             Node::Internal(v) => {

@@ -10,7 +10,7 @@ use crate::node::Bounded;
 
 /// Split `entries` (which has overflowed) into two groups, each with at
 /// least `min_fill` entries.
-pub fn quadratic_split<E: Bounded<D>, const D: usize>(
+pub(crate) fn quadratic_split<E: Bounded<D>, const D: usize>(
     mut entries: Vec<E>,
     min_fill: usize,
 ) -> (Vec<E>, Vec<E>) {

@@ -36,7 +36,7 @@ pub struct RTree<T, const D: usize> {
 /// Structural quality counters returned by [`RTree::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeStats {
-    /// Total nodes, internal and leaf (equals [`RTree::node_count`]).
+    /// Total nodes, internal and leaf.
     pub nodes: usize,
     /// Leaf nodes.
     pub leaves: usize,
@@ -112,16 +112,6 @@ impl<T, const D: usize> RTree<T, D> {
         self.len == 0
     }
 
-    /// Height of the tree (1 for a single leaf).
-    pub fn height(&self) -> usize {
-        self.root.height()
-    }
-
-    /// Total node count (for fill-factor diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.root.node_count()
-    }
-
     /// Structural quality counters (one depth-first walk): total nodes,
     /// leaf nodes, and entries stored across leaves. Average leaf fill
     /// factor is [`TreeStats::leaf_fill`] against
@@ -160,11 +150,6 @@ impl<T, const D: usize> RTree<T, D> {
     /// Access the root node (crate-internal: used by search modules).
     pub(crate) fn root(&self) -> &Node<T, D> {
         &self.root
-    }
-
-    /// Do two handles share their root (i.e. are they the same snapshot)?
-    pub fn same_snapshot(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.root, &other.root)
     }
 
     /// Collect references to all items whose rects intersect `query`.
@@ -544,7 +529,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let s = t.stats();
-        assert_eq!(s.nodes, t.node_count());
+        assert_eq!(s.nodes, t.root.node_count());
         assert_eq!(s.leaf_entries, t.len());
         assert!(s.leaves >= 1 && s.leaves <= s.nodes);
         let fill = s.leaf_fill(t.params().max_entries);
@@ -580,7 +565,7 @@ mod tests {
             .collect();
         let t = interval_tree(&ranges);
         assert_eq!(t.len(), 500);
-        assert!(t.height() > 1);
+        assert!(t.root.height() > 1);
         t.check_invariants().unwrap();
         // Every inserted item must be findable via its own rect.
         for (i, &(lo, hi)) in ranges.iter().enumerate() {
@@ -702,18 +687,21 @@ mod tests {
             })
             .collect();
         let old = interval_tree(&ranges);
-        assert!(old.height() >= 3, "height {}", old.height());
+        assert!(old.root.height() >= 3, "height {}", old.root.height());
         let new = old.with_inserted(Rect::interval(100.0, 101.0), 9999);
         let old_nodes: std::collections::HashSet<_> = node_ptrs(&old).into_iter().collect();
         let new_nodes = node_ptrs(&new);
         let fresh = new_nodes.iter().filter(|p| !old_nodes.contains(*p)).count();
         // Only the root-to-leaf insertion path (± one split) is new.
         assert!(
-            fresh <= new.height() + 2,
+            fresh <= new.root.height() + 2,
             "{fresh} fresh nodes for a height-{} tree",
-            new.height()
+            new.root.height()
         );
-        assert!(fresh >= new.height().min(2), "no path was copied at all?");
+        assert!(
+            fresh >= new.root.height().min(2),
+            "no path was copied at all?"
+        );
 
         // And a remove shares the same way (condense may add a few more
         // copied nodes through orphan reinsertion).
@@ -725,9 +713,9 @@ mod tests {
             .filter(|p| !new_set.contains(*p))
             .count();
         assert!(
-            fresh_after <= 3 * after.height(),
+            fresh_after <= 3 * after.root.height(),
             "{fresh_after} fresh nodes after remove (height {})",
-            after.height()
+            after.root.height()
         );
     }
 
@@ -778,10 +766,41 @@ mod tests {
     fn clone_is_the_same_snapshot_until_updated() {
         let t = interval_tree(&[(0.0, 1.0), (2.0, 3.0)]);
         let c = t.clone();
-        assert!(t.same_snapshot(&c));
+        assert!(Arc::ptr_eq(&t.root, &c.root));
         let u = c.with_inserted(Rect::interval(5.0, 6.0), 7);
-        assert!(!t.same_snapshot(&u));
+        assert!(!Arc::ptr_eq(&t.root, &u.root));
         assert_eq!(t.len(), 2);
         assert_eq!(u.len(), 3);
+    }
+
+    /// The storage layer's usage pattern: bulk build, path-copying insert
+    /// and remove that leave older handles intact, then filter, mbr,
+    /// intersection search and a full visit on the result.
+    #[test]
+    fn bulk_built_tree_serves_the_store_round_trip() {
+        let idx = RTree::bulk_load_with(
+            (0..50)
+                .map(|i| (Rect::interval(i as f64, i as f64 + 0.5), i))
+                .collect(),
+            Params::default(),
+        );
+        assert_eq!(idx.len(), 50);
+        let grown = idx.with_inserted(Rect::interval(7.1, 7.2), 999);
+        assert_eq!(idx.len(), 50, "original snapshot untouched");
+        assert_eq!(grown.len(), 51);
+        let (shrunk, removed) = grown.with_removed(&Rect::interval(7.1, 7.2), |&i| i == 999);
+        assert_eq!(removed, Some(999));
+        assert_eq!(grown.len(), 51, "grown snapshot untouched");
+        assert_eq!(shrunk.len(), 50);
+        let (cands, stats) = shrunk.pnn_candidates_k(&[7.25], 1);
+        assert!(!cands.is_empty());
+        assert!(stats.fmin.is_finite());
+        let mut seen = 0usize;
+        shrunk.for_each(|_, _| seen += 1);
+        assert_eq!(seen, 50);
+        assert!(shrunk.mbr().is_some());
+        assert!(!shrunk
+            .search_intersecting(&Rect::interval(3.0, 4.0))
+            .is_empty());
     }
 }

@@ -60,26 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn knn_matches_brute_force(ranges in intervals(120), q in -120.0f64..120.0, k in 1usize..20) {
-        let tree = build(&ranges);
-        let got: Vec<f64> = tree
-            .k_nearest_neighbors(&[q], k)
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect();
-        let mut want: Vec<f64> = ranges
-            .iter()
-            .map(|&(lo, hi)| if q >= lo && q <= hi { 0.0 } else { (lo - q).abs().min((q - hi).abs()) })
-            .collect();
-        want.sort_by(f64::total_cmp);
-        want.truncate(k);
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert!((g - w).abs() < 1e-9, "got {g}, want {w}");
-        }
-    }
-
-    #[test]
     fn pnn_filter_matches_brute_force(ranges in intervals(150), q in -120.0f64..120.0) {
         let tree = build(&ranges);
         let (cands, stats) = tree.pnn_candidates(&[q]);

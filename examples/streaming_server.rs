@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example streaming_server`
 
-use cpnn::core::server::QueryServer;
+use cpnn::core::QueryServer;
 use cpnn::core::{ObjectId, PipelineConfig, QuerySpec, Strategy, UncertainDb, UncertainObject};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

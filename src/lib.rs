@@ -7,8 +7,8 @@
 //! * [`pdf`] — probability substrate (pdfs, cdfs, quadrature, `erf`);
 //! * [`rtree`] — from-scratch R-tree with the PNN candidate filter;
 //! * [`core`] — the paper: subregions, RS/L-SR/U-SR verifiers, incremental
-//!   refinement, baselines, the query engine, and extensions (k-NN, range
-//!   queries, 2-D regions, persistence);
+//!   refinement, baselines, the query engine, and extensions (k-NN, 2-D
+//!   regions, persistence);
 //! * [`datagen`] — synthetic workloads calibrated to the paper's setup.
 //!
 //! ```
@@ -24,6 +24,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use cpnn_core as core;
 pub use cpnn_datagen as datagen;

@@ -1,6 +1,6 @@
 //! Integration tests for the beyond-the-paper features on generated
-//! workloads: extended verifier chain, persistence, batch execution, k-NN
-//! and range queries.
+//! workloads: extended verifier chain, persistence, batch execution and
+//! k-NN.
 
 use cpnn::core::persist::{load_snapshot, save_snapshot};
 use cpnn::core::{CpnnQuery, EngineConfig, Strategy, UncertainDb};
@@ -107,25 +107,4 @@ fn knn_on_workload_is_consistent_across_k() {
         v
     };
     assert_eq!(res.answers, want);
-}
-
-#[test]
-fn range_query_on_workload_matches_scan() {
-    let db = UncertainDb::build(dataset(48, 2_000)).unwrap();
-    let (lo, hi) = (4_000.0, 4_050.0);
-    let res = db.range_query(lo, hi, 0.4).unwrap();
-    // Brute-force reference.
-    use cpnn::pdf::Pdf as _;
-    let mut want: Vec<(cpnn::core::ObjectId, f64)> = db
-        .objects()
-        .iter()
-        .map(|o| (o.id(), o.pdf().mass_between(lo, hi)))
-        .filter(|(_, p)| *p >= 0.4)
-        .collect();
-    want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    assert_eq!(res.len(), want.len());
-    for (got, want) in res.iter().zip(&want) {
-        assert_eq!(got.id, want.0);
-        assert!((got.probability - want.1).abs() < 1e-12);
-    }
 }
