@@ -42,10 +42,10 @@ use crate::candidate::CandidateSet;
 use crate::classify::{Classifier, Label};
 use crate::distance::DistanceDistribution;
 use crate::error::Result;
+use crate::exact::exact_probabilities;
 use crate::framework::{
     default_verifiers, extended_verifiers, knn_verifiers, run_verification_into, StageReport,
 };
-use crate::exact::exact_probabilities;
 use crate::knn::knn_probabilities;
 use crate::object::ObjectId;
 use crate::refine::{incremental_refine_with, RefinementOrder};
