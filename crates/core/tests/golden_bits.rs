@@ -1,4 +1,4 @@
-//! Golden answer bits: every report of four seeded query streams, hashed.
+//! Golden answer bits: every report of six seeded query streams, hashed.
 //!
 //! Each test runs a few hundred seeded queries through the public engine
 //! API and folds `(id, p.l bits, p.u bits, label)` of every report — in
@@ -7,9 +7,12 @@
 //! to keep the answers (a new storage layout, a faster sort, a different
 //! allocation pattern) proves it here.
 //!
-//! The four streams cover the evaluation paths whose arithmetic differs:
+//! The six streams cover the evaluation paths whose arithmetic differs:
 //! 1-D C-PNN in the verifier regime (P = 0.3, Δ = 0.01) and in the refine
-//! regime (P = 0.02, Δ = 0), 1-D C-PkNN at k = 3, and 2-D C-PkNN at k = 4.
+//! regime (P = 0.02, Δ = 0), 1-D C-PkNN at k = 3, 2-D C-PkNN at k = 4, and
+//! the two 1-D strategies that run no verifier: Basic (every subregion
+//! integrated) and RefineOnly (incremental refinement from vacuous
+//! bounds). A change to the verifier chain moves the first two at most.
 //! The 1-D set mixes uniform intervals, 3-bar histograms and 100-bar
 //! histograms (the last are re-binned to 64 distance bars on every query).
 //!
@@ -34,6 +37,8 @@ const NN_VERIFY: u64 = 0x3cfa_5cb6_13c7_1261;
 const NN_REFINE: u64 = 0xdb44_06ef_ce50_80c2;
 const KNN3_1D: u64 = 0xd89e_5a2c_945d_f688;
 const KNN4_2D: u64 = 0x8113_120a_d0c0_71ff;
+const NN_BASIC: u64 = 0x7414_463e_a45b_af8c;
+const NN_REFINE_ONLY: u64 = 0x58c3_5aa9_299c_07c2;
 
 const QUERIES: usize = 300;
 
@@ -126,13 +131,13 @@ fn check(name: &str, got: u64, want: u64, reports: usize) {
     );
 }
 
-fn cpnn_1d(threshold: f64, tolerance: f64, seed: u64) -> (u64, usize) {
+fn cpnn_1d(threshold: f64, tolerance: f64, seed: u64, strategy: Strategy) -> (u64, usize) {
     let db = db_1d();
     let mut h = Fnv::new();
     let mut reports = 0;
     for q in queries_1d(seed) {
         let r = db
-            .cpnn(&CpnnQuery::new(q, threshold, tolerance), Strategy::Verified)
+            .cpnn(&CpnnQuery::new(q, threshold, tolerance), strategy)
             .unwrap();
         reports += r.reports.len();
         h.result(&r);
@@ -142,14 +147,26 @@ fn cpnn_1d(threshold: f64, tolerance: f64, seed: u64) -> (u64, usize) {
 
 #[test]
 fn nn_1d_verify_regime_bits() {
-    let (got, n) = cpnn_1d(0.3, 0.01, 11);
+    let (got, n) = cpnn_1d(0.3, 0.01, 11, Strategy::Verified);
     check("1-D VR P=0.3 Δ=0.01", got, NN_VERIFY, n);
 }
 
 #[test]
 fn nn_1d_refine_regime_bits() {
-    let (got, n) = cpnn_1d(0.02, 0.0, 12);
+    let (got, n) = cpnn_1d(0.02, 0.0, 12, Strategy::Verified);
     check("1-D VR P=0.02 Δ=0", got, NN_REFINE, n);
+}
+
+#[test]
+fn nn_1d_basic_bits() {
+    let (got, n) = cpnn_1d(0.3, 0.01, 15, Strategy::Basic);
+    check("1-D Basic P=0.3 Δ=0.01", got, NN_BASIC, n);
+}
+
+#[test]
+fn nn_1d_refine_only_bits() {
+    let (got, n) = cpnn_1d(0.02, 0.0, 16, Strategy::RefineOnly);
+    check("1-D RefineOnly P=0.02 Δ=0", got, NN_REFINE_ONLY, n);
 }
 
 #[test]
