@@ -27,7 +27,7 @@ use cpnn_bench::report::Table;
 /// An experiment's command-line name and its table for a quick or full run.
 type Experiment = (&'static str, fn(bool) -> Table);
 
-/// Every experiment, in output order. The `ablations` name runs four
+/// Every experiment, in output order. The `ablations` name runs three
 /// tables.
 const EXPERIMENTS: &[Experiment] = &[
     ("fig9", experiments::fig09::run),
@@ -40,7 +40,6 @@ const EXPERIMENTS: &[Experiment] = &[
     ("ablations", ablations::verifier_chain),
     ("ablations", ablations::refinement_order),
     ("ablations", ablations::distance_bins),
-    ("ablations", ablations::extended_chain),
     ("knn2d", experiments::knn2d::run),
     ("cache", experiments::cache::run),
     ("update", experiments::update::run),

@@ -1,7 +1,7 @@
 //! Ablations of design choices the paper leaves implicit:
 //!
-//! * **verifier chains** — is the RS → L-SR → U-SR order (ascending cost)
-//!   actually the right trade-off? We time alternative chains end-to-end;
+//! * **verifier chains** — does the RS → U-SR → L-SR chain pay for itself
+//!   against refinement alone? We time both end to end;
 //! * **refinement order** — largest-mass-first vs. left-to-right subregion
 //!   visiting during incremental refinement;
 //! * **distance-histogram resolution** — how the `max_distance_bins` knob
@@ -95,50 +95,6 @@ pub fn refinement_order(quick: bool) -> Table {
             format!("{:.1}", results[1].avg_integrations),
             ms(results[0].avg_total),
             ms(results[1].avg_total),
-        ]);
-    }
-    table
-}
-
-/// Ablation D: the FL-SR extra verifier (beyond the paper) — does adding a
-/// second lower-bound pass pay off on this workload?
-pub fn extended_chain(quick: bool) -> Table {
-    let data = longbeach_objects(if quick { 8_000 } else { 53_144 });
-    let queries = workload_queries(quick);
-    let mut table = Table::new(
-        "Ablation D",
-        "paper chain (RS,L-SR,U-SR) vs extended (+FL-SR)",
-        &[
-            key("P"),
-            measured("paper (ms)"),
-            measured("+FL-SR (ms)"),
-            work("paper integ."),
-            work("+FL-SR integ."),
-        ],
-    );
-    table.note("FL-SR adds one O(|C|·M) pass; it pays off when it saves refinement integrations");
-    for p in [0.05, 0.1, 0.3] {
-        let mut results = Vec::new();
-        for extended in [false, true] {
-            let config = EngineConfig {
-                extended_verifiers: extended,
-                ..EngineConfig::default()
-            };
-            let db = UncertainDb::with_config(data.clone(), config).expect("valid data");
-            results.push(run_queries(
-                &db,
-                &queries,
-                p,
-                DEFAULT_DELTA,
-                Strategy::Verified,
-            ));
-        }
-        table.push_row(vec![
-            format!("{p:.2}"),
-            ms(results[0].avg_total),
-            ms(results[1].avg_total),
-            format!("{:.1}", results[0].avg_integrations),
-            format!("{:.1}", results[1].avg_integrations),
         ]);
     }
     table

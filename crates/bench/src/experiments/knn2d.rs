@@ -16,9 +16,11 @@
 //!
 //! Stage columns are positional: `by stage i %` is the share of queries
 //! whose last object the i-th verifier of the chain decided, and the
-//! `chain` column names those verifiers as the queries reported them
-//! (RS → L-SR → U-SR at k = 1, RS → SR-k → SR-k above).
+//! `chain` column names those verifiers as the pipeline runs them
+//! (RS → U-SR → L-SR at k = 1, RS → SR-k → SR-k above), whether or not a
+//! query reached the last one.
 
+use cpnn_core::framework::{default_verifiers, knn_verifiers};
 use cpnn_core::{BatchExecutor, PipelineConfig, QuerySpec, Strategy, UncertainDb2d};
 use cpnn_datagen::{objects_2d, query_points_2d, Synthetic2dConfig};
 
@@ -86,16 +88,20 @@ pub fn run(quick: bool) -> Table {
         let subregions: usize = stats().map(|st| st.subregions).sum();
         let tails: usize = stats().map(|st| st.pb_tails).sum();
         let cdf_evals: usize = stats().map(|st| st.cdf_evals).sum();
-        // The chain as the queries ran it: a query stops reporting at the
-        // stage that decided it, so the longest report names every stage.
-        let mut chain: Vec<&str> = Vec::new();
+        // The chain the pipeline runs at this `k`; a query stops reporting
+        // at the stage that decided it, so its report is a prefix.
+        let verifiers = if k == 1 {
+            default_verifiers()
+        } else {
+            knn_verifiers(k)
+        };
+        let chain: Vec<&str> = verifiers.iter().map(|v| v.name()).collect();
         for st in stats() {
-            for (pos, stage) in st.stages.iter().enumerate() {
-                match chain.get(pos) {
-                    Some(name) => assert_eq!(*name, stage.name, "one chain per k"),
-                    None => chain.push(stage.name),
-                }
-            }
+            let ran: Vec<&str> = st.stages.iter().map(|stage| stage.name).collect();
+            assert!(
+                chain.starts_with(&ran),
+                "k = {k}: {ran:?} runs off {chain:?}"
+            );
         }
         let per_query = |count: usize| count as f64 / s.queries.max(1) as f64;
         let decided_by = |pos: usize| {

@@ -3,9 +3,10 @@
 //! (`cpnn_core::verifiers::reference` + the naive scalar integrands), across
 //! a |C| × M grid.
 //!
-//! Both paths run the *same* verify → refine pipeline (RS, L-SR, U-SR, then
-//! incremental refinement at an ambiguous threshold P = 1/|C| so refinement
-//! actually integrates). The verifier stages are bit-identical; refined
+//! Both paths run the *same* verify → refine pipeline (RS, U-SR, L-SR, then
+//! incremental refinement at an ambiguous threshold P = 1/|C|, where
+//! refinement integrates on most grid points; the `integrations` column
+//! says where it does). The verifier stages are bit-identical; refined
 //! bounds agree within 1e-12 and both are sound against the exact oracle
 //! (`tests/proptest_kernels.rs`), so whatever separates the timings is pure
 //! implementation: one shared survival-product table for the rows RS left
@@ -105,7 +106,7 @@ pub fn run(quick: bool) -> Table {
         ],
     );
     table.note(format!(
-        "best of {reps} passes; chain RS, L-SR, U-SR + incremental refinement at P = 1/|C|, Δ = 0.01; \
+        "best of {reps} passes; chain RS, U-SR, L-SR + incremental refinement at P = 1/|C|, Δ = 0.01; \
          legacy = verifiers::reference + naive integrand, kernel = verifiers::kernels; \
          build = row-major SubregionTable::build only; verifier stages bit-identical, \
          refined bounds within 1e-12 and sound against the exact oracle \

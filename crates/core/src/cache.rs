@@ -245,9 +245,9 @@ pub(crate) fn point_key_2d(q: [f64; 2]) -> u128 {
 
 /// Bit-exact key of one memoized *verification outcome* at a cached
 /// query point: the exact threshold/tolerance band, the strategy, and the
-/// pipeline knobs that shape verify/refine (`refinement_order`,
-/// `extended_verifiers`). `k` and the snapped point are already part of
-/// the *entry* key, so they are not repeated here.
+/// pipeline knob that shapes verify/refine (`refinement_order`). `k` and
+/// the snapped point are already part of the *entry* key, so they are not
+/// repeated here.
 ///
 /// Keying the band **exactly** (by bit pattern) is what makes the
 /// short-circuit trivially sound: a memo hit replays the reports of a
@@ -262,7 +262,6 @@ pub(crate) struct OutcomeKey {
     tolerance: u64,
     strategy: Strategy,
     refinement: RefinementOrder,
-    extended_verifiers: bool,
 }
 
 impl OutcomeKey {
@@ -273,7 +272,6 @@ impl OutcomeKey {
             tolerance: spec.tolerance.to_bits(),
             strategy: spec.strategy,
             refinement: cfg.refinement_order,
-            extended_verifiers: cfg.extended_verifiers,
         }
     }
 }

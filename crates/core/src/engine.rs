@@ -34,9 +34,6 @@ pub struct EngineConfig {
     pub max_distance_bins: usize,
     /// Subregion visiting order during incremental refinement.
     pub refinement_order: RefinementOrder,
-    /// Add the FL-SR verifier to the chain (an extra lower-bound pass
-    /// beyond the paper; see `verifiers::FarLowerSubregion`).
-    pub extended_verifiers: bool,
 }
 
 impl Default for EngineConfig {
@@ -44,7 +41,6 @@ impl Default for EngineConfig {
         Self {
             max_distance_bins: 64,
             refinement_order: RefinementOrder::DescendingMass,
-            extended_verifiers: false,
         }
     }
 }
@@ -56,7 +52,6 @@ impl EngineConfig {
     pub fn pipeline(&self) -> PipelineConfig {
         PipelineConfig {
             refinement_order: self.refinement_order,
-            extended_verifiers: self.extended_verifiers,
             ..PipelineConfig::default()
         }
     }

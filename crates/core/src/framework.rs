@@ -1,5 +1,5 @@
-//! The verification framework (paper Fig. 5): run verifiers in ascending
-//! cost order, classify after each, stop as soon as every object is decided.
+//! The verification framework (paper Fig. 5): run a verifier chain,
+//! classify after each stage, stop as soon as every object is decided.
 
 use std::time::{Duration, Instant};
 
@@ -12,7 +12,7 @@ use crate::verifiers::{
 /// Outcome of one verifier stage.
 #[derive(Debug, Clone)]
 pub struct StageReport {
-    /// Verifier name ("RS", "L-SR", "U-SR").
+    /// Verifier name ("RS", "U-SR", "L-SR", "SR-k").
     pub name: &'static str,
     /// Objects still `Unknown` after this stage's classification.
     pub unknown_after: usize,
@@ -20,25 +20,16 @@ pub struct StageReport {
     pub duration: Duration,
 }
 
-/// The paper's default verifier chain, in ascending running-cost order.
+/// The 1-NN verifier chain: RS, then U-SR — which beyond the paper also
+/// keeps the lower half of its split (`verifiers/usr.rs`) — then L-SR on
+/// the rows U-SR left `Unknown`. U-SR goes before L-SR, against the paper's
+/// cost order, because its two bounds decide most rows RS leaves open and
+/// L-SR adds nothing to build: both read one table of exclude-one products.
 pub fn default_verifiers() -> Vec<Box<dyn Verifier>> {
     vec![
         Box::new(RightmostSubregion),
-        Box::new(LowerSubregion),
         Box::new(UpperSubregion),
-    ]
-}
-
-/// Extended chain including the FL-SR verifier (`FarLowerSubregion`, an
-/// extra lower-bound pass beyond the paper; see `verifiers/flsr.rs`).
-/// Strictly at least as tight as [`default_verifiers`], one more
-/// `O(|C|·M)` pass.
-pub fn extended_verifiers() -> Vec<Box<dyn Verifier>> {
-    vec![
-        Box::new(RightmostSubregion),
         Box::new(LowerSubregion),
-        Box::new(crate::verifiers::FarLowerSubregion),
-        Box::new(UpperSubregion),
     ]
 }
 
@@ -132,9 +123,9 @@ mod tests {
     }
 
     #[test]
-    fn low_threshold_accepts_via_lsr_lower_bound() {
-        // P = 0.2: L-SR proves X1 (.349) and X2 (.281) exceed it; X3's upper
-        // bound (.066) fails it.
+    fn low_threshold_accepts_via_lower_bounds() {
+        // P = 0.2: U-SR's Pr[F] half and L-SR prove X1 (≥ .349) and X2
+        // (≥ .281) exceed it; X3's upper bound (.066) fails it.
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.2, 0.0).unwrap();
@@ -158,7 +149,7 @@ mod tests {
         // All three stages ran.
         assert_eq!(stages.len(), 3);
         let names: Vec<_> = stages.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["RS", "L-SR", "U-SR"]);
+        assert_eq!(names, vec!["RS", "U-SR", "L-SR"]);
     }
 
     #[test]

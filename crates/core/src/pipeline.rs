@@ -43,9 +43,7 @@ use crate::classify::{Classifier, Label};
 use crate::distance::DistanceDistribution;
 use crate::error::Result;
 use crate::exact::exact_probabilities;
-use crate::framework::{
-    default_verifiers, extended_verifiers, knn_verifiers, run_verification_into, StageReport,
-};
+use crate::framework::{default_verifiers, knn_verifiers, run_verification_into, StageReport};
 use crate::knn::knn_probabilities;
 use crate::object::ObjectId;
 use crate::refine::{incremental_refine_with, RefinementOrder};
@@ -222,9 +220,6 @@ impl QuerySpec {
 pub struct PipelineConfig {
     /// Subregion visiting order during incremental refinement.
     pub refinement_order: RefinementOrder,
-    /// Add the FL-SR verifier to the 1-NN chain (see
-    /// [`crate::framework::extended_verifiers`]).
-    pub extended_verifiers: bool,
     /// Per-thread verification-state cache (see [`crate::cache`]):
     /// capacity 0 (the default) disables it, otherwise each
     /// [`QueryScratch`]'s [`VerifyCache`] is sized from it and the
@@ -243,7 +238,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             refinement_order: RefinementOrder::DescendingMass,
-            extended_verifiers: false,
             cache: CacheConfig::disabled(),
             shared_cache: SharedCacheConfig::disabled(),
         }
@@ -601,10 +595,9 @@ pub fn evaluate_candidates(
             if strategy == Strategy::Verified {
                 let verify_start = Instant::now();
                 let tails_before = state.kernel.pb_tails;
-                let chain = match (k, cfg.extended_verifiers) {
-                    (1, false) => default_verifiers(),
-                    (1, true) => extended_verifiers(),
-                    (k, _) => knn_verifiers(k),
+                let chain = match k {
+                    1 => default_verifiers(),
+                    k => knn_verifiers(k),
                 };
                 run_verification_into(&mut table, &classifier, &chain, state, stages);
                 stats.verify_time = verify_start.elapsed().saturating_sub(table.fill_time());

@@ -93,6 +93,7 @@ pub fn incremental_refine_with(
             // The rows still `Unknown` now share their column integrals; a
             // query the verifiers resolved never gets here.
             state.kernel.columns.open(&state.labels, l);
+            state.open_cells(table);
         }
         report.refined_objects += 1;
         regions.clear();

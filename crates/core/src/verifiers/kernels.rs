@@ -1,6 +1,6 @@
 //! Verification kernels over the row-major [`SubregionTable`].
 //!
-//! The 1-NN subregion verifiers (L-SR, FL-SR, U-SR) share one table of
+//! The 1-NN subregion verifiers (U-SR, L-SR) share one table of
 //! exclude-one survival products (`OpenProducts`), built on first use per
 //! query for the rows RS left `Unknown` only; each verifier then walks such
 //! a row's products, its [`SubregionTable::mass_row`] and its `q_ij` row side
@@ -63,7 +63,7 @@ use crate::verifiers::VerificationState;
 #[derive(Debug, Clone, Default)]
 pub struct KernelScratch {
     /// The exclude-one survival products of the rows RS left open, shared
-    /// by L-SR, FL-SR and U-SR.
+    /// by U-SR and L-SR.
     pub(crate) open: OpenProducts,
     /// L-SR: `1 / c_j` per left subregion.
     pub(crate) inv_counts: Vec<f64>,
@@ -187,8 +187,8 @@ impl ColumnMemo {
 /// subregion verifier of a query runs — the rows RS left *open*.
 ///
 /// Built on first use after [`crate::verifiers::VerificationState::reset`]
-/// and reused by every later verifier of the chain: L-SR, FL-SR and U-SR
-/// serve only rows still `Unknown`, a subset of the open ones. Two sweeps
+/// (by U-SR) and reused by every later verifier of the chain: U-SR and
+/// L-SR serve only rows still `Unknown`, a subset of the open ones. Two sweeps
 /// over the cdf rows advance all `L + 1` column products side by side:
 ///
 /// * forward over rows `0..=last_open`, `run[j] *= 1 − D_k(e_j)`, copying
@@ -448,8 +448,8 @@ fn sr_k_tail(
 /// the group on its left.
 ///
 /// Per visited end-point: a row asks for a tail only if one of the two
-/// groups holds more than [`MASS_EPS`] of its mass (the convention of L-SR,
-/// U-SR and FL-SR: a group below it keeps `[0, 1]`), read off the three cdf
+/// groups holds more than [`MASS_EPS`] of its mass (the convention of U-SR
+/// and L-SR: a group below it keeps `[0, 1]`), read off the three cdf
 /// columns involved — each gathered from the row-major table once per
 /// sweep, into buffers that rotate as it advances; the column's states are
 /// built once, over the
@@ -472,6 +472,7 @@ pub(crate) fn sr_k_pass(
     if k >= n {
         // Fewer competitors than slots: membership is certain wherever
         // the object has mass below the horizon.
+        state.open_cells(table);
         for i in 0..n {
             if state.labels[i] != Label::Unknown {
                 continue;
@@ -485,6 +486,10 @@ pub(crate) fn sr_k_pass(
     }
     let w = k.max(1);
     let stride = stride.max(1);
+    if stride == 1 {
+        // Only the table itself records `q_ij` cells.
+        state.open_cells(table);
+    }
     let KernelScratch {
         pb_prefix,
         pb_suffix,
@@ -770,13 +775,13 @@ mod tests {
     use crate::candidate::CandidateSet;
     use crate::classify::Classifier;
     use crate::exact::subregion_qualification;
-    use crate::framework::{default_verifiers, extended_verifiers, run_verification_into};
+    use crate::framework::{default_verifiers, run_verification_into};
     use crate::knn::{knn_subregion_qualification, poisson_binomial_at_most};
     use crate::object::{ObjectId, UncertainObject};
     use crate::refine::{incremental_refine, RefinementOrder};
     use crate::subregion::SubregionTable;
     use crate::testutil::fig7_scenario;
-    use crate::verifiers::reference::{reference_extended_verifiers, reference_verifiers};
+    use crate::verifiers::reference::reference_verifiers;
     use crate::verifiers::VerificationState;
     use cpnn_pdf::HistogramPdf;
 
@@ -1053,49 +1058,47 @@ mod tests {
         }
     }
 
-    /// Run the default and the extended chain and their reference chains
-    /// over `table`; every pair must agree bit for bit. Returns the kernel
-    /// states and stage reports of both chains.
-    fn chains_against_reference(
+    /// Run the chain and its reference chain over `table`; the two must
+    /// agree bit for bit. Returns the kernel state and stage reports.
+    fn chain_against_reference(
         table: &SubregionTable,
         classifier: &Classifier,
         what: &str,
-    ) -> Vec<(VerificationState, Vec<crate::framework::StageReport>)> {
-        [
-            (default_verifiers(), reference_verifiers()),
-            (extended_verifiers(), reference_extended_verifiers()),
-        ]
-        .into_iter()
-        .map(|(chain, reference)| {
-            let mut got = VerificationState::new(table);
-            let mut want = VerificationState::new(table);
-            let (mut stages, mut ref_stages) = (Vec::new(), Vec::new());
-            run_verification_into(table, classifier, &chain, &mut got, &mut stages);
-            run_verification_into(table, classifier, &reference, &mut want, &mut ref_stages);
-            assert_same_bits(&got, &want, what);
-            (got, stages)
-        })
-        .collect()
+    ) -> (VerificationState, Vec<crate::framework::StageReport>) {
+        let mut got = VerificationState::new(table);
+        let mut want = VerificationState::new(table);
+        let (mut stages, mut ref_stages) = (Vec::new(), Vec::new());
+        run_verification_into(
+            table,
+            classifier,
+            &default_verifiers(),
+            &mut got,
+            &mut stages,
+        );
+        let reference = reference_verifiers();
+        run_verification_into(table, classifier, &reference, &mut want, &mut ref_stages);
+        assert_same_bits(&got, &want, what);
+        (got, stages)
     }
 
-    /// The open-row products against the reference chains, bitwise, on
-    /// tables of 89 and 130 rows. In the extended chain FL-SR decides some
-    /// open rows before U-SR runs: U-SR reuses the table L-SR built (its
-    /// rows are still RS's open set) and skips the decided rows.
+    /// The open-row products against the reference chain, bitwise, on
+    /// tables of 89 and 130 rows. U-SR decides some open rows before L-SR
+    /// runs: L-SR reuses the table U-SR built (its rows are still RS's open
+    /// set) and skips the decided rows. (At `P = 1/130` U-SR decides all
+    /// 130 rows, hence the lower threshold there.)
     #[test]
     fn open_row_products_match_reference_bitwise() {
-        for n in [89, 130] {
+        for (n, threshold) in [(89, 1.0 / 89.0), (130, 0.5 / 130.0)] {
             let table = overlapping_histograms(n);
             assert_eq!(table.n_objects(), n);
-            let classifier = Classifier::new(1.0 / n as f64, 0.0).unwrap();
-            let runs = chains_against_reference(&table, &classifier, &format!("n = {n}"));
-            let (state, stages) = &runs[1];
-            let (after_rs, before_usr) = (stages[0].unknown_after, stages[2].unknown_after);
+            let classifier = Classifier::new(threshold, 0.0).unwrap();
+            let (state, stages) = chain_against_reference(&table, &classifier, &format!("n = {n}"));
+            let (after_rs, before_lsr) = (stages[0].unknown_after, stages[1].unknown_after);
             assert!(
-                0 < before_usr && before_usr < after_rs,
-                "n = {n}: U-SR ran ungated ({after_rs} open, {before_usr} left)"
+                0 < before_lsr && before_lsr < after_rs,
+                "n = {n}: L-SR ran ungated ({after_rs} open, {before_lsr} left)"
             );
-            assert_eq!(stages[3].name, "U-SR");
+            assert_eq!(stages[2].name, "L-SR");
             assert_eq!(state.kernel.open.rows.len(), after_rs, "n = {n}: rebuilt");
         }
     }
@@ -1153,32 +1156,35 @@ mod tests {
         let table = SubregionTable::build(&CandidateSet::build(&objects, 0.0, 0).unwrap());
         let n = table.n_objects();
         let classifier = Classifier::new(0.1, 0.0).unwrap();
-        for (state, stages) in chains_against_reference(&table, &classifier, "gaps") {
-            let rows = &state.kernel.open.rows;
-            assert_eq!(rows.len(), stages[0].unknown_after);
-            assert!(rows[0] > 0 && rows[rows.len() - 1] < n - 1, "{rows:?}");
-            assert!(rows.windows(2).any(|w| w[1] > w[0] + 1), "{rows:?}");
-        }
+        let (state, stages) = chain_against_reference(&table, &classifier, "gaps");
+        let rows = &state.kernel.open.rows;
+        assert_eq!(rows.len(), stages[0].unknown_after);
+        assert!(rows[0] > 0 && rows[rows.len() - 1] < n - 1, "{rows:?}");
+        assert!(rows.windows(2).any(|w| w[1] > w[0] + 1), "{rows:?}");
     }
 
-    /// When RS decides every row the chain stops before L-SR, and a
+    /// When RS decides every row the chain stops before U-SR, and a
     /// subregion verifier applied anyway finds no open row: no product is
-    /// ever built.
+    /// ever built, and no `q_ij` cell written until a stage reads one.
     #[test]
     fn no_products_are_built_when_rs_decides_every_row() {
         let table = SubregionTable::build(&fig7_scenario().0);
         let classifier = Classifier::new(0.3, 1.0).unwrap();
-        for (mut state, stages) in chains_against_reference(&table, &classifier, "RS only") {
-            assert_eq!(stages.len(), 1);
-            assert_eq!(state.unknown_count(), 0);
-            let before = state.clone();
-            for v in extended_verifiers() {
-                v.apply(&table, &mut state);
-            }
-            assert_same_bits(&state, &before, "decided rows stay untouched");
-            assert!(state.kernel.open.rows.is_empty());
-            assert_eq!(state.kernel.open.products.capacity(), 0);
+        let (mut state, stages) = chain_against_reference(&table, &classifier, "RS only");
+        assert_eq!(stages.len(), 1);
+        assert_eq!(state.unknown_count(), 0);
+        assert!(state.qij_lo.is_empty() && state.qij_hi.is_empty());
+        let (labels, bounds) = (state.labels.clone(), state.bounds.clone());
+        for v in default_verifiers() {
+            v.apply(&table, &mut state);
         }
+        assert_eq!(state.labels, labels);
+        assert_eq!(state.bounds, bounds, "decided rows stay untouched");
+        let cells = table.n_objects() * table.left_regions();
+        assert_eq!(state.qij_lo, vec![0.0; cells]);
+        assert_eq!(state.qij_hi, vec![1.0; cells]);
+        assert!(state.kernel.open.rows.is_empty());
+        assert_eq!(state.kernel.open.products.capacity(), 0);
     }
 
     #[test]
@@ -1187,7 +1193,7 @@ mod tests {
         let cands = CandidateSet::build_k(&objects, 0.0, 0, 2).unwrap();
         let table = SubregionTable::build(&cands);
         let mut state = VerificationState::new(&table);
-        let chain = extended_verifiers();
+        let chain = default_verifiers();
         let classifier = Classifier::new(0.45, 0.0).unwrap();
         let mut stages = Vec::new();
         // Warm every buffer once.

@@ -9,10 +9,12 @@
 //!   is constant inside a subregion), so `Pr[N | E] ≥ 1/c_j` (Lemma 3).
 //!
 //! Hence `q_ij.l = (1/c_j) · Π_{k≠i}(1 − D_k(e_j))` and
-//! `p_i.l = Σ_j s_ij · q_ij.l` (Eq. 4). Cost: the exclude-one products (the
-//! paper's `Y_j` trick, Eqs. 2–3), `O(|C|·M)` once per query and shared with
-//! FL-SR and U-SR, then `O(open·M)` bound updates for the `open` rows RS
-//! left `Unknown`.
+//! `p_i.l = Σ_j s_ij · q_ij.l` (Eq. 4). It runs after U-SR, on the rows
+//! U-SR left `Unknown`: a cell keeps the larger of this bound and U-SR's
+//! `Pr[F]`, and never rises above U-SR's `q_ij.u` (the two bounds bracket
+//! the same `q_ij`, so the cap only absorbs rounding). Cost: `O(open·M)`
+//! bound updates over the exclude-one products U-SR built (the paper's
+//! `Y_j` trick, Eqs. 2–3).
 //!
 //! Note the product here runs over **all** `k ≠ i`: under the paper's
 //! assumption (pdf non-zero throughout `U_k`) the extra factors are exactly
@@ -39,9 +41,11 @@ impl Verifier for LowerSubregion {
         if n == 0 || l == 0 {
             return;
         }
+        state.open_cells(table);
         let VerificationState {
             labels,
             qij_lo,
+            qij_hi,
             kernel,
             ..
         } = state;
@@ -55,16 +59,18 @@ impl Verifier for LowerSubregion {
             if labels[i] != Label::Unknown {
                 continue;
             }
-            let cells = qij_lo[i * l..(i + 1) * l].iter_mut();
+            let cells = qij_lo[i * l..(i + 1) * l]
+                .iter_mut()
+                .zip(&qij_hi[i * l..(i + 1) * l]);
             let row = cells
                 .zip(table.mass_row(i))
                 .zip(products)
                 .zip(&kernel.inv_counts);
-            for (((cell, &s), &e), &inv_cj) in row {
+            for ((((cell, &hi), &s), &e), &inv_cj) in row {
                 if s <= MASS_EPS {
                     continue;
                 }
-                let q = (e * inv_cj).clamp(0.0, 1.0);
+                let q = (e * inv_cj).clamp(0.0, hi);
                 if q > *cell {
                     *cell = q;
                 }

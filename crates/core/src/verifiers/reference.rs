@@ -24,7 +24,8 @@ use crate::subregion::{SubregionTable, MASS_EPS};
 use crate::verifiers::{ExcludeOneProduct, VerificationState, Verifier};
 
 /// Legacy L-SR: allocates a factor vector once per apply and a fresh
-/// exclude-one product per subregion.
+/// exclude-one product per subregion. Capped at `q_ij.u`, as the kernel
+/// L-SR is behind U-SR.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReferenceLowerSubregion;
 
@@ -39,6 +40,7 @@ impl Verifier for ReferenceLowerSubregion {
         if n == 0 || l == 0 {
             return;
         }
+        state.open_cells(table);
         let mut factors = vec![0.0; n];
         for j in 0..l {
             let cj = table.count(j);
@@ -54,7 +56,8 @@ impl Verifier for ReferenceLowerSubregion {
                 if state.labels[i] != Label::Unknown || table.mass(i, j) <= MASS_EPS {
                     continue;
                 }
-                let q = (prod.excluding(i) * inv_cj).clamp(0.0, 1.0);
+                let hi = state.qij_hi[i * l + j];
+                let q = (prod.excluding(i) * inv_cj).clamp(0.0, hi);
                 let cell = &mut state.qij_lo[i * l + j];
                 if q > *cell {
                     *cell = q;
@@ -69,7 +72,8 @@ impl Verifier for ReferenceLowerSubregion {
     }
 }
 
-/// Legacy U-SR: collects a fresh factor vector and product per end-point.
+/// Legacy U-SR: collects a fresh factor vector and product per end-point;
+/// records `Pr[F]` as `q_ij.l` and `½ (Pr[F] + Pr[E])` as `q_ij.u`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReferenceUpperSubregion;
 
@@ -84,6 +88,7 @@ impl Verifier for ReferenceUpperSubregion {
         if n == 0 || l == 0 {
             return;
         }
+        state.open_cells(table);
         let product_at = |j: usize| {
             let factors: Vec<f64> = (0..n).map(|k| 1.0 - table.cdf_at(k, j)).collect();
             ExcludeOneProduct::new(&factors)
@@ -95,8 +100,13 @@ impl Verifier for ReferenceUpperSubregion {
                 if state.labels[i] != Label::Unknown || table.mass(i, j) <= MASS_EPS {
                     continue;
                 }
+                let far = prod_next.excluding(i).clamp(0.0, 1.0);
+                let lo = &mut state.qij_lo[i * l + j];
+                if far > *lo {
+                    *lo = far;
+                }
+                let lo = *lo;
                 let q = 0.5 * (prod_next.excluding(i) + prod_cur.excluding(i));
-                let lo = state.qij_lo[i * l + j];
                 let cell = &mut state.qij_hi[i * l + j];
                 if q < *cell {
                     *cell = q.clamp(lo, 1.0);
@@ -106,47 +116,8 @@ impl Verifier for ReferenceUpperSubregion {
         }
         for i in 0..n {
             if state.labels[i] == Label::Unknown {
-                state.recompute_upper(table, i);
-            }
-        }
-    }
-}
-
-/// Legacy FL-SR.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ReferenceFarLowerSubregion;
-
-impl Verifier for ReferenceFarLowerSubregion {
-    fn name(&self) -> &'static str {
-        "FL-SR"
-    }
-
-    fn apply(&self, table: &SubregionTable, state: &mut VerificationState) {
-        let n = table.n_objects();
-        let l = table.left_regions();
-        if n == 0 || l == 0 {
-            return;
-        }
-        let mut factors = vec![0.0; n];
-        for j in 0..l {
-            for (m, f) in factors.iter_mut().enumerate() {
-                *f = 1.0 - table.cdf_at(m, j + 1);
-            }
-            let prod = ExcludeOneProduct::new(&factors);
-            for i in 0..n {
-                if state.labels[i] != Label::Unknown || table.mass(i, j) <= MASS_EPS {
-                    continue;
-                }
-                let q = prod.excluding(i).clamp(0.0, 1.0);
-                let cell = &mut state.qij_lo[i * l + j];
-                if q > *cell {
-                    *cell = q;
-                }
-            }
-        }
-        for i in 0..n {
-            if state.labels[i] == Label::Unknown {
                 state.recompute_lower(table, i);
+                state.recompute_upper(table, i);
             }
         }
     }
@@ -179,6 +150,7 @@ impl Verifier for ReferenceKnnSubregion {
         if n == 0 || l == 0 {
             return;
         }
+        state.open_cells(table);
         let k = self.k;
         if k >= n {
             for i in 0..n {
@@ -234,18 +206,8 @@ impl Verifier for ReferenceKnnSubregion {
 pub fn reference_verifiers() -> Vec<Box<dyn Verifier>> {
     vec![
         Box::new(crate::verifiers::RightmostSubregion),
-        Box::new(ReferenceLowerSubregion),
         Box::new(ReferenceUpperSubregion),
-    ]
-}
-
-/// Legacy counterpart of [`crate::framework::extended_verifiers`].
-pub fn reference_extended_verifiers() -> Vec<Box<dyn Verifier>> {
-    vec![
-        Box::new(crate::verifiers::RightmostSubregion),
         Box::new(ReferenceLowerSubregion),
-        Box::new(ReferenceFarLowerSubregion),
-        Box::new(ReferenceUpperSubregion),
     ]
 }
 

@@ -1,4 +1,5 @@
-//! The Upper-Subregion (U-SR) verifier (paper Appendix I, Eqs. 5/10/11).
+//! The Upper-Subregion (U-SR) verifier (paper Appendix I, Eqs. 5/10/11),
+//! keeping both halves of its split.
 //!
 //! Split on the event `F` = "every other object lies beyond `e_{j+1}`":
 //!
@@ -10,11 +11,23 @@
 //!
 //! Together `q_ij.u = ½ (Pr[F] + Pr[E]) =
 //! ½ (Π_{k≠i}(1 − D_k(e_{j+1})) + Π_{k≠i}(1 − D_k(e_j)))`, and
-//! `p_i.u = Σ_j s_ij · q_ij.u`. Consecutive subregions share an end-point,
-//! so one exclude-one product per end-point suffices (the paper's Eq. 11
-//! reuse of `Y_j`, `Y_{j+1}`). Cost: those products, `O(|C|·M)` once per
-//! query and shared with L-SR and FL-SR, then `O(open·M)` bound updates for
-//! the `open` rows RS left `Unknown`.
+//! `p_i.u = Σ_j s_ij · q_ij.u`. The first case alone is a lower bound,
+//! `q_ij.l = Pr[F]` — beyond the paper, which uses the split for the upper
+//! bound only. It reads no value the upper bound does not, and it needs no
+//! Lemma 3: `F` implies the qualification whatever the pdfs inside `S_j`.
+//! Neither it nor L-SR's `Pr[E] / c_j` dominates the other:
+//!
+//! * when competitors have substantial mass inside `S_j`, `Pr[F]` collapses
+//!   and L-SR's symmetry argument wins;
+//! * when many competitors merely *graze* `S_j` (tiny `s_kj`), L-SR still
+//!   pays the full `1/c_j` factor while `Pr[F]` stays near 1 — the unit
+//!   test constructs a case where it is ~6× tighter.
+//!
+//! U-SR runs before L-SR, which keeps the per-subregion maximum of both.
+//! Consecutive subregions share an end-point, so one exclude-one product
+//! per end-point suffices (the paper's Eq. 11 reuse of `Y_j`, `Y_{j+1}`).
+//! Cost: those products, `O(|C|·M)` once per query and reused by L-SR,
+//! then `O(open·M)` bound updates for the `open` rows RS left `Unknown`.
 
 use crate::classify::Label;
 use crate::subregion::{SubregionTable, MASS_EPS};
@@ -35,6 +48,7 @@ impl Verifier for UpperSubregion {
         if n == 0 || l == 0 {
             return;
         }
+        state.open_cells(table);
         // Consecutive subregions share an end-point (the paper's Y_j /
         // Y_{j+1} reuse): `S_j` reads products `j` and `j + 1` of the row.
         let VerificationState {
@@ -48,23 +62,27 @@ impl Verifier for UpperSubregion {
             if labels[i] != Label::Unknown {
                 continue;
             }
-            let cells = qij_hi[i * l..(i + 1) * l].iter_mut();
-            let row = cells
-                .zip(table.mass_row(i))
-                .zip(&qij_lo[i * l..(i + 1) * l])
-                .zip(products.windows(2));
-            for (((cell, &s), &lo), e) in row {
+            let cells = qij_lo[i * l..(i + 1) * l]
+                .iter_mut()
+                .zip(&mut qij_hi[i * l..(i + 1) * l]);
+            let row = cells.zip(table.mass_row(i)).zip(products.windows(2));
+            for (((lo, hi), &s), e) in row {
                 if s <= MASS_EPS {
                     continue;
                 }
+                let far = e[1].clamp(0.0, 1.0);
+                if far > *lo {
+                    *lo = far;
+                }
                 let q = 0.5 * (e[1] + e[0]);
-                if q < *cell {
-                    *cell = q.clamp(lo, 1.0);
+                if q < *hi {
+                    *hi = q.clamp(*lo, 1.0);
                 }
             }
         }
         for i in 0..n {
             if state.labels[i] == Label::Unknown {
+                state.recompute_lower(table, i);
                 state.recompute_upper(table, i);
             }
         }
@@ -74,7 +92,34 @@ impl Verifier for UpperSubregion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate::CandidateSet;
+    use crate::exact::exact_probabilities;
+    use crate::object::{ObjectId, UncertainObject};
     use crate::testutil::{fig7_exact, fig7_scenario};
+    use crate::verifiers::LowerSubregion;
+    use cpnn_pdf::HistogramPdf;
+
+    /// One object tightly bracketing q, five competitors with only 1% mass
+    /// in the decisive subregion.
+    fn grazing_scenario() -> CandidateSet {
+        let mut objects = vec![UncertainObject::uniform(ObjectId(0), 0.0, 1.0).unwrap()];
+        for i in 1..=5 {
+            objects.push(UncertainObject::from_histogram(
+                ObjectId(i),
+                HistogramPdf::from_masses(vec![0.0, 1.0, 10.0], vec![0.01, 0.99]).unwrap(),
+            ));
+        }
+        CandidateSet::build(&objects, 0.0, 0).unwrap()
+    }
+
+    /// Row of the object with id 0 in `cands`.
+    fn row_of_id0(cands: &CandidateSet) -> usize {
+        cands
+            .members()
+            .iter()
+            .position(|m| m.id == ObjectId(0))
+            .unwrap()
+    }
 
     #[test]
     fn usr_upper_bounds_match_hand_computation() {
@@ -105,6 +150,87 @@ mod tests {
         assert!((state.qij_hi[l + 3] - 0.30625).abs() < 1e-12);
         // q_34.u = ½[(1−D1(6))(1−D2(6)) + (1−D1(4))(1−D2(4))] = ½[0 + 0.2625]
         assert!((state.qij_hi[2 * l + 3] - 0.13125).abs() < 1e-12);
+        // The lower halves: q_ij.l = Pr[F], the product at e_{j+1} = 6.
+        assert_eq!(state.qij_lo[3], 0.0);
+        assert!((state.qij_lo[l + 3] - 0.0875).abs() < 1e-12);
+        assert_eq!(state.qij_lo[2 * l + 3], 0.0);
+        // q_11.l: nothing else has mass before e_2 = 2, so Pr[F] = 1.
+        assert!((state.qij_lo[0] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn usr_lower_bound_never_exceeds_exact() {
+        let (cands, _) = fig7_scenario();
+        let table = SubregionTable::build(&cands);
+        let mut state = VerificationState::new(&table);
+        UpperSubregion.apply(&table, &mut state);
+        for (i, p) in fig7_exact().iter().enumerate() {
+            assert!(
+                state.bounds[i].lo() <= p + 1e-9,
+                "object {i}: lower {} > exact {p}",
+                state.bounds[i].lo()
+            );
+        }
+    }
+
+    #[test]
+    fn usr_lower_bound_beats_lsr_on_grazing_competitors() {
+        let cands = grazing_scenario();
+        let table = SubregionTable::build(&cands);
+        let mut lsr_state = VerificationState::new(&table);
+        LowerSubregion.apply(&table, &mut lsr_state);
+        let mut usr_state = VerificationState::new(&table);
+        UpperSubregion.apply(&table, &mut usr_state);
+        let idx = row_of_id0(&cands);
+        let lsr = lsr_state.bounds[idx].lo();
+        let usr = usr_state.bounds[idx].lo();
+        // L-SR pays 1/c_1 = 1/6; Pr[F] keeps (0.99)^5 ≈ 0.951.
+        assert!(lsr < 0.2, "L-SR = {lsr}");
+        assert!(usr > 0.9, "U-SR = {usr}");
+        // And both remain below the exact value.
+        let (exact, _) = exact_probabilities(&table);
+        assert!(usr <= exact[idx] + 1e-9);
+    }
+
+    #[test]
+    fn lsr_beats_usr_lower_bound_on_identical_objects() {
+        // Two identical uniforms: exact = 1/2 each. Pr[F] at the far
+        // end-point is 0; L-SR gives exactly 1/2.
+        let objects = vec![
+            UncertainObject::uniform(ObjectId(0), 1.0, 3.0).unwrap(),
+            UncertainObject::uniform(ObjectId(1), 1.0, 3.0).unwrap(),
+        ];
+        let cands = CandidateSet::build(&objects, 0.0, 0).unwrap();
+        let table = SubregionTable::build(&cands);
+        let mut lsr_state = VerificationState::new(&table);
+        LowerSubregion.apply(&table, &mut lsr_state);
+        let mut usr_state = VerificationState::new(&table);
+        UpperSubregion.apply(&table, &mut usr_state);
+        assert!((lsr_state.bounds[0].lo() - 0.5).abs() < 1e-12);
+        assert!(usr_state.bounds[0].lo() < 1e-12);
+    }
+
+    #[test]
+    fn chain_keeps_the_max_of_both_lower_bounds_per_subregion() {
+        let cands = grazing_scenario();
+        let table = SubregionTable::build(&cands);
+        let (exact, _) = exact_probabilities(&table);
+        let mut state = VerificationState::new(&table);
+        UpperSubregion.apply(&table, &mut state);
+        let after_usr = state.clone();
+        LowerSubregion.apply(&table, &mut state);
+        let mut lsr_only = VerificationState::new(&table);
+        LowerSubregion.apply(&table, &mut lsr_only);
+        for (cell, &q) in state.qij_lo.iter().enumerate() {
+            let lsr = lsr_only.qij_lo[cell].min(after_usr.qij_hi[cell]);
+            let want = after_usr.qij_lo[cell].max(lsr);
+            assert_eq!(q.to_bits(), want.to_bits(), "cell {cell}");
+            assert!(q <= state.qij_hi[cell], "cell {cell}: lower above upper");
+        }
+        assert!(state.bounds[row_of_id0(&cands)].lo() > 0.9);
+        for (i, p) in exact.iter().enumerate() {
+            assert!(state.bounds[i].contains(*p, 1e-9), "object {i}");
+        }
     }
 
     #[test]

@@ -19,9 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cpnn_core::classify::Classifier;
-use cpnn_core::framework::{
-    default_verifiers, extended_verifiers, knn_verifiers, run_verification_into,
-};
+use cpnn_core::framework::{default_verifiers, knn_verifiers, run_verification_into};
 use cpnn_core::pipeline::cpnn_with;
 use cpnn_core::refine::{incremental_refine_with, RefinementOrder};
 use cpnn_core::verifiers::{kernels, VerificationState};
@@ -184,7 +182,7 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
     // Ambiguous threshold with zero tolerance: verification alone cannot
     // resolve, so refinement integrates many subregions.
     let classifier = Classifier::new(0.02, 0.0).unwrap();
-    let chain = extended_verifiers();
+    let chain = default_verifiers();
     let mut state = VerificationState::new(&table);
     let mut stages = Vec::new();
 
@@ -238,24 +236,22 @@ fn warm_verify_and_refine_do_not_allocate_per_subregion() {
     assert!(n <= 129, "three warm 2-D k = 4 queries: {n} allocations");
 
     // ---- Measured: 1-NN verification must allocate nothing at all, through
-    // the paper's chain and the extended one (both build and read the
-    // open-row product table). ----
-    for chain in [default_verifiers(), extended_verifiers()] {
-        state.reset(&table);
-        stages.clear();
-        let before = allocations();
-        run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
-        let verify_allocs = allocations() - before;
-        assert_eq!(
-            stages.len(),
-            chain.len(),
-            "a stage before U-SR decided everything"
-        );
-        assert_eq!(
-            verify_allocs, 0,
-            "warm 1-NN verification performed {verify_allocs} allocations"
-        );
-    }
+    // every stage (U-SR builds the open-row product table, L-SR reads it,
+    // and the first to read a `q_ij` cell sizes the cells). ----
+    state.reset(&table);
+    stages.clear();
+    let before = allocations();
+    run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
+    let verify_allocs = allocations() - before;
+    assert_eq!(
+        stages.len(),
+        chain.len(),
+        "a stage before L-SR decided everything"
+    );
+    assert_eq!(
+        verify_allocs, 0,
+        "warm 1-NN verification performed {verify_allocs} allocations"
+    );
 
     // ---- Measured: refinement allocates nothing. ----
     // Refine a fresh (unverified) state so every object takes the full

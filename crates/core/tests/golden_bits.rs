@@ -33,8 +33,8 @@ use cpnn_pdf::HistogramPdf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const NN_VERIFY: u64 = 0x3cfa_5cb6_13c7_1261;
-const NN_REFINE: u64 = 0xdb44_06ef_ce50_80c2;
+const NN_VERIFY: u64 = 0x2ea1_712b_bc17_9a89;
+const NN_REFINE: u64 = 0x8c42_247b_4ad2_18f7;
 const KNN3_1D: u64 = 0xd89e_5a2c_945d_f688;
 const KNN4_2D: u64 = 0x8113_120a_d0c0_71ff;
 const NN_BASIC: u64 = 0x7414_463e_a45b_af8c;

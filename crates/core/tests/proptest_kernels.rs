@@ -52,9 +52,7 @@ use cpnn_core::framework::{default_verifiers, knn_verifiers, run_verification_in
 use cpnn_core::knn::{knn_probabilities, knn_subregion_qualification, KnnSubregion};
 use cpnn_core::pipeline::{cpnn, cpnn_with, CpnnResult, DistanceModel};
 use cpnn_core::refine::incremental_refine_with;
-use cpnn_core::verifiers::reference::{
-    reference_extended_verifiers, reference_knn_verifiers, reference_verifiers,
-};
+use cpnn_core::verifiers::reference::{reference_knn_verifiers, reference_verifiers};
 use cpnn_core::verifiers::{kernels, VerificationState, Verifier};
 use cpnn_core::Strategy as EvalStrategy;
 use cpnn_core::{
@@ -106,7 +104,6 @@ fn reference_eval<M: DistanceModel + ?Sized>(
     model: &M,
     q: &M::Query,
     spec: &QuerySpec,
-    extended: bool,
 ) -> Vec<Reference> {
     let k = spec.k.max(1);
     let filtered = model.filter(q, k).expect("filter");
@@ -116,10 +113,9 @@ fn reference_eval<M: DistanceModel + ?Sized>(
     let mut state = VerificationState::new(&table);
     let mut stages = Vec::new();
     if spec.strategy == EvalStrategy::Verified {
-        let chain = match (k, extended) {
-            (1, false) => reference_verifiers(),
-            (1, true) => reference_extended_verifiers(),
-            (k, _) => reference_knn_verifiers(k),
+        let chain = match k {
+            1 => reference_verifiers(),
+            k => reference_knn_verifiers(k),
         };
         run_verification_into(&table, &classifier, &chain, &mut state, &mut stages);
     }
@@ -597,15 +593,15 @@ fn objects_2d(max: usize) -> impl Strategy<Value = Vec<Object2d>> {
     })
 }
 
-/// The spec × config grid every property sweeps: VR with the paper chain,
-/// VR with the FL-SR-extended chain, Refine-only, and k-NN VR.
-fn spec_grid() -> Vec<(QuerySpec, bool)> {
+/// The specs every 1-D property sweeps: VR with and without tolerance,
+/// Refine-only, and k-NN VR.
+fn spec_grid() -> Vec<QuerySpec> {
     vec![
-        (QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified), false),
-        (QuerySpec::nn(0.5, 0.0, EvalStrategy::Verified), true),
-        (QuerySpec::nn(0.4, 0.0, EvalStrategy::RefineOnly), false),
-        (QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified), false),
-        (QuerySpec::knn(3, 0.2, 0.01, EvalStrategy::Verified), false),
+        QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified),
+        QuerySpec::nn(0.5, 0.0, EvalStrategy::Verified),
+        QuerySpec::nn(0.4, 0.0, EvalStrategy::RefineOnly),
+        QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified),
+        QuerySpec::knn(3, 0.2, 0.01, EvalStrategy::Verified),
     ]
 }
 
@@ -619,19 +615,16 @@ proptest! {
         queries in prop::collection::vec(-60.0f64..60.0, 2..6),
     ) {
         let db = UncertainDb::build(objs).unwrap();
-        for (spec, extended) in spec_grid() {
-            let cfg = PipelineConfig {
-                extended_verifiers: extended,
-                ..Default::default()
-            };
+        let cfg = PipelineConfig::default();
+        for spec in spec_grid() {
             for (i, &q) in queries.iter().enumerate() {
                 let got = cpnn(&db, &q, &spec, &cfg).unwrap();
-                let want = reference_eval(&db, &q, &spec, extended);
+                let want = reference_eval(&db, &q, &spec);
                 assert_matches_reference(
                     &got,
                     &want,
                     &spec,
-                    &format!("1-D q = {q}, query {i}, k = {}, ext = {extended}", spec.k),
+                    &format!("1-D q = {q}, query {i}, k = {}", spec.k),
                 )?;
             }
         }
@@ -646,27 +639,24 @@ proptest! {
     ) {
         let db = UncertainDb2d::build(objs).unwrap();
         let specs = [
-            (QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified), false),
-            (QuerySpec::nn(0.4, 0.0, EvalStrategy::Verified), true),
-            (QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified), false),
+            QuerySpec::nn(0.3, 0.01, EvalStrategy::Verified),
+            QuerySpec::nn(0.4, 0.0, EvalStrategy::Verified),
+            QuerySpec::knn(2, 0.4, 0.0, EvalStrategy::Verified),
             // Refine-heavy: a low threshold with no tolerance leaves rows
             // `Unknown` after both SR-k stages.
-            (QuerySpec::knn(4, 0.05, 0.0, EvalStrategy::Verified), false),
+            QuerySpec::knn(4, 0.05, 0.0, EvalStrategy::Verified),
         ];
-        for (spec, extended) in specs {
-            let cfg = PipelineConfig {
-                extended_verifiers: extended,
-                ..Default::default()
-            };
+        let cfg = PipelineConfig::default();
+        for spec in specs {
             for (i, &(x, y)) in queries.iter().enumerate() {
                 let q = [x, y];
                 let got = cpnn(&db, &q, &spec, &cfg).unwrap();
-                let want = reference_eval(&db, &q, &spec, extended);
+                let want = reference_eval(&db, &q, &spec);
                 assert_matches_reference(
                     &got,
                     &want,
                     &spec,
-                    &format!("2-D q = {q:?}, query {i}, k = {}, ext = {extended}", spec.k),
+                    &format!("2-D q = {q:?}, query {i}, k = {}", spec.k),
                 )?;
             }
         }
@@ -700,7 +690,7 @@ proptest! {
                     // keeps evicting across points and ks.
                     for pass in 0..2 {
                         let got = cpnn_with(&db, &q, spec, &cfg, &mut scratch).unwrap();
-                        let want = reference_eval(&db, &q, spec, false);
+                        let want = reference_eval(&db, &q, spec);
                         assert_matches_reference(
                             &got,
                             &want,
@@ -734,7 +724,7 @@ proptest! {
         let out = BatchExecutor::new(2).run(&sharded, &jobs, &cfg);
         prop_assert_eq!(out.results.len(), jobs.len());
         for (i, ((q, spec), got)) in jobs.iter().zip(&out.results).enumerate() {
-            let want = reference_eval(&flat, q, spec, cfg.extended_verifiers);
+            let want = reference_eval(&flat, q, spec);
             assert_matches_reference(
                 got.as_ref().unwrap(),
                 &want,
