@@ -123,9 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn low_threshold_accepts_via_lower_bounds() {
-        // P = 0.2: U-SR's Pr[F] half and L-SR prove X1 (≥ .349) and X2
-        // (≥ .281) exceed it; X3's upper bound (.066) fails it.
+    fn low_threshold_accepts_via_lsr_lower_bound() {
+        // P = 0.2: the chain proves X1 and X2 exceed it; X3's upper bound
+        // (.066) fails it. U-SR's Pr[F] half (.35, .35) decides first, but
+        // L-SR's own bound (.349, .281) clears P as well.
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let classifier = Classifier::new(0.2, 0.0).unwrap();
@@ -134,6 +135,9 @@ mod tests {
         assert_eq!(state.labels[0], Label::Satisfy);
         assert_eq!(state.labels[1], Label::Satisfy);
         assert_eq!(state.labels[2], Label::Fail);
+        let mut lsr_only = VerificationState::new(&table);
+        LowerSubregion.apply(&table, &mut lsr_only);
+        assert!(lsr_only.bounds[0].lo() > 0.2 && lsr_only.bounds[1].lo() > 0.2);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! 1. **Filter** — an R-tree prunes objects that provably have zero
 //!    probability ([`cpnn_rtree`]).
-//! 2. **Verify** — the [`verifiers`] (RS, L-SR, U-SR) tighten per-object
+//! 2. **Verify** — the [`verifiers`] (RS, U-SR, L-SR) tighten per-object
 //!    probability bounds over the [`SubregionTable`]; the
 //!    [`classify::Classifier`] labels objects `Satisfy`/`Fail`/`Unknown`.
 //! 3. **Refine** — leftovers get exact per-subregion integration,

@@ -10,7 +10,7 @@
 //! 2. **init** — build each survivor's distance distribution and the
 //!    [`SubregionTable`] (Sec. IV-A, Fig. 7);
 //! 3. **verify** — tighten probability bounds with algebraic verifiers
-//!    (RS / L-SR / U-SR for 1-NN, Sec. IV-B/C; their k-ary analogues for
+//!    (RS / U-SR / L-SR for 1-NN, Sec. IV-B/C; their k-ary analogues for
 //!    k-NN) and classify against the threshold;
 //! 4. **refine** — exact per-subregion integration for leftovers,
 //!    incrementally (Sec. IV-D).

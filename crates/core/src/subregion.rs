@@ -21,7 +21,7 @@
 //!
 //! **Filled in phases.** Not every verifier reads every cell: RS reads the
 //! horizon column, the coarse SR-k stage every `⌈√L⌉`-th column, and the
-//! stride-1 stages (L-SR, U-SR, fine SR-k) and refinement the whole table.
+//! stride-1 stages (U-SR, L-SR, fine SR-k) and refinement the whole table.
 //! [`SubregionTable::layout`] computes the end-points (no cdf value is
 //! needed for them) and the horizon column; [`SubregionTable::fill`] adds
 //! the coarse columns or the rest ([`Columns`]) when the first stage that

@@ -31,7 +31,8 @@ use crate::verifiers::VerificationState;
 /// * counts `c = [1, 2, 2, 3]`
 /// * RS upper bounds: `[.825, 1, .5]`
 /// * L-SR lower bounds: `p.l = [0.3489583, 0.28125, 0.04375]`
-/// * U-SR upper bounds: `p.u = [0.478125, 0.5, 0.065625]`
+/// * U-SR upper bounds: `p.u = [0.478125, 0.5, 0.065625]`; its `Pr[F]`
+///   lower bounds: `p.l = [0.35, 0.35, 0]`
 /// * exact probabilities: `[0.4635417, 0.4854167, 0.0510417]` (sum = 1)
 pub(crate) fn fig7_scenario() -> (CandidateSet, Vec<UncertainObject>) {
     let x1 = UncertainObject::from_histogram(
@@ -70,7 +71,7 @@ pub(crate) fn fig2_scenario() -> (Vec<UncertainObject>, f64) {
     (vec![a, b, c, d], 0.0)
 }
 
-/// The paper's default chain (RS, L-SR, U-SR) over a filled table, from
+/// The default 1-NN chain (RS, U-SR, L-SR) over a filled table, from
 /// fresh state: the final state and the per-stage reports.
 pub(crate) fn run_default_chain(
     table: &SubregionTable,

@@ -1068,14 +1068,8 @@ mod tests {
         let mut got = VerificationState::new(table);
         let mut want = VerificationState::new(table);
         let (mut stages, mut ref_stages) = (Vec::new(), Vec::new());
-        run_verification_into(
-            table,
-            classifier,
-            &default_verifiers(),
-            &mut got,
-            &mut stages,
-        );
-        let reference = reference_verifiers();
+        let (chain, reference) = (default_verifiers(), reference_verifiers());
+        run_verification_into(table, classifier, &chain, &mut got, &mut stages);
         run_verification_into(table, classifier, &reference, &mut want, &mut ref_stages);
         assert_same_bits(&got, &want, what);
         (got, stages)

@@ -95,8 +95,9 @@ impl VerificationState {
     }
 
     /// Size the `q_ij` cells for `table` and fill them with `[0, 1]`, unless
-    /// a stage has done so since [`Self::reset`]. Every reader of a cell
-    /// calls it first.
+    /// a stage has done so since [`Self::reset`]. Every stage that reads
+    /// a cell, or calls `recompute_lower`/`recompute_upper`, calls it
+    /// first.
     pub(crate) fn open_cells(&mut self, table: &SubregionTable) {
         let cells = table.n_objects() * table.left_regions();
         if self.qij_lo.len() < cells {
@@ -108,7 +109,6 @@ impl VerificationState {
     /// Recompute `p_i.l = Σ_j s_ij · q_ij.l` (paper Eq. 4) and raise the
     /// object's lower bound if it improved.
     pub(crate) fn recompute_lower(&mut self, table: &SubregionTable, i: usize) {
-        self.open_cells(table);
         let l = table.left_regions();
         let mut lo = 0.0;
         for (&s, &q) in table.mass_row(i).iter().zip(&self.qij_lo[i * l..]) {
@@ -120,7 +120,6 @@ impl VerificationState {
     /// Recompute `p_i.u = Σ_j s_ij · q_ij.u` (rightmost subregion
     /// contributes zero) and lower the object's upper bound if it improved.
     pub(crate) fn recompute_upper(&mut self, table: &SubregionTable, i: usize) {
-        self.open_cells(table);
         let l = table.left_regions();
         let mut hi = 0.0;
         for (&s, &q) in table.mass_row(i).iter().zip(&self.qij_hi[i * l..]) {

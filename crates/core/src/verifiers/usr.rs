@@ -159,11 +159,16 @@ mod tests {
     }
 
     #[test]
-    fn usr_lower_bound_never_exceeds_exact() {
+    fn usr_lower_bounds_match_hand_computation_and_never_exceed_exact() {
         let (cands, _) = fig7_scenario();
         let table = SubregionTable::build(&cands);
         let mut state = VerificationState::new(&table);
         UpperSubregion.apply(&table, &mut state);
+        // X1: .15·1 + .15·.75 + .175·.5 + .35·0; X2: .25·.7 + .25·.525 +
+        // .5·.0875; X3's only mass sits where X2 is certainly nearer.
+        for (i, w) in [0.35, 0.35, 0.0].iter().enumerate() {
+            assert!((state.bounds[i].lo() - w).abs() < 1e-12, "object {i}");
+        }
         for (i, p) in fig7_exact().iter().enumerate() {
             assert!(
                 state.bounds[i].lo() <= p + 1e-9,

@@ -66,10 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let classifier = Classifier::new(0.45, 0.0)?;
     let mut state = VerificationState::new(&table);
 
+    // The pipeline's order: U-SR, which also keeps Pr[F] as a lower
+    // bound, before L-SR.
     for verifier in [
         Box::new(RightmostSubregion) as Box<dyn Verifier>,
-        Box::new(LowerSubregion),
         Box::new(UpperSubregion),
+        Box::new(LowerSubregion),
     ] {
         verifier.apply(&table, &mut state);
         classify_all(&classifier, &mut state);
